@@ -42,15 +42,14 @@ from .poly import Poly, as_rational
 from .render import poly_latex, poly_text, poly_to_strings, rational_latex, series_to_strings
 from .rodrigues import (
     CATALOG,
+    FAMILIES,
     ClassicalPair,
     FamilySpec,
-    bessel_family,
+    catalog_family,
     complementary_table,
     custom_family,
-    hermite_family,
     jacobi_family,
     lambda_n,
-    laguerre_family,
     mu_eigenvalue,
     pair_from_family,
 )
@@ -59,7 +58,7 @@ from .verify import SUITE_NAMES, VerifyReport, verify_pair
 DEFAULT_MAX_ORDER_CAP = 16
 
 _FAMILY_HELP = (
-    "catalog family name (hermite, laguerre, jacobi, bessel; legendre is "
+    f"catalog family name ({', '.join(CATALOG)}; legendre is "
     "jacobi with alpha = beta = 0)"
 )
 
@@ -92,7 +91,10 @@ def load_family_file(path: str) -> FamilySpec:
 
     Expected fields: ``name`` (text), ``phi`` and ``psi`` (ascending
     coefficient lists of rational strings), optional ``params`` (map of
-    rational strings) and ``u0`` (rational string, default 1).
+    rational strings) and ``u0`` (rational string, default 1).  A file named
+    after a catalog family must match that family's shape, and its
+    ``params`` follow the ``--family`` rules: missing ones are 0, others are
+    rejected.
     """
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
@@ -104,31 +106,18 @@ def load_family_file(path: str) -> FamilySpec:
     params = {k: as_rational(v) for k, v in data.get("params", {}).items()}
     u0 = as_rational(data.get("u0", 1))
     name = str(data["name"])
-    if phi.degree > 2:
-        raise InvalidParameter(f"phi must have degree <= 2, got degree {phi.degree}")
-    if psi.degree != 1:
-        raise InvalidParameter(f"psi must have degree exactly 1, got degree {psi.degree}")
     if name in CATALOG:
-        reference = _catalog_spec(name, params.get("alpha"), params.get("beta"))
+        reference = catalog_family(name, params)
         if reference.phi != phi or reference.psi != psi:
             raise InvalidParameter(
                 f"family file claims {name!r} but phi/psi do not match that catalog shape")
+        params = reference.params
     return FamilySpec(name, phi, psi, params, u0)
 
 
 def _catalog_spec(name: str, alpha: Fraction | None, beta: Fraction | None) -> FamilySpec:
-    alpha = Fraction(0) if alpha is None else alpha
-    beta = Fraction(0) if beta is None else beta
-    if name == "hermite":
-        return hermite_family()
-    if name == "laguerre":
-        return laguerre_family(alpha)
-    if name == "jacobi":
-        return jacobi_family(alpha, beta)
-    if name == "bessel":
-        return bessel_family(alpha)
-    raise InvalidParameter(
-        f"unknown family {name!r}; catalog families are {', '.join(CATALOG)} (or legendre)")
+    """The ``--family name --alpha --beta`` lookup; ``None`` means the flag is absent."""
+    return catalog_family(name, {"alpha": alpha, "beta": beta})
 
 
 def resolve_family(args: argparse.Namespace) -> FamilySpec:
@@ -147,11 +136,6 @@ def resolve_family(args: argparse.Namespace) -> FamilySpec:
             if args.alpha is not None or args.beta is not None:
                 raise ValueError("legendre fixes alpha = beta = 0; omit --alpha/--beta")
             return jacobi_family(0, 0)
-        allowed = {"hermite": (), "laguerre": ("alpha",),
-                   "jacobi": ("alpha", "beta"), "bessel": ("alpha",)}.get(name, ())
-        for flag in ("alpha", "beta"):
-            if getattr(args, flag) is not None and flag not in allowed:
-                raise ValueError(f"family {name!r} does not take --{flag}")
         return _catalog_spec(name, args.alpha, args.beta)
     if args.phi is None or args.psi is None:
         raise ValueError("no family given: use --family, --family-file, or both --phi and --psi")
@@ -294,22 +278,16 @@ def cmd_genfun(args: argparse.Namespace) -> int:
     return 0
 
 
-_FAMILY_ROWS = (
-    ("hermite", "1", "-2*x", "none"),
-    ("laguerre", "x", "(alpha + 1) - x", "alpha"),
-    ("jacobi", "1 - x^2", "(beta - alpha) - (alpha + beta + 2)*x", "alpha, beta"),
-    ("bessel", "x^2", "(alpha + 2)*x + 2", "alpha"),
-)
-
-
 def cmd_families(args: argparse.Namespace) -> int:
+    rows = [(name, f.phi_text, f.psi_text, ", ".join(f.params) or "none")
+            for name, f in FAMILIES.items()]
     if args.format == "json":
         doc = [{"name": name, "phi": phi, "psi": psi, "params": params}
-               for name, phi, psi, params in _FAMILY_ROWS]
+               for name, phi, psi, params in rows]
         print(json.dumps(doc, indent=2))
     else:
         print(f"{'name':<10} {'phi':<10} {'psi':<42} params")
-        for name, phi, psi, params in _FAMILY_ROWS:
+        for name, phi, psi, params in rows:
             print(f"{name:<10} {phi:<10} {psi:<42} {params}")
         print("alias: legendre = jacobi with alpha = beta = 0")
     return 0

@@ -21,13 +21,11 @@ equivalently ``psi' + k phi''/2 != 0``).
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import AdmissibilityViolation, InvalidParameter
-from .poly import Poly, as_rational, poly_derivative
+from .poly import Poly, as_rational
 
 MomentRule = Callable[[int, Sequence[Fraction]], Fraction]
 
@@ -35,20 +33,18 @@ MomentRule = Callable[[int, Sequence[Fraction]], Fraction]
 class MomentFunctional:
     """Linear functional on polynomials, held as an extendable moment sequence.
 
-    Computed moments are append-only and may be read from any thread;
-    extension happens under an internal lock.  A functional may carry a rule
+    Computed moments are append-only.  A functional may carry a rule
     that produces moment ``k`` given the moments below it (a recurrence, or
     an index formula over a parent functional); without a rule it is finite
     and reading past the stored prefix raises ``ValueError``.
     """
 
-    __slots__ = ("_moments", "_rule", "_lock")
+    __slots__ = ("_moments", "_rule")
 
     def __init__(self, rule: MomentRule | None = None,
                  initial: Iterable[int | str | Fraction] = ()):
         self._moments: list[Fraction] = [as_rational(v) for v in initial]
         self._rule = rule
-        self._lock = threading.Lock()
         if not self._moments:
             if rule is None:
                 raise ValueError("a functional needs at least u_0 or a generating rule")
@@ -68,10 +64,9 @@ class MomentFunctional:
             raise ValueError(
                 f"moments known only up to index {len(self._moments) - 1}; no generating rule"
             )
-        with self._lock:
-            while len(self._moments) <= k:
-                m = len(self._moments)
-                self._moments.append(as_rational(self._rule(m, tuple(self._moments))))
+        while len(self._moments) <= k:
+            m = len(self._moments)
+            self._moments.append(as_rational(self._rule(m, tuple(self._moments))))
         return self._moments[k]
 
     def moments(self, up_to: int) -> list[Fraction]:
@@ -158,8 +153,16 @@ def leibniz_residual(p: Poly, u: MomentFunctional, order: int) -> list[Fraction]
     statement about moment sequences rather than proved symbolically.
     """
     lhs = functional_derivative(functional_poly_mul(p, u))
-    rhs = functional_poly_mul(p, functional_derivative(u)) + functional_poly_mul(poly_derivative(p), u)
+    rhs = functional_poly_mul(p, functional_derivative(u)) + functional_poly_mul(p.derivative(), u)
     return (lhs - rhs).moments(order)
+
+
+def check_pearson_degrees(phi: Poly, psi: Poly) -> None:
+    """Reject a pair outside the Pearson setting ``deg phi <= 2``, ``deg psi = 1``."""
+    if phi.degree > 2:
+        raise InvalidParameter(f"phi must have degree <= 2, got degree {phi.degree}")
+    if psi.degree != 1:
+        raise InvalidParameter(f"psi must have degree exactly 1, got degree {psi.degree}")
 
 
 def moments_from_pearson(phi: Poly, psi: Poly, u0: int | str | Fraction,
@@ -170,10 +173,7 @@ def moments_from_pearson(phi: Poly, psi: Poly, u0: int | str | Fraction,
     ``k < max_order``; the returned functional still extends past
     ``max_order`` on demand, checking lazily from there.
     """
-    if phi.degree > 2:
-        raise InvalidParameter(f"phi must have degree <= 2, got degree {phi.degree}")
-    if psi.degree != 1:
-        raise InvalidParameter(f"psi must have degree exactly 1, got degree {psi.degree}")
+    check_pearson_degrees(phi, psi)
     a, b, c = phi.coefficient(2), phi.coefficient(1), phi.coefficient(0)
     d, e = psi.coefficient(1), psi.coefficient(0)
     for k in range(max_order):
@@ -226,26 +226,3 @@ def hankel_determinant(u: MomentFunctional, n: int) -> Fraction:
                 factor = m[r][col] * inv
                 m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
     return det
-
-
-@dataclass(frozen=True)
-class PearsonData:
-    """A Pearson-consistent triple: ``(phi u)' = psi u``.
-
-    Structural constraints (``deg phi <= 2``, ``deg psi = 1``) are enforced
-    at construction; the residual itself can be audited to any depth with
-    :meth:`residual`.
-    """
-
-    phi: Poly
-    psi: Poly
-    u: MomentFunctional
-
-    def __post_init__(self):
-        if self.phi.degree > 2:
-            raise InvalidParameter(f"phi must have degree <= 2, got degree {self.phi.degree}")
-        if self.psi.degree != 1:
-            raise InvalidParameter(f"psi must have degree exactly 1, got degree {self.psi.degree}")
-
-    def residual(self, order: int) -> list[Fraction]:
-        return pearson_residual(self.phi, self.psi, self.u, order)

@@ -32,12 +32,10 @@ Taylor: ``phi'(x + y phi) = phi' + y phi'' phi`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UnknownEquation, UnsupportedFamily
 from .poly import Poly
-from .rodrigues import ClassicalPair, FamilySpec, _comp_rows
-from .series import SeriesYX, poly_shift_substitute, series_exp, series_pow_rational
+from .rodrigues import FAMILIES, ClassicalPair, FamilySpec, _comp_rows
+from .series import SeriesYX, poly_shift_substitute, series_pow_rational
 
 PDE_IDENTITIES = ("y_self", "y_lower", "x_self", "x_lower", "master")
 
@@ -73,42 +71,21 @@ def genfun_phi_factor(pair: ClassicalPair, n: int, order: int) -> SeriesYX:
     return series_pow_rational(_quadratic_prefactor(pair, order), n)
 
 
-def weight_ratio_series(family: FamilySpec, order: int) -> SeriesYX:
+def weight_ratio_series(family: FamilySpec | ClassicalPair, order: int) -> SeriesYX:
     """``rho(x + y phi) / rho(x)`` for a catalog family, exactly truncated.
 
-    hermite: ``exp(-2xy - y^2)``
-    laguerre: ``(1+y)^alpha exp(-xy)``
-    jacobi:   ``(1 - y(1+x))^alpha (1 + y(1-x))^beta``
-    bessel:   ``(1 + yx)^alpha exp(2y / (1 + yx))``
+    The series comes from the family's ``FAMILIES`` entry, for example
+    ``exp(-2xy - y^2)`` for hermite; any other name is unsupported.
     """
-    n = order
-    if family.name == "hermite":
-        arg = SeriesYX(n, [Poly.zero(), Poly([0, -2]), Poly([-1])][: n + 1])
-        return series_exp(arg)
-    if family.name == "laguerre":
-        alpha = family.params["alpha"]
-        pow_part = series_pow_rational(SeriesYX(n, [Poly.one(), Poly.one()][: n + 1]), alpha)
-        exp_part = series_exp(SeriesYX(n, [Poly.zero(), Poly([0, -1])][: n + 1]))
-        return pow_part * exp_part
-    if family.name == "jacobi":
-        alpha, beta = family.params["alpha"], family.params["beta"]
-        left = series_pow_rational(SeriesYX(n, [Poly.one(), Poly([-1, -1])][: n + 1]), alpha)
-        right = series_pow_rational(SeriesYX(n, [Poly.one(), Poly([1, -1])][: n + 1]), beta)
-        return left * right
-    if family.name == "bessel":
-        alpha = family.params["alpha"]
-        one_plus_xy = SeriesYX(n, [Poly.one(), Poly([0, 1])][: n + 1])
-        pow_part = series_pow_rational(one_plus_xy, alpha)
-        inv = series_pow_rational(one_plus_xy, -1)
-        two_y = SeriesYX(n, [Poly.zero(), Poly([2])][: n + 1])
-        return pow_part * series_exp(two_y * inv)
-    raise UnsupportedFamily(f"no closed-form weight ratio for family {family.name!r}")
+    entry = FAMILIES.get(family.name)
+    if entry is None:
+        raise UnsupportedFamily(f"no closed-form weight ratio for family {family.name!r}")
+    return entry.weight_ratio(order, *(family.params[key] for key in entry.params))
 
 
 def genfun_closed_form(pair: ClassicalPair, n: int, order: int) -> SeriesYX:
     """Closed form: quadratic prefactor to the ``n`` times the weight ratio."""
-    family = FamilySpec(pair.name, pair.phi, pair.psi, dict(pair.params))
-    return genfun_phi_factor(pair, n, order) * weight_ratio_series(family, order)
+    return genfun_phi_factor(pair, n, order) * weight_ratio_series(pair, order)
 
 
 def pde_residual(pair: ClassicalPair, n: int, which: str, order: int) -> SeriesYX:
@@ -164,20 +141,3 @@ def pde_residual(pair: ClassicalPair, n: int, which: str, order: int) -> SeriesY
         + (n - 1) * poly_shift_substitute(dphi, phi, m)
     return phi_shifted * dy - phi * (coeff * g)
 
-
-@dataclass(frozen=True)
-class GenFunInstance:
-    """A pair with its truncated generating series, kept together.
-
-    ``series.coeff(nu) * nu!`` reproduces row ``nu`` of the (continued)
-    complementary recursion.
-    """
-
-    pair: ClassicalPair
-    n: int
-    order: int
-    series: SeriesYX
-
-    @classmethod
-    def build(cls, pair: ClassicalPair, n: int, order: int) -> GenFunInstance:
-        return cls(pair, n, order, genfun_truncated(pair, n, order))

@@ -226,8 +226,3 @@ def as_poly(value: Poly | int | str | Fraction) -> Poly:
     if isinstance(value, Poly):
         return value
     return Poly.constant(value)
-
-
-def poly_derivative(p: Poly) -> Poly:
-    """Formal derivative d/dx."""
-    return p.derivative()

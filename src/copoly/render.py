@@ -15,14 +15,6 @@ from .poly import Poly, as_rational
 from .series import SeriesYX
 
 
-def rational_str(value: Fraction) -> str:
-    return str(value)
-
-
-def rational_from_str(text: str) -> Fraction:
-    return as_rational(text)
-
-
 def poly_to_strings(p: Poly) -> list[str]:
     """Ascending coefficient list as exact strings; the zero poly is ``[]``."""
     return [str(c) for c in p.coeffs]

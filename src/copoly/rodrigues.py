@@ -25,18 +25,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import InvalidParameter, NotProportional
 from .functional import (
     MomentFunctional,
+    check_pearson_degrees,
     functional_derivative,
     functional_poly_mul,
     moments_from_pearson,
 )
 from .poly import Poly, as_rational
-
-CATALOG = ("hermite", "laguerre", "jacobi", "bessel")
+from .series import SeriesYX, series_exp, series_pow_rational
 
 
 @dataclass
@@ -50,28 +50,113 @@ class FamilySpec:
     u0: Fraction = Fraction(1)
 
 
+class CatalogFamily(NamedTuple):
+    """Everything the package knows about one catalog family.
+
+    ``pair`` maps the parameter values, in ``params`` order, to ``(phi, psi)``.
+    ``weight_ratio`` maps a truncation order and the same values to the
+    series of ``rho(x + y phi) / rho(x)`` for the family's weight ``rho``.
+    ``phi_text`` and ``psi_text`` are the display forms of the pair; they
+    parse back to ``pair``'s polynomials.
+    """
+
+    params: tuple[str, ...]
+    phi_text: str
+    psi_text: str
+    pair: Callable[..., tuple[Poly, Poly]]
+    weight_ratio: Callable[..., SeriesYX]
+
+
+def _y_series(order: int, *coeffs: Poly) -> SeriesYX:
+    """``coeffs[0] + coeffs[1] y + ...`` truncated at ``order``."""
+    return SeriesYX(order, coeffs[: order + 1])
+
+
+# The weight ratios call series_exp and series_pow_rational as module globals,
+# so anything that rebinds those names (a profiler, say) sees every call.
+
+def _hermite_ratio(order: int) -> SeriesYX:
+    """``exp(-2xy - y^2)``."""
+    return series_exp(_y_series(order, Poly.zero(), Poly([0, -2]), Poly([-1])))
+
+
+def _laguerre_ratio(order: int, alpha: Fraction) -> SeriesYX:
+    """``(1 + y)^alpha exp(-xy)``."""
+    return (series_pow_rational(_y_series(order, Poly.one(), Poly.one()), alpha)
+            * series_exp(_y_series(order, Poly.zero(), Poly([0, -1]))))
+
+
+def _jacobi_ratio(order: int, alpha: Fraction, beta: Fraction) -> SeriesYX:
+    """``(1 - y(1+x))^alpha (1 + y(1-x))^beta``."""
+    return (series_pow_rational(_y_series(order, Poly.one(), Poly([-1, -1])), alpha)
+            * series_pow_rational(_y_series(order, Poly.one(), Poly([1, -1])), beta))
+
+
+def _bessel_ratio(order: int, alpha: Fraction) -> SeriesYX:
+    """``(1 + xy)^alpha exp(2y / (1 + xy))``."""
+    one_plus_xy = _y_series(order, Poly.one(), Poly([0, 1]))
+    two_y = _y_series(order, Poly.zero(), Poly([2]))
+    return (series_pow_rational(one_plus_xy, alpha)
+            * series_exp(two_y * series_pow_rational(one_plus_xy, -1)))
+
+
+FAMILIES: dict[str, CatalogFamily] = {
+    "hermite": CatalogFamily(
+        (), "1", "-2*x",
+        lambda: (Poly([1]), Poly([0, -2])), _hermite_ratio),
+    "laguerre": CatalogFamily(
+        ("alpha",), "x", "(alpha + 1) - x",
+        lambda a: (Poly([0, 1]), Poly([a + 1, -1])), _laguerre_ratio),
+    "jacobi": CatalogFamily(
+        ("alpha", "beta"), "1 - x^2", "(beta - alpha) - (alpha + beta + 2)*x",
+        lambda a, b: (Poly([1, 0, -1]), Poly([b - a, -(a + b + 2)])), _jacobi_ratio),
+    "bessel": CatalogFamily(
+        ("alpha",), "x^2", "(alpha + 2)*x + 2",
+        lambda a: (Poly([0, 0, 1]), Poly([2, a + 2])), _bessel_ratio),
+}
+
+CATALOG = tuple(FAMILIES)
+
+
+def catalog_family(name: str,
+                   params: Mapping[str, int | str | Fraction | None]) -> FamilySpec:
+    """Instantiate the catalog family ``name`` from parameter values.
+
+    A parameter the family takes but ``params`` omits (or gives as ``None``)
+    is 0; a parameter it does not take, and a name outside the catalog, are
+    rejected with ``InvalidParameter``.
+    """
+    family = FAMILIES.get(name)
+    if family is None:
+        raise InvalidParameter(
+            f"unknown family {name!r}; catalog families are {', '.join(CATALOG)}")
+    for key in sorted(params):
+        if params[key] is not None and key not in family.params:
+            raise InvalidParameter(f"family {name!r} does not take {key}")
+    values = {key: as_rational(0 if params.get(key) is None else params[key])
+              for key in family.params}
+    phi, psi = family.pair(*values.values())
+    return FamilySpec(name, phi, psi, values)
+
+
 def hermite_family() -> FamilySpec:
     """phi = 1, psi = -2x (weight exp(-x^2) on the line)."""
-    return FamilySpec("hermite", Poly([1]), Poly([0, -2]))
+    return catalog_family("hermite", {})
 
 
 def laguerre_family(alpha: int | str | Fraction) -> FamilySpec:
     """phi = x, psi = (alpha+1) - x (weight x^alpha exp(-x) on the half line)."""
-    a = as_rational(alpha)
-    return FamilySpec("laguerre", Poly([0, 1]), Poly([a + 1, -1]), {"alpha": a})
+    return catalog_family("laguerre", {"alpha": alpha})
 
 
 def jacobi_family(alpha: int | str | Fraction, beta: int | str | Fraction) -> FamilySpec:
     """phi = 1 - x^2, psi = (beta-alpha) - (alpha+beta+2)x (weight (1-x)^a (1+x)^b)."""
-    a, b = as_rational(alpha), as_rational(beta)
-    return FamilySpec("jacobi", Poly([1, 0, -1]), Poly([b - a, -(a + b + 2)]),
-                      {"alpha": a, "beta": b})
+    return catalog_family("jacobi", {"alpha": alpha, "beta": beta})
 
 
 def bessel_family(alpha: int | str | Fraction) -> FamilySpec:
     """phi = x^2, psi = (alpha+2)x + 2 (formal weight x^alpha exp(-2/x))."""
-    a = as_rational(alpha)
-    return FamilySpec("bessel", Poly([0, 0, 1]), Poly([2, a + 2]), {"alpha": a})
+    return catalog_family("bessel", {"alpha": alpha})
 
 
 def custom_family(phi: Poly, psi: Poly, u0: int | str | Fraction = 1,
@@ -92,10 +177,7 @@ class ClassicalPair:
 
     def __init__(self, phi: Poly, psi: Poly, u: MomentFunctional,
                  name: str = "custom", params: Mapping[str, Fraction] | None = None):
-        if phi.degree > 2:
-            raise InvalidParameter(f"phi must have degree <= 2, got degree {phi.degree}")
-        if psi.degree != 1:
-            raise InvalidParameter(f"psi must have degree exactly 1, got degree {psi.degree}")
+        check_pearson_degrees(phi, psi)
         self.phi = phi
         self.psi = psi
         self.u = u
@@ -173,7 +255,7 @@ def complementary(pair: ClassicalPair, n: int, nu: int) -> Poly:
 
 @dataclass(frozen=True)
 class CompTable:
-    """Full triangle row set ``C_0 .. C_n`` for one ``n``, with ``b_n = 1``.
+    """Full triangle row set ``C_0 .. C_n`` for one ``n``.
 
     The normalization constant multiplying the diagonal is fixed to 1
     throughout this package; ``deg rows[nu] = nu`` whenever the pair is
@@ -182,7 +264,6 @@ class CompTable:
 
     n: int
     rows: tuple[Poly, ...]
-    b_n: Fraction = Fraction(1)
 
 
 def complementary_table(pair: ClassicalPair, n: int) -> CompTable:

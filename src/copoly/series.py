@@ -152,11 +152,6 @@ class SeriesYX:
         return " + ".join(parts) if parts else "0"
 
 
-def series_mul(a: SeriesYX, b: SeriesYX) -> SeriesYX:
-    """Cauchy product truncated to the common order of ``a`` and ``b``."""
-    return a * b
-
-
 def poly_shift_substitute(p: Poly, q: Poly, order: int) -> SeriesYX:
     """Expand ``p(x + y*q(x))`` as a series in ``y``.
 

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import UnsupportedFamily
+from .errors import MismatchError, NotProportional, NotQuasiDefinite, UnsupportedFamily
 from .functional import hankel_determinant, leibniz_residual, pearson_residual
 from .genfun import PDE_IDENTITIES, genfun_closed_form, genfun_truncated, pde_residual
 from .oracle import cross_validate, gram_schmidt_ops, orthogonality_matrix, three_term_coefficients
@@ -106,7 +106,7 @@ def _suite_ode(pair: ClassicalPair, max_n: int, order: int):
             checks += 1
             try:
                 derivative_proportionality(pair, n, nu)
-            except Exception as exc:  # NotProportional or arithmetic trouble
+            except NotProportional as exc:
                 failures.append(f"n={n} nu={nu}: derivative ladder: {exc}")
     return checks, failures, notes
 
@@ -190,7 +190,7 @@ def _suite_oracle(pair: ClassicalPair, max_n: int, order: int):
     checks += 1
     try:
         cross_validate(pair, max_n)
-    except Exception as exc:
+    except (MismatchError, NotQuasiDefinite) as exc:
         failures.append(f"cross validation: {exc}")
     # Leading-coefficient probe: the expansion value is asserted; how it
     # relates to the eigenvalue ratio -lambda_j / j is recorded as a note.

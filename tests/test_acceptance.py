@@ -19,6 +19,7 @@ import pytest
 from copoly import (
     Poly,
     SeriesYX,
+    as_rational,
     bessel_family,
     complementary,
     genfun_closed_form,
@@ -40,7 +41,7 @@ from copoly import (
 )
 from copoly.cli import build_compute_document
 from copoly.genfun import PDE_IDENTITIES
-from copoly.render import poly_from_strings, rational_from_str
+from copoly.render import poly_from_strings
 
 MAX_N = 12
 
@@ -210,6 +211,6 @@ def test_criterion_9_cli_contract(capfd):
             doc = json.loads(json.dumps(build_compute_document(pair, n)))
             rows = [poly_from_strings(r) for r in doc["rows"]]
             assert rows == [complementary(pair, n, nu) for nu in range(n + 1)]
-            assert rational_from_str(doc["lambda"]) == lambda_n(pair, n)
-            mus = [rational_from_str(v) for v in doc["mu"][0]]
+            assert as_rational(doc["lambda"]) == lambda_n(pair, n)
+            mus = [as_rational(v) for v in doc["mu"][0]]
             assert mus == [mu_eigenvalue(pair, n, nu) for nu in range(n + 1)]

@@ -1,0 +1,39 @@
+"""The names the benchmark harness in ``perfbench/`` takes from ``copoly``.
+
+The tracer looks up every function of its layer map by name and the sweep
+imports its inputs directly, so renaming or deleting one of them breaks the
+benchmark.  These tests only read ``perfbench/``.
+"""
+
+from __future__ import annotations
+
+import importlib
+from fractions import Fraction
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_module(name: str, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module(name)
+
+
+def test_tracer_finds_every_traced_name(monkeypatch):
+    import copoly.cli  # noqa: F401  (the tracer wraps the modules the CLI loads)
+    tracer = _perfbench_module("tracer", monkeypatch).Tracer()
+    tracer.install()
+    tracer.uninstall()
+
+
+def test_sweep_imports_resolve(monkeypatch):
+    sweep = _perfbench_module("sweep", monkeypatch)
+    assert sweep._spec().u0 == 1
+
+
+def test_catalog_spec_keeps_its_shape():
+    from copoly.cli import _catalog_spec
+    from copoly.rodrigues import jacobi_family
+    spec = _catalog_spec("jacobi", Fraction(1, 3), None)
+    expected = jacobi_family(Fraction(1, 3), 0)
+    assert (spec.phi, spec.psi, spec.u0) == (expected.phi, expected.psi, 1)

@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from copoly import complementary, lambda_n, mu_eigenvalue, pair_from_family
+from copoly import CATALOG, as_rational, complementary, lambda_n, mu_eigenvalue, pair_from_family
 from copoly.cli import build_compute_document, main
-from copoly.render import poly_from_strings, rational_from_str
+from copoly.render import poly_from_strings
 from copoly.rodrigues import (
     bessel_family,
     hermite_family,
@@ -43,6 +43,7 @@ class TestFamilies:
         assert [row["name"] for row in doc] == [
             "hermite", "laguerre", "jacobi", "bessel",
         ]
+        assert tuple(row["name"] for row in doc) == CATALOG
 
 
 class TestComputeText:
@@ -210,6 +211,46 @@ class TestFamilyFile:
         code, _, err = run_cli(capsys, "compute", "--family-file", str(path), "--n", "1")
         assert code == 2
         assert "catalog" in err
+
+    def _write(self, tmp_path, doc):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("command", [
+        ("compute", "--n", "3", "--format", "json"),
+        ("genfun", "--n", "2", "--order", "4"),
+    ])
+    def test_catalog_file_without_params_matches_flag(self, capsys, tmp_path, command):
+        path = self._write(tmp_path, {"name": "laguerre", "phi": ["0", "1"], "psi": ["1", "-1"]})
+        code, from_file, _ = run_cli(capsys, *command[:1], "--family-file", path, *command[1:])
+        assert code == 0
+        code, from_flag, _ = run_cli(capsys, *command[:1], "--family", "laguerre", *command[1:])
+        assert code == 0
+        assert from_file == from_flag
+        assert json.loads(from_file)["params"] == {"alpha": "0"}
+
+    def test_catalog_file_missing_parameter_defaults_to_zero(self, capsys, tmp_path):
+        # jacobi with alpha = 1, beta omitted (so 0): psi = -1 - 3x
+        path = self._write(tmp_path, {
+            "name": "jacobi", "phi": ["1", "0", "-1"], "psi": ["-1", "-3"],
+            "params": {"alpha": "1"},
+        })
+        code, out, _ = run_cli(
+            capsys, "verify", "--family-file", path, "--max-n", "3", "--order", "4",
+            "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passed"] and doc["params"] == {"alpha": "1", "beta": "0"}
+
+    def test_catalog_file_rejects_foreign_parameter(self, capsys, tmp_path):
+        path = self._write(tmp_path, {
+            "name": "hermite", "phi": ["1"], "psi": ["0", "-2"], "params": {"alpha": "1"},
+        })
+        code, _, err = run_cli(capsys, "compute", "--family-file", path, "--n", "1")
+        assert code == 2
+        assert "does not take alpha" in err
 
     def test_unreadable_file(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -440,7 +481,7 @@ class TestDocumentRoundTrip:
             doc = json.loads(json.dumps(build_compute_document(pair, n)))
             rows = [poly_from_strings(r) for r in doc["rows"]]
             assert rows == [complementary(pair, n, nu) for nu in range(n + 1)]
-            assert rational_from_str(doc["lambda"]) == lambda_n(pair, n)
-            assert [rational_from_str(v) for v in doc["mu"][0]] == [
+            assert as_rational(doc["lambda"]) == lambda_n(pair, n)
+            assert [as_rational(v) for v in doc["mu"][0]] == [
                 mu_eigenvalue(pair, n, nu) for nu in range(n + 1)
             ]

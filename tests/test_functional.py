@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,6 @@ from copoly import (
     AdmissibilityViolation,
     InvalidParameter,
     MomentFunctional,
-    PearsonData,
     Poly,
     functional_apply,
     functional_derivative,
@@ -26,6 +24,7 @@ from copoly import (
     moments_from_pearson,
     pearson_residual,
 )
+from copoly.functional import check_pearson_degrees
 
 PHI_PSI = {
     "hermite": (Poly([1]), Poly([0, -2])),
@@ -84,22 +83,6 @@ class TestMomentFunctional:
         u = MomentFunctional.from_moments([1])
         with pytest.raises(TypeError):
             0.5 * u
-
-    def test_concurrent_extension_is_consistent(self):
-        phi, psi = PHI_PSI["jacobi"]
-        u = moments_from_pearson(phi, psi, 1, max_order=64)
-        expected = moments_from_pearson(phi, psi, 1, max_order=64).moments(60)
-        results = []
-
-        def worker():
-            results.append(u.moments(60))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(r == expected for r in results)
 
 
 class TestApply:
@@ -278,16 +261,12 @@ class TestPearsonResidual:
         res = pearson_residual(Poly.one(), Poly([0, -2]), u, 1)
         assert res == [0, 0]
 
-    def test_pearson_data_wrapper(self):
-        phi, psi = PHI_PSI["laguerre"]
-        u = moments_from_pearson(phi, psi, 1, max_order=24)
-        data = PearsonData(phi=phi, psi=psi, u=u)
-        assert data.residual(8) == [0] * 9
-
-    def test_pearson_data_validates_degrees(self):
-        u = MomentFunctional.from_moments([1, 0, 1])
-        with pytest.raises(InvalidParameter):
-            PearsonData(phi=Poly.monomial(3), psi=Poly([0, 1]), u=u)
+    def test_pearson_degrees_are_checked(self):
+        check_pearson_degrees(Poly([1, 0, -1]), Poly([0, -2]))
+        with pytest.raises(InvalidParameter, match="phi must have degree <= 2, got degree 3"):
+            check_pearson_degrees(Poly.monomial(3), Poly([0, 1]))
+        with pytest.raises(InvalidParameter, match="psi must have degree exactly 1, got degree 0"):
+            check_pearson_degrees(Poly.one(), Poly([3]))
 
 
 class TestHankel:

@@ -8,7 +8,6 @@ import pytest
 
 from copoly import (
     PDE_IDENTITIES,
-    GenFunInstance,
     Poly,
     SeriesYX,
     UnknownEquation,
@@ -151,10 +150,3 @@ class TestPdeResiduals:
         res = pde_residual(jacobi_pair, 4, "x_lower", order=6)
         assert res.is_zero
 
-
-class TestGenFunInstance:
-    def test_build(self, laguerre_pair):
-        inst = GenFunInstance.build(laguerre_pair, 2, 5)
-        assert inst.n == 2
-        assert inst.order == 5
-        assert inst.series == genfun_truncated(laguerre_pair, 2, 5)

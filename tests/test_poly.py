@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 
 from conftest import rationals, small_polys
-from copoly import Poly, as_poly, as_rational, poly_derivative
+from copoly import Poly, as_poly, as_rational
 
 
 class TestConstruction:
@@ -80,11 +80,11 @@ class TestAccessors:
 
 class TestDerivative:
     def test_derivative_of_zero(self):
-        assert poly_derivative(Poly.zero()) == Poly.zero()
+        assert Poly.zero().derivative() == Poly.zero()
 
     def test_power_rule(self):
-        assert poly_derivative(Poly([-2, 0, 4])) == Poly([0, 8])
-        assert poly_derivative(Poly([0, Fraction(1, 2), 0, 1])) == Poly(
+        assert Poly([-2, 0, 4]).derivative() == Poly([0, 8])
+        assert Poly([0, Fraction(1, 2), 0, 1]).derivative() == Poly(
             [Fraction(1, 2), 0, 3]
         )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,9 +12,11 @@ import oracles
 from copoly import (
     AdmissibilityViolation,
     CATALOG,
+    FAMILIES,
     InvalidParameter,
     Poly,
     bessel_family,
+    catalog_family,
     complementary,
     complementary_table,
     custom_family,
@@ -27,6 +30,7 @@ from copoly import (
     mu_eigenvalue,
     ode_residual,
     pair_from_family,
+    parse_poly_expr,
     psi_k,
     rodrigues_formula_residual,
     rodrigues_r1,
@@ -93,6 +97,34 @@ class TestFamilyBuilders:
 
     def test_functional_power_zero_is_base(self, hermite_pair):
         assert hermite_pair.functional_power(0) is hermite_pair.u
+
+
+REGISTRY_VALUES = (Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(7, 3))
+
+
+class TestCatalogRegistry:
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_display_rows_parse_to_the_pair(self, name):
+        family = FAMILIES[name]
+        for values in itertools.product(REGISTRY_VALUES, repeat=len(family.params)):
+            params = dict(zip(family.params, values))
+            phi, psi = family.pair(*values)
+            assert parse_poly_expr(family.phi_text, params) == phi
+            assert parse_poly_expr(family.psi_text, params) == psi
+
+    def test_missing_parameters_default_to_zero(self):
+        assert catalog_family("jacobi", {"alpha": 1}) == jacobi_family(1, 0)
+        assert catalog_family("laguerre", {"alpha": None}).params == {"alpha": 0}
+
+    def test_foreign_parameter_rejected(self):
+        with pytest.raises(InvalidParameter, match="does not take beta"):
+            catalog_family("laguerre", {"alpha": 1, "beta": 2})
+        with pytest.raises(InvalidParameter, match="does not take alpha"):
+            catalog_family("hermite", {"alpha": 0})
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(InvalidParameter, match="unknown family 'legendre'"):
+            catalog_family("legendre", {})
 
 
 class TestPsiK:
@@ -200,7 +232,6 @@ class TestCompTable:
     def test_n_zero(self, hermite_pair):
         table = complementary_table(hermite_pair, 0)
         assert table.rows == (Poly.one(),)
-        assert table.b_n == 1
 
     def test_hermite_n2_rows(self, hermite_pair):
         table = complementary_table(hermite_pair, 2)

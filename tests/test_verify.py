@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import copoly.verify
 from copoly import (
     ClassicalPair,
     MomentFunctional,
@@ -77,6 +78,13 @@ class TestFailureDetection:
         assert not report.passed
         assert report.first_counterexample is not None
         assert "functional" in report.first_counterexample
+
+    def test_internal_error_is_not_a_counterexample(self, hermite_pair, monkeypatch):
+        def broken(pair, n, nu):
+            raise TypeError("internal fault")
+        monkeypatch.setattr(copoly.verify, "derivative_proportionality", broken)
+        with pytest.raises(TypeError, match="internal fault"):
+            verify_pair(hermite_pair, suites=("ode",), max_n=2, order=4)
 
     def test_custom_suite_runs_on_consistent_custom_pair(self):
         pair = pair_from_family(
