@@ -86,25 +86,43 @@ def _check_order(order: int) -> int:
     return order
 
 
+def _file_rational(field: str, value) -> Fraction:
+    """One exact value from a family file; JSON floats and booleans are refused."""
+    try:
+        return as_rational(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InvalidParameter(f"family file field {field} must be an integer or "
+                               f"rational text such as '3/2', got {value!r}") from None
+
+
 def load_family_file(path: str) -> FamilySpec:
     """Read a family description from JSON.
 
     Expected fields: ``name`` (text), ``phi`` and ``psi`` (ascending
-    coefficient lists of rational strings), optional ``params`` (map of
-    rational strings) and ``u0`` (rational string, default 1).  A file named
-    after a catalog family must match that family's shape, and its
-    ``params`` follow the ``--family`` rules: missing ones are 0, others are
-    rejected.
+    coefficient arrays), optional ``params`` (object of named values) and
+    ``u0`` (default 1); every value is an integer or rational text, never a
+    JSON float or boolean.  A file named after a catalog family must match
+    that family's shape, and its ``params`` follow the ``--family`` rules:
+    missing ones are 0, others are rejected.
     """
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise InvalidParameter(
+            f"family file must hold a JSON object, not a JSON {type(data).__name__}")
     for key in ("name", "phi", "psi"):
         if key not in data:
             raise InvalidParameter(f"family file is missing the {key!r} field")
-    phi = Poly([as_rational(c) for c in data["phi"]])
-    psi = Poly([as_rational(c) for c in data["psi"]])
-    params = {k: as_rational(v) for k, v in data.get("params", {}).items()}
-    u0 = as_rational(data.get("u0", 1))
+    for key in ("phi", "psi"):
+        if not isinstance(data[key], list):
+            raise InvalidParameter(f"family file field {key!r} must be a JSON array")
+    raw_params = data.get("params", {})
+    if not isinstance(raw_params, dict):
+        raise InvalidParameter("family file field 'params' must be a JSON object")
+    phi = Poly([_file_rational(f"phi[{i}]", c) for i, c in enumerate(data["phi"])])
+    psi = Poly([_file_rational(f"psi[{i}]", c) for i, c in enumerate(data["psi"])])
+    params = {k: _file_rational(f"params.{k}", v) for k, v in raw_params.items()}
+    u0 = _file_rational("u0", data.get("u0", 1))
     name = str(data["name"])
     if name in CATALOG:
         reference = catalog_family(name, params)

@@ -26,6 +26,8 @@ NEG_INF = -math.inf
 
 def as_rational(value: int | str | Fraction) -> Fraction:
     """Coerce to an exact ``Fraction``; accepts ints and ``"p/q"`` text."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (float, bool)):
         raise TypeError(f"refusing {value!r}; pass int, Fraction or 'p/q' text")
     return Fraction(value)
@@ -46,6 +48,15 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
+
+    @classmethod
+    def _of(cls, cs: list[Fraction]) -> Poly:
+        """Wrap reduced ``Fraction``s without coercing them; internal results only."""
+        while cs and not cs[-1]:
+            cs.pop()
+        p = object.__new__(cls)
+        p._coeffs = tuple(cs)
+        return p
 
     @classmethod
     def zero(cls) -> Poly:
@@ -99,10 +110,10 @@ class Poly:
     def derivative(self, order: int = 1) -> Poly:
         if order < 0:
             raise ValueError("derivative order must be >= 0")
-        cs = self._coeffs
+        cs = list(self._coeffs)
         for _ in range(order):
-            cs = tuple(i * c for i, c in enumerate(cs) if i > 0)
-        return Poly(cs)
+            cs = [i * c for i, c in enumerate(cs) if i > 0]
+        return Poly._of(cs)
 
     def monic(self) -> Poly:
         return self / self.leading_coefficient
@@ -131,12 +142,12 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return Poly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly(tuple(-c for c in self._coeffs))
+        return Poly._of([-c for c in self._coeffs])
 
     def __sub__(self, other) -> Poly:
         rhs = self._coerce(other)
@@ -156,14 +167,22 @@ class Poly:
             return NotImplemented
         a, b = self._coeffs, rhs._coeffs
         if not a or not b:
-            return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
+            return Poly._of([])
+        # Schoolbook convolution on integer numerators over one common
+        # denominator per operand: one gcd per output coefficient instead of
+        # a Fraction multiply and add per term.
+        da = math.lcm(*[c.denominator for c in a])
+        db = math.lcm(*[c.denominator for c in b])
+        ia = [c.numerator * (da // c.denominator) for c in a]
+        ib = [c.numerator * (db // c.denominator) for c in b]
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(ia):
             if ca == 0:
                 continue
-            for j, cb in enumerate(b):
+            for j, cb in enumerate(ib):
                 out[i + j] += ca * cb
-        return Poly(out)
+        d = da * db
+        return Poly._of([Fraction(v, d) for v in out])
 
     __rmul__ = __mul__
 

@@ -37,3 +37,18 @@ def test_catalog_spec_keeps_its_shape():
     spec = _catalog_spec("jacobi", Fraction(1, 3), None)
     expected = jacobi_family(Fraction(1, 3), 0)
     assert (spec.phi, spec.psi, spec.u0) == (expected.phi, expected.psi, 1)
+
+
+def test_tracer_sees_the_poly_kernel(monkeypatch, capsys):
+    """Products computed outside the wrapped ``Poly`` methods would vanish from the trace."""
+    from copoly.cli import main
+    tracer = _perfbench_module("tracer", monkeypatch).Tracer()
+    tracer.install()
+    try:
+        code = main(["verify", "--family", "hermite", "--max-n", "2", "--order", "4"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert tracer.metrics["poly.mul_calls"] > 0
+    assert tracer.metrics["poly.self_s"] > 0

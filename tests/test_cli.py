@@ -264,6 +264,33 @@ class TestFamilyFile:
         code, _, err = run_cli(capsys, "compute", "--family-file", str(path), "--n", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"name": "thing", "phi": [0, 1.5], "psi": ["1", "-1"]}, "phi[1]"),
+        ({"name": "thing", "phi": ["0", "1"], "psi": [True, "-1"]}, "psi[0]"),
+        ({"name": "laguerre", "phi": ["0", "1"], "psi": ["1", "-1"], "params": {"alpha": 0.5}},
+         "params.alpha"),
+        ({"name": "thing", "phi": ["0", "1"], "psi": ["1", "-1"], "u0": "1/0"}, "u0"),
+    ])
+    def test_inexact_or_invalid_value_rejected(self, capsys, tmp_path, doc, field):
+        code, _, err = run_cli(capsys, "compute", "--family-file", self._write(tmp_path, doc),
+                               "--n", "1")
+        assert code == 2
+        assert f"field {field} " in err
+
+    @pytest.mark.parametrize("doc, message", [
+        (5, "JSON object, not a JSON int"),
+        (["0", "1"], "JSON object, not a JSON list"),
+        ({"name": "thing", "phi": "01", "psi": ["1", "-1"]}, "'phi' must be a JSON array"),
+        ({"name": "thing", "phi": ["0", "1"], "psi": {"0": "1"}}, "'psi' must be a JSON array"),
+        ({"name": "laguerre", "phi": ["0", "1"], "psi": ["1", "-1"], "params": ["alpha"]},
+         "'params' must be a JSON object"),
+    ])
+    def test_wrong_shape_rejected(self, capsys, tmp_path, doc, message):
+        code, _, err = run_cli(capsys, "compute", "--family-file", self._write(tmp_path, doc),
+                               "--n", "1")
+        assert code == 2
+        assert message in err
+
 
 class TestVerify:
     def test_hermite_full_suite(self, capsys):

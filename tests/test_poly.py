@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import rationals, small_polys
 from copoly import Poly, as_poly, as_rational
@@ -45,6 +46,8 @@ class TestConstruction:
     def test_bool_rejected_as_coefficient(self):
         with pytest.raises(TypeError):
             Poly([True])
+        with pytest.raises(TypeError):
+            as_rational(True)
 
     def test_as_poly(self):
         assert as_poly(3) == Poly([3])
@@ -197,3 +200,120 @@ class TestText:
 
     def test_repr_mentions_coeffs(self):
         assert "Poly" in repr(Poly([1, 2]))
+
+
+# Reference ring operations on plain Fraction lists, independent of Poly.
+
+def _strip(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return _strip(x + y for x, y in zip(a, b))
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _strip(out)
+
+
+def _ref_derivative(a):
+    return _strip(i * c for i, c in enumerate(a) if i > 0)
+
+
+def _assert_canonical(r):
+    assert all(type(c) is Fraction for c in r.coeffs)
+    assert all(c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+               for c in r.coeffs)
+    assert not r.coeffs or r.coeffs[-1] != 0
+    assert hash(r) == hash(Poly(list(r.coeffs)))
+
+
+def _assert_matches(result, expected):
+    _assert_canonical(result)
+    assert list(result.coeffs) == expected
+
+
+def _wide_polys(max_degree=6):
+    """Large pairwise-unrelated denominators, with zeros mixed into the middle."""
+    coeff = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**12))
+    return st.lists(coeff, max_size=max_degree + 1)
+
+
+PRIMES = (1000003, 1000033, 1000037, 999983, 2**61 - 1, 7)
+
+
+class TestKernelEquivalence:
+    """Every ring operation agrees with the Fraction-list reference above."""
+
+    def _check_all(self, a, b):
+        p, q = Poly(a), Poly(b)
+        a, b = list(p.coeffs), list(q.coeffs)
+        _assert_matches(p * q, _ref_mul(a, b))
+        _assert_matches(p + q, _ref_add(a, b))
+        _assert_matches(p - q, _ref_add(a, [-c for c in b]))
+        _assert_matches(-p, [-c for c in a])
+        _assert_matches(p.derivative(), _ref_derivative(a))
+        _assert_matches(p.derivative(2), _ref_derivative(_ref_derivative(a)))
+
+    @given(_wide_polys(), _wide_polys())
+    def test_random_operands(self, a, b):
+        self._check_all(a, b)
+
+    @given(_wide_polys(), st.fractions(min_value=-10**6, max_value=10**6,
+                                       max_denominator=10**9))
+    def test_random_scalars(self, a, s):
+        p = Poly(a)
+        _assert_matches(p * s, _ref_mul(list(p.coeffs), [s] if s else []))
+        _assert_matches(s * p, _ref_mul(list(p.coeffs), [s] if s else []))
+        if s:
+            _assert_matches(p / s, _strip(c / s for c in p.coeffs))
+
+    def test_pairwise_coprime_large_denominators(self):
+        a = [Fraction(k + 1, d) * (-1) ** k for k, d in enumerate(PRIMES)]
+        b = [Fraction(d - 2, d * e) for d, e in zip(PRIMES[::-1], PRIMES)]
+        self._check_all(a, b)
+        self._check_all(b, a)
+
+    def test_zero_coefficients_in_the_middle(self):
+        a = [Fraction(1, 3), 0, 0, Fraction(-5, 7), 0, Fraction(2, 1000003)]
+        b = [0, Fraction(2, 9), 0, 0, 1]
+        self._check_all(a, b)
+
+    def test_zero_and_scalar_products(self):
+        p = Poly([Fraction(1, 3), 0, Fraction(-5, 7)])
+        a = list(p.coeffs)
+        for zero in (Poly.zero(), 0, Fraction(0)):
+            _assert_matches(p * zero, [])
+            _assert_matches(zero * p, [])
+        _assert_matches(p * -3, [-3 * c for c in a])
+        _assert_matches(p * Fraction(-7, 11), [Fraction(-7, 11) * c for c in a])
+        _assert_matches(p / Fraction(-3, 5), [c / Fraction(-3, 5) for c in a])
+        _assert_matches(p / -4, [c / -4 for c in a])
+
+    def test_sums_that_cancel(self):
+        p = Poly([Fraction(1, 3), Fraction(2, 999983), Fraction(-5, 7)])
+        _assert_matches(p + (-p), [])
+        _assert_matches(p - p, [])
+        _assert_matches(p - Poly([0, 0, Fraction(-5, 7)]), [Fraction(1, 3), Fraction(2, 999983)])
+        _assert_matches(Poly([1, 1]) * Poly([1, -1]) - Poly([1, 0, -1]), [])
+
+    def test_pow_and_monic(self):
+        p = Poly([Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)])
+        expected = [Fraction(1)]
+        for _ in range(4):
+            expected = _ref_mul(expected, list(p.coeffs))
+        _assert_matches(p ** 4, expected)
+        _assert_matches(p.monic(), [c / Fraction(5, 7) for c in p.coeffs])
