@@ -27,15 +27,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import (
-    AdmissibilityViolation,
-    CopolyError,
-    ExprSyntaxError,
-    InvalidParameter,
-    UnknownEquation,
-    UnknownIdentifier,
-    UnsupportedFamily,
-)
+from .errors import CopolyError, InvalidParameter
 from .genfun import genfun_closed_form, genfun_truncated
 from .parsing import parse_poly_expr
 from .poly import Poly, as_rational
@@ -86,13 +78,13 @@ def _check_order(order: int) -> int:
     return order
 
 
-def _file_rational(field: str, value) -> Fraction:
-    """One exact value from a family file; JSON floats and booleans are refused."""
+def _rational(source: str, value) -> Fraction:
+    """One exact value from outside input; floats, booleans and ``p/0`` are refused."""
     try:
         return as_rational(value)
     except (TypeError, ValueError, ZeroDivisionError):
-        raise InvalidParameter(f"family file field {field} must be an integer or "
-                               f"rational text such as '3/2', got {value!r}") from None
+        raise InvalidParameter(f"{source} must be an integer or rational text "
+                               f"such as '3/2', got {value!r}") from None
 
 
 def load_family_file(path: str) -> FamilySpec:
@@ -119,10 +111,11 @@ def load_family_file(path: str) -> FamilySpec:
     raw_params = data.get("params", {})
     if not isinstance(raw_params, dict):
         raise InvalidParameter("family file field 'params' must be a JSON object")
-    phi = Poly([_file_rational(f"phi[{i}]", c) for i, c in enumerate(data["phi"])])
-    psi = Poly([_file_rational(f"psi[{i}]", c) for i, c in enumerate(data["psi"])])
-    params = {k: _file_rational(f"params.{k}", v) for k, v in raw_params.items()}
-    u0 = _file_rational("u0", data.get("u0", 1))
+    where = "family file field "
+    phi = Poly([_rational(f"{where}phi[{i}]", c) for i, c in enumerate(data["phi"])])
+    psi = Poly([_rational(f"{where}psi[{i}]", c) for i, c in enumerate(data["psi"])])
+    params = {k: _rational(f"{where}params.{k}", v) for k, v in raw_params.items()}
+    u0 = _rational(f"{where}u0", data.get("u0", 1))
     name = str(data["name"])
     if name in CATALOG:
         reference = catalog_family(name, params)
@@ -140,6 +133,8 @@ def _catalog_spec(name: str, alpha: Fraction | None, beta: Fraction | None) -> F
 
 def resolve_family(args: argparse.Namespace) -> FamilySpec:
     """Build the family from exactly one of the accepted sources."""
+    alpha, beta, u0 = (None if text is None else _rational(flag, text) for flag, text in
+                       (("--alpha", args.alpha), ("--beta", args.beta), ("--u0", args.u0)))
     sources = [args.family_file is not None, args.family is not None,
                args.phi is not None or args.psi is not None]
     if sum(sources) > 1:
@@ -148,24 +143,23 @@ def resolve_family(args: argparse.Namespace) -> FamilySpec:
         return load_family_file(args.family_file)
     if args.family is not None:
         name = args.family.lower()
-        if args.u0 is not None:
+        if u0 is not None:
             raise ValueError("--u0 applies only to --phi/--psi pairs (catalog uses u0 = 1)")
         if name == "legendre":
-            if args.alpha is not None or args.beta is not None:
+            if alpha is not None or beta is not None:
                 raise ValueError("legendre fixes alpha = beta = 0; omit --alpha/--beta")
             return jacobi_family(0, 0)
-        return _catalog_spec(name, args.alpha, args.beta)
+        return _catalog_spec(name, alpha, beta)
     if args.phi is None or args.psi is None:
         raise ValueError("no family given: use --family, --family-file, or both --phi and --psi")
     params = {}
-    if args.alpha is not None:
-        params["alpha"] = args.alpha
-    if args.beta is not None:
-        params["beta"] = args.beta
+    if alpha is not None:
+        params["alpha"] = alpha
+    if beta is not None:
+        params["beta"] = beta
     phi = parse_poly_expr(args.phi, params)
     psi = parse_poly_expr(args.psi, params)
-    u0 = args.u0 if args.u0 is not None else Fraction(1)
-    return custom_family(phi, psi, u0, params)
+    return custom_family(phi, psi, Fraction(1) if u0 is None else u0, params)
 
 
 def _params_doc(pair: ClassicalPair) -> dict[str, str]:
@@ -316,10 +310,9 @@ def _add_family_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--family-file", help="path to a JSON family description")
     sub.add_argument("--phi", help="polynomial expression for phi (custom pair)")
     sub.add_argument("--psi", help="polynomial expression for psi (custom pair)")
-    sub.add_argument("--u0", type=Fraction, default=None,
-                     help="seed moment for a custom pair (default 1)")
-    sub.add_argument("--alpha", type=Fraction, default=None, help="family parameter alpha")
-    sub.add_argument("--beta", type=Fraction, default=None, help="family parameter beta")
+    sub.add_argument("--u0", help="seed moment for a custom pair (default 1)")
+    sub.add_argument("--alpha", help="family parameter alpha")
+    sub.add_argument("--beta", help="family parameter beta")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,9 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidParameter, AdmissibilityViolation, UnsupportedFamily, ExprSyntaxError,
-            UnknownIdentifier, UnknownEquation, CopolyError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (CopolyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,20 +32,14 @@ Taylor: ``phi'(x + y phi) = phi' + y phi'' phi`` and
 
 from __future__ import annotations
 
+from math import factorial
+
 from .errors import UnknownEquation, UnsupportedFamily
 from .poly import Poly
 from .rodrigues import FAMILIES, ClassicalPair, FamilySpec, _comp_rows
 from .series import SeriesYX, poly_shift_substitute, series_pow_rational
 
 PDE_IDENTITIES = ("y_self", "y_lower", "x_self", "x_lower", "master")
-
-_FACTORIALS = [1]
-
-
-def _factorial(n: int) -> int:
-    while len(_FACTORIALS) <= n:
-        _FACTORIALS.append(_FACTORIALS[-1] * len(_FACTORIALS))
-    return _FACTORIALS[n]
 
 
 def genfun_truncated(pair: ClassicalPair, n: int, order: int) -> SeriesYX:
@@ -56,7 +50,7 @@ def genfun_truncated(pair: ClassicalPair, n: int, order: int) -> SeriesYX:
     of the closed form.
     """
     rows = _comp_rows(pair, n, order)
-    return SeriesYX(order, [row / _factorial(nu) for nu, row in enumerate(rows)])
+    return SeriesYX(order, [row / factorial(nu) for nu, row in enumerate(rows)])
 
 
 def _quadratic_prefactor(pair: ClassicalPair, order: int) -> SeriesYX:

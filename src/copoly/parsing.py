@@ -14,7 +14,10 @@ Exponents must be nonnegative integer literals; ``**`` is accepted as a
 spelling of ``^``.  The identifier ``x`` is the
 variable; any other identifier is looked up in a parameter mapping and
 substituted as a constant, so family patterns like
-``(beta - alpha) - (alpha + beta + 2)*x`` parse directly.
+``(beta - alpha) - (alpha + beta + 2)*x`` parse directly.  Parentheses and
+unary signs together may nest at most ``MAX_NESTING`` levels deep, so every
+input finishes or raises ``ExprSyntaxError`` well inside the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from typing import Mapping, NamedTuple
 
 from .errors import ExprSyntaxError, UnknownIdentifier
 from .poly import Poly, as_rational
+
+MAX_NESTING = 100
 
 
 class _Token(NamedTuple):
@@ -68,6 +73,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.params = params
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -76,6 +82,12 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def enter(self, tok: _Token) -> None:
+        """Open one nesting level at ``tok``; the caller closes it with ``depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(tok.pos, f"expression nests deeper than {MAX_NESTING} levels")
 
     def at_op(self, *ops: str) -> bool:
         tok = self.peek()
@@ -107,7 +119,9 @@ class _Parser:
     def factor(self) -> Poly:
         if self.at_op("+", "-"):
             op = self.take()
+            self.enter(op)
             inner = self.factor()
+            self.depth -= 1
             return inner if op.text == "+" else -inner
         return self.power()
 
@@ -133,7 +147,9 @@ class _Parser:
                 return Poly.constant(self.params[tok.text])
             raise UnknownIdentifier(tok.text, tok.pos)
         if tok.kind == "op" and tok.text == "(":
+            self.enter(tok)
             inner = self.expr()
+            self.depth -= 1
             closing = self.take()
             if not (closing.kind == "op" and closing.text == ")"):
                 raise ExprSyntaxError(closing.pos, "expected ')'")

@@ -3,7 +3,8 @@
 Each suite walks its grid in a fixed order, so the recorded failures (if
 any) are already sorted by ``(n, nu)`` and the first entry is the first
 counterexample.  Everything is exact; a "failure" is a nonzero object, never
-a tolerance call.
+a tolerance call.  Every check goes through the suite's ``_Tally``, which
+counts it and keeps the message of each one that fails.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from .rodrigues import (
     rodrigues_rk,
     sturm_liouville_residual,
 )
-
-SUITE_NAMES = ("recursion", "ode", "functional", "genfun", "oracle")
 
 
 @dataclass
@@ -63,135 +62,126 @@ class VerifyReport:
         return None
 
 
-def _suite_recursion(pair: ClassicalPair, max_n: int, order: int):
-    checks, failures, notes = 0, [], []
+@dataclass
+class _Tally:
+    """The record of one suite run: checks counted, failure messages, notes."""
+
+    checks: int = 0
+    failures: list[str] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
+
+    def check(self, ok: bool, failure: str) -> bool:
+        """Count one check; keep ``failure`` only when ``ok`` is false."""
+        self.checks += 1
+        if not ok:
+            self.failures.append(failure)
+        return ok
+
+    def check_call(self, call, errors, prefix: str) -> None:
+        """One check that fails, with the exception text, if ``call()`` raises ``errors``."""
+        try:
+            call()
+        except errors as exc:
+            self.check(False, f"{prefix}{exc}")
+        else:
+            self.check(True, "")
+
+
+def _suite_recursion(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) -> None:
     one = Poly.one()
     dphi = pair.phi.derivative()
     for n in range(max_n + 1):
         table = complementary_table(pair, n)
         for nu in range(n + 1):
             row = table.rows[nu]
-            checks += 3
-            if row != rodrigues_rk(pair, nu, n - nu, one):
-                failures.append(f"n={n} nu={nu}: recursion row != iterated operator")
-            if row.degree != nu:
-                failures.append(f"n={n} nu={nu}: row degree {row.degree} != {nu}")
-            for mid in sorted({0, nu // 2, nu}):
-                composed = rodrigues_rk(pair, nu - mid, n - nu,
-                                        rodrigues_rk(pair, mid, n - mid, one))
-                if row != composed:
-                    failures.append(f"n={n} nu={nu}: composition split at {mid} differs")
-                    break
+            tally.check(row == rodrigues_rk(pair, nu, n - nu, one),
+                        f"n={n} nu={nu}: recursion row != iterated operator")
+            tally.check(row.degree == nu, f"n={n} nu={nu}: row degree {row.degree} != {nu}")
+            split = next((mid for mid in sorted({0, nu // 2, nu})
+                          if row != rodrigues_rk(pair, nu - mid, n - nu,
+                                                 rodrigues_rk(pair, mid, n - mid, one))), None)
+            tally.check(split is None, f"n={n} nu={nu}: composition split at {split} differs")
         if n >= 1:
-            checks += 1
-            if table.rows[1] != (n - 1) * dphi + pair.psi:
-                failures.append(f"n={n} nu=1: first row != (n-1) phi' + psi")
-    return checks, failures, notes
+            tally.check(table.rows[1] == (n - 1) * dphi + pair.psi,
+                        f"n={n} nu=1: first row != (n-1) phi' + psi")
 
 
-def _suite_ode(pair: ClassicalPair, max_n: int, order: int):
-    checks, failures, notes = 0, [], []
+def _suite_ode(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) -> None:
     for n in range(max_n + 1):
-        checks += 2
-        if mu_eigenvalue(pair, n, n) != lambda_n(pair, n):
-            failures.append(f"n={n}: mu(n, n) != lambda_n")
-        if mu_eigenvalue(pair, n, 0) != 0:
-            failures.append(f"n={n}: mu(n, 0) != 0")
+        tally.check(mu_eigenvalue(pair, n, n) == lambda_n(pair, n), f"n={n}: mu(n, n) != lambda_n")
+        tally.check(mu_eigenvalue(pair, n, 0) == 0, f"n={n}: mu(n, 0) != 0")
         for nu in range(n + 1):
-            checks += 1
-            if not ode_residual(pair, n, nu).is_zero:
-                failures.append(f"n={n} nu={nu}: differential equation residual nonzero")
+            tally.check(ode_residual(pair, n, nu).is_zero,
+                        f"n={n} nu={nu}: differential equation residual nonzero")
     for n in range(1, max_n + 1):
         for nu in range(n + 1):
-            checks += 1
-            try:
-                derivative_proportionality(pair, n, nu)
-            except NotProportional as exc:
-                failures.append(f"n={n} nu={nu}: derivative ladder: {exc}")
-    return checks, failures, notes
+            tally.check_call(lambda: derivative_proportionality(pair, n, nu), NotProportional,
+                             f"n={n} nu={nu}: derivative ladder: ")
 
 
-def _suite_functional(pair: ClassicalPair, max_n: int, order: int):
-    checks, failures, notes = 0, [], []
+def _suite_functional(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) -> None:
     depth = 2 * max_n + 4
-    checks += 1
-    if any(v != 0 for v in pearson_residual(pair.phi, pair.psi, pair.u, depth)):
-        failures.append("pearson residual nonzero")
+    tally.check(all(v == 0 for v in pearson_residual(pair.phi, pair.psi, pair.u, depth)),
+                "pearson residual nonzero")
     for probe in (Poly.one(), Poly.x(), pair.phi, pair.psi, pair.phi * pair.psi):
-        checks += 1
-        if any(v != 0 for v in leibniz_residual(probe, pair.u, depth)):
-            failures.append(f"product rule residual nonzero for p = {probe}")
+        tally.check(all(v == 0 for v in leibniz_residual(probe, pair.u, depth)),
+                    f"product rule residual nonzero for p = {probe}")
     for n in range(max_n + 1):
         depth_n = 2 * n + 4
         for nu in range(n + 1):
-            checks += 1
-            if any(v != 0 for v in sturm_liouville_residual(pair, n, nu, depth_n)):
-                failures.append(f"n={n} nu={nu}: self-adjoint residual nonzero")
+            tally.check(all(v == 0 for v in sturm_liouville_residual(pair, n, nu, depth_n)),
+                        f"n={n} nu={nu}: self-adjoint residual nonzero")
             for mu in sorted({0, nu // 2}):
-                checks += 1
-                if any(v != 0 for v in rodrigues_formula_residual(pair, n, nu, mu, depth_n)):
-                    failures.append(f"n={n} nu={nu} mu={mu}: functional Rodrigues residual nonzero")
-    return checks, failures, notes
+                tally.check(
+                    all(v == 0 for v in rodrigues_formula_residual(pair, n, nu, mu, depth_n)),
+                    f"n={n} nu={nu} mu={mu}: functional Rodrigues residual nonzero")
 
 
-def _suite_genfun(pair: ClassicalPair, max_n: int, order: int):
-    checks, failures, notes = 0, [], []
+def _suite_genfun(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) -> None:
     closed_form_available = True
     try:
         genfun_closed_form(pair, 0, 1)
     except UnsupportedFamily:
         closed_form_available = False
-        notes.append("closed-form/weight checks skipped: no catalog weight for this pair")
+        tally.notes.append("closed-form/weight checks skipped: no catalog weight for this pair")
     for n in range(max_n + 1):
         truncated = genfun_truncated(pair, n, order)
         if closed_form_available:
-            checks += 1
-            if truncated != genfun_closed_form(pair, n, order):
-                failures.append(f"n={n}: truncated series != closed form at order {order}")
+            tally.check(truncated == genfun_closed_form(pair, n, order),
+                        f"n={n}: truncated series != closed form at order {order}")
         for which in PDE_IDENTITIES:
             if n == 0 and which in ("y_lower", "x_lower"):
                 continue
-            checks += 1
-            if not pde_residual(pair, n, which, order).is_zero:
-                failures.append(f"n={n}: identity {which} residual nonzero")
-    return checks, failures, notes
+            tally.check(pde_residual(pair, n, which, order).is_zero,
+                        f"n={n}: identity {which} residual nonzero")
 
 
-def _suite_oracle(pair: ClassicalPair, max_n: int, order: int):
-    checks, failures, notes = 0, [], []
+def _suite_oracle(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) -> None:
     ops = gram_schmidt_ops(pair.u, max_n)
     gram = orthogonality_matrix(pair.u, ops.polys)
     for i in range(max_n + 1):
         for j in range(max_n + 1):
-            checks += 1
-            expected_zero = i != j
-            if expected_zero and gram[i][j] != 0:
-                failures.append(f"degrees ({i},{j}): Gram entry nonzero")
-            if not expected_zero and gram[i][j] != ops.norms[i]:
-                failures.append(f"degree {i}: Gram diagonal != squared norm")
+            if i == j:
+                tally.check(gram[i][j] == ops.norms[i], f"degree {i}: Gram diagonal != squared norm")
+            else:
+                tally.check(gram[i][j] == 0, f"degrees ({i},{j}): Gram entry nonzero")
     previous = Fraction(1)
     for m in range(max_n + 1):
-        checks += 1
         delta = hankel_determinant(pair.u, m)
         if delta == 0:
-            failures.append(f"degree {m}: Hankel determinant vanishes")
+            tally.check(False, f"degree {m}: Hankel determinant vanishes")
             break
-        if ops.norms[m] != delta / previous:
-            failures.append(f"degree {m}: norm != Hankel ratio")
+        tally.check(ops.norms[m] == delta / previous, f"degree {m}: norm != Hankel ratio")
         previous = delta
     coeffs = three_term_coefficients(ops)
     x = Poly.x()
     # the top entry has no successor inside the computed range
     for m, (a, b) in enumerate(coeffs[:-1]):
-        checks += 1
         below = ops.polys[m - 1] if m >= 1 else Poly.zero()
-        if ops.polys[m + 1] != (x - a) * ops.polys[m] - b * below:
-            failures.append(f"degree {m}: three-term reconstruction fails")
-    checks += 1
-    try:
-        cross_validate(pair, max_n)
-    except (MismatchError, NotQuasiDefinite) as exc:
-        failures.append(f"cross validation: {exc}")
+        tally.check(ops.polys[m + 1] == (x - a) * ops.polys[m] - b * below,
+                    f"degree {m}: three-term reconstruction fails")
+    tally.check_call(lambda: cross_validate(pair, max_n), (MismatchError, NotQuasiDefinite),
+                     "cross validation: ")
     # Leading-coefficient probe: the expansion value is asserted; how it
     # relates to the eigenvalue ratio -lambda_j / j is recorded as a note.
     psi1 = pair.psi.coefficient(1)
@@ -201,25 +191,23 @@ def _suite_oracle(pair: ClassicalPair, max_n: int, order: int):
         for m in range(0, 5):
             if m + 2 * k < 1:
                 continue
-            checks += 1
             expected = psi1 + (m + 2 * k) * phi2 / 2
-            if leading_coeff_probe(pair, k, m) != expected:
-                failures.append(f"k={k} m={m}: step leading coefficient != psi' + (m+2k) phi''/2")
+            tally.check(leading_coeff_probe(pair, k, m) == expected,
+                        f"k={k} m={m}: step leading coefficient != psi' + (m+2k) phi''/2")
             j = m + 2 * k
             alt = -lambda_n(pair, j) / j
             if alt != expected and first_divergence is None:
                 first_divergence = (k, m, expected, alt)
     if first_divergence is None:
-        notes.append(
+        tally.notes.append(
             "leading-coefficient probe: psi' + (m+2k) phi''/2 agrees with "
             "-lambda_{m+2k}/(m+2k) on the probed grid (phi'' = 0 makes them coincide)")
     else:
         k, m, expected, alt = first_divergence
-        notes.append(
+        tally.notes.append(
             "leading-coefficient probe: value is psi' + (m+2k) phi''/2 "
             f"(= -lambda_{{m+2k+1}}/(m+2k+1)); the ratio -lambda_{{m+2k}}/(m+2k) "
             f"differs, first at k={k} m={m} ({expected} vs {alt})")
-    return checks, failures, notes
 
 
 _SUITES = {
@@ -229,6 +217,7 @@ _SUITES = {
     "genfun": _suite_genfun,
     "oracle": _suite_oracle,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def verify_pair(pair: ClassicalPair, suites: tuple[str, ...] | list[str] | None = None,
@@ -244,9 +233,11 @@ def verify_pair(pair: ClassicalPair, suites: tuple[str, ...] | list[str] | None 
             raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES)}")
     report = VerifyReport(pair.name, dict(pair.params), max_n, order)
     for name in selected:
+        tally = _Tally()
         start = time.perf_counter()
-        checks, failures, notes = _SUITES[name](pair, max_n, order)
+        _SUITES[name](pair, max_n, order, tally)
         elapsed = time.perf_counter() - start
-        report.suites.append(SuiteResult(name, not failures, checks, failures, elapsed))
-        report.notes.extend(notes)
+        report.suites.append(
+            SuiteResult(name, not tally.failures, tally.checks, tally.failures, elapsed))
+        report.notes.extend(tally.notes)
     return report

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -21,6 +23,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("exact")
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env() -> dict[str, str]:
+    """The environment for a child interpreter that must import this tree's ``copoly``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
 
 # Depth 80 covers every moment index touched by the deepest residual in
 # the acceptance grid (n = 12 at functional depth 2n + 4, shifted by

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import src_env
 from copoly import (
     Poly,
     SeriesYX,
@@ -182,7 +183,7 @@ def test_criterion_9_cli_contract(capfd):
         def run(*argv):
             return subprocess.run(
                 [sys.executable, "-m", "copoly", *argv],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=src_env(),
             )
 
         first = run("verify", "--family", "hermite", "--max-n", "8", "--suite", "all")

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import src_env
 from copoly import CATALOG, as_rational, complementary, lambda_n, mu_eigenvalue, pair_from_family
 from copoly.cli import build_compute_document, main
 from copoly.render import poly_from_strings
@@ -168,6 +169,25 @@ class TestComputeErrors:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("--family", "jacobi", "--alpha", "1/0"), "--alpha"),
+        (("--family", "jacobi", "--beta", "1/0"), "--beta"),
+        (("--phi", "1", "--psi=-2*x", "--u0", "1/0"), "--u0"),
+    ], ids=["alpha", "beta", "u0"])
+    def test_zero_denominator_flag_exits_two(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "verify", *argv, "--max-n", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be") and "'1/0'" in err
+
+    @pytest.mark.parametrize("phi", ["(" * 250 + "x" + ")" * 250, "-" * 1000 + "x"],
+                             ids=["parentheses", "signs"])
+    def test_deep_nesting_exits_two(self, capsys, phi):
+        code, out, err = run_cli(capsys, "compute", f"--phi={phi}", "--psi", "1-x", "--n", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: expression nests deeper than")
 
     def test_bessel_admissibility_message_names_k(self, capsys):
         code, _, err = run_cli(
@@ -422,13 +442,10 @@ class TestOrderCap:
 class TestSubprocessContract:
     """End-to-end checks through a real interpreter."""
 
-    def run(self, *argv, env=None):
-        merged = dict(os.environ)
-        if env:
-            merged.update(env)
+    def run(self, *argv):
         return subprocess.run(
             [sys.executable, "-m", "copoly", *argv],
-            capture_output=True, text=True, env=merged,
+            capture_output=True, text=True, env=src_env(),
         )
 
     def test_verify_examples_exit_codes(self):
@@ -476,11 +493,8 @@ class TestSubprocessContract:
             f"    sys.exit({func}())\n"
         )
         launcher.chmod(0o755)
-        env = dict(os.environ)
+        env = src_env()
         env["PATH"] = os.pathsep.join(filter(None, [str(bindir), env.get("PATH")]))
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
-        )
         proc = subprocess.run(
             ["copoly", "families"], capture_output=True, text=True, env=env
         )

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from conftest import src_env
+
 DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
 
 
@@ -16,7 +18,7 @@ def test_demo_directory_is_populated():
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
     proc = subprocess.run([sys.executable, str(script)],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
     assert "Traceback" not in proc.stderr

@@ -9,6 +9,7 @@ from hypothesis import given
 
 from conftest import small_polys
 from copoly import ExprSyntaxError, Poly, UnknownIdentifier, parse_poly_expr
+from copoly.parsing import MAX_NESTING
 
 
 class TestBasics:
@@ -125,6 +126,23 @@ class TestErrors:
         # '.' is not part of the grammar
         with pytest.raises(ExprSyntaxError):
             parse_poly_expr("0.5")
+
+    def test_moderate_nesting_parses(self):
+        assert parse_poly_expr("(" * 50 + "x" + ")" * 50) == Poly.x()
+        assert parse_poly_expr("-" * 50 + "x") == Poly.x()
+        assert parse_poly_expr("-(" * 25 + "x" + ")" * 25) == Poly([0, -1])
+        assert parse_poly_expr("(" * MAX_NESTING + "1" + ")" * MAX_NESTING) == Poly.one()
+
+    @pytest.mark.parametrize("text, position", [
+        ("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1), MAX_NESTING),
+        ("-" * (MAX_NESTING + 1) + "x", MAX_NESTING),
+        ("-(" * 51 + "x" + ")" * 51, 2 * 50),
+    ], ids=["parentheses", "signs", "mixed"])
+    def test_deep_nesting_rejected_at_offending_token(self, text, position):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_poly_expr(text)
+        assert exc.value.position == position
+        assert f"deeper than {MAX_NESTING}" in str(exc.value)
 
 
 class TestRoundTrip:

@@ -12,10 +12,15 @@ from copoly import (
     MomentFunctional,
     Poly,
     SUITE_NAMES,
+    bessel_family,
     custom_family,
+    hermite_family,
+    jacobi_family,
+    laguerre_family,
     pair_from_family,
     verify_pair,
 )
+from copoly.errors import NotProportional, NotQuasiDefinite
 
 
 class TestPassingRuns:
@@ -93,3 +98,119 @@ class TestFailureDetection:
         )
         report = verify_pair(pair, max_n=3, order=6)
         assert report.passed
+
+
+# Golden reports: every suite's (checks, failures) and the notes, pinned
+# exactly, so a change to how checks are recorded cannot move a count, a
+# message or their order.
+
+_COINCIDE = ("leading-coefficient probe: psi' + (m+2k) phi''/2 agrees with "
+             "-lambda_{m+2k}/(m+2k) on the probed grid (phi'' = 0 makes them coincide)")
+_DIFFERS = ("leading-coefficient probe: value is psi' + (m+2k) phi''/2 "
+            "(= -lambda_{m+2k+1}/(m+2k+1)); the ratio -lambda_{m+2k}/(m+2k) differs, "
+            "first at k=0 m=1 ")
+_SKIPPED = "closed-form/weight checks skipped: no catalog weight for this pair"
+_PASSING_CHECKS = {"recursion": 68, "ode": 53, "functional": 58, "genfun": 34, "oracle": 72}
+
+
+def _raise(exc):
+    raise exc
+
+
+def _summary(report):
+    return {s.suite: (s.checks, s.failures) for s in report.suites}, report.notes
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("spec, genfun_checks, notes", [
+        (hermite_family(), 34, [_COINCIDE]),
+        (laguerre_family(Fraction(4, 3)), 34, [_COINCIDE]),
+        (jacobi_family(Fraction(1, 3), Fraction(4, 3)), 34, [_DIFFERS + "(-14/3 vs -11/3)"]),
+        (bessel_family(Fraction(1, 3)), 34, [_DIFFERS + "(10/3 vs 7/3)"]),
+        (custom_family(Poly([2, 1]), Poly([1, -1]), u0=Fraction(1, 2)), 28,
+         [_SKIPPED, _COINCIDE]),
+    ], ids=["hermite", "laguerre", "jacobi", "bessel", "custom"])
+    def test_passing_pair(self, spec, genfun_checks, notes):
+        pair = pair_from_family(spec, max_order=16)
+        expected = {name: (count, []) for name, count in _PASSING_CHECKS.items()}
+        expected["genfun"] = (genfun_checks, [])
+        assert _summary(verify_pair(pair, max_n=5, order=6)) == (expected, notes)
+
+    def test_broken_pair(self, legendre_pair):
+        bad = ClassicalPair(Poly.one(), Poly([0, -2]), legendre_pair.u, name="broken")
+        assert _summary(verify_pair(bad, max_n=2, order=4)) == ({
+            "recursion": (20, []),
+            "ode": (17, []),
+            "functional": (19, [
+                "pearson residual nonzero",
+                "n=1 nu=1: self-adjoint residual nonzero",
+                "n=1 nu=1 mu=0: functional Rodrigues residual nonzero",
+                "n=2 nu=1: self-adjoint residual nonzero",
+                "n=2 nu=1 mu=0: functional Rodrigues residual nonzero",
+                "n=2 nu=2: self-adjoint residual nonzero",
+                "n=2 nu=2 mu=0: functional Rodrigues residual nonzero",
+                "n=2 nu=2 mu=1: functional Rodrigues residual nonzero",
+            ]),
+            "genfun": (13, []),
+            "oracle": (39, ["cross validation: monic diagonal row 2 differs "
+                            "from the Gram-Schmidt polynomial"]),
+        }, [_SKIPPED, _COINCIDE])
+
+    def test_wrong_operator_breaks_rows_and_composition(self, hermite_pair, monkeypatch):
+        original = copoly.verify.rodrigues_rk
+
+        def off_by_one(pair, k, m, p):
+            result = original(pair, k, m, p)
+            return result + 1 if k == 2 else result
+        monkeypatch.setattr(copoly.verify, "rodrigues_rk", off_by_one)
+        report = verify_pair(hermite_pair, suites=("recursion",), max_n=3, order=4)
+        assert _summary(report) == ({"recursion": (33, [
+            "n=2 nu=2: recursion row != iterated operator",
+            "n=2 nu=2: composition split at 0 differs",
+            "n=3 nu=2: recursion row != iterated operator",
+            "n=3 nu=2: composition split at 0 differs",
+            "n=3 nu=3: composition split at 1 differs",
+        ])}, [])
+
+    def test_vanishing_hankel_stops_the_ratio_checks(self, hermite_pair, monkeypatch):
+        original = copoly.verify.hankel_determinant
+        monkeypatch.setattr(copoly.verify, "hankel_determinant",
+                            lambda u, m: Fraction(0) if m == 2 else original(u, m))
+        report = verify_pair(hermite_pair, suites=("oracle",), max_n=4, order=4)
+        assert _summary(report) == (
+            {"oracle": (57, ["degree 2: Hankel determinant vanishes"])}, [_COINCIDE])
+
+    @pytest.mark.parametrize("name, patched, suite, checks, failures", [
+        ("orthogonality_matrix",
+         lambda orig: lambda u, polys: [
+             [v + ((i, j) in ((0, 1), (2, 2))) for j, v in enumerate(row)]
+             for i, row in enumerate(orig(u, polys))],
+         "oracle", 48,
+         ["degrees (0,1): Gram entry nonzero", "degree 2: Gram diagonal != squared norm"]),
+        ("hankel_determinant",
+         lambda orig: lambda u, m: 2 * orig(u, m) if m == 1 else orig(u, m),
+         "oracle", 48, ["degree 1: norm != Hankel ratio", "degree 2: norm != Hankel ratio"]),
+        ("cross_validate",
+         lambda orig: lambda pair, max_n: _raise(NotQuasiDefinite(3)),
+         "oracle", 48, ["cross validation: Hankel determinant of order 3 vanishes"]),
+        ("leading_coeff_probe",
+         lambda orig: lambda pair, k, m: orig(pair, k, m) + ((k, m) == (1, 0)),
+         "oracle", 48, ["k=1 m=0: step leading coefficient != psi' + (m+2k) phi''/2"]),
+        ("derivative_proportionality",
+         lambda orig: lambda pair, n, nu: (
+             _raise(NotProportional("injected")) if (n, nu) == (2, 1) else orig(pair, n, nu)),
+         "ode", 27, ["n=2 nu=1: derivative ladder: injected"]),
+        ("ode_residual",
+         lambda orig: lambda pair, n, nu: Poly.one() if (n, nu) == (2, 1) else orig(pair, n, nu),
+         "ode", 27, ["n=2 nu=1: differential equation residual nonzero"]),
+        ("pde_residual",
+         lambda orig: lambda pair, n, which, order: (
+             Poly.one() if (n, which) == (1, "x_lower") else orig(pair, n, which, order)),
+         "genfun", 22, ["n=1: identity x_lower residual nonzero"]),
+    ], ids=["gram", "hankel-ratio", "cross-validate", "probe", "ladder", "ode", "pde"])
+    def test_injected_failure(self, hermite_pair, monkeypatch,
+                              name, patched, suite, checks, failures):
+        monkeypatch.setattr(copoly.verify, name, patched(getattr(copoly.verify, name)))
+        report = verify_pair(hermite_pair, suites=(suite,), max_n=3, order=4)
+        notes = [_COINCIDE] if suite == "oracle" else []
+        assert _summary(report) == ({suite: (checks, failures)}, notes)
