@@ -79,8 +79,11 @@ def _check_order(order: int) -> int:
 
 
 def _rational(source: str, value) -> Fraction:
-    """One exact value from outside input; floats, booleans and ``p/0`` are refused."""
+    """One exact value from outside input; floats, booleans, ``p/0`` and ``1e3`` are refused."""
     try:
+        # Fraction("1e20000") would build the integer before anything bounds it
+        if isinstance(value, str) and "e" in value.lower():
+            raise ValueError(value)
         return as_rational(value)
     except (TypeError, ValueError, ZeroDivisionError):
         raise InvalidParameter(f"{source} must be an integer or rational text "

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import MismatchError, NotQuasiDefinite
-from .functional import MomentFunctional, functional_apply, hankel_determinant
+from .functional import MomentFunctional, functional_apply
 from .poly import Poly
 from .rodrigues import ClassicalPair, complementary
 
@@ -48,9 +48,8 @@ def gram_schmidt_ops(u: MomentFunctional, n: int) -> MonicOPS:
             p = p - (functional_apply(u, p * q) / r) * q
         r = functional_apply(u, p * p)
         if r == 0:
-            level = next(
-                (j for j in range(m + 1) if hankel_determinant(u, j) == 0), m)
-            raise NotQuasiDefinite(level)
+            # Delta_j = r_0 ... r_j, so Delta_m is the first Hankel determinant to vanish
+            raise NotQuasiDefinite(m)
         polys.append(p)
         norms.append(r)
     return MonicOPS(tuple(polys), tuple(norms), u)
@@ -80,29 +79,13 @@ def three_term_coefficients(ops: MonicOPS) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
-    """Outcome of the two-path comparison up to a degree.
+def cross_validate(pair: ClassicalPair, ops: MonicOPS) -> None:
+    """Check ``monic C_m(x; m) == ops.polys[m]`` for every degree in ``ops``.
 
-    ``leading_coefficients[m]`` is the top coefficient of the diagonal row
-    ``C_m(x; m)``; it equals the product of the per-step leading factors
-    ``psi' + (j + 2k) phi''/2`` accumulated by the Rodrigues recursion, so
-    the report doubles as an audit trail for that normalization.
+    ``ops`` is the Gram-Schmidt sequence of ``pair.u``; the first degree
+    where the monic diagonal row differs raises ``MismatchError``.
     """
-
-    family: str
-    max_degree: int
-    leading_coefficients: tuple[Fraction, ...]
-
-
-def cross_validate(pair: ClassicalPair, n: int) -> CrossCheckReport:
-    """Check ``monic C_m(x; m) == Gram-Schmidt P_m`` for every ``m <= n``."""
-    ops = gram_schmidt_ops(pair.u, n)
-    leading: list[Fraction] = []
-    for m in range(n + 1):
-        diagonal = complementary(pair, m, m)
-        leading.append(diagonal.leading_coefficient)
-        if diagonal.monic() != ops.polys[m]:
+    for m, expected in enumerate(ops.polys):
+        if complementary(pair, m, m).monic() != expected:
             raise MismatchError(
                 m, f"monic diagonal row {m} differs from the Gram-Schmidt polynomial")
-    return CrossCheckReport(pair.name, n, tuple(leading))

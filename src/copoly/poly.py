@@ -18,7 +18,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 NEG_INF = -math.inf

@@ -174,12 +174,14 @@ class TestComputeErrors:
         (("--family", "jacobi", "--alpha", "1/0"), "--alpha"),
         (("--family", "jacobi", "--beta", "1/0"), "--beta"),
         (("--phi", "1", "--psi=-2*x", "--u0", "1/0"), "--u0"),
-    ], ids=["alpha", "beta", "u0"])
+        # exponent notation is refused before it builds a 20001-digit integer
+        (("--family", "laguerre", "--alpha", "1e20000"), "--alpha"),
+    ], ids=["alpha", "beta", "u0", "alpha-exponent"])
     def test_zero_denominator_flag_exits_two(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, "verify", *argv, "--max-n", "2")
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: {flag} must be") and "'1/0'" in err
+        assert err.startswith(f"error: {flag} must be") and f"'{argv[-1]}'" in err
 
     @pytest.mark.parametrize("phi", ["(" * 250 + "x" + ")" * 250, "-" * 1000 + "x"],
                              ids=["parentheses", "signs"])
@@ -290,6 +292,7 @@ class TestFamilyFile:
         ({"name": "laguerre", "phi": ["0", "1"], "psi": ["1", "-1"], "params": {"alpha": 0.5}},
          "params.alpha"),
         ({"name": "thing", "phi": ["0", "1"], "psi": ["1", "-1"], "u0": "1/0"}, "u0"),
+        ({"name": "thing", "phi": ["0", "1"], "psi": ["1", "-1"], "u0": "1e20000"}, "u0"),
     ])
     def test_inexact_or_invalid_value_rejected(self, capsys, tmp_path, doc, field):
         code, _, err = run_cli(capsys, "compute", "--family-file", self._write(tmp_path, doc),

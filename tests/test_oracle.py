@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 
 from copoly import (
+    MismatchError,
     MomentFunctional,
     NotQuasiDefinite,
     Poly,
+    complementary,
     cross_validate,
     gram_schmidt_ops,
     hankel_determinant,
@@ -43,12 +45,16 @@ class TestGramSchmidt:
         with pytest.raises(IndexError):
             gram_schmidt_ops(hermite_pair.u, -1)
 
-    def test_point_mass_not_quasi_definite(self):
-        # Moments of a unit mass at x = 1 degenerate at the first level.
-        u = MomentFunctional(rule=lambda k, pre: Fraction(1))
+    @pytest.mark.parametrize("rule, level", [
+        # a unit mass at x = 1 degenerates at the first level
+        (lambda k, pre: Fraction(1), 1),
+        # unit masses at x = -1 and x = 1 carry degrees 0 and 1 only
+        (lambda k, pre: Fraction(1 - k % 2), 2),
+    ], ids=["one-point", "two-point"])
+    def test_point_mass_not_quasi_definite(self, rule, level):
         with pytest.raises(NotQuasiDefinite) as exc:
-            gram_schmidt_ops(u, 2)
-        assert exc.value.level == 1
+            gram_schmidt_ops(MomentFunctional(rule=rule), 2)
+        assert exc.value.level == level
 
     def test_norm_equals_hankel_ratio(self, family_pairs):
         for pair in family_pairs.values():
@@ -115,16 +121,19 @@ class TestThreeTerm:
 
 class TestCrossValidate:
     def test_hermite_leading_coefficients(self, hermite_pair):
-        report = cross_validate(hermite_pair, 6)
-        assert report.family == "hermite"
-        assert report.max_degree == 6
-        assert report.leading_coefficients == tuple(
-            Fraction(-2) ** m for m in range(7)
-        )
+        # The diagonal rows carry the Rodrigues normalization (-2)**m that
+        # cross_validate divides out before comparing.
+        for m in range(7):
+            assert complementary(hermite_pair, m, m).leading_coefficient == Fraction(-2) ** m
+        cross_validate(hermite_pair, gram_schmidt_ops(hermite_pair.u, 6))
 
     def test_all_families_agree(self, family_pairs):
-        for name, pair in family_pairs.items():
-            report = cross_validate(pair, 8)
-            assert report.family == name
-            assert len(report.leading_coefficients) == 9
-            assert all(c != 0 for c in report.leading_coefficients)
+        for pair in family_pairs.values():
+            assert all(complementary(pair, m, m).leading_coefficient != 0 for m in range(9))
+            cross_validate(pair, gram_schmidt_ops(pair.u, 8))
+
+    def test_mismatch_names_first_degree(self, hermite_pair, legendre_pair):
+        # Degrees 0 and 1 are 1 and x for both families; degree 2 differs.
+        with pytest.raises(MismatchError) as exc:
+            cross_validate(hermite_pair, gram_schmidt_ops(legendre_pair.u, 3))
+        assert exc.value.degree == 2

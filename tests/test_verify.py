@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import copoly.oracle
 import copoly.verify
 from copoly import (
     ClassicalPair,
@@ -20,7 +21,7 @@ from copoly import (
     pair_from_family,
     verify_pair,
 )
-from copoly.errors import NotProportional, NotQuasiDefinite
+from copoly.errors import MismatchError, NotProportional
 
 
 class TestPassingRuns:
@@ -54,6 +55,18 @@ class TestPassingRuns:
         assert report.family == "jacobi"
         assert report.params == {"alpha": Fraction(1, 3), "beta": Fraction(2)}
         assert report.max_n == 3
+
+    def test_oracle_suite_runs_gram_schmidt_once(self, jacobi_pair, monkeypatch):
+        calls = []
+        original = copoly.oracle.gram_schmidt_ops
+
+        def counted(u, n):
+            calls.append(n)
+            return original(u, n)
+        monkeypatch.setattr(copoly.verify, "gram_schmidt_ops", counted)
+        monkeypatch.setattr(copoly.oracle, "gram_schmidt_ops", counted)
+        assert verify_pair(jacobi_pair, suites=("oracle",), max_n=4).passed
+        assert calls == [4]
 
 
 class TestNotes:
@@ -191,8 +204,8 @@ class TestGoldenReports:
          lambda orig: lambda u, m: 2 * orig(u, m) if m == 1 else orig(u, m),
          "oracle", 48, ["degree 1: norm != Hankel ratio", "degree 2: norm != Hankel ratio"]),
         ("cross_validate",
-         lambda orig: lambda pair, max_n: _raise(NotQuasiDefinite(3)),
-         "oracle", 48, ["cross validation: Hankel determinant of order 3 vanishes"]),
+         lambda orig: lambda pair, ops: _raise(MismatchError(3)),
+         "oracle", 48, ["cross validation: constructions disagree at degree 3"]),
         ("leading_coeff_probe",
          lambda orig: lambda pair, k, m: orig(pair, k, m) + ((k, m) == (1, 0)),
          "oracle", 48, ["k=1 m=0: step leading coefficient != psi' + (m+2k) phi''/2"]),
