@@ -19,7 +19,6 @@ vanish identically.
 from fractions import Fraction
 
 from copoly import (
-    PDE_IDENTITIES,
     genfun_closed_form,
     genfun_truncated,
     hermite_family,
@@ -49,10 +48,10 @@ g1 = genfun_closed_form(pair, 1, ORDER)
 print("legendre, n=1 coefficients:", [str(g1.coeff(k)) for k in range(4)])
 print()
 
-# Every identity in the catalogue has a zero residual.  Each residual
-# comes back as a series one order shorter than the input.
+# Every identity in the catalogue has a zero residual; one call returns
+# them all.  Each residual comes back as a series one order shorter than
+# the input.
 pair = pair_from_family(jacobi_family(Fraction(1, 3), 2), max_order=4 * ORDER)
 print("jacobi(1/3, 2), n=2 residuals at order", ORDER)
-for token in PDE_IDENTITIES:
-    res = pde_residual(pair, 2, token, ORDER)
+for token, res in pde_residual(pair, 2, ORDER).items():
     print(f"  {token:<8} order={res.order}  zero={res.is_zero}")

@@ -18,7 +18,6 @@ from .errors import (
     MismatchError,
     NotProportional,
     NotQuasiDefinite,
-    UnknownEquation,
     UnknownIdentifier,
     UnsupportedFamily,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "SUITE_NAMES",
     "SeriesYX",
     "SuiteResult",
-    "UnknownEquation",
     "UnknownIdentifier",
     "UnsupportedFamily",
     "VerifyReport",

@@ -51,10 +51,6 @@ class UnsupportedFamily(CopolyError):
     """The operation needs a catalog family with a known closed-form weight."""
 
 
-class UnknownEquation(CopolyError, ValueError):
-    """Unrecognized identity selector."""
-
-
 class ExprSyntaxError(CopolyError):
     """Malformed polynomial expression; offending position in ``position``."""
 

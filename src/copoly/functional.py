@@ -50,11 +50,6 @@ class MomentFunctional:
                 raise ValueError("a functional needs at least u_0 or a generating rule")
             self._moments.append(as_rational(rule(0, ())))
 
-    @classmethod
-    def from_moments(cls, moments: Iterable[int | str | Fraction]) -> MomentFunctional:
-        """Finite functional given explicitly by a moment prefix."""
-        return cls(initial=moments)
-
     def moment(self, k: int) -> Fraction:
         if k < 0:
             raise IndexError("moment index must be >= 0")

@@ -14,7 +14,7 @@ hermite).  The two constructions agree coefficient by coefficient, and the
 series satisfies a family of first-order identities in ``y`` and ``x`` whose
 residuals are computed here as truncated series that vanish identically.
 
-Identity selectors for :func:`pde_residual` (all linear, first order):
+Identity keys of :func:`pde_residual` (all linear, first order):
 
 * ``y_self``:  ``(1 + y phi' + y^2 phi'' phi/2) dG/dy = (C_1 + y phi C_1') G``
 * ``y_lower``: ``dG/dy = ((n-1) phi'(x + y phi) + psi(x + y phi)) G(y, x; n-1)``
@@ -34,10 +34,10 @@ from __future__ import annotations
 
 from math import factorial
 
-from .errors import UnknownEquation, UnsupportedFamily
+from .errors import UnsupportedFamily
 from .poly import Poly
 from .rodrigues import FAMILIES, ClassicalPair, FamilySpec, _comp_rows
-from .series import SeriesYX, poly_shift_substitute, series_pow_rational
+from .series import SeriesYX, series_pow_rational
 
 PDE_IDENTITIES = ("y_self", "y_lower", "x_self", "x_lower", "master")
 
@@ -82,27 +82,21 @@ def genfun_closed_form(pair: ClassicalPair, n: int, order: int) -> SeriesYX:
     return genfun_phi_factor(pair, n, order) * weight_ratio_series(pair, order)
 
 
-def pde_residual(pair: ClassicalPair, n: int, which: str, order: int) -> SeriesYX:
-    """Residual of one of the generating-series identities.
+def pde_residual(pair: ClassicalPair, n: int, order: int) -> dict[str, SeriesYX]:
+    """Residuals of the generating-series identities, keyed as in ``PDE_IDENTITIES``.
 
     The series is built at truncation ``order``; differentiating in ``y``
-    loses the top coefficient, so the residual is returned (and vanishes) at
-    order ``order - 1``.  The ``*_lower`` identities relate ``n`` to
-    ``n - 1`` and therefore need ``n >= 1``.
+    loses the top coefficient, so every residual is returned (and vanishes)
+    at order ``order - 1``.  The ``*_lower`` identities relate ``n`` to
+    ``n - 1`` and are present only for ``n >= 1``.
     """
-    if which not in PDE_IDENTITIES:
-        raise UnknownEquation(
-            f"unknown identity {which!r}; expected one of {', '.join(PDE_IDENTITIES)}")
     if order < 2:
         raise ValueError("order must be >= 2 to leave room for d/dy")
-    if which in ("y_lower", "x_lower") and n < 1:
-        raise ValueError(f"identity {which!r} involves n - 1 and needs n >= 1")
 
     m = order - 1
     phi, psi = pair.phi, pair.psi
     dphi = phi.derivative()
     phi2 = phi.coefficient(2) * 2
-    psi1 = psi.coefficient(1)
     c1 = psi + (n - 1) * dphi
     c1d = c1.derivative()
 
@@ -111,27 +105,21 @@ def pde_residual(pair: ClassicalPair, n: int, which: str, order: int) -> SeriesY
     dy = full.differentiate_y()
     dx = full.differentiate_x().truncate(m)
     prefactor = _quadratic_prefactor(pair, m)
+    # C_1(x + y phi), exactly: deg C_1 <= 1 leaves no higher Taylor terms
+    shifted = SeriesYX(m, [c1, phi * c1d])
+    shifted_g = shifted * g
 
-    if which == "y_self":
-        bracket = SeriesYX(m, [c1, phi * c1d][: m + 1])
-        return prefactor * dy - bracket * g
-    if which == "y_lower":
-        lower = genfun_truncated(pair, n - 1, m)
-        coeff = poly_shift_substitute(psi, phi, m) \
-            + (n - 1) * poly_shift_substitute(dphi, phi, m)
-        return dy - coeff * lower
-    if which == "x_self":
-        bracket = SeriesYX(m, [c1d, dphi * c1d - c1 * phi2 / 2][: m + 1])
-        y = SeriesYX(m, [Poly.zero(), Poly.one()])
-        return prefactor * dx - bracket * y * g
-    if which == "x_lower":
-        lower = genfun_truncated(pair, n - 1, m)
-        outer = SeriesYX(m, [Poly.one(), dphi][: m + 1])
-        inner = SeriesYX(m, [c1, phi * (psi1 + (n - 1) * phi2)][: m + 1])
-        return phi * dx - outer * inner * lower + c1 * g
-    # master
-    phi_shifted = poly_shift_substitute(phi, phi, m)
-    coeff = poly_shift_substitute(psi, phi, m) \
-        + (n - 1) * poly_shift_substitute(dphi, phi, m)
-    return phi_shifted * dy - phi * (coeff * g)
-
+    x_bracket = SeriesYX(m, [c1d, dphi * c1d - c1 * phi2 / 2])
+    y = SeriesYX(m, [Poly.zero(), Poly.one()])
+    residuals = {
+        "y_self": prefactor * dy - shifted_g,
+        "x_self": prefactor * dx - x_bracket * y * g,
+        # phi(x + y phi) = phi * prefactor
+        "master": (phi * prefactor) * dy - phi * shifted_g,
+    }
+    if n >= 1:
+        shifted_lower = shifted * genfun_truncated(pair, n - 1, m)
+        outer = SeriesYX(m, [Poly.one(), dphi])
+        residuals["y_lower"] = dy - shifted_lower
+        residuals["x_lower"] = phi * dx - outer * shifted_lower + c1 * g
+    return {which: residuals[which] for which in PDE_IDENTITIES if which in residuals}

@@ -9,19 +9,14 @@ uses the human convention of descending degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
-from .poly import Poly, as_rational
+from .poly import Poly
 from .series import SeriesYX
 
 
 def poly_to_strings(p: Poly) -> list[str]:
     """Ascending coefficient list as exact strings; the zero poly is ``[]``."""
     return [str(c) for c in p.coeffs]
-
-
-def poly_from_strings(items: Sequence[str]) -> Poly:
-    return Poly([as_rational(s) for s in items])
 
 
 def series_to_strings(s: SeriesYX) -> list[list[str]]:

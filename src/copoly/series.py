@@ -32,10 +32,6 @@ class SeriesYX:
         self._coeffs = tuple(polys)
 
     @classmethod
-    def zero(cls, order: int) -> SeriesYX:
-        return cls(order)
-
-    @classmethod
     def one(cls, order: int) -> SeriesYX:
         return cls(order, (Poly.one(),))
 
@@ -207,7 +203,8 @@ def series_pow_rational(s: SeriesYX, alpha: int | str | Fraction) -> SeriesYX:
     binom = Fraction(1)
     for k in range(1, n + 1):
         binom *= (a - (k - 1)) / k
+        if binom == 0:
+            break
         acc = acc * t
-        if binom != 0:
-            out = out + acc * binom
+        out = out + acc * binom
     return out

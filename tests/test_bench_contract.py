@@ -52,3 +52,5 @@ def test_tracer_sees_the_poly_kernel(monkeypatch, capsys):
     assert code == 0
     assert tracer.metrics["poly.mul_calls"] > 0
     assert tracer.metrics["poly.self_s"] > 0
+    assert tracer.metrics["genfun.pde_s"] > 0
+    assert tracer.metrics["genfun.truncated_builds"] == 8

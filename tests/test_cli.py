@@ -13,9 +13,16 @@ from pathlib import Path
 import pytest
 
 from conftest import src_env
-from copoly import CATALOG, as_rational, complementary, lambda_n, mu_eigenvalue, pair_from_family
+from copoly import (
+    CATALOG,
+    Poly,
+    as_rational,
+    complementary,
+    lambda_n,
+    mu_eigenvalue,
+    pair_from_family,
+)
 from copoly.cli import build_compute_document, main
-from copoly.render import poly_from_strings
 from copoly.rodrigues import (
     bessel_family,
     hermite_family,
@@ -96,7 +103,7 @@ class TestComputeJson:
         assert code == 0
         doc = json.loads(out)
         assert len(doc["rows"]) == 1
-        assert poly_from_strings(doc["rows"][0]) == complementary(
+        assert Poly(doc["rows"][0]) == complementary(
             pair_from_family(jacobi_family(Fraction(1, 3), 2), max_order=8), 2, 1
         )
 
@@ -330,6 +337,16 @@ class TestVerify:
         assert code == 2
         assert "k = 3" in err
 
+    def test_not_quasi_definite_reports_the_other_suites(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--family", "laguerre", "--alpha=-1", "--max-n", "3"
+        )
+        assert code == 0
+        assert "  oracle     PASS  checks=0" in out
+        assert ("note: oracle checks skipped: moment functional is not quasi-definite "
+                "(Hankel determinant of order 1 vanishes)") in out.splitlines()
+        assert "overall: PASS" in out
+
     def test_laguerre_genfun_suite(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--family", "laguerre", "--alpha", "1/2",
@@ -523,7 +540,7 @@ class TestDocumentRoundTrip:
             n = rng.randrange(0, 7)
             pair = pair_from_family(spec, max_order=n + 2)
             doc = json.loads(json.dumps(build_compute_document(pair, n)))
-            rows = [poly_from_strings(r) for r in doc["rows"]]
+            rows = [Poly(r) for r in doc["rows"]]
             assert rows == [complementary(pair, n, nu) for nu in range(n + 1)]
             assert as_rational(doc["lambda"]) == lambda_n(pair, n)
             assert [as_rational(v) for v in doc["mu"][0]] == [

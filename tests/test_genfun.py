@@ -10,7 +10,6 @@ from copoly import (
     PDE_IDENTITIES,
     Poly,
     SeriesYX,
-    UnknownEquation,
     UnsupportedFamily,
     custom_family,
     genfun_closed_form,
@@ -126,27 +125,19 @@ class TestPdeResiduals:
     def test_all_identities_vanish_small_grid(self, family_pairs):
         for pair in family_pairs.values():
             for n in range(5):
-                for which in PDE_IDENTITIES:
-                    if which in ("y_lower", "x_lower") and n == 0:
-                        continue
-                    res = pde_residual(pair, n, which, order=6)
+                for which, res in pde_residual(pair, n, order=6).items():
                     assert res.order == 5
                     assert res.is_zero, (pair.name, n, which)
 
-    def test_unknown_identity(self, hermite_pair):
-        with pytest.raises(UnknownEquation):
-            pde_residual(hermite_pair, 2, "nonsense", order=4)
-
     def test_order_too_small(self, hermite_pair):
         with pytest.raises(ValueError):
-            pde_residual(hermite_pair, 2, "y_self", order=1)
+            pde_residual(hermite_pair, 2, order=1)
 
     def test_lower_variants_need_positive_n(self, laguerre_pair):
-        for which in ("y_lower", "x_lower"):
-            with pytest.raises(ValueError):
-                pde_residual(laguerre_pair, 0, which, order=4)
+        assert tuple(pde_residual(laguerre_pair, 0, order=4)) == ("y_self", "x_self", "master")
+        assert tuple(pde_residual(laguerre_pair, 1, order=4)) == PDE_IDENTITIES
 
     def test_deep_spot_check(self, jacobi_pair):
-        res = pde_residual(jacobi_pair, 4, "x_lower", order=6)
+        res = pde_residual(jacobi_pair, 4, order=6)["x_lower"]
         assert res.is_zero
 

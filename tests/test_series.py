@@ -58,7 +58,7 @@ class TestContainer:
             SeriesYX(1, [Poly.one()]).truncate(3)
 
     def test_zero_one(self):
-        assert SeriesYX.zero(2).is_zero
+        assert SeriesYX(2).is_zero
         assert SeriesYX.one(3).coeff(0) == Poly.one()
         assert not SeriesYX.one(3).is_zero
 
@@ -159,7 +159,7 @@ class TestShiftSubstitute:
 
 class TestExp:
     def test_exp_of_zero(self):
-        assert series_exp(SeriesYX.zero(3)) == SeriesYX.one(3)
+        assert series_exp(SeriesYX(3)) == SeriesYX.one(3)
 
     def test_gaussian_argument(self):
         s = series(2, [0], [0, -2], [-1])

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import copoly.genfun
 import copoly.oracle
 import copoly.verify
 from copoly import (
@@ -68,6 +69,19 @@ class TestPassingRuns:
         assert verify_pair(jacobi_pair, suites=("oracle",), max_n=4).passed
         assert calls == [4]
 
+    def test_genfun_suite_builds_each_series_once(self, hermite_pair, monkeypatch):
+        # per n: the suite's own series, then G(n) and G(n-1) in pde_residual
+        calls = []
+        original = copoly.genfun.genfun_truncated
+
+        def counted(pair, n, order):
+            calls.append((n, order))
+            return original(pair, n, order)
+        monkeypatch.setattr(copoly.verify, "genfun_truncated", counted)
+        monkeypatch.setattr(copoly.genfun, "genfun_truncated", counted)
+        assert verify_pair(hermite_pair, suites=("genfun",), max_n=3, order=6).passed
+        assert len(calls) == 11
+
 
 class TestNotes:
     def test_probe_note_reports_coincidence_without_phi2(self, hermite_pair):
@@ -111,6 +125,22 @@ class TestFailureDetection:
         )
         report = verify_pair(pair, max_n=3, order=6)
         assert report.passed
+
+    @pytest.mark.parametrize("spec, level", [
+        (laguerre_family(-1), 1),
+        (custom_family(Poly([1, 1]), Poly([1, -1]), u0=0), 0),
+    ], ids=["laguerre-alpha-minus-one", "custom-u0-zero"])
+    def test_not_quasi_definite_skips_oracle(self, spec, level):
+        # The functional itself is legal, so the vanishing level is a
+        # property of the input recorded as a note, not a counterexample.
+        pair = pair_from_family(spec, max_order=12)
+        report = verify_pair(pair, max_n=3, order=6)
+        assert report.passed
+        suites, notes = _summary(report)
+        assert suites["oracle"] == (0, [])
+        assert all(checks > 0 for name, (checks, _) in suites.items() if name != "oracle")
+        assert notes[-1] == ("oracle checks skipped: moment functional is not quasi-definite "
+                             f"(Hankel determinant of order {level} vanishes)")
 
 
 # Golden reports: every suite's (checks, failures) and the notes, pinned
@@ -217,8 +247,8 @@ class TestGoldenReports:
          lambda orig: lambda pair, n, nu: Poly.one() if (n, nu) == (2, 1) else orig(pair, n, nu),
          "ode", 27, ["n=2 nu=1: differential equation residual nonzero"]),
         ("pde_residual",
-         lambda orig: lambda pair, n, which, order: (
-             Poly.one() if (n, which) == (1, "x_lower") else orig(pair, n, which, order)),
+         lambda orig: lambda pair, n, order: {
+             **orig(pair, n, order), **({"x_lower": Poly.one()} if n == 1 else {})},
          "genfun", 22, ["n=1: identity x_lower residual nonzero"]),
     ], ids=["gram", "hankel-ratio", "cross-validate", "probe", "ladder", "ode", "pde"])
     def test_injected_failure(self, hermite_pair, monkeypatch,
