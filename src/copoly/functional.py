@@ -22,77 +22,117 @@ equivalently ``psi' + k phi''/2 != 0``).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import AdmissibilityViolation, InvalidParameter
 from .poly import Poly, as_rational
 
 MomentRule = Callable[[int, Sequence[Fraction]], Fraction]
+MomentBlock = Callable[[int, int], list[Fraction]]
 
 
 class MomentFunctional:
     """Linear functional on polynomials, held as an extendable moment sequence.
 
-    Computed moments are append-only.  A functional may carry a rule
+    Computed moments are append-only.  A functional may carry a ``rule``
     that produces moment ``k`` given the moments below it (a recurrence, or
-    an index formula over a parent functional); without a rule it is finite
-    and reading past the stored prefix raises ``ValueError``.
+    an index formula over a parent functional), or a ``block`` that produces
+    moments ``lo .. hi`` at once from its parents' prefixes; without either
+    it is finite and reading past the stored prefix raises ``ValueError``.
+    Nothing is computed until a moment is read.
     """
 
-    __slots__ = ("_moments", "_rule")
+    __slots__ = ("_moments", "_rule", "_block")
 
     def __init__(self, rule: MomentRule | None = None,
-                 initial: Iterable[int | str | Fraction] = ()):
+                 initial: Iterable[int | str | Fraction] = (), *,
+                 block: MomentBlock | None = None):
         self._moments: list[Fraction] = [as_rational(v) for v in initial]
         self._rule = rule
-        if not self._moments:
-            if rule is None:
-                raise ValueError("a functional needs at least u_0 or a generating rule")
-            self._moments.append(as_rational(rule(0, ())))
+        self._block = block
+        if not self._moments and rule is None and block is None:
+            raise ValueError("a functional needs at least u_0 or a generating rule")
 
     def moment(self, k: int) -> Fraction:
         if k < 0:
             raise IndexError("moment index must be >= 0")
-        if k < len(self._moments):
-            return self._moments[k]
-        if self._rule is None:
+        known = self._moments
+        if k < len(known):
+            return known[k]
+        if self._block is not None:
+            known.extend(self._block(len(known), k))
+        elif self._rule is not None:
+            while len(known) <= k:
+                known.append(as_rational(self._rule(len(known), known)))
+        else:
             raise ValueError(
-                f"moments known only up to index {len(self._moments) - 1}; no generating rule"
+                f"moments known only up to index {len(known) - 1}; no generating rule"
             )
-        while len(self._moments) <= k:
-            m = len(self._moments)
-            self._moments.append(as_rational(self._rule(m, tuple(self._moments))))
-        return self._moments[k]
+        return known[k]
 
     def moments(self, up_to: int) -> list[Fraction]:
         """Moments ``u_0 .. u_up_to`` inclusive."""
-        return [self.moment(k) for k in range(up_to + 1)]
+        if up_to < 0:
+            return []
+        self.moment(up_to)
+        return self._moments[: up_to + 1]
 
     def __add__(self, other) -> MomentFunctional:
         if not isinstance(other, MomentFunctional):
             return NotImplemented
-        return MomentFunctional(lambda k, _pre: self.moment(k) + other.moment(k))
+        return _combination([(1, self, 0), (1, other, 0)])
 
     def __sub__(self, other) -> MomentFunctional:
         if not isinstance(other, MomentFunctional):
             return NotImplemented
-        return MomentFunctional(lambda k, _pre: self.moment(k) - other.moment(k))
+        return _combination([(1, self, 0), (-1, other, 0)])
 
     def __neg__(self) -> MomentFunctional:
-        return MomentFunctional(lambda k, _pre: -self.moment(k))
+        return _combination([(-1, self, 0)])
 
     def __rmul__(self, scalar) -> MomentFunctional:
         if isinstance(scalar, float) or not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        c = as_rational(scalar)
-        return MomentFunctional(lambda k, _pre: c * self.moment(k))
+        return _combination([(as_rational(scalar), self, 0)])
 
     __mul__ = __rmul__
 
     def __repr__(self) -> str:
         shown = ", ".join(str(m) for m in self._moments[:6])
-        tail = ", ..." if self._rule is not None or len(self._moments) > 6 else ""
+        extends = self._rule is not None or self._block is not None
+        tail = ", ..." if extends or len(self._moments) > 6 else ""
         return f"MomentFunctional([{shown}{tail}])"
+
+
+def _numerators(values: Sequence[Fraction], den: int) -> list[int]:
+    """Integer numerators of ``values`` over ``den``, a multiple of every denominator."""
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+def _combination(terms: Sequence[tuple[int | Fraction, MomentFunctional, int]]) -> MomentFunctional:
+    """Moments ``v_k = sum c u_{k+s}`` over the ``(c, u, s)`` in ``terms``, with ``s >= 0``.
+
+    A block ``lo .. hi`` reads each parent's prefix once and computes every
+    moment as an integer dot product over one common denominator, so the
+    only ``Fraction`` built per moment is the result.
+    """
+    terms = [(as_rational(c), u, s) for c, u, s in terms if c != 0]
+    scale = lcm(*[c.denominator for c, _, _ in terms])
+    weights = _numerators([c for c, _, _ in terms], scale)
+    reach: dict[MomentFunctional, int] = {}
+    for _, u, s in terms:
+        reach[u] = max(reach.get(u, 0), s)
+
+    def block(lo: int, hi: int) -> list[Fraction]:
+        prefixes = {u: u.moments(hi + s)[lo:] for u, s in reach.items()}
+        den = lcm(*[v.denominator for p in prefixes.values() for v in p])
+        ints = {u: _numerators(p, den) for u, p in prefixes.items()}
+        rows = [(w, ints[u], s) for w, (_, u, s) in zip(weights, terms)]
+        den *= scale
+        return [Fraction(sum(w * m[i + s] for w, m, s in rows), den)
+                for i in range(hi - lo + 1)]
+    return MomentFunctional(block=block)
 
 
 def functional_apply(u: MomentFunctional, p: Poly) -> Fraction:
@@ -106,24 +146,15 @@ def functional_apply(u: MomentFunctional, p: Poly) -> Fraction:
 
 def functional_derivative(u: MomentFunctional) -> MomentFunctional:
     """Distributional derivative: moments ``v_k = -k u_{k-1}`` (``v_0 = 0``)."""
-    def rule(k: int, _pre) -> Fraction:
-        if k == 0:
-            return Fraction(0)
-        return -k * u.moment(k - 1)
-    return MomentFunctional(rule)
+    def block(lo: int, hi: int) -> list[Fraction]:
+        below = u.moments(hi - 1)
+        return [-k * below[k - 1] if k else Fraction(0) for k in range(lo, hi + 1)]
+    return MomentFunctional(block=block)
 
 
 def functional_poly_mul(h: Poly, u: MomentFunctional) -> MomentFunctional:
     """Left multiplication by a polynomial: moments ``v_k = sum h_j u_{k+j}``."""
-    coeffs = h.coeffs
-
-    def rule(k: int, _pre) -> Fraction:
-        total = Fraction(0)
-        for j, c in enumerate(coeffs):
-            if c != 0:
-                total += c * u.moment(k + j)
-        return total
-    return MomentFunctional(rule)
+    return _combination([(c, u, j) for j, c in enumerate(h.coeffs)])
 
 
 def functional_div_linear(c: int | str | Fraction, u: MomentFunctional) -> MomentFunctional:

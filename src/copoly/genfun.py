@@ -36,7 +36,7 @@ from math import factorial
 
 from .errors import UnsupportedFamily
 from .poly import Poly
-from .rodrigues import FAMILIES, ClassicalPair, FamilySpec, _comp_rows
+from .rodrigues import FAMILIES, ClassicalPair, FamilySpec
 from .series import SeriesYX, series_pow_rational
 
 PDE_IDENTITIES = ("y_self", "y_lower", "x_self", "x_lower", "master")
@@ -49,7 +49,7 @@ def genfun_truncated(pair: ClassicalPair, n: int, order: int) -> SeriesYX:
     ``n - nu - 1`` gone negative; those are exactly the higher coefficients
     of the closed form.
     """
-    rows = _comp_rows(pair, n, order)
+    rows = pair.rows(n, order)
     return SeriesYX(order, [row / factorial(nu) for nu, row in enumerate(rows)])
 
 

@@ -17,7 +17,9 @@ substituted as a constant, so family patterns like
 ``(beta - alpha) - (alpha + beta + 2)*x`` parse directly.  Parentheses and
 unary signs together may nest at most ``MAX_NESTING`` levels deep, so every
 input finishes or raises ``ExprSyntaxError`` well inside the interpreter's
-recursion limit.
+recursion limit.  No exponent, and no intermediate result, may pass degree
+``MAX_DEGREE``: a ``^`` or ``*`` that would is refused before it is expanded,
+so ``(x+1)^3000 - (x+1)^3000`` costs nothing.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .errors import ExprSyntaxError, UnknownIdentifier
 from .poly import Poly, as_rational
 
 MAX_NESTING = 100
+MAX_DEGREE = 100
 
 
 class _Token(NamedTuple):
@@ -89,6 +92,12 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise ExprSyntaxError(tok.pos, f"expression nests deeper than {MAX_NESTING} levels")
 
+    def check_degree(self, tok: _Token, degree: int | float, what: str) -> None:
+        """Refuse, at ``tok``, a result of ``degree`` above ``MAX_DEGREE``."""
+        if degree > MAX_DEGREE:
+            raise ExprSyntaxError(
+                tok.pos, f"{what} would have degree {degree}, above the cap {MAX_DEGREE}")
+
     def at_op(self, *ops: str) -> bool:
         tok = self.peek()
         return tok.kind == "op" and tok.text in ops
@@ -107,6 +116,7 @@ class _Parser:
             op = self.take()
             rhs = self.factor()
             if op.text == "*":
+                self.check_degree(op, acc.degree + rhs.degree, "product")
                 acc = acc * rhs
             else:
                 if rhs.degree > 0:
@@ -133,7 +143,13 @@ class _Parser:
             if tok.kind != "int":
                 raise ExprSyntaxError(caret.pos, "exponent must be a nonnegative integer")
             self.take()
-            return base ** int(tok.text)
+            digits = tok.text.lstrip("0") or "0"
+            # compare lengths first: int() refuses literals of over 4300 digits
+            if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+                raise ExprSyntaxError(tok.pos, f"exponent exceeds {MAX_DEGREE}")
+            exponent = int(digits)
+            self.check_degree(caret, base.degree * exponent if exponent else 0, "power")
+            return base ** exponent
         return base
 
     def atom(self) -> Poly:

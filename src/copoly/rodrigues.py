@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidParameter, NotProportional
 from .functional import (
@@ -169,11 +169,11 @@ class ClassicalPair:
     """A validated ``(phi, psi)`` pair with its moment functional.
 
     Immutable apart from internal memoization: the moment sequence of ``u``
-    extends on demand, and the shifted functionals ``u_k = phi**k u`` are
-    cached per index.
+    extends on demand, the shifted functionals ``u_k = phi**k u`` are cached
+    per index, and the complementary rows are cached per ``n``.
     """
 
-    __slots__ = ("phi", "psi", "u", "name", "params", "_shifted")
+    __slots__ = ("phi", "psi", "u", "name", "params", "_shifted", "_rows")
 
     def __init__(self, phi: Poly, psi: Poly, u: MomentFunctional,
                  name: str = "custom", params: Mapping[str, Fraction] | None = None):
@@ -184,6 +184,7 @@ class ClassicalPair:
         self.name = name
         self.params = dict(params or {})
         self._shifted: dict[int, MomentFunctional] = {0: u}
+        self._rows: dict[int, list[Poly]] = {}
 
     def functional_power(self, k: int) -> MomentFunctional:
         """The shifted functional ``u_k = phi**k u``."""
@@ -192,6 +193,16 @@ class ClassicalPair:
         if k not in self._shifted:
             self._shifted[k] = functional_poly_mul(self.phi ** k, self.u)
         return self._shifted[k]
+
+    def rows(self, n: int, count: int) -> list[Poly]:
+        """Rows ``C_0 .. C_count`` of ``n``; ``count`` may pass ``n``.
+
+        The memo for ``n`` is extended only by the rows it lacks.
+        """
+        rows = self._rows.setdefault(n, [])
+        if len(rows) <= count:
+            rows.extend(_comp_rows(self, n, count, rows))
+        return rows[: count + 1]
 
     def __repr__(self) -> str:
         return f"ClassicalPair({self.name!r}, phi={self.phi!r}, psi={self.psi!r})"
@@ -235,22 +246,24 @@ def rodrigues_rk(pair: ClassicalPair, k: int, base: int, p: Poly) -> Poly:
     return out
 
 
-def _comp_rows(pair: ClassicalPair, n: int, count: int) -> list[Poly]:
+def _comp_rows(pair: ClassicalPair, n: int, count: int,
+               prefix: Sequence[Poly] = ()) -> list[Poly]:
+    """The rows after ``prefix = [C_0, ...]`` through ``C_count``, newly built."""
     # The recursion coefficient (n - nu - 1) goes negative past nu = n; that
     # continuation is what the generating series needs, so no bound check here.
-    rows = [Poly.one()]
+    rows = list(prefix) or [Poly.one()]
     phi, psi, dphi = pair.phi, pair.psi, pair.phi.derivative()
-    for nu in range(count):
+    for nu in range(len(rows) - 1, count):
         p = rows[-1]
         rows.append(phi * p.derivative() + (psi + (n - nu - 1) * dphi) * p)
-    return rows
+    return rows[len(prefix):]
 
 
 def complementary(pair: ClassicalPair, n: int, nu: int) -> Poly:
     """Complementary polynomial ``C_nu(x; n)`` via the first-order recursion."""
     if nu < 0 or nu > n:
         raise IndexError(f"nu must satisfy 0 <= nu <= n, got nu={nu}, n={n}")
-    return _comp_rows(pair, n, nu)[nu]
+    return pair.rows(n, nu)[nu]
 
 
 @dataclass(frozen=True)
@@ -270,7 +283,7 @@ def complementary_table(pair: ClassicalPair, n: int) -> CompTable:
     """All rows ``C_0 .. C_n`` in one pass of the recursion."""
     if n < 0:
         raise IndexError("n must be >= 0")
-    return CompTable(n, tuple(_comp_rows(pair, n, n)))
+    return CompTable(n, tuple(pair.rows(n, n)))
 
 
 def lambda_n(pair: ClassicalPair, n: int) -> Fraction:

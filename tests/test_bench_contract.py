@@ -54,3 +54,5 @@ def test_tracer_sees_the_poly_kernel(monkeypatch, capsys):
     assert tracer.metrics["poly.self_s"] > 0
     assert tracer.metrics["genfun.pde_s"] > 0
     assert tracer.metrics["genfun.truncated_builds"] == 8
+    # each pair builds every row once: n <= 2, rows 0..4 for the series
+    assert tracer.metrics["rodrigues.rows_built"] <= 21

@@ -198,6 +198,16 @@ class TestComputeErrors:
         assert out == ""
         assert err.startswith("error: expression nests deeper than")
 
+    @pytest.mark.parametrize("phi, message", [
+        ("(x+1)^3000 - (x+1)^3000 + 1", "exponent exceeds 100 (at position 6)"),
+        ("((x^100)^100)^100", "power would have degree 10000, above the cap 100 (at position 8)"),
+    ], ids=["cancelling-powers", "nested-powers"])
+    def test_degree_cap_exits_two(self, capsys, phi, message):
+        code, out, err = run_cli(capsys, "compute", "--phi", phi, "--psi=-2*x", "--n", "2")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_bessel_admissibility_message_names_k(self, capsys):
         code, _, err = run_cli(
             capsys, "compute", "--family", "bessel", "--alpha", "-5", "--n", "4"

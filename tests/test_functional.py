@@ -84,6 +84,53 @@ class TestMomentFunctional:
         with pytest.raises(TypeError):
             0.5 * u
 
+    def test_construction_computes_nothing(self):
+        def rule(k, pre):
+            raise AssertionError("moment computed at construction")
+        u = MomentFunctional(rule=rule)
+        functional_derivative(functional_poly_mul(Poly.x(), u) + u)
+
+
+def _reference_moments(h: Poly, p: Poly, c: Fraction, base: list[Fraction]):
+    """The derived functionals of ``test_block_fill_matches_per_index_rules``,
+    moment by moment from their definitions, on lists of 13 moments."""
+    mul = [sum(hj * base[k + j] for j, hj in enumerate(h.coeffs)) for k in range(14)]
+    deriv = [-k * mul[k - 1] if k else Fraction(0) for k in range(13)]
+    plus = [d + sum(pj * base[k + j] for j, pj in enumerate(p.coeffs))
+            for k, d in enumerate(deriv)]
+    minus = [v - b for v, b in zip(plus, base)]
+    return [mul[:13], deriv, plus, minus, [-v for v in minus], [c * -v for v in minus]]
+
+
+class TestBlockFill:
+    """Derived functionals fill whole ranges at once; the moments must not depend on that."""
+
+    @given(small_polys(3), small_polys(3), rationals(),
+           st.lists(rationals(), min_size=17, max_size=17),
+           st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=5))
+    def test_block_fill_matches_per_index_rules(self, h, p, c, base, first, which):
+        u = MomentFunctional(initial=base)
+        mul = functional_poly_mul(h, u)
+        deriv = functional_derivative(mul)
+        plus = deriv + functional_poly_mul(p, u)
+        minus = plus - u
+        derived = [mul, deriv, plus, minus, -minus, c * -minus]
+        # one functional is read at one index first; the rest fill around it
+        derived[which].moment(first)
+        derived[which].moment(7)
+        assert [v.moments(12) for v in derived] == _reference_moments(h, p, c, base)
+
+    def test_reading_past_a_finite_prefix_raises(self):
+        u = MomentFunctional(initial=[1, 2, 5])
+        shifted = functional_poly_mul(Poly.x(), u)
+        for derived in (shifted, functional_derivative(u), u + u, u - shifted, -u, 2 * u):
+            with pytest.raises(ValueError):
+                derived.moments(4)
+        # a failed read leaves the functional as it was
+        assert shifted.moments(1) == [2, 5]
+        with pytest.raises(ValueError):
+            shifted.moment(2)
+
 
 class TestApply:
     def test_constant(self, hermite_pair):

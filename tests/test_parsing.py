@@ -9,7 +9,7 @@ from hypothesis import given
 
 from conftest import small_polys
 from copoly import ExprSyntaxError, Poly, UnknownIdentifier, parse_poly_expr
-from copoly.parsing import MAX_NESTING
+from copoly.parsing import MAX_DEGREE, MAX_NESTING
 
 
 class TestBasics:
@@ -143,6 +143,33 @@ class TestErrors:
             parse_poly_expr(text)
         assert exc.value.position == position
         assert f"deeper than {MAX_NESTING}" in str(exc.value)
+
+
+class TestDegreeCap:
+    def test_degree_at_the_cap_parses(self):
+        assert parse_poly_expr(f"x^{MAX_DEGREE}") == Poly.monomial(MAX_DEGREE)
+        assert parse_poly_expr("x^50 * x^50 - x^0100") == Poly.zero()
+
+    @pytest.mark.parametrize("text, position, message", [
+        ("(x+1)^3000 - (x+1)^3000 + 1", 6, f"exponent exceeds {MAX_DEGREE}"),
+        ("((x^100)^100)^100", 8, f"power would have degree 10000, above the cap {MAX_DEGREE}"),
+        ("x^50 * x^51", 5, f"product would have degree 101, above the cap {MAX_DEGREE}"),
+        ("2^" + "9" * 5000, 2, f"exponent exceeds {MAX_DEGREE}"),
+    ], ids=["exponent", "nested-powers", "product", "long-exponent"])
+    def test_refused_before_expanding(self, monkeypatch, text, position, message):
+        degrees = []
+        product = Poly.__mul__
+
+        def recorded(a, b):
+            result = product(a, b)
+            degrees.append(result.degree)
+            return result
+        monkeypatch.setattr(Poly, "__mul__", recorded)
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_poly_expr(text)
+        assert exc.value.position == position
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert max(degrees, default=0) <= MAX_DEGREE
 
 
 class TestRoundTrip:

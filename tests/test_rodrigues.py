@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import copoly.rodrigues
 import oracles
 from copoly import (
     AdmissibilityViolation,
@@ -245,6 +246,25 @@ class TestCompTable:
         table = complementary_table(laguerre_pair, 5)
         for nu in range(6):
             assert table.rows[nu] == complementary(laguerre_pair, 5, nu)
+
+    def test_row_memo_builds_only_missing_rows(self, monkeypatch):
+        # A fresh pair: the session fixtures carry their row memos between tests.
+        pair = pair_from_family(jacobi_family(JA, JB), max_order=8)
+        original = copoly.rodrigues._comp_rows
+        built = []
+
+        def counted(*args):
+            rows = original(*args)
+            built.append(len(rows))
+            return rows
+        monkeypatch.setattr(copoly.rodrigues, "_comp_rows", counted)
+        assert complementary_table(pair, 3).rows == tuple(original(pair, 3, 3))
+        # past nu = n, as the generating series reads them
+        assert pair.rows(3, 6) == original(pair, 3, 6)
+        assert complementary(pair, 3, 2) == original(pair, 3, 2)[2]
+        pair.rows(3, 5).append(Poly.zero())
+        assert pair.rows(3, 6) == original(pair, 3, 6)
+        assert built == [4, 3]
 
 
 class TestClassicalOracles:

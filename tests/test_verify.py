@@ -8,12 +8,14 @@ import pytest
 
 import copoly.genfun
 import copoly.oracle
+import copoly.rodrigues
 import copoly.verify
 from copoly import (
     ClassicalPair,
     MomentFunctional,
     Poly,
     SUITE_NAMES,
+    SeriesYX,
     bessel_family,
     custom_family,
     hermite_family,
@@ -82,6 +84,23 @@ class TestPassingRuns:
         assert verify_pair(hermite_pair, suites=("genfun",), max_n=3, order=6).passed
         assert len(calls) == 11
 
+    def test_rows_are_built_once_per_pair(self, monkeypatch):
+        # A fresh pair: the session fixtures carry their row memos between tests.
+        pair = pair_from_family(jacobi_family(Fraction(1, 3), Fraction(4, 3)), max_order=40)
+        built = []
+        original = copoly.rodrigues._comp_rows
+
+        def counted(*args):
+            rows = original(*args)
+            built.append(len(rows))
+            return rows
+        monkeypatch.setattr(copoly.rodrigues, "_comp_rows", counted)
+        report = verify_pair(pair, max_n=8, order=12)
+        assert report.passed
+        assert sum(s.checks for s in report.suites) == 549
+        # rows 0..12 of n = 0..8 are 117 distinct rows
+        assert sum(built) <= 162
+
 
 class TestNotes:
     def test_probe_note_reports_coincidence_without_phi2(self, hermite_pair):
@@ -141,6 +160,7 @@ class TestFailureDetection:
         assert all(checks > 0 for name, (checks, _) in suites.items() if name != "oracle")
         assert notes[-1] == ("oracle checks skipped: moment functional is not quasi-definite "
                              f"(Hankel determinant of order {level} vanishes)")
+        assert (_VACUOUS in notes) == (spec.u0 == 0)
 
 
 # Golden reports: every suite's (checks, failures) and the notes, pinned
@@ -153,6 +173,8 @@ _DIFFERS = ("leading-coefficient probe: value is psi' + (m+2k) phi''/2 "
             "(= -lambda_{m+2k+1}/(m+2k+1)); the ratio -lambda_{m+2k}/(m+2k) differs, "
             "first at k=0 m=1 ")
 _SKIPPED = "closed-form/weight checks skipped: no catalog weight for this pair"
+_VACUOUS = ("functional checks are vacuous: u0 = 0, and the Pearson recurrence "
+            "is linear in u0, so every moment of u is zero")
 _PASSING_CHECKS = {"recursion": 68, "ode": 53, "functional": 58, "genfun": 34, "oracle": 72}
 
 
@@ -250,7 +272,11 @@ class TestGoldenReports:
          lambda orig: lambda pair, n, order: {
              **orig(pair, n, order), **({"x_lower": Poly.one()} if n == 1 else {})},
          "genfun", 22, ["n=1: identity x_lower residual nonzero"]),
-    ], ids=["gram", "hankel-ratio", "cross-validate", "probe", "ladder", "ode", "pde"])
+        ("weight_ratio_series",
+         lambda orig: lambda pair, order: orig(pair, order) + SeriesYX(order, [0] * order + [1]),
+         "genfun", 22, [f"n={n}: truncated series != closed form at order 4" for n in range(4)]),
+    ], ids=["gram", "hankel-ratio", "cross-validate", "probe", "ladder", "ode", "pde",
+            "closed-form"])
     def test_injected_failure(self, hermite_pair, monkeypatch,
                               name, patched, suite, checks, failures):
         monkeypatch.setattr(copoly.verify, name, patched(getattr(copoly.verify, name)))
