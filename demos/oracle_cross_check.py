@@ -1,21 +1,23 @@
 """
-Two independent constructions of the same orthogonal sequence
-=============================================================
+Independent constructions of the same orthogonal sequence
+=========================================================
 
-Gram-Schmidt on the monomials only ever touches the raw moments; the
-Rodrigues recursion only ever touches (phi, psi).  If both are right,
-the monic rescaling of the diagonal C_m(x; m) must land exactly on the
-Gram-Schmidt output, and the classical three-term recurrence must
-reassemble the sequence from its two coefficient lists.
+The Chebyshev algorithm and Gram-Schmidt on the monomials only ever touch
+the raw moments; the Rodrigues recursion only ever touches (phi, psi).  If
+all are right, the two moment-only sequences agree, the monic rescaling of
+the diagonal C_m(x; m) must land exactly on them, and the classical
+three-term recurrence must reassemble the sequence from its two
+coefficient lists.
 """
 
 from fractions import Fraction
 
 from copoly import (
+    chebyshev_ops,
     complementary,
     cross_validate,
     gram_schmidt_ops,
-    hankel_determinant,
+    hankel_minors,
     hermite_family,
     jacobi_family,
     orthogonality_matrix,
@@ -26,17 +28,21 @@ from copoly import (
 pair = pair_from_family(hermite_family(), max_order=40)
 DEPTH = 6
 
-ops = gram_schmidt_ops(pair.u, DEPTH)
-print("monic hermite sequence from moments alone:")
+ops = chebyshev_ops(pair.u, DEPTH)
+print("monic hermite sequence from moments alone (Chebyshev algorithm):")
 for m, p in enumerate(ops.polys):
     print(f"  P_{m} = {p},   <u, P^2> = {ops.norms[m]}")
 
-# The squared norms are ratios of consecutive Hankel determinants
-# (with the empty determinant taken as 1).
+# Gram-Schmidt reaches the same sequence by O(n^4) projections.
+reference = gram_schmidt_ops(pair.u, DEPTH)
+print("chebyshev and gram-schmidt sequences agree:",
+      (ops.polys, ops.norms) == (reference.polys, reference.norms))
+
+# The squared norms are ratios of consecutive Hankel determinants (with the
+# empty determinant taken as 1); one elimination gives every level.
+minors = [Fraction(1)] + hankel_minors(pair.u, DEPTH)
 print("norms equal hankel ratios:",
-      all(ops.norms[m] == hankel_determinant(pair.u, m)
-          / (hankel_determinant(pair.u, m - 1) if m else Fraction(1))
-          for m in range(DEPTH + 1)))
+      all(ops.norms[m] == minors[m + 1] / minors[m] for m in range(DEPTH + 1)))
 
 # Orthogonality, stated as a matrix: off-diagonal pairings vanish.
 gram = orthogonality_matrix(pair.u, ops.polys)
@@ -52,13 +58,13 @@ print("recurrence coefficients (a_m, b_m):",
 
 # cross_validate does the full comparison in one call: it rescales each
 # diagonal row to monic form and insists on exact equality with the
-# Gram-Schmidt sequence it is given, raising MismatchError otherwise.
+# moment-only sequence it is given, raising MismatchError otherwise.
 cross_validate(pair, ops)
-print("diagonals match gram-schmidt through degree", DEPTH)
+print("diagonals match the moment-only sequence through degree", DEPTH)
 scale = complementary(pair, 3, 3).leading_coefficient
 print("C_3(x;3) leading coefficient:", scale, "(the monic rescale factor)")
 
 # Same game for a nonsymmetric family; here the a_m drift with m.
 pair = pair_from_family(jacobi_family(Fraction(1, 3), 2), max_order=40)
-coeffs = three_term_coefficients(gram_schmidt_ops(pair.u, 4))
+coeffs = three_term_coefficients(chebyshev_ops(pair.u, 4))
 print("jacobi(1/3, 2) a_m:", [str(a) for a, _ in coeffs])

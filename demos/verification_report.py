@@ -28,8 +28,8 @@ def show(report):
 
 # A catalog family runs all five suites: the row recursion against the
 # one-step operator, the differential equations, the moment-functional
-# identities, the generating-function comparisons, and the Gram-Schmidt
-# cross check.
+# identities, the generating-function comparisons, and the cross check
+# against the orthogonal sequence built from the moments alone.
 pair = pair_from_family(bessel_family(1), max_order=60)
 show(verify_pair(pair, max_n=6))
 

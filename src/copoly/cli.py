@@ -15,7 +15,9 @@ counterexample was found, 2 invalid input.
 
 The environment variable ``COPOLY_MAX_ORDER`` (default 16) caps the series
 order accepted by ``verify`` and ``genfun``; requests above the cap are
-rejected rather than silently clamped.
+rejected rather than silently clamped.  So are ``--n`` above ``MAX_N``
+(``compute`` and ``genfun``) and ``--max-n`` above ``MAX_VERIFY_N``
+(``verify``), which keeps every accepted request to seconds.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ from .rodrigues import (
 from .verify import SUITE_NAMES, VerifyReport, verify_pair
 
 DEFAULT_MAX_ORDER_CAP = 16
+MAX_N = 400
+MAX_VERIFY_N = 24
 
 _FAMILY_HELP = (
     f"catalog family name ({', '.join(CATALOG)}; legendre is "
@@ -76,6 +80,15 @@ def _check_order(order: int) -> int:
         raise ValueError(
             f"series order {order} exceeds the COPOLY_MAX_ORDER cap of {cap}")
     return order
+
+
+def _check_size(flag: str, value: int, cap: int) -> int:
+    """``value`` of ``flag`` when it lies in ``0 .. cap``; refused, never clamped, otherwise."""
+    if value < 0:
+        raise ValueError(f"{flag} must be >= 0")
+    if value > cap:
+        raise ValueError(f"{flag} {value} exceeds the cap of {cap}")
+    return value
 
 
 def _rational(source: str, value) -> Fraction:
@@ -212,9 +225,7 @@ def _print_compute_latex(pair: ClassicalPair, n: int, nu: int | None) -> None:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     spec = resolve_family(args)
-    n = args.n
-    if n < 0:
-        raise ValueError("--n must be >= 0")
+    n = _check_size("--n", args.n, MAX_N)
     nu = args.nu
     if nu is not None and not 0 <= nu <= n:
         raise ValueError(f"--nu must satisfy 0 <= nu <= n, got nu={nu}, n={n}")
@@ -238,8 +249,7 @@ def _report_to_dict(report: VerifyReport) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = resolve_family(args)
-    if args.max_n < 0:
-        raise ValueError("--max-n must be >= 0")
+    _check_size("--max-n", args.max_n, MAX_VERIFY_N)
     order = _check_order(args.order)
     if order < 2:
         raise ValueError("--order must be >= 2")
@@ -265,8 +275,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_genfun(args: argparse.Namespace) -> int:
     spec = resolve_family(args)
-    if args.n < 0:
-        raise ValueError("--n must be >= 0")
+    _check_size("--n", args.n, MAX_N)
     order = _check_order(args.order)
     pair = pair_from_family(spec, max_order=max(args.n, 2))
     truncated = genfun_truncated(pair, args.n, order)
@@ -335,14 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Text output lists terms by ascending degree; LaTeX by descending degree.",
     )
     _add_family_arguments(compute)
-    compute.add_argument("--n", type=int, required=True, help="table size (top degree)")
+    compute.add_argument("--n", type=int, required=True,
+                         help=f"table size (top degree), at most {MAX_N}")
     compute.add_argument("--nu", type=int, default=None, help="emit only row nu")
     compute.add_argument("--format", choices=("text", "json", "latex"), default="text")
     compute.set_defaults(func=cmd_compute)
 
     verify = sub.add_parser("verify", help="run exact identity suites over a grid")
     _add_family_arguments(verify)
-    verify.add_argument("--max-n", type=int, default=8, help="largest n in the grid")
+    verify.add_argument("--max-n", type=int, default=8,
+                        help=f"largest n in the grid, at most {MAX_VERIFY_N}")
     verify.add_argument("--order", type=int, default=12, help="series truncation order")
     verify.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     verify.add_argument("--format", choices=("text", "json"), default="text")
@@ -350,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     genfun = sub.add_parser("genfun", help="emit the generating series both ways")
     _add_family_arguments(genfun)
-    genfun.add_argument("--n", type=int, required=True)
+    genfun.add_argument("--n", type=int, required=True, help=f"series index, at most {MAX_N}")
     genfun.add_argument("--order", type=int, default=8, help="series truncation order")
     genfun.add_argument("--format", choices=("json", "latex"), default="json")
     genfun.set_defaults(func=cmd_genfun)

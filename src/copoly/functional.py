@@ -22,7 +22,7 @@ equivalently ``psi' + k phi''/2 != 0``).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import AdmissibilityViolation, InvalidParameter
@@ -229,6 +229,46 @@ def pearson_residual(phi: Poly, psi: Poly, u: MomentFunctional,
     """
     residual = functional_derivative(functional_poly_mul(phi, u)) - functional_poly_mul(psi, u)
     return residual.moments(order)
+
+
+def hankel_minors(u: MomentFunctional, n: int) -> list[Fraction]:
+    """Leading Hankel determinants ``Delta_0 .. Delta_n`` from one elimination of ``H_n``.
+
+    Without row swaps the ``m``-th pivot is ``Delta_m / Delta_{m-1}``, so
+    ``Delta_m`` is the product of the first ``m + 1`` pivots.  The list ends
+    at the first zero: no pivot exists past it without a swap.  Each row is
+    held as integer numerators over one denominator, so a row update costs
+    integer products and one gcd instead of a ``Fraction`` per entry.
+    """
+    if n < 0:
+        raise IndexError("Hankel order must be >= 0")
+    moments = u.moments(2 * n)
+    den = lcm(*[v.denominator for v in moments])
+    ints = _numerators(moments, den)
+    # rows[r] holds the uneliminated columns of row r, from column k on at step k
+    rows = [(ints[r:r + n + 1], den) for r in range(n + 1)]
+    minors: list[Fraction] = []
+    delta = Fraction(1)
+    for k in range(n + 1):
+        pivot_row, pivot_den = rows[k]
+        p = pivot_row[0]
+        delta *= Fraction(p, pivot_den)
+        minors.append(delta)
+        if p == 0:
+            break
+        tail = pivot_row[1:]
+        for r in range(k + 1, n + 1):
+            row, d = rows[r]
+            f = row[0]
+            if f == 0:
+                rows[r] = (row[1:], d)
+                continue
+            # row - (f/d) / (p/pivot_den) * pivot_row == (p*row - f*pivot)/(d*p)
+            new = [p * x - f * y for x, y in zip(row[1:], tail)]
+            d *= p
+            g = gcd(d, *new)
+            rows[r] = ([x // g for x in new], d // g)
+    return minors
 
 
 def hankel_determinant(u: MomentFunctional, n: int) -> Fraction:

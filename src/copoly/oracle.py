@@ -1,22 +1,25 @@
 """Independent cross-check: orthogonal sequences straight from the moments.
 
-Nothing here touches the Rodrigues machinery.  Monic orthogonal polynomials
-are produced by Gram-Schmidt in the monomial basis using only
-``functional_apply``, so agreement between the diagonal complementary rows
-(after monic normalization) and these polynomials is a genuine two-path
-consistency check.  Quasi-definiteness (all squared norms nonzero) is
-exactly the nonvanishing of the Hankel determinants, and the norms satisfy
-``r_n = Delta_n / Delta_{n-1}``.
+Nothing here touches the Rodrigues machinery.  ``chebyshev_ops`` builds the
+monic orthogonal polynomials from the moments by the Chebyshev algorithm,
+and ``gram_schmidt_ops`` builds the same sequence by Gram-Schmidt in the
+monomial basis as a slower reference; so agreement between the diagonal
+complementary rows (after monic normalization) and these polynomials is a
+genuine two-path consistency check.  Quasi-definiteness (all squared norms
+nonzero) is exactly the nonvanishing of the Hankel determinants, and the
+norms satisfy ``r_n = Delta_n / Delta_{n-1}``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import MismatchError, NotQuasiDefinite
-from .functional import MomentFunctional, functional_apply
+from .functional import MomentFunctional, _numerators, functional_apply
 from .poly import Poly
 from .rodrigues import ClassicalPair, complementary
 
@@ -55,11 +58,77 @@ def gram_schmidt_ops(u: MomentFunctional, n: int) -> MonicOPS:
     return MonicOPS(tuple(polys), tuple(norms), u)
 
 
+def chebyshev_ops(u: MomentFunctional, n: int) -> MonicOPS:
+    """Monic orthogonal polynomials of degree ``0..n`` for ``u`` by the Chebyshev algorithm.
+
+    The mixed moments ``sigma_{k,l} = <u, P_k x**l>`` obey
+    ``sigma_{k,l} = sigma_{k-1,l+1} - a_{k-1} sigma_{k-1,l} - b_{k-1} sigma_{k-2,l}``,
+    the norm is ``r_k = sigma_{k,k}``, and the recurrence coefficients are
+    ``a_k = sigma_{k,k+1}/r_k - sigma_{k-1,k}/r_{k-1}`` and
+    ``b_k = r_k/r_{k-1}``, which build ``P_{k+1} = (x - a_k) P_k - b_k P_{k-1}``
+    (Gautschi, *Orthogonal Polynomials: Computation and Approximation*,
+    2004, section 2.1.7).  Only ``u_0 .. u_{2n}`` are read, the same moments
+    ``gram_schmidt_ops`` reads, and the first vanishing norm raises
+    ``NotQuasiDefinite`` at the same level.
+    """
+    if n < 0:
+        raise IndexError("n must be >= 0")
+    top = 2 * n
+    # sigma[l] and below[l] are sigma_{k,l} and sigma_{k-1,l}, read only at l >= k
+    sigma = u.moments(top)
+    below = [Fraction(0)] * (top + 1)
+    a = b = Fraction(0)
+    x = Poly.x()
+    polys = [Poly.one()]
+    norms: list[Fraction] = []
+    for k in range(n + 1):
+        if k:
+            sigma, below = [Fraction(0)] * k + [
+                sigma[l + 1] - a * sigma[l] - b * below[l]
+                for l in range(k, top - k + 1)], sigma
+        r = sigma[k]
+        if r == 0:
+            raise NotQuasiDefinite(k)
+        norms.append(r)
+        if k == n:
+            break
+        a = sigma[k + 1] / r
+        previous = Poly.zero()
+        if k:
+            a -= below[k] / norms[k - 1]
+            b = r / norms[k - 1]
+            previous = polys[k - 1]
+        polys.append((x - a) * polys[k] - b * previous)
+    return MonicOPS(tuple(polys), tuple(norms), u)
+
+
 def orthogonality_matrix(u: MomentFunctional,
                          polys: Sequence[Poly]) -> list[list[Fraction]]:
-    """Gram matrix ``G[i][j] = <u, polys[i] * polys[j]>``."""
-    products = [[functional_apply(u, pi * pj) for pj in polys] for pi in polys]
-    return products
+    """Gram matrix ``G[i][j] = <u, polys[i] * polys[j]>``.
+
+    Computed as ``C H C^T`` on integer numerators: ``C`` holds each
+    polynomial's coefficients over its own common denominator and ``H`` the
+    Hankel matrix of the moments over theirs, so each entry costs integer
+    products and one ``Fraction``.  ``G`` is symmetric, so only ``i <= j``
+    is computed.  No moment past ``2 * max degree`` is read.
+    """
+    size = len(polys)
+    width = max((len(p.coeffs) for p in polys), default=0)
+    if width == 0:
+        return [[Fraction(0)] * size for _ in range(size)]
+    moments = u.moments(2 * width - 2)
+    mden = lcm(*[v.denominator for v in moments])
+    hankel = _numerators(moments, mden)
+    dens = [lcm(*[c.denominator for c in p.coeffs]) for p in polys]
+    rows = [_numerators(p.coeffs, d) for p, d in zip(polys, dens)]
+    # ch[i][b] = sum_a C[i][a] H[a][b]
+    ch = [[sum(map(mul, row, hankel[b:])) for b in range(width)] for row in rows]
+    gram = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            entry = Fraction(sum(map(mul, ch[i], rows[j])), dens[i] * dens[j] * mden)
+            gram[i][j] = gram[j][i] = entry
+    return gram
 
 
 def three_term_coefficients(ops: MonicOPS) -> list[tuple[Fraction, Fraction]]:
@@ -82,8 +151,9 @@ def three_term_coefficients(ops: MonicOPS) -> list[tuple[Fraction, Fraction]]:
 def cross_validate(pair: ClassicalPair, ops: MonicOPS) -> None:
     """Check ``monic C_m(x; m) == ops.polys[m]`` for every degree in ``ops``.
 
-    ``ops`` is the Gram-Schmidt sequence of ``pair.u``; the first degree
-    where the monic diagonal row differs raises ``MismatchError``.
+    ``ops`` is a sequence built from the moments of ``pair.u`` alone
+    (``chebyshev_ops`` or ``gram_schmidt_ops``); the first degree where the
+    monic diagonal row differs raises ``MismatchError``.
     """
     for m, expected in enumerate(ops.polys):
         if complementary(pair, m, m).monic() != expected:

@@ -19,7 +19,10 @@ unary signs together may nest at most ``MAX_NESTING`` levels deep, so every
 input finishes or raises ``ExprSyntaxError`` well inside the interpreter's
 recursion limit.  No exponent, and no intermediate result, may pass degree
 ``MAX_DEGREE``: a ``^`` or ``*`` that would is refused before it is expanded,
-so ``(x+1)^3000 - (x+1)^3000`` costs nothing.
+so ``(x+1)^3000 - (x+1)^3000`` costs nothing.  Likewise a ``^`` is refused
+when the exponent times the bit length of the base's largest numerator or
+denominator passes ``MAX_CONSTANT_BITS``, so ``((2^100)^100)^100`` never
+builds its million-bit constant.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .poly import Poly, as_rational
 
 MAX_NESTING = 100
 MAX_DEGREE = 100
+MAX_CONSTANT_BITS = 10_000
 
 
 class _Token(NamedTuple):
@@ -149,6 +153,11 @@ class _Parser:
                 raise ExprSyntaxError(tok.pos, f"exponent exceeds {MAX_DEGREE}")
             exponent = int(digits)
             self.check_degree(caret, base.degree * exponent if exponent else 0, "power")
+            bits = exponent * max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                                   for c in base.coeffs), default=0)
+            if bits > MAX_CONSTANT_BITS:
+                raise ExprSyntaxError(caret.pos, f"power would need {bits}-bit coefficients, "
+                                                 f"above the cap {MAX_CONSTANT_BITS}")
             return base ** exponent
         return base
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import MismatchError, NotProportional, NotQuasiDefinite, UnsupportedFamily
-from .functional import hankel_determinant, leibniz_residual, pearson_residual
+from .functional import hankel_minors, leibniz_residual, pearson_residual
 from .genfun import genfun_phi_factor, genfun_truncated, pde_residual, weight_ratio_series
-from .oracle import cross_validate, gram_schmidt_ops, orthogonality_matrix, three_term_coefficients
+from .oracle import chebyshev_ops, cross_validate, orthogonality_matrix, three_term_coefficients
 from .poly import Poly
 from .rodrigues import (
     ClassicalPair,
@@ -158,7 +158,7 @@ def _suite_genfun(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) ->
 
 def _suite_oracle(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) -> None:
     try:
-        ops = gram_schmidt_ops(pair.u, max_n)
+        ops = chebyshev_ops(pair.u, max_n)
     except NotQuasiDefinite as exc:
         tally.notes.append("oracle checks skipped: moment functional is not quasi-definite "
                            f"(Hankel determinant of order {exc.level} vanishes)")
@@ -171,8 +171,7 @@ def _suite_oracle(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) ->
             else:
                 tally.check(gram[i][j] == 0, f"degrees ({i},{j}): Gram entry nonzero")
     previous = Fraction(1)
-    for m in range(max_n + 1):
-        delta = hankel_determinant(pair.u, m)
+    for m, delta in enumerate(hankel_minors(pair.u, max_n)):
         if delta == 0:
             tally.check(False, f"degree {m}: Hankel determinant vanishes")
             break

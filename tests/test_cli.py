@@ -22,7 +22,8 @@ from copoly import (
     mu_eigenvalue,
     pair_from_family,
 )
-from copoly.cli import build_compute_document, main
+import copoly.cli
+from copoly.cli import MAX_N, MAX_VERIFY_N, build_compute_document, main
 from copoly.rodrigues import (
     bessel_family,
     hermite_family,
@@ -201,7 +202,9 @@ class TestComputeErrors:
     @pytest.mark.parametrize("phi, message", [
         ("(x+1)^3000 - (x+1)^3000 + 1", "exponent exceeds 100 (at position 6)"),
         ("((x^100)^100)^100", "power would have degree 10000, above the cap 100 (at position 8)"),
-    ], ids=["cancelling-powers", "nested-powers"])
+        ("(((2^100)^100)^100)^10*x",
+         "power would need 10100-bit coefficients, above the cap 10000 (at position 9)"),
+    ], ids=["cancelling-powers", "nested-powers", "constant-bits"])
     def test_degree_cap_exits_two(self, capsys, phi, message):
         code, out, err = run_cli(capsys, "compute", "--phi", phi, "--psi=-2*x", "--n", "2")
         assert code == 2
@@ -423,6 +426,34 @@ class TestGenfun:
         )
         assert code == 0
         assert "\\begin{array}" in out
+
+
+class TestSizeCaps:
+    """``--n`` and ``--max-n`` past their caps are refused before any pair is set up."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("compute", "--family", "hermite", "--n", str(MAX_N + 1)), "--n"),
+        (("genfun", "--family", "hermite", "--n", str(MAX_N + 1)), "--n"),
+        (("verify", "--family", "hermite", "--max-n", str(MAX_VERIFY_N + 1)), "--max-n"),
+        (("compute", "--family", "hermite", "--n", "9" * 5000), "--n"),
+        (("genfun", "--family", "hermite", "--n", "9" * 5000), "--n"),
+        (("verify", "--family", "hermite", "--max-n", "9" * 5000), "--max-n"),
+    ], ids=["compute-401", "genfun-401", "verify-25", "compute-5000-digits",
+            "genfun-5000-digits", "verify-5000-digits"])
+    def test_above_the_cap_exits_two(self, capsys, monkeypatch, argv, flag):
+        def never(*args, **kwargs):
+            raise AssertionError("a refused request set up its pair")
+        monkeypatch.setattr(copoly.cli, "pair_from_family", never)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse refuses an int it will not convert
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert flag in err
+
+    def test_caps(self):
+        assert (MAX_N, MAX_VERIFY_N) == (400, 24)
 
 
 class TestOrderCap:

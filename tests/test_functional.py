@@ -20,6 +20,7 @@ from copoly import (
     functional_div_linear,
     functional_poly_mul,
     hankel_determinant,
+    hankel_minors,
     leibniz_residual,
     moments_from_pearson,
     pearson_residual,
@@ -340,3 +341,53 @@ class TestHankel:
     def test_degenerate_sequence(self):
         u = MomentFunctional(rule=lambda k, pre: Fraction(1))
         assert hankel_determinant(u, 1) == 0
+
+
+# The point-mass functionals of test_oracle.py: one unit mass at x = 1 has
+# Delta_1 = 0; unit masses at x = -1 and x = 1 have Delta_2 = 0.
+POINT_MASSES = [
+    (lambda k, pre: Fraction(1), [1, 0]),
+    (lambda k, pre: Fraction(1 - k % 2), [1, 1, 0]),
+]
+
+
+class TestHankelMinors:
+    """All levels from one elimination, against one pivoting elimination per level."""
+
+    def test_catalog_families_through_level_twelve(self, family_pairs):
+        for pair in family_pairs.values():
+            minors = hankel_minors(pair.u, 12)
+            assert minors == [hankel_determinant(pair.u, m) for m in range(13)]
+
+    @pytest.mark.parametrize("name", sorted(PHI_PSI))
+    def test_pearson_pairs_through_level_twelve(self, name):
+        phi, psi = PHI_PSI[name]
+        u = moments_from_pearson(phi, psi, 1, max_order=26)
+        assert hankel_minors(u, 12) == [hankel_determinant(u, m) for m in range(13)]
+
+    @pytest.mark.parametrize("rule, expected", POINT_MASSES, ids=["one-point", "two-point"])
+    def test_list_ends_at_the_first_zero(self, rule, expected):
+        u = MomentFunctional(rule=rule)
+        assert hankel_minors(u, 6) == expected
+        assert expected == [hankel_determinant(u, m) for m in range(len(expected))]
+
+    @given(st.integers(min_value=0, max_value=5), st.data())
+    def test_random_moments(self, n, data):
+        # small integers make vanishing minors common at every level
+        moments = data.draw(st.lists(st.integers(-2, 2) | rationals(), min_size=2 * n + 1,
+                                     max_size=2 * n + 1))
+        u = MomentFunctional(initial=moments)
+        expected = []
+        for m in range(n + 1):
+            expected.append(hankel_determinant(u, m))
+            if expected[-1] == 0:
+                break
+        assert hankel_minors(u, n) == expected
+
+    def test_reads_only_the_moments_of_h_n(self):
+        u = MomentFunctional(initial=[2, 1, 3, 1, 5])
+        assert hankel_minors(u, 2) == [hankel_determinant(u, m) for m in range(3)]
+
+    def test_negative_order(self, hermite_pair):
+        with pytest.raises(IndexError):
+            hankel_minors(hermite_pair.u, -1)

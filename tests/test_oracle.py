@@ -1,25 +1,39 @@
-"""Gram-Schmidt reference construction and the two-path cross-check."""
+"""The moment-only constructions (Chebyshev, Gram-Schmidt) and the two-path cross-check."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from conftest import rationals, small_polys
 from copoly import (
+    AdmissibilityViolation,
     MismatchError,
     MomentFunctional,
     NotQuasiDefinite,
     Poly,
+    chebyshev_ops,
     complementary,
     cross_validate,
+    functional_apply,
     gram_schmidt_ops,
     hankel_determinant,
     laguerre_family,
+    moments_from_pearson,
     orthogonality_matrix,
     pair_from_family,
     three_term_coefficients,
 )
+
+POINT_MASSES = [
+    # a unit mass at x = 1 degenerates at the first level
+    pytest.param(lambda k, pre: Fraction(1), 1, id="one-point"),
+    # unit masses at x = -1 and x = 1 carry degrees 0 and 1 only
+    pytest.param(lambda k, pre: Fraction(1 - k % 2), 2, id="two-point"),
+]
 
 
 class TestGramSchmidt:
@@ -45,12 +59,7 @@ class TestGramSchmidt:
         with pytest.raises(IndexError):
             gram_schmidt_ops(hermite_pair.u, -1)
 
-    @pytest.mark.parametrize("rule, level", [
-        # a unit mass at x = 1 degenerates at the first level
-        (lambda k, pre: Fraction(1), 1),
-        # unit masses at x = -1 and x = 1 carry degrees 0 and 1 only
-        (lambda k, pre: Fraction(1 - k % 2), 2),
-    ], ids=["one-point", "two-point"])
+    @pytest.mark.parametrize("rule, level", POINT_MASSES)
     def test_point_mass_not_quasi_definite(self, rule, level):
         with pytest.raises(NotQuasiDefinite) as exc:
             gram_schmidt_ops(MomentFunctional(rule=rule), 2)
@@ -62,6 +71,59 @@ class TestGramSchmidt:
             for m in range(1, 11):
                 ratio = hankel_determinant(pair.u, m) / hankel_determinant(pair.u, m - 1)
                 assert ops.norms[m] == ratio
+
+
+def _sequence(build, u, n):
+    """``(polys, norms)`` of ``build(u, n)``, or the level it reports as vanishing."""
+    try:
+        ops = build(u, n)
+    except NotQuasiDefinite as exc:
+        return exc.level
+    return ops.polys, ops.norms
+
+
+class TestChebyshev:
+    """The Chebyshev algorithm against the Gram-Schmidt reference."""
+
+    def test_catalog_families(self, family_pairs):
+        for pair in family_pairs.values():
+            assert (_sequence(chebyshev_ops, pair.u, 10)
+                    == _sequence(gram_schmidt_ops, pair.u, 10))
+
+    @given(rationals(), rationals(), rationals(), rationals().filter(bool), rationals(),
+           rationals(), st.integers(min_value=0, max_value=8))
+    def test_random_pearson_pairs(self, a, b, c, d, e, u0, n):
+        try:
+            u = moments_from_pearson(Poly([c, b, a]), Poly([e, d]), u0, max_order=2 * n + 1)
+        except AdmissibilityViolation:
+            assume(False)
+        assert _sequence(chebyshev_ops, u, n) == _sequence(gram_schmidt_ops, u, n)
+
+    @given(st.integers(min_value=0, max_value=8), st.data())
+    def test_random_moments(self, n, data):
+        # small integers make a vanishing norm common at every level
+        moments = data.draw(st.lists(st.integers(-2, 2) | rationals(), min_size=2 * n + 1,
+                                     max_size=2 * n + 1))
+        u = MomentFunctional(initial=moments)
+        assert _sequence(chebyshev_ops, u, n) == _sequence(gram_schmidt_ops, u, n)
+
+    @pytest.mark.parametrize("rule, level", POINT_MASSES)
+    def test_point_mass_not_quasi_definite(self, rule, level):
+        with pytest.raises(NotQuasiDefinite) as exc:
+            chebyshev_ops(MomentFunctional(rule=rule), 2)
+        assert exc.value.level == level
+
+    def test_reads_only_the_first_two_n_plus_one_moments(self, jacobi_pair):
+        u = MomentFunctional(initial=jacobi_pair.u.moments(12))
+        assert _sequence(chebyshev_ops, u, 6) == _sequence(gram_schmidt_ops, jacobi_pair.u, 6)
+
+    def test_degree_zero(self, hermite_pair):
+        ops = chebyshev_ops(hermite_pair.u, 0)
+        assert (ops.polys, ops.norms, ops.functional) == ((Poly.one(),), (1,), hermite_pair.u)
+
+    def test_negative_n(self, hermite_pair):
+        with pytest.raises(IndexError):
+            chebyshev_ops(hermite_pair.u, -1)
 
 
 class TestOrthogonalityMatrix:
@@ -83,6 +145,15 @@ class TestOrthogonalityMatrix:
                         assert g[i][j] == ops.norms[i] != 0
                     else:
                         assert g[i][j] == 0
+
+    @given(st.lists(small_polys(5), max_size=6), st.data())
+    def test_matches_pairing_entry_by_entry(self, polys, data):
+        # a finite functional: reading past moment 2 * max degree would raise
+        top = max((p.degree for p in polys if p), default=0)
+        u = MomentFunctional(initial=data.draw(st.lists(rationals(), min_size=2 * top + 1,
+                                                        max_size=2 * top + 1)))
+        assert orthogonality_matrix(u, polys) == [
+            [functional_apply(u, p * q) for q in polys] for p in polys]
 
     def test_mixed_rows_of_one_table_not_orthogonal(self):
         # Rows of a single table mix different weights; only the diagonal

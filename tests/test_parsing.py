@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
 from conftest import small_polys
 from copoly import ExprSyntaxError, Poly, UnknownIdentifier, parse_poly_expr
-from copoly.parsing import MAX_DEGREE, MAX_NESTING
+from copoly.parsing import MAX_CONSTANT_BITS, MAX_DEGREE, MAX_NESTING
 
 
 class TestBasics:
@@ -170,6 +173,52 @@ class TestDegreeCap:
         assert exc.value.position == position
         assert str(exc.value) == f"{message} (at position {position})"
         assert max(degrees, default=0) <= MAX_DEGREE
+
+
+def _coeff_bits(p: Poly) -> int:
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length()) for c in p.coeffs),
+               default=0)
+
+
+class TestConstantCap:
+    def test_below_the_cap_parses(self):
+        assert parse_poly_expr("2^100*x") == Poly.monomial(1, 2 ** 100)
+        assert _coeff_bits(parse_poly_expr("(2^99)^100")) == 9901
+        assert MAX_CONSTANT_BITS == 10_000
+
+    @pytest.mark.parametrize("text, position, bits", [
+        ("(((2^100)^100)^100)^10*x", 9, 10100),
+        ("(x/2^100)^100", 9, 10100),
+        ("((2^60)^90+x)^2", 13, 10802),
+    ], ids=["nested-powers", "denominator", "polynomial-base"])
+    def test_refused_before_expanding(self, monkeypatch, text, position, bits):
+        built = []
+        product = Poly.__mul__
+
+        def recorded(a, b):
+            result = product(a, b)
+            built.append(_coeff_bits(result))
+            return result
+        monkeypatch.setattr(Poly, "__mul__", recorded)
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_poly_expr(text)
+        assert exc.value.position == position
+        assert str(exc.value) == (f"power would need {bits}-bit coefficients, above the cap "
+                                  f"{MAX_CONSTANT_BITS} (at position {position})")
+        assert max(built, default=0) <= MAX_CONSTANT_BITS
+
+    def test_benchmark_expressions_parse(self):
+        digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+        parsed = 0
+        for key in json.loads(digests.read_text(encoding="utf-8")):
+            argv = shlex.split(key)
+            params = {flag[2:]: argv[argv.index(flag) + 1]
+                      for flag in ("--alpha", "--beta") if flag in argv}
+            for flag in ("--phi", "--psi"):
+                if flag in argv:
+                    parse_poly_expr(argv[argv.index(flag) + 1], params)
+                    parsed += 1
+        assert parsed > 0
 
 
 class TestRoundTrip:

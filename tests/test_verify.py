@@ -59,15 +59,15 @@ class TestPassingRuns:
         assert report.params == {"alpha": Fraction(1, 3), "beta": Fraction(2)}
         assert report.max_n == 3
 
-    def test_oracle_suite_runs_gram_schmidt_once(self, jacobi_pair, monkeypatch):
+    def test_oracle_suite_builds_its_sequence_once(self, jacobi_pair, monkeypatch):
         calls = []
-        original = copoly.oracle.gram_schmidt_ops
+        original = copoly.oracle.chebyshev_ops
 
         def counted(u, n):
             calls.append(n)
             return original(u, n)
-        monkeypatch.setattr(copoly.verify, "gram_schmidt_ops", counted)
-        monkeypatch.setattr(copoly.oracle, "gram_schmidt_ops", counted)
+        monkeypatch.setattr(copoly.verify, "chebyshev_ops", counted)
+        monkeypatch.setattr(copoly.oracle, "chebyshev_ops", counted)
         assert verify_pair(jacobi_pair, suites=("oracle",), max_n=4).passed
         assert calls == [4]
 
@@ -238,9 +238,9 @@ class TestGoldenReports:
         ])}, [])
 
     def test_vanishing_hankel_stops_the_ratio_checks(self, hermite_pair, monkeypatch):
-        original = copoly.verify.hankel_determinant
-        monkeypatch.setattr(copoly.verify, "hankel_determinant",
-                            lambda u, m: Fraction(0) if m == 2 else original(u, m))
+        original = copoly.verify.hankel_minors
+        monkeypatch.setattr(copoly.verify, "hankel_minors",
+                            lambda u, n: original(u, n)[:2] + [Fraction(0)])
         report = verify_pair(hermite_pair, suites=("oracle",), max_n=4, order=4)
         assert _summary(report) == (
             {"oracle": (57, ["degree 2: Hankel determinant vanishes"])}, [_COINCIDE])
@@ -252,8 +252,8 @@ class TestGoldenReports:
              for i, row in enumerate(orig(u, polys))],
          "oracle", 48,
          ["degrees (0,1): Gram entry nonzero", "degree 2: Gram diagonal != squared norm"]),
-        ("hankel_determinant",
-         lambda orig: lambda u, m: 2 * orig(u, m) if m == 1 else orig(u, m),
+        ("hankel_minors",
+         lambda orig: lambda u, n: [2 * d if m == 1 else d for m, d in enumerate(orig(u, n))],
          "oracle", 48, ["degree 1: norm != Hankel ratio", "degree 2: norm != Hankel ratio"]),
         ("cross_validate",
          lambda orig: lambda pair, ops: _raise(MismatchError(3)),
