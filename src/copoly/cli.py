@@ -103,6 +103,10 @@ def _rational(source: str, value) -> Fraction:
                                f"such as '3/2', got {value!r}") from None
 
 
+class _JsonInteger(str):
+    """The text of a JSON integer literal, told apart from a JSON string."""
+
+
 def load_family_file(path: str) -> FamilySpec:
     """Read a family description from JSON.
 
@@ -114,16 +118,23 @@ def load_family_file(path: str) -> FamilySpec:
     missing ones are 0, others are rejected.
     """
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            # integers stay text, so an over-long one reaches _rational and its field name
+            data = json.load(handle, parse_int=_JsonInteger)
+        except RecursionError:
+            raise InvalidParameter("family file nests JSON arrays or objects too deeply") from None
     if not isinstance(data, dict):
         raise InvalidParameter(
-            f"family file must hold a JSON object, not a JSON {type(data).__name__}")
+            "family file must hold a JSON object, not a JSON "
+            + ("int" if isinstance(data, _JsonInteger) else type(data).__name__))
     for key in ("name", "phi", "psi"):
         if key not in data:
             raise InvalidParameter(f"family file is missing the {key!r} field")
     for key in ("phi", "psi"):
         if not isinstance(data[key], list):
             raise InvalidParameter(f"family file field {key!r} must be a JSON array")
+    if type(data["name"]) is not str:
+        raise InvalidParameter("family file field 'name' must be JSON text")
     raw_params = data.get("params", {})
     if not isinstance(raw_params, dict):
         raise InvalidParameter("family file field 'params' must be a JSON object")
@@ -132,7 +143,7 @@ def load_family_file(path: str) -> FamilySpec:
     psi = Poly([_rational(f"{where}psi[{i}]", c) for i, c in enumerate(data["psi"])])
     params = {k: _rational(f"{where}params.{k}", v) for k, v in raw_params.items()}
     u0 = _rational(f"{where}u0", data.get("u0", 1))
-    name = str(data["name"])
+    name = data["name"]
     if name in CATALOG:
         reference = catalog_family(name, params)
         if reference.phi != phi or reference.psi != psi:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -170,10 +170,8 @@ class Poly:
         # Schoolbook convolution on integer numerators over one common
         # denominator per operand: one gcd per output coefficient instead of
         # a Fraction multiply and add per term.
-        da = math.lcm(*[c.denominator for c in a])
-        db = math.lcm(*[c.denominator for c in b])
-        ia = [c.numerator * (da // c.denominator) for c in a]
-        ib = [c.numerator * (db // c.denominator) for c in b]
+        da, (ia,) = _integer_form((a,))
+        db, (ib,) = _integer_form((b,))
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(ia):
             if ca == 0:
@@ -237,6 +235,13 @@ class Poly:
             else:
                 parts.append(f" + {body}" if c > 0 else f" - {body}")
         return "".join(parts)
+
+
+def _integer_form(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """``(d, nums)``: ``d`` is the least common denominator of every value in
+    ``rows`` (1 when there is none) and ``nums[i][j] / d == rows[i][j]``."""
+    d = math.lcm(*[c.denominator for row in rows for c in row])
+    return d, [[c.numerator * (d // c.denominator) for c in row] for row in rows]
 
 
 def as_poly(value: Poly | int | str | Fraction) -> Poly:

@@ -23,8 +23,10 @@ exactly-zero object.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidParameter, NotProportional
@@ -35,7 +37,7 @@ from .functional import (
     functional_poly_mul,
     moments_from_pearson,
 )
-from .poly import Poly, as_rational
+from .poly import Poly, _integer_form, as_rational
 from .series import SeriesYX, series_exp, series_pow_rational
 
 
@@ -251,12 +253,32 @@ def _comp_rows(pair: ClassicalPair, n: int, count: int,
     """The rows after ``prefix = [C_0, ...]`` through ``C_count``, newly built."""
     # The recursion coefficient (n - nu - 1) goes negative past nu = n; that
     # continuation is what the generating series needs, so no bound check here.
-    rows = list(prefix) or [Poly.one()]
-    phi, psi, dphi = pair.phi, pair.psi, pair.phi.derivative()
-    for nu in range(len(rows) - 1, count):
-        p = rows[-1]
-        rows.append(phi * p.derivative() + (psi + (n - nu - 1) * dphi) * p)
-    return rows[len(prefix):]
+    # The last row is carried as integer numerators ``num`` over one reduced
+    # denominator ``den``, with phi and psi over their common denominator
+    # ``scale``: a step is two integer convolutions and one gcd over the row,
+    # and each emitted coefficient is one Fraction.
+    out = [] if prefix else [Poly.one()]
+    den, (num,) = _integer_form(((prefix or out)[-1].coeffs,))
+    scale, (phi, psi) = _integer_form((pair.phi.coeffs, pair.psi.coeffs))
+    dphi = [i * c for i, c in enumerate(phi)][1:]
+    for nu in range(max(len(prefix) - 1, 0), count):
+        k = n - nu - 1
+        factor = [a + k * b for a, b in zip_longest(psi, dphi, fillvalue=0)]
+        dnum = [i * c for i, c in enumerate(num)][1:]
+        new = [0] * (max(len(phi) + len(dnum), len(factor) + len(num)) - 1)
+        for coeffs, row in ((phi, dnum), (factor, num)):
+            for i, c in enumerate(coeffs):
+                if c:
+                    for j, v in enumerate(row, i):
+                        new[j] += c * v
+        den *= scale
+        g = math.gcd(den, *new)
+        if g > 1:
+            den //= g
+            new = [v // g for v in new]
+        num = new
+        out.append(Poly._of([Fraction(v, den) for v in num]))
+    return out
 
 
 def complementary(pair: ClassicalPair, n: int, nu: int) -> Poly:

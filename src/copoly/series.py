@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .poly import Poly, as_poly, as_rational
+from .poly import Poly, _integer_form, as_poly, as_rational
 
 
 class SeriesYX:
@@ -86,15 +86,24 @@ class SeriesYX:
     def __mul__(self, other) -> SeriesYX:
         if isinstance(other, SeriesYX):
             self._check_order(other)
+            # One bivariate convolution on integer numerators over one common
+            # denominator per operand; each output coefficient is one Fraction.
             n = self._order
-            out = [Poly.zero() for _ in range(n + 1)]
-            for i, a in enumerate(self._coeffs):
-                if a.is_zero:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other._coeffs[j]
-                    if not b.is_zero:
-                        out[i + j] = out[i + j] + a * b
+            da, ia = _integer_form([p.coeffs for p in self._coeffs])
+            db, ib = _integer_form([p.coeffs for p in other._coeffs])
+            d = da * db
+            out = []
+            for k in range(n + 1):
+                acc: list[int] = []
+                for a, b in zip(ia[: k + 1], reversed(ib[: k + 1])):
+                    if not a or not b:
+                        continue
+                    acc += [0] * (len(a) + len(b) - 1 - len(acc))
+                    for i, ca in enumerate(a):
+                        if ca:
+                            for j, cb in enumerate(b, i):
+                                acc[j] += ca * cb
+                out.append(Poly._of([Fraction(v, d) for v in acc]))
             return SeriesYX(n, out)
         if isinstance(other, Poly):
             return self._scale(other)

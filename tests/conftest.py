@@ -82,6 +82,20 @@ def rationals(max_num: int = 12, max_den: int = 6) -> st.SearchStrategy[Fraction
     )
 
 
+# Unrelated 20-bit primes: a common denominator of several of them is as
+# large as their product, the worst case for a common-denominator kernel.
+PRIME_DENOMINATORS = (1048573, 1048571, 1048559, 1048549, 1048517)
+
+
+def mixed_rationals() -> st.SearchStrategy[Fraction]:
+    """Small rationals, zeros, and values over the unrelated primes above."""
+    return st.one_of(
+        rationals(),
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-30, 30), st.sampled_from(PRIME_DENOMINATORS)),
+    )
+
+
 def small_polys(max_degree: int = 5) -> st.SearchStrategy[Poly]:
     return st.builds(
         Poly, st.lists(rationals(), min_size=0, max_size=max_degree + 1)

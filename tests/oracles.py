@@ -9,6 +9,7 @@ algebra tests.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -85,3 +86,42 @@ def laguerre_poly(n: int, alpha: Fraction | int) -> Poly:
         lead = Poly([2 * m + 1 + a, -1]) * cur - (m + a) * prev
         prev, cur = cur, lead / Fraction(m + 1)
     return cur
+
+
+def _fraction_product(a, b) -> list[Fraction]:
+    """Coefficients of ``a * b``, one ``Fraction`` multiply and add per term."""
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def _fraction_sum(a, b) -> list[Fraction]:
+    return [x + y for x, y in itertools.zip_longest(a, b, fillvalue=Fraction(0))]
+
+
+def comp_rows(phi: Poly, psi: Poly, n: int, count: int) -> list[Poly]:
+    """Rows ``C_0 .. C_count`` by the textbook recurrence
+    ``C_{nu+1} = phi C_nu' + (psi + (n - nu - 1) phi') C_nu`` on plain
+    ``Fraction`` coefficient lists."""
+    rows = [[Fraction(1)]]
+    dphi = [i * c for i, c in enumerate(phi.coeffs)][1:]
+    for nu in range(count):
+        row = rows[-1]
+        drow = [i * c for i, c in enumerate(row)][1:]
+        factor = _fraction_sum(psi.coeffs, [(n - nu - 1) * c for c in dphi])
+        rows.append(_fraction_sum(_fraction_product(phi.coeffs, drow),
+                                  _fraction_product(factor, row)))
+    return [Poly(r) for r in rows]
+
+
+def cauchy_product(a, b) -> list[Poly]:
+    """``sum_{i+j=k} a_i b_j`` for ``k = 0 .. len(a) - 1``, term by term over ``Fraction``s."""
+    out = []
+    for k in range(len(a)):
+        acc: list[Fraction] = []
+        for i in range(k + 1):
+            acc = _fraction_sum(acc, _fraction_product(a[i].coeffs, b[k - i].coeffs))
+        out.append(Poly(acc))
+    return out

@@ -334,6 +334,37 @@ class TestFamilyFile:
         assert code == 2
         assert message in err
 
+    def test_deep_nesting_rejected(self, capsys, tmp_path):
+        path = tmp_path / "family.json"
+        deep = "[" * 100_000 + "]" * 100_000
+        path.write_text(f'{{"name": "thing", "phi": {deep}, "psi": ["1", "-1"]}}')
+        code, _, err = run_cli(capsys, "compute", "--family-file", str(path), "--n", "1")
+        assert code == 2
+        assert "too deeply" in err
+
+    @pytest.mark.parametrize("name", [{"a": 1}, ["hermite"], 7, None])
+    def test_name_must_be_text(self, capsys, tmp_path, name):
+        doc = {"name": name, "phi": ["0", "1"], "psi": ["1", "-1"]}
+        code, out, err = run_cli(capsys, "compute", "--family-file", self._write(tmp_path, doc),
+                                 "--n", "1")
+        assert code == 2
+        assert out == ""
+        assert "field 'name' must be JSON text" in err
+
+    def test_over_long_integer_names_its_field(self, capsys, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_text('{"name": "thing", "phi": [0, 1], "psi": [1, %s]}' % ("9" * 5000))
+        code, _, err = run_cli(capsys, "compute", "--family-file", str(path), "--n", "1")
+        assert code == 2
+        assert "field psi[1] " in err
+
+    def test_json_integers_are_values(self, capsys, tmp_path):
+        doc = {"name": "laguerre", "phi": [0, 1], "psi": [2, -1], "params": {"alpha": 1}, "u0": 1}
+        code, out, _ = run_cli(capsys, "compute", "--family-file", self._write(tmp_path, doc),
+                               "--n", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["params"] == {"alpha": "1"}
+
 
 class TestVerify:
     def test_hermite_full_suite(self, capsys):

@@ -7,9 +7,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import copoly.rodrigues
 import oracles
+from conftest import mixed_rationals
 from copoly import (
     AdmissibilityViolation,
     CATALOG,
@@ -265,6 +268,45 @@ class TestCompTable:
         pair.rows(3, 5).append(Poly.zero())
         assert pair.rows(3, 6) == original(pair, 3, 6)
         assert built == [4, 3]
+
+
+def kernel_pairs():
+    """Pairs with ``deg phi <= 2`` and ``deg psi = 1`` over mixed denominators."""
+    phi = st.lists(mixed_rationals(), min_size=1, max_size=3).map(Poly)
+    psi = st.tuples(mixed_rationals(), mixed_rationals().filter(bool)).map(Poly)
+    return st.builds(lambda p, q: pair_from_family(custom_family(p, q), max_order=0), phi, psi)
+
+
+class TestRowKernel:
+    """``_comp_rows`` against the plain-``Fraction`` recurrence in ``oracles``."""
+
+    @settings(max_examples=60)
+    @given(kernel_pairs(), st.integers(0, 40), st.integers(0, 8))
+    def test_matches_reference(self, pair, n, past):
+        count = n + past   # rows past nu = n, as the generating series reads them
+        expected = oracles.comp_rows(pair.phi, pair.psi, n, count)
+        assert copoly.rodrigues._comp_rows(pair, n, count) == expected
+
+    @settings(max_examples=60)
+    @given(kernel_pairs(), st.integers(0, 12), st.integers(0, 6), st.data())
+    def test_continues_a_prefix(self, pair, n, past, data):
+        count = n + past
+        rows = oracles.comp_rows(pair.phi, pair.psi, n, count)
+        cut = data.draw(st.integers(1, count + 1))
+        got = copoly.rodrigues._comp_rows(pair, n, count, rows[:cut])
+        assert got == rows[cut:]
+
+    @given(kernel_pairs(), st.integers(0, 10), st.integers(1, 6), st.data())
+    def test_nothing_to_build(self, pair, n, size, data):
+        prefix = oracles.comp_rows(pair.phi, pair.psi, n, size - 1)
+        count = data.draw(st.integers(-1, size - 1))
+        assert copoly.rodrigues._comp_rows(pair, n, count, prefix) == []
+
+    def test_unrelated_prime_denominators(self):
+        phi = Poly([Fraction(1, 1048573), Fraction(3, 1048571), Fraction(5, 1048559)])
+        psi = Poly([Fraction(2, 1048549), Fraction(-19, 1048517)])
+        pair = pair_from_family(custom_family(phi, psi), max_order=0)
+        assert copoly.rodrigues._comp_rows(pair, 30, 34) == oracles.comp_rows(phi, psi, 30, 34)
 
 
 class TestClassicalOracles:

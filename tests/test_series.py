@@ -5,10 +5,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import rationals, small_polys
+import oracles
+from conftest import mixed_rationals, rationals, small_polys
 from copoly import (
     Poly,
     SeriesYX,
@@ -27,6 +28,13 @@ def small_series(order: int = 4):
         lambda cs: SeriesYX(order, cs),
         st.lists(small_polys(3), min_size=0, max_size=order + 1),
     )
+
+
+def series_pairs(order: int):
+    """Two order-``order`` series over mixed denominators, zero coefficients included."""
+    one = st.builds(lambda cs: SeriesYX(order, cs), st.lists(
+        st.lists(mixed_rationals(), max_size=4).map(Poly), max_size=order + 1))
+    return st.tuples(one, one)
 
 
 class TestContainer:
@@ -106,6 +114,16 @@ class TestArithmetic:
     @given(small_series(), small_series(), rationals(6, 4), rationals(6, 4))
     def test_evaluate_is_hom(self, a, b, x0, y0):
         assert (a + b).evaluate(x0, y0) == a.evaluate(x0, y0) + b.evaluate(x0, y0)
+
+    @given(st.integers(0, 5).flatmap(series_pairs))
+    @example((SeriesYX(3), series(3, [1, "1/1048573"], [0], [2, 0, "-5/1048571"])))
+    @example((series(0, ["3/1048549", 0, 1]), series(0, [0, "7/1048517"])))
+    @example((SeriesYX(0), SeriesYX(0)))
+    def test_product_matches_reference(self, operands):
+        a, b = operands
+        assert (a * b).coeffs == tuple(oracles.cauchy_product(a.coeffs, b.coeffs))
+        with pytest.raises(ValueError):
+            a * SeriesYX(a.order + 1)
 
 
 class TestCalculus:
