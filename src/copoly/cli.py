@@ -13,11 +13,11 @@ JSON family file (``--family-file``), or from expressions (``--phi``/
 ``--psi`` with optional ``--u0``).  Exit codes: 0 success, 1 a verification
 counterexample was found, 2 invalid input.
 
-The environment variable ``COPOLY_MAX_ORDER`` (default 16) caps the series
-order accepted by ``verify`` and ``genfun``; requests above the cap are
-rejected rather than silently clamped.  So are ``--n`` above ``MAX_N``
-(``compute`` and ``genfun``) and ``--max-n`` above ``MAX_VERIFY_N``
-(``verify``), which keeps every accepted request to seconds.
+Fixed caps bound the work of every accepted request; a request above one is
+rejected rather than silently clamped: ``--n`` above ``MAX_N`` (``compute``
+and ``genfun``), ``--max-n`` above ``MAX_VERIFY_N`` and ``--order`` above
+``MAX_ORDER`` (``verify`` and ``genfun``), and a ``phi``/``psi`` coefficient
+or ``u0`` whose numerator or denominator is longer than ``MAX_COEFF_BITS``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -49,37 +48,15 @@ from .rodrigues import (
 )
 from .verify import SUITE_NAMES, VerifyReport, verify_pair
 
-DEFAULT_MAX_ORDER_CAP = 16
 MAX_N = 400
 MAX_VERIFY_N = 24
+MAX_ORDER = 16
+MAX_COEFF_BITS = 7
 
 _FAMILY_HELP = (
     f"catalog family name ({', '.join(CATALOG)}; legendre is "
     "jacobi with alpha = beta = 0)"
 )
-
-
-def _max_order_cap() -> int:
-    raw = os.environ.get("COPOLY_MAX_ORDER")
-    if raw is None:
-        return DEFAULT_MAX_ORDER_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"COPOLY_MAX_ORDER must be an integer, got {raw!r}")
-    if cap < 2:
-        raise ValueError(f"COPOLY_MAX_ORDER must be >= 2, got {cap}")
-    return cap
-
-
-def _check_order(order: int) -> int:
-    cap = _max_order_cap()
-    if order < 0:
-        raise ValueError("series order must be >= 0")
-    if order > cap:
-        raise ValueError(
-            f"series order {order} exceeds the COPOLY_MAX_ORDER cap of {cap}")
-    return order
 
 
 def _check_size(flag: str, value: int, cap: int) -> int:
@@ -159,6 +136,19 @@ def _catalog_spec(name: str, alpha: Fraction | None, beta: Fraction | None) -> F
 
 
 def resolve_family(args: argparse.Namespace) -> FamilySpec:
+    """The family from exactly one of the accepted sources, with no coefficient
+    or ``u0`` whose numerator or denominator is longer than ``MAX_COEFF_BITS``."""
+    spec = _family_source(args)
+    for name, values in (("phi", spec.phi.coeffs), ("psi", spec.psi.coeffs), ("u0", (spec.u0,))):
+        for power, c in enumerate(values):
+            if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_COEFF_BITS:
+                where = name if name == "u0" else f"{name} coefficient of x^{power}"
+                raise InvalidParameter(f"{where} has a numerator or denominator longer "
+                                       f"than the cap of {MAX_COEFF_BITS} bits")
+    return spec
+
+
+def _family_source(args: argparse.Namespace) -> FamilySpec:
     """Build the family from exactly one of the accepted sources."""
     alpha, beta, u0 = (None if text is None else _rational(flag, text) for flag, text in
                        (("--alpha", args.alpha), ("--beta", args.beta), ("--u0", args.u0)))
@@ -261,7 +251,7 @@ def _report_to_dict(report: VerifyReport) -> dict:
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = resolve_family(args)
     _check_size("--max-n", args.max_n, MAX_VERIFY_N)
-    order = _check_order(args.order)
+    order = _check_size("--order", args.order, MAX_ORDER)
     if order < 2:
         raise ValueError("--order must be >= 2")
     suites = SUITE_NAMES if args.suite == "all" else (args.suite,)
@@ -287,7 +277,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_genfun(args: argparse.Namespace) -> int:
     spec = resolve_family(args)
     _check_size("--n", args.n, MAX_N)
-    order = _check_order(args.order)
+    order = _check_size("--order", args.order, MAX_ORDER)
     pair = pair_from_family(spec, max_order=max(args.n, 2))
     truncated = genfun_truncated(pair, args.n, order)
     closed = genfun_closed_form(pair, args.n, order)  # UnsupportedFamily for custom
@@ -365,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_arguments(verify)
     verify.add_argument("--max-n", type=int, default=8,
                         help=f"largest n in the grid, at most {MAX_VERIFY_N}")
-    verify.add_argument("--order", type=int, default=12, help="series truncation order")
+    verify.add_argument("--order", type=int, default=12,
+                        help=f"series truncation order, at most {MAX_ORDER}")
     verify.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.set_defaults(func=cmd_verify)
@@ -373,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     genfun = sub.add_parser("genfun", help="emit the generating series both ways")
     _add_family_arguments(genfun)
     genfun.add_argument("--n", type=int, required=True, help=f"series index, at most {MAX_N}")
-    genfun.add_argument("--order", type=int, default=8, help="series truncation order")
+    genfun.add_argument("--order", type=int, default=8,
+                        help=f"series truncation order, at most {MAX_ORDER}")
     genfun.add_argument("--format", choices=("json", "latex"), default="json")
     genfun.set_defaults(func=cmd_genfun)
 

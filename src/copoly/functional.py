@@ -22,11 +22,10 @@ equivalently ``psi' + k phi''/2 != 0``).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import AdmissibilityViolation, InvalidParameter
-from .poly import Poly, as_rational
+from .poly import Poly, _integer_form, _reduced, as_rational
 
 MomentRule = Callable[[int, Sequence[Fraction]], Fraction]
 MomentBlock = Callable[[int, int], list[Fraction]]
@@ -105,11 +104,6 @@ class MomentFunctional:
         return f"MomentFunctional([{shown}{tail}])"
 
 
-def _numerators(values: Sequence[Fraction], den: int) -> list[int]:
-    """Integer numerators of ``values`` over ``den``, a multiple of every denominator."""
-    return [v.numerator * (den // v.denominator) for v in values]
-
-
 def _combination(terms: Sequence[tuple[int | Fraction, MomentFunctional, int]]) -> MomentFunctional:
     """Moments ``v_k = sum c u_{k+s}`` over the ``(c, u, s)`` in ``terms``, with ``s >= 0``.
 
@@ -118,16 +112,15 @@ def _combination(terms: Sequence[tuple[int | Fraction, MomentFunctional, int]]) 
     only ``Fraction`` built per moment is the result.
     """
     terms = [(as_rational(c), u, s) for c, u, s in terms if c != 0]
-    scale = lcm(*[c.denominator for c, _, _ in terms])
-    weights = _numerators([c for c, _, _ in terms], scale)
+    scale, (weights,) = _integer_form(([c for c, _, _ in terms],))
     reach: dict[MomentFunctional, int] = {}
     for _, u, s in terms:
         reach[u] = max(reach.get(u, 0), s)
 
     def block(lo: int, hi: int) -> list[Fraction]:
         prefixes = {u: u.moments(hi + s)[lo:] for u, s in reach.items()}
-        den = lcm(*[v.denominator for p in prefixes.values() for v in p])
-        ints = {u: _numerators(p, den) for u, p in prefixes.items()}
+        den, nums = _integer_form(list(prefixes.values()))
+        ints = dict(zip(prefixes, nums))
         rows = [(w, ints[u], s) for w, (_, u, s) in zip(weights, terms)]
         den *= scale
         return [Fraction(sum(w * m[i + s] for w, m, s in rows), den)
@@ -243,14 +236,13 @@ def hankel_minors(u: MomentFunctional, n: int) -> list[Fraction]:
     if n < 0:
         raise IndexError("Hankel order must be >= 0")
     moments = u.moments(2 * n)
-    den = lcm(*[v.denominator for v in moments])
-    ints = _numerators(moments, den)
+    den, (ints,) = _integer_form((moments,))
     # rows[r] holds the uneliminated columns of row r, from column k on at step k
-    rows = [(ints[r:r + n + 1], den) for r in range(n + 1)]
+    rows = [(den, ints[r:r + n + 1]) for r in range(n + 1)]
     minors: list[Fraction] = []
     delta = Fraction(1)
     for k in range(n + 1):
-        pivot_row, pivot_den = rows[k]
+        pivot_den, pivot_row = rows[k]
         p = pivot_row[0]
         delta *= Fraction(p, pivot_den)
         minors.append(delta)
@@ -258,16 +250,13 @@ def hankel_minors(u: MomentFunctional, n: int) -> list[Fraction]:
             break
         tail = pivot_row[1:]
         for r in range(k + 1, n + 1):
-            row, d = rows[r]
+            d, row = rows[r]
             f = row[0]
             if f == 0:
-                rows[r] = (row[1:], d)
+                rows[r] = (d, row[1:])
                 continue
             # row - (f/d) / (p/pivot_den) * pivot_row == (p*row - f*pivot)/(d*p)
-            new = [p * x - f * y for x, y in zip(row[1:], tail)]
-            d *= p
-            g = gcd(d, *new)
-            rows[r] = ([x // g for x in new], d // g)
+            rows[r] = _reduced(d * p, [p * x - f * y for x, y in zip(row[1:], tail)])
     return minors
 
 

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Sequence
 
 from .errors import MismatchError, NotQuasiDefinite
-from .functional import MomentFunctional, _numerators, functional_apply
-from .poly import Poly
+from .functional import MomentFunctional, functional_apply
+from .poly import Poly, _integer_form
 from .rodrigues import ClassicalPair, complementary
 
 
@@ -117,10 +116,10 @@ def orthogonality_matrix(u: MomentFunctional,
     if width == 0:
         return [[Fraction(0)] * size for _ in range(size)]
     moments = u.moments(2 * width - 2)
-    mden = lcm(*[v.denominator for v in moments])
-    hankel = _numerators(moments, mden)
-    dens = [lcm(*[c.denominator for c in p.coeffs]) for p in polys]
-    rows = [_numerators(p.coeffs, d) for p, d in zip(polys, dens)]
+    mden, (hankel,) = _integer_form((moments,))
+    forms = [_integer_form((p.coeffs,)) for p in polys]
+    dens = [d for d, _ in forms]
+    rows = [row for _, (row,) in forms]
     # ch[i][b] = sum_a C[i][a] H[a][b]
     ch = [[sum(map(mul, row, hankel[b:])) for b in range(width)] for row in rows]
     gram = [[Fraction(0)] * size for _ in range(size)]

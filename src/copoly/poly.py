@@ -167,19 +167,12 @@ class Poly:
         a, b = self._coeffs, rhs._coeffs
         if not a or not b:
             return Poly._of([])
-        # Schoolbook convolution on integer numerators over one common
-        # denominator per operand: one gcd per output coefficient instead of
-        # a Fraction multiply and add per term.
+        # Integer numerators over one common denominator per operand: one gcd
+        # per output coefficient instead of a Fraction multiply and add per term.
         da, (ia,) = _integer_form((a,))
         db, (ib,) = _integer_form((b,))
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(ia):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(ib):
-                out[i + j] += ca * cb
         d = da * db
-        return Poly._of([Fraction(v, d) for v in out])
+        return Poly._of([Fraction(v, d) for v in _convolve([], ia, ib)])
 
     __rmul__ = __mul__
 
@@ -237,11 +230,34 @@ class Poly:
         return "".join(parts)
 
 
+# The exact kernels (Poly and SeriesYX products, the Rodrigues rows, moment
+# blocks, Hankel minors and the Gram matrix) carry rational vectors as integer
+# numerators over one denominator through the three helpers below.
+
 def _integer_form(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
     """``(d, nums)``: ``d`` is the least common denominator of every value in
     ``rows`` (1 when there is none) and ``nums[i][j] / d == rows[i][j]``."""
     d = math.lcm(*[c.denominator for row in rows for c in row])
     return d, [[c.numerator * (d // c.denominator) for c in row] for row in rows]
+
+
+def _convolve(acc: list[int], a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Add the coefficients of ``a * b`` into ``acc``, lengthened as needed; returns ``acc``."""
+    if a and b:
+        acc += [0] * (len(a) + len(b) - 1 - len(acc))
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b, i):
+                    acc[j] += ca * cb
+    return acc
+
+
+def _reduced(den: int, nums: list[int]) -> tuple[int, list[int]]:
+    """``den`` and ``nums`` divided by ``gcd(den, *nums)``; the sign of ``den`` is kept."""
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return den, nums
+    return den // g, [v // g for v in nums]
 
 
 def as_poly(value: Poly | int | str | Fraction) -> Poly:

@@ -23,7 +23,6 @@ exactly-zero object.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
@@ -37,7 +36,7 @@ from .functional import (
     functional_poly_mul,
     moments_from_pearson,
 )
-from .poly import Poly, _integer_form, as_rational
+from .poly import Poly, _convolve, _integer_form, _reduced, as_rational
 from .series import SeriesYX, series_exp, series_pow_rational
 
 
@@ -265,18 +264,8 @@ def _comp_rows(pair: ClassicalPair, n: int, count: int,
         k = n - nu - 1
         factor = [a + k * b for a, b in zip_longest(psi, dphi, fillvalue=0)]
         dnum = [i * c for i, c in enumerate(num)][1:]
-        new = [0] * (max(len(phi) + len(dnum), len(factor) + len(num)) - 1)
-        for coeffs, row in ((phi, dnum), (factor, num)):
-            for i, c in enumerate(coeffs):
-                if c:
-                    for j, v in enumerate(row, i):
-                        new[j] += c * v
-        den *= scale
-        g = math.gcd(den, *new)
-        if g > 1:
-            den //= g
-            new = [v // g for v in new]
-        num = new
+        new = _convolve(_convolve([], phi, dnum), factor, num)
+        den, num = _reduced(den * scale, new)
         out.append(Poly._of([Fraction(v, den) for v in num]))
     return out
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .poly import Poly, _integer_form, as_poly, as_rational
+from .poly import Poly, _convolve, _integer_form, as_poly, as_rational
 
 
 class SeriesYX:
@@ -96,13 +96,7 @@ class SeriesYX:
             for k in range(n + 1):
                 acc: list[int] = []
                 for a, b in zip(ia[: k + 1], reversed(ib[: k + 1])):
-                    if not a or not b:
-                        continue
-                    acc += [0] * (len(a) + len(b) - 1 - len(acc))
-                    for i, ca in enumerate(a):
-                        if ca:
-                            for j, cb in enumerate(b, i):
-                                acc[j] += ca * cb
+                    _convolve(acc, a, b)
                 out.append(Poly._of([Fraction(v, d) for v in acc]))
             return SeriesYX(n, out)
         if isinstance(other, Poly):

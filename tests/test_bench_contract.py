@@ -56,3 +56,11 @@ def test_tracer_sees_the_poly_kernel(monkeypatch, capsys):
     assert tracer.metrics["genfun.truncated_builds"] == 8
     # each pair builds every row once: n <= 2, rows 0..4 for the series
     assert tracer.metrics["rodrigues.rows_built"] <= 21
+
+
+def test_sweep_cases_run(monkeypatch):
+    """Every swept kernel runs once at its smallest size and yields a nonzero result."""
+    sweep = _perfbench_module("sweep", monkeypatch)
+    for function, (_, sizes) in sweep.SIZES.items():
+        call, bits = sweep._case(function, min(sizes))
+        assert bits(call()) > 0, function

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +24,14 @@ from copoly import (
     pair_from_family,
 )
 import copoly.cli
-from copoly.cli import MAX_N, MAX_VERIFY_N, build_compute_document, main
+from copoly.cli import (
+    MAX_COEFF_BITS,
+    MAX_N,
+    MAX_ORDER,
+    MAX_VERIFY_N,
+    build_compute_document,
+    main,
+)
 from copoly.rodrigues import (
     bessel_family,
     hermite_family,
@@ -484,7 +492,7 @@ class TestSizeCaps:
         assert flag in err
 
     def test_caps(self):
-        assert (MAX_N, MAX_VERIFY_N) == (400, 24)
+        assert (MAX_N, MAX_VERIFY_N, MAX_ORDER, MAX_COEFF_BITS) == (400, 24, 16, 7)
 
 
 class TestOrderCap:
@@ -499,36 +507,64 @@ class TestOrderCap:
             capsys, "genfun", "--family", "hermite", "--n", "1", "--order", "17"
         )
         assert code == 2
-        assert "COPOLY_MAX_ORDER" in err
+        assert "--order 17 exceeds the cap of 16" in err
 
-    def test_env_lowers_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("COPOLY_MAX_ORDER", "8")
-        code, _, err = run_cli(
-            capsys, "genfun", "--family", "hermite", "--n", "1", "--order", "12"
-        )
-        assert code == 2
-        assert "cap of 8" in err
-
-    def test_env_raises_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("COPOLY_MAX_ORDER", "24")
+    def test_verify_allows_sixteen(self, capsys):
         code, _, _ = run_cli(
-            capsys, "genfun", "--family", "hermite", "--n", "1", "--order", "20"
+            capsys, "verify", "--family", "hermite", "--order", "16", "--max-n", "1",
+            "--suite", "genfun",
         )
         assert code == 0
 
-    def test_invalid_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("COPOLY_MAX_ORDER", "zero")
+    def test_cap_applies_to_verify_order(self, capsys):
         code, _, err = run_cli(
-            capsys, "genfun", "--family", "hermite", "--n", "1", "--order", "4"
+            capsys, "verify", "--family", "hermite", "--order", "17", "--max-n", "2"
         )
         assert code == 2
+        assert "--order 17 exceeds the cap of 16" in err
 
-    def test_cap_applies_to_verify_order(self, capsys, monkeypatch):
-        monkeypatch.setenv("COPOLY_MAX_ORDER", "8")
-        code, _, err = run_cli(
-            capsys, "verify", "--family", "hermite", "--order", "10", "--max-n", "2"
+
+class TestCoefficientCap:
+    """No ``phi``/``psi`` coefficient or ``u0`` part longer than ``MAX_COEFF_BITS`` is accepted."""
+
+    def test_five_digit_jacobi_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "compute", "--family", "jacobi", "--alpha", "30558/24839",
+            "--beta", "58731/71481", "--n", "400", "--format", "json",
         )
-        assert code == 2
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "psi coefficient of x^0" in err
+        assert f"cap of {MAX_COEFF_BITS} bits" in err
+
+    @pytest.mark.parametrize("argv, where", [
+        (("--phi", f"x + 1/{2 ** MAX_COEFF_BITS}", "--psi", "1 - x"), "phi coefficient of x^0"),
+        (("--phi", "x", "--psi", f"1 - {2 ** MAX_COEFF_BITS}*x"), "psi coefficient of x^1"),
+        (("--phi", "x", "--psi", "1 - x", "--u0", str(2 ** MAX_COEFF_BITS)), "u0"),
+        (("--family", "bessel", "--alpha", f"1/{2 ** MAX_COEFF_BITS}"), "psi coefficient of x^1"),
+    ], ids=["phi", "psi", "u0", "bessel"])
+    def test_one_bit_over_the_cap_exits_two(self, capsys, argv, where):
+        code, out, err = run_cli(capsys, "compute", *argv, "--n", "2")
+        assert (code, out) == (2, "")
+        assert f"error: {where} has a numerator or denominator longer" in err
+
+    def test_family_file_checked_too(self, capsys, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"name": "wide", "phi": ["1", f"1/{2 ** MAX_COEFF_BITS}"],
+                                    "psi": ["0", "-1"]}))
+        code, out, err = run_cli(capsys, "compute", "--family-file", str(path), "--n", "2")
+        assert (code, out) == (2, "")
+        assert "phi coefficient of x^1" in err
+
+    def test_at_the_cap_accepted(self, capsys):
+        top = 2 ** MAX_COEFF_BITS - 1
+        code, out, _ = run_cli(
+            capsys, "compute", "--phi", f"{top}/{top - 2} + x", "--psi", f"1 - {top - 4}/{top}*x",
+            f"--u0={top}/{top - 6}", "--n", "3", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["n"] == 3
 
 
 class TestSubprocessContract:

@@ -1,6 +1,10 @@
-"""The package namespace: everything it exports resolves."""
+"""The package namespace: everything it exports resolves, and the exact
+integer kernel lives in ``poly`` alone."""
 
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import copoly
 
@@ -9,3 +13,60 @@ def test_every_exported_name_resolves():
     missing = [name for name in copoly.__all__ if not hasattr(copoly, name)]
     assert missing == []
     assert len(set(copoly.__all__)) == len(copoly.__all__)
+
+
+SRC = Path(copoly.__file__).resolve().parent
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _is_multiply_accumulate(node: ast.AST) -> bool:
+    """``acc[...] += a * b``: the step of an integer convolution."""
+    return (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+            and isinstance(node.target, ast.Subscript)
+            and isinstance(node.value, ast.BinOp) and isinstance(node.value.op, ast.Mult))
+
+
+def test_only_poly_uses_lcm_and_gcd():
+    """``poly`` alone puts rationals over one denominator and reduces them."""
+    offenders = []
+    for name, tree in _modules().items():
+        if name == "poly.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "math":
+                used = {alias.name for alias in node.names} & {"gcd", "lcm", "*"}
+            elif isinstance(node, ast.Attribute) and node.attr in ("gcd", "lcm"):
+                used = {node.attr}
+            else:
+                continue
+            if used:
+                offenders.append((name, node.lineno, sorted(used)))
+    assert offenders == []
+
+
+def test_numerators_helper_is_gone():
+    names = [(name, node.lineno) for name, tree in _modules().items() for node in ast.walk(tree)
+             if (isinstance(node, ast.FunctionDef) and node.name == "_numerators")
+             or (isinstance(node, ast.Name) and node.id == "_numerators")
+             or (isinstance(node, ast.alias) and node.name == "_numerators")]
+    assert names == []
+
+
+def test_one_integer_convolution_loop():
+    """A multiply-accumulate in a loop nested in a loop is written once, in ``poly._convolve``."""
+    loops = set()
+    for name, tree in _modules().items():
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for outer in ast.walk(function):
+                if isinstance(outer, ast.For) and any(
+                        isinstance(inner, ast.For) and inner is not outer
+                        and any(map(_is_multiply_accumulate, ast.walk(inner)))
+                        for inner in ast.walk(outer)):
+                    loops.add((name, function.name))
+    assert loops == {("poly.py", "_convolve")}

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import rationals, small_polys
+import oracles
+from conftest import mixed_rationals, rationals, small_polys
 from copoly import Poly, as_poly, as_rational
+from copoly.poly import _convolve, _integer_form, _reduced
 
 
 class TestConstruction:
@@ -317,3 +319,49 @@ class TestKernelEquivalence:
             expected = _ref_mul(expected, list(p.coeffs))
         _assert_matches(p ** 4, expected)
         _assert_matches(p.monic(), [c / Fraction(5, 7) for c in p.coeffs])
+
+
+integer_rows = st.lists(st.one_of(st.just(0), st.integers(-10**6, 10**6)), max_size=7)
+
+
+class TestIntegerKernel:
+    """The integer form, convolution and reduction every exact kernel runs on."""
+
+    @given(integer_rows, integer_rows, integer_rows)
+    def test_convolve_matches_fraction_product(self, acc, a, b):
+        expected = oracles._fraction_sum(acc, oracles._fraction_product(a, b))
+        out = _convolve(list(acc), a, b)
+        # trailing zeros are not a value, so only the values are compared
+        assert _strip(out) == _strip(expected)
+        assert len(out) >= len(acc)
+
+    def test_convolve_adds_in_place(self):
+        acc = [1, 1, 1, 1, 1]
+        assert _convolve(acc, [2, 0, 3], [0, 5]) is acc
+        assert acc == [1, 11, 1, 16, 1]
+        assert _convolve([], [], [1, 2]) == []
+        assert _convolve([7], [1, 2], []) == [7]
+        assert _convolve([], [0, 0], [1, 2]) == [0, 0, 0]
+
+    @given(st.lists(st.lists(mixed_rationals(), max_size=6), max_size=4))
+    def test_integer_form_round_trips(self, rows):
+        d, nums = _integer_form(rows)
+        assert d >= 1
+        assert [[Fraction(v, d) for v in row] for row in nums] == rows
+        assert d == math.lcm(*[c.denominator for row in rows for c in row])
+
+    def test_integer_form_of_empty_rows(self):
+        assert _integer_form(()) == (1, [])
+        assert _integer_form(([], [])) == (1, [[], []])
+
+    @given(st.integers(-10**9, 10**9).filter(bool), integer_rows)
+    def test_reduced_keeps_value_and_sign(self, den, nums):
+        d, out = _reduced(den, list(nums))
+        assert (d > 0) == (den > 0)
+        assert math.gcd(d, *out) == 1
+        assert [Fraction(v, d) for v in out] == [Fraction(v, den) for v in nums]
+
+    def test_reduced_divides_out_the_common_factor(self):
+        assert _reduced(-12, [18, 0, -6]) == (-2, [3, 0, -1])
+        assert _reduced(6, []) == (1, [])
+        assert _reduced(5, [2, 3]) == (5, [2, 3])
