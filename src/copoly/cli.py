@@ -183,45 +183,36 @@ def _params_doc(pair: ClassicalPair) -> dict[str, str]:
     return {name: str(value) for name, value in sorted(pair.params.items())}
 
 
+def _params_line(family: str, params: dict) -> str:
+    """The first line of the text output of ``compute`` and ``verify``."""
+    shown = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
+    return f"family: {family}  params: {shown or '(none)'}"
+
+
+def _print_json(doc) -> None:
+    """``doc`` as indented JSON on stdout, written as it is encoded, never held as one string."""
+    json.dump(doc, sys.stdout, indent=2)
+    print()
+
+
+def _compute_rows(pair: ClassicalPair, n: int, nu: int | None) -> list[tuple[int, Fraction, Poly]]:
+    """``(nu, mu, row)`` for every row of the table at ``n``, or for row ``nu`` alone."""
+    rows = complementary_table(pair, n).rows
+    indices = range(n + 1) if nu is None else (nu,)
+    return [(v, mu_eigenvalue(pair, n, v), rows[v]) for v in indices]
+
+
 def build_compute_document(pair: ClassicalPair, n: int, nu: int | None = None) -> dict:
     """The JSON document emitted by ``compute``; also used by tests directly."""
-    table = complementary_table(pair, n)
-    if nu is None:
-        rows = table.rows
-        mus = [mu_eigenvalue(pair, n, v) for v in range(n + 1)]
-    else:
-        rows = (table.rows[nu],)
-        mus = [mu_eigenvalue(pair, n, nu)]
+    rows = _compute_rows(pair, n, nu)
     return {
         "family": pair.name,
         "params": _params_doc(pair),
         "n": n,
-        "rows": [poly_to_strings(row) for row in rows],
+        "rows": [poly_to_strings(row) for _, _, row in rows],
         "lambda": str(lambda_n(pair, n)),
-        "mu": [[str(m) for m in mus]],
+        "mu": [[str(mu) for _, mu, _ in rows]],
     }
-
-
-def _print_compute_text(pair: ClassicalPair, n: int, nu: int | None) -> None:
-    table = complementary_table(pair, n)
-    params = _params_doc(pair)
-    shown = " ".join(f"{k}={v}" for k, v in params.items()) or "(none)"
-    print(f"family: {pair.name}  params: {shown}")
-    print(f"n = {n}, lambda = {lambda_n(pair, n)}")
-    indices = range(n + 1) if nu is None else (nu,)
-    for v in indices:
-        print(f"nu={v}  [mu={mu_eigenvalue(pair, n, v)}]  {poly_text(table.rows[v])}")
-
-
-def _print_compute_latex(pair: ClassicalPair, n: int, nu: int | None) -> None:
-    table = complementary_table(pair, n)
-    print(f"% family {pair.name}, n = {n}, lambda = {rational_latex(lambda_n(pair, n))}")
-    print("\\begin{array}{lll}")
-    indices = range(n + 1) if nu is None else (nu,)
-    for v in indices:
-        mu = rational_latex(mu_eigenvalue(pair, n, v))
-        print(f"\\nu={v} & \\mu={mu} & {poly_latex(table.rows[v])} \\\\")
-    print("\\end{array}")
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -232,11 +223,18 @@ def cmd_compute(args: argparse.Namespace) -> int:
         raise ValueError(f"--nu must satisfy 0 <= nu <= n, got nu={nu}, n={n}")
     pair = pair_from_family(spec, max_order=n + 2)
     if args.format == "json":
-        print(json.dumps(build_compute_document(pair, n, nu), indent=2))
+        _print_json(build_compute_document(pair, n, nu))
     elif args.format == "latex":
-        _print_compute_latex(pair, n, nu)
+        print(f"% family {pair.name}, n = {n}, lambda = {rational_latex(lambda_n(pair, n))}")
+        print("\\begin{array}{lll}")
+        for v, mu, row in _compute_rows(pair, n, nu):
+            print(f"\\nu={v} & \\mu={rational_latex(mu)} & {poly_latex(row)} \\\\")
+        print("\\end{array}")
     else:
-        _print_compute_text(pair, n, nu)
+        print(_params_line(pair.name, pair.params))
+        print(f"n = {n}, lambda = {lambda_n(pair, n)}")
+        for v, mu, row in _compute_rows(pair, n, nu):
+            print(f"nu={v}  [mu={mu}]  {poly_text(row)}")
     return 0
 
 
@@ -258,10 +256,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     pair = pair_from_family(spec, max_order=2 * args.max_n + 6)
     report = verify_pair(pair, suites, args.max_n, order)
     if args.format == "json":
-        print(json.dumps(_report_to_dict(report), indent=2))
+        _print_json(_report_to_dict(report))
     else:
-        params = " ".join(f"{k}={v}" for k, v in sorted(report.params.items())) or "(none)"
-        print(f"family: {report.family}  params: {params}")
+        print(_params_line(report.family, report.params))
         print(f"grid: max_n={report.max_n}, series order={report.series_order}")
         for suite in report.suites:
             status = "PASS" if suite.passed else "FAIL"
@@ -299,7 +296,7 @@ def cmd_genfun(args: argparse.Namespace) -> int:
             "closed_form": series_to_strings(closed),
             "difference": series_to_strings(difference),
         }
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     return 0
 
 
@@ -309,7 +306,7 @@ def cmd_families(args: argparse.Namespace) -> int:
     if args.format == "json":
         doc = [{"name": name, "phi": phi, "psi": psi, "params": params}
                for name, phi, psi, params in rows]
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         print(f"{'name':<10} {'phi':<10} {'psi':<42} params")
         for name, phi, psi, params in rows:

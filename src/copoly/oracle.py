@@ -1,13 +1,15 @@
 """Independent cross-check: orthogonal sequences straight from the moments.
 
-Nothing here touches the Rodrigues machinery.  ``chebyshev_ops`` builds the
-monic orthogonal polynomials from the moments by the Chebyshev algorithm,
-and ``gram_schmidt_ops`` builds the same sequence by Gram-Schmidt in the
-monomial basis as a slower reference; so agreement between the diagonal
-complementary rows (after monic normalization) and these polynomials is a
-genuine two-path consistency check.  Quasi-definiteness (all squared norms
-nonzero) is exactly the nonvanishing of the Hankel determinants, and the
-norms satisfy ``r_n = Delta_n / Delta_{n-1}``.
+Everything here except ``cross_validate`` reads only the moments.
+``chebyshev_ops`` builds the monic orthogonal polynomials from the moments
+by the Chebyshev algorithm, and ``gram_schmidt_ops`` builds the same
+sequence by Gram-Schmidt in the monomial basis as a slower reference.
+``cross_validate`` alone takes the diagonal rows from
+``rodrigues.complementary`` and compares them, after monic normalization,
+with these polynomials: a genuine two-path consistency check.
+Quasi-definiteness (all squared norms nonzero) is exactly the nonvanishing
+of the Hankel determinants, and the norms satisfy
+``r_n = Delta_n / Delta_{n-1}``.
 """
 
 from __future__ import annotations

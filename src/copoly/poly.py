@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -211,23 +211,30 @@ class Poly:
 
     def __str__(self) -> str:
         # Ascending powers; the output re-parses through parse_poly_expr.
-        if not self._coeffs:
-            return "0"
-        parts: list[str] = []
-        for i, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                body = xs if mag == 1 else f"{mag}*{xs}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+        return _signed_sum(self, range(len(self._coeffs)), _text_term)
+
+
+def _text_term(power: int, magnitude: Fraction) -> str:
+    if power == 0:
+        return str(magnitude)
+    xs = "x" if power == 1 else f"x^{power}"
+    return xs if magnitude == 1 else f"{magnitude}*{xs}"
+
+
+def _signed_sum(p: Poly, powers: Iterable[int], body: Callable[[int, Fraction], str]) -> str:
+    """The nonzero terms of ``p`` at ``powers``, in that order, joined by their signs;
+    ``body(power, magnitude)`` writes a term without its sign.  Zero is ``"0"``."""
+    parts: list[str] = []
+    for power in powers:
+        c = p._coeffs[power]
+        if c == 0:
+            continue
+        if parts:
+            parts.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            parts.append("-")
+        parts.append(body(power, abs(c)))
+    return "".join(parts) or "0"
 
 
 # The exact kernels (Poly and SeriesYX products, the Rodrigues rows, moment

@@ -3,14 +3,15 @@
 Rationals always travel as ``"p/q"`` (or ``"n"`` for integers) so that JSON
 never holds a float.  Text output lists polynomial terms by ascending
 degree and re-parses through :func:`copoly.parsing.parse_poly_expr`; LaTeX
-uses the human convention of descending degree.
+uses the human convention of descending degree.  Both join their terms
+through the one signed-term writer, ``poly._signed_sum``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly
+from .poly import Poly, _signed_sum
 from .series import SeriesYX
 
 
@@ -30,10 +31,8 @@ def poly_text(p: Poly) -> str:
 
 
 def rational_latex(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
     sign = "-" if value < 0 else ""
-    return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+    return sign + _latex_magnitude(value)
 
 
 def _latex_magnitude(value: Fraction) -> str:
@@ -42,22 +41,13 @@ def _latex_magnitude(value: Fraction) -> str:
     return f"\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
 
 
+def _latex_term(power: int, magnitude: Fraction) -> str:
+    if power == 0:
+        return _latex_magnitude(magnitude)
+    xs = "x" if power == 1 else f"x^{{{power}}}"
+    return xs if magnitude == 1 else f"{_latex_magnitude(magnitude)} {xs}"
+
+
 def poly_latex(p: Poly) -> str:
     """Descending-degree LaTeX, e.g. ``4 x^{2} - 2``."""
-    if p.is_zero:
-        return "0"
-    parts: list[str] = []
-    for i in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            body = _latex_magnitude(c)
-        else:
-            xs = "x" if i == 1 else f"x^{{{i}}}"
-            body = xs if abs(c) == 1 else f"{_latex_magnitude(c)} {xs}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if c > 0 else f" - {body}")
-    return "".join(parts)
+    return _signed_sum(p, range(len(p.coeffs) - 1, -1, -1), _latex_term)

@@ -136,6 +136,33 @@ class TestComputeLatex:
         assert "4 x^{2} - 2" in out
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestComputeGolden:
+    """The whole stdout of ``compute``, byte for byte, in every format.
+
+    One catalog family with two parameters, and one custom pair whose rows
+    hold fractions, coefficients of +-1, interior zeros and a negative
+    leading term; each as a full table and as a single ``--nu`` row.
+    """
+
+    REQUESTS = {
+        "jacobi-n2": ("--family", "jacobi", "--alpha", "1/3", "--beta", "4/3", "--n", "2"),
+        "jacobi-n2-nu1": ("--family", "jacobi", "--alpha", "1/3", "--beta", "4/3",
+                          "--n", "2", "--nu", "1"),
+        "custom-n4": ("--phi", "1/2 - 1/2*x", "--psi", "2 - x", "--n", "4"),
+        "custom-n4-nu3": ("--phi", "1/2 - 1/2*x", "--psi", "2 - x", "--n", "4", "--nu", "3"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+    @pytest.mark.parametrize("name", sorted(REQUESTS))
+    def test_stdout(self, capsys, name, fmt):
+        code, out, err = run_cli(capsys, "compute", *self.REQUESTS[name], "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
+
+
 class TestComputeCustom:
     def test_phi_psi_with_params(self, capsys):
         code, out, _ = run_cli(

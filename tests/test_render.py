@@ -75,3 +75,39 @@ class TestLatex:
 
     def test_zero(self):
         assert poly_latex(Poly.zero()) == "0"
+
+
+# (coefficients ascending, str(p), poly_latex(p)): the sign, skip and order
+# rules of the shared term writer on every edge it has.
+_TERM_TABLE = [
+    ([], "0", "0"),
+    ([0, 0, 0], "0", "0"),
+    ([1], "1", "1"),
+    ([-1], "-1", "-1"),
+    ([0, 1], "x", "x"),
+    ([0, -1], "-x", "-x"),
+    ([0, 0, 1], "x^2", "x^{2}"),
+    ([0, 0, -1], "-x^2", "-x^{2}"),
+    ([Fraction(1, 2)], "1/2", r"\frac{1}{2}"),
+    ([Fraction(-1, 2)], "-1/2", r"-\frac{1}{2}"),
+    ([0, Fraction(1, 2)], "1/2*x", r"\frac{1}{2} x"),
+    ([0, Fraction(-1, 2)], "-1/2*x", r"-\frac{1}{2} x"),
+    ([0, 0, 0, Fraction(1, 2)], "1/2*x^3", r"\frac{1}{2} x^{3}"),
+    ([0, 0, 0, Fraction(-1, 2)], "-1/2*x^3", r"-\frac{1}{2} x^{3}"),
+    ([-3, 0, 0, 1], "-3 + x^3", "x^{3} - 3"),
+    ([1, 0, -1], "1 - x^2", "-x^{2} + 1"),
+    ([0, -1, 0, 1], "-x + x^3", "x^{3} - x"),
+    ([Fraction(-1, 2), 0, Fraction(3, 2), -1], "-1/2 + 3/2*x^2 - x^3",
+     r"-x^{3} + \frac{3}{2} x^{2} - \frac{1}{2}"),
+    ([Fraction(1, 2), -1, 1, Fraction(-1, 2)], "1/2 - x + x^2 - 1/2*x^3",
+     r"-\frac{1}{2} x^{3} + x^{2} - x + \frac{1}{2}"),
+    ([-7, 0, Fraction(-5, 3)], "-7 - 5/3*x^2", r"-\frac{5}{3} x^{2} - 7"),
+]
+
+
+@pytest.mark.parametrize("coeffs, text, latex", _TERM_TABLE,
+                         ids=[t for _, t, _ in _TERM_TABLE])
+def test_term_writer_table(coeffs, text, latex):
+    p = Poly(coeffs)
+    assert str(p) == text
+    assert poly_latex(p) == latex
