@@ -27,6 +27,7 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import CopolyError, InvalidParameter
 from .genfun import genfun_closed_form, genfun_truncated
@@ -39,7 +40,6 @@ from .rodrigues import (
     ClassicalPair,
     FamilySpec,
     catalog_family,
-    complementary_table,
     custom_family,
     jacobi_family,
     lambda_n,
@@ -179,13 +179,14 @@ def _family_source(args: argparse.Namespace) -> FamilySpec:
     return custom_family(phi, psi, Fraction(1) if u0 is None else u0, params)
 
 
-def _params_doc(pair: ClassicalPair) -> dict[str, str]:
-    return {name: str(value) for name, value in sorted(pair.params.items())}
+def _params_doc(params: dict[str, Fraction]) -> dict[str, str]:
+    """Family parameters as text, sorted by name, for every output format."""
+    return {name: str(value) for name, value in sorted(params.items())}
 
 
-def _params_line(family: str, params: dict) -> str:
+def _params_line(family: str, params: dict[str, Fraction]) -> str:
     """The first line of the text output of ``compute`` and ``verify``."""
-    shown = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
+    shown = " ".join(f"{k}={v}" for k, v in _params_doc(params).items())
     return f"family: {family}  params: {shown or '(none)'}"
 
 
@@ -195,10 +196,20 @@ def _print_json(doc) -> None:
     print()
 
 
+def _print_latex_array(comment: str, rows: Iterable[tuple[str, str, str]]) -> None:
+    """A ``%`` comment line, then ``rows`` as a three-column LaTeX array."""
+    print(f"% {comment}")
+    print("\\begin{array}{lll}")
+    for cells in rows:
+        print(" & ".join(cells) + " \\\\")
+    print("\\end{array}")
+
+
 def _compute_rows(pair: ClassicalPair, n: int, nu: int | None) -> list[tuple[int, Fraction, Poly]]:
-    """``(nu, mu, row)`` for every row of the table at ``n``, or for row ``nu`` alone."""
-    rows = complementary_table(pair, n).rows
+    """``(nu, mu, row)`` for every row of the table at ``n``, or for row ``nu`` alone;
+    no row past the last one returned is built."""
     indices = range(n + 1) if nu is None else (nu,)
+    rows = pair.rows(n, indices[-1])
     return [(v, mu_eigenvalue(pair, n, v), rows[v]) for v in indices]
 
 
@@ -207,7 +218,7 @@ def build_compute_document(pair: ClassicalPair, n: int, nu: int | None = None) -
     rows = _compute_rows(pair, n, nu)
     return {
         "family": pair.name,
-        "params": _params_doc(pair),
+        "params": _params_doc(pair.params),
         "n": n,
         "rows": [poly_to_strings(row) for _, _, row in rows],
         "lambda": str(lambda_n(pair, n)),
@@ -225,11 +236,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if args.format == "json":
         _print_json(build_compute_document(pair, n, nu))
     elif args.format == "latex":
-        print(f"% family {pair.name}, n = {n}, lambda = {rational_latex(lambda_n(pair, n))}")
-        print("\\begin{array}{lll}")
-        for v, mu, row in _compute_rows(pair, n, nu):
-            print(f"\\nu={v} & \\mu={rational_latex(mu)} & {poly_latex(row)} \\\\")
-        print("\\end{array}")
+        _print_latex_array(
+            f"family {pair.name}, n = {n}, lambda = {rational_latex(lambda_n(pair, n))}",
+            ((f"\\nu={v}", f"\\mu={rational_latex(mu)}", poly_latex(row))
+             for v, mu, row in _compute_rows(pair, n, nu)))
     else:
         print(_params_line(pair.name, pair.params))
         print(f"n = {n}, lambda = {lambda_n(pair, n)}")
@@ -240,7 +250,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def _report_to_dict(report: VerifyReport) -> dict:
     doc = dataclasses.asdict(report)
-    doc["params"] = {k: str(v) for k, v in report.params.items()}
+    doc["params"] = _params_doc(report.params)
     doc["passed"] = report.passed
     doc["first_counterexample"] = report.first_counterexample
     return doc
@@ -280,16 +290,14 @@ def cmd_genfun(args: argparse.Namespace) -> int:
     closed = genfun_closed_form(pair, args.n, order)  # UnsupportedFamily for custom
     difference = truncated - closed
     if args.format == "latex":
-        print(f"% family {pair.name}, n = {args.n}, order = {order}")
-        print("\\begin{array}{lll}")
-        for nu in range(order + 1):
-            print(f"y^{{{nu}}} & {poly_latex(truncated.coeff(nu))} & "
-                  f"{poly_latex(difference.coeff(nu))} \\\\")
-        print("\\end{array}")
+        _print_latex_array(
+            f"family {pair.name}, n = {args.n}, order = {order}",
+            ((f"y^{{{nu}}}", poly_latex(truncated.coeff(nu)), poly_latex(difference.coeff(nu)))
+             for nu in range(order + 1)))
     else:
         doc = {
             "family": pair.name,
-            "params": _params_doc(pair),
+            "params": _params_doc(pair.params),
             "n": args.n,
             "order": order,
             "truncated": series_to_strings(truncated),

@@ -151,18 +151,10 @@ def functional_poly_mul(h: Poly, u: MomentFunctional) -> MomentFunctional:
 
 
 def functional_div_linear(c: int | str | Fraction, u: MomentFunctional) -> MomentFunctional:
-    """Division by ``x - c``: moments ``v_k = sum_{j<k} c^(k-1-j) u_j`` (``v_0 = 0``)."""
+    """Division by ``x - c``: moments ``v_k = sum_{j<k} c^(k-1-j) u_j`` (``v_0 = 0``),
+    built as ``v_k = c v_{k-1} + u_{k-1}``."""
     cc = as_rational(c)
-
-    def rule(k: int, _pre) -> Fraction:
-        total = Fraction(0)
-        power = Fraction(1)
-        # power runs c^0, c^1, ... alongside j = k-1 down to 0
-        for j in range(k - 1, -1, -1):
-            total += power * u.moment(j)
-            power *= cc
-        return total
-    return MomentFunctional(rule)
+    return MomentFunctional(lambda k, v: cc * v[k - 1] + u.moment(k - 1), (0,))
 
 
 def leibniz_residual(p: Poly, u: MomentFunctional, order: int) -> list[Fraction]:

@@ -11,7 +11,7 @@ display choice.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .poly import Poly, _convolve, _integer_form, as_poly, as_rational
 
@@ -170,44 +170,38 @@ def poly_shift_substitute(p: Poly, q: Poly, order: int) -> SeriesYX:
     return SeriesYX(order, coeffs)
 
 
-def series_exp(s: SeriesYX) -> SeriesYX:
-    """Exponential ``sum(s**k / k!)`` of a series with zero constant term.
+def _first_order(s: SeriesYX, weight: Callable[[int, int], int | Fraction]) -> SeriesYX:
+    """The series ``f`` with ``f_0 = 1`` and ``n f_n = sum_{k=1..n} weight(n, k) s_k f_{n-k}``.
 
-    The constant-term restriction makes the sum finite order by order:
-    ``s**k`` contributes nothing below ``y**k``.
+    The first-order equations in ``y`` of ``exp(s)`` and ``s**alpha`` give this
+    recurrence (J. C. P. Miller's; Knuth, TAOCP vol. 2, 4.7): each ``f_n`` is
+    one pass of integer convolutions over ``s``, not a sum of powers of ``s``.
     """
+    ds, s_nums = _integer_form([p.coeffs for p in s.coeffs])
+    f = [Poly.one()]
+    for n in range(1, s.order + 1):
+        dw, (w,) = _integer_form(([weight(n, k) for k in range(1, n + 1)],))
+        df, f_nums = _integer_form([p.coeffs for p in f])
+        acc: list[int] = []
+        for k in range(1, n + 1):
+            _convolve(acc, [w[k - 1] * v for v in s_nums[k]], f_nums[n - k])
+        d = n * dw * ds * df
+        f.append(Poly._of([Fraction(v, d) for v in acc]))
+    return SeriesYX(s.order, f)
+
+
+def series_exp(s: SeriesYX) -> SeriesYX:
+    """Exponential ``sum(s**k / k!)`` of a series with zero constant term, from ``f' = s' f``."""
     if not s.coeff(0).is_zero:
         raise ValueError("series_exp needs a zero constant term")
-    n = s.order
-    out = SeriesYX.one(n)
-    acc = SeriesYX.one(n)
-    fact = 1
-    for k in range(1, n + 1):
-        acc = acc * s
-        fact *= k
-        out = out + acc * Fraction(1, fact)
-    return out
+    return _first_order(s, lambda n, k: k)
 
 
 def series_pow_rational(s: SeriesYX, alpha: int | str | Fraction) -> SeriesYX:
-    """Binomial power ``s**alpha`` for rational ``alpha``.
-
-    Requires constant term exactly 1; then ``(1 + t)**alpha`` with
-    ``t = s - 1`` truncates cleanly because ``t`` has no constant term.
-    For nonnegative integer ``alpha`` this reproduces the plain power.
-    """
+    """Binomial power ``s**alpha`` for rational ``alpha`` of a series with constant
+    term exactly 1, from ``s f' = alpha s' f``; an integer ``alpha >= 0`` gives
+    the plain power."""
     a = as_rational(alpha)
     if s.coeff(0) != Poly.one():
         raise ValueError("series_pow_rational needs constant term 1")
-    n = s.order
-    t = s - SeriesYX.one(n)
-    out = SeriesYX.one(n)
-    acc = SeriesYX.one(n)
-    binom = Fraction(1)
-    for k in range(1, n + 1):
-        binom *= (a - (k - 1)) / k
-        if binom == 0:
-            break
-        acc = acc * t
-        out = out + acc * binom
-    return out
+    return _first_order(s, lambda n, k: (a + 1) * k - n)

@@ -125,3 +125,26 @@ def cauchy_product(a, b) -> list[Poly]:
             acc = _fraction_sum(acc, _fraction_product(a[i].coeffs, b[k - i].coeffs))
         out.append(Poly(acc))
     return out
+
+
+def _power_sum(s, weights) -> list[Poly]:
+    """``sum_k weights[k] * s**k``, every power of ``s`` built by ``cauchy_product``."""
+    out = [Poly.zero()] * len(s)
+    power = [Poly.one()] + [Poly.zero()] * (len(s) - 1)
+    for w in weights:
+        out = [a + w * b for a, b in zip(out, power)]
+        power = cauchy_product(power, s)
+    return out
+
+
+def series_exp_sum(s) -> list[Poly]:
+    """``sum_{k <= N} s**k / k!`` for the coefficients ``s_0 .. s_N`` of a series with ``s_0 = 0``."""
+    return _power_sum(s, [Fraction(1, math.factorial(k)) for k in range(len(s))])
+
+
+def series_pow_sum(s, alpha: Fraction | int) -> list[Poly]:
+    """``sum_{k <= N} binom(alpha, k) (s - 1)**k`` for the coefficients of a series with ``s_0 = 1``."""
+    binom = [Fraction(1)]
+    for k in range(1, len(s)):
+        binom.append(binom[-1] * (Fraction(alpha) - k + 1) / k)
+    return _power_sum([s[0] - 1, *s[1:]], binom)

@@ -125,6 +125,11 @@ class TestComputeJson:
         assert doc["family"] == "jacobi"
         assert doc["rows"] == [["1"], ["0", "-2"]]
 
+    def test_single_row_builds_no_later_row(self):
+        pair = pair_from_family(jacobi_family(Fraction(1, 3), Fraction(4, 3)), max_order=42)
+        build_compute_document(pair, 40, 3)
+        assert len(pair._rows[40]) == 4
+
 
 class TestComputeLatex:
     def test_array_output(self, capsys):
@@ -159,6 +164,27 @@ class TestComputeGolden:
     @pytest.mark.parametrize("name", sorted(REQUESTS))
     def test_stdout(self, capsys, name, fmt):
         code, out, err = run_cli(capsys, "compute", *self.REQUESTS[name], "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
+
+
+class TestGenfunGolden:
+    """The whole stdout of ``genfun``, byte for byte, in both formats.
+
+    Both weight ratios combine ``series_pow_rational`` with ``series_exp``,
+    and the closed form raises the quadratic prefactor to ``n`` as well.
+    """
+
+    REQUESTS = {
+        "genfun-bessel-n3": ("--family", "bessel", "--alpha", "1/3", "--n", "3", "--order", "6"),
+        "genfun-laguerre-n3": ("--family", "laguerre", "--alpha", "1/2",
+                               "--n", "3", "--order", "6"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["latex", "json"])
+    @pytest.mark.parametrize("name", sorted(REQUESTS))
+    def test_stdout(self, capsys, name, fmt):
+        code, out, err = run_cli(capsys, "genfun", *self.REQUESTS[name], "--format", fmt)
         assert (code, err) == (0, "")
         assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
 
@@ -399,6 +425,20 @@ class TestFamilyFile:
                                "--n", "1", "--format", "json")
         assert code == 0
         assert json.loads(out)["params"] == {"alpha": "1"}
+
+    @pytest.mark.parametrize("command", [
+        ("compute", "--n", "1", "--format", "json"),
+        ("verify", "--max-n", "1", "--order", "2", "--format", "json"),
+    ])
+    def test_params_sorted_by_name(self, capsys, tmp_path, command):
+        path = self._write(tmp_path, {"name": "mine", "phi": ["1", "0", "-1"], "psi": ["1", "-4"],
+                                      "params": {"beta": "1", "alpha": "2"}})
+        code, out, _ = run_cli(capsys, *command[:1], "--family-file", path, *command[1:])
+        assert code == 0
+        assert list(json.loads(out)["params"].items()) == [("alpha", "2"), ("beta", "1")]
+        code, out, _ = run_cli(capsys, *command[:1], "--family-file", path, *command[1:-2])
+        assert code == 0
+        assert out.splitlines()[0] == "family: mine  params: alpha=2 beta=1"
 
 
 class TestVerify:

@@ -203,6 +203,13 @@ class TestDivLinear:
         v = functional_div_linear(1, u)
         assert v.moment(2) == 3
 
+    @given(rationals(5, 4), st.lists(rationals(), min_size=1, max_size=10))
+    def test_matches_explicit_sum(self, c, moments):
+        v = functional_div_linear(c, MomentFunctional(initial=moments))
+        assert v.moments(len(moments)) == [
+            sum((c ** (k - 1 - j) * moments[j] for j in range(k)), Fraction(0))
+            for k in range(len(moments) + 1)]
+
     @given(rationals(5, 4), st.integers(min_value=1, max_value=8))
     def test_multiplication_section(self, c, k):
         # Multiplying back by (x - c) restores every moment of index >= 1.

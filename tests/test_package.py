@@ -70,3 +70,14 @@ def test_one_integer_convolution_loop():
                         for inner in ast.walk(outer)):
                     loops.add((name, function.name))
     assert loops == {("poly.py", "_convolve")}
+
+
+def test_exp_and_pow_have_no_loop_of_their_own():
+    """Both are one check and one call of the shared first-order recurrence."""
+    loops = [(function.name, node.lineno)
+             for function in ast.walk(_modules()["series.py"])
+             if isinstance(function, ast.FunctionDef)
+             and function.name in ("series_exp", "series_pow_rational")
+             for node in ast.walk(function)
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert loops == []

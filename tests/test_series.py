@@ -175,7 +175,20 @@ class TestShiftSubstitute:
         assert s.evaluate(x0, y0) == p(x0 + y0 * q(x0))
 
 
+def series_up_to_ten(constant: int):
+    """A series of order ``0 .. 10`` with constant term ``constant``."""
+    return st.integers(0, 10).flatmap(lambda order: st.builds(
+        lambda cs: SeriesYX(order, [constant, *cs]),
+        st.lists(small_polys(2), max_size=order)))
+
+
 class TestExp:
+    @given(series_up_to_ten(0))
+    @example(series(10, [0], [1]))
+    @example(SeriesYX(0))
+    def test_matches_power_sum(self, s):
+        assert series_exp(s).coeffs == tuple(oracles.series_exp_sum(s.coeffs))
+
     def test_exp_of_zero(self):
         assert series_exp(SeriesYX(3)) == SeriesYX.one(3)
 
@@ -205,6 +218,15 @@ class TestExp:
 
 
 class TestPowRational:
+    @given(series_up_to_ten(1), st.integers(0, 12) | rationals(5, 4))
+    @example(series(10, [1], [0, 1], [2]), Fraction(2, 3))
+    def test_matches_binomial_sum(self, s, drawn):
+        # alpha = -1; a nonnegative integer below, at and above the order,
+        # where the binomial coefficients vanish from k = alpha + 1 on; rationals
+        for alpha in (-1, max(s.order - 1, 0), s.order, s.order + 1, Fraction(-7, 3), drawn):
+            assert (series_pow_rational(s, alpha).coeffs
+                    == tuple(oracles.series_pow_sum(s.coeffs, alpha))), alpha
+
     def test_power_of_one(self):
         assert series_pow_rational(SeriesYX.one(3), Fraction(7, 3)) == SeriesYX.one(3)
 
