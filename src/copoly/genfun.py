@@ -109,13 +109,14 @@ def pde_residual(pair: ClassicalPair, n: int, order: int) -> dict[str, SeriesYX]
     shifted = SeriesYX(m, [c1, phi * c1d])
     shifted_g = shifted * g
 
-    x_bracket = SeriesYX(m, [c1d, dphi * c1d - c1 * phi2 / 2])
-    y = SeriesYX(m, [Poly.zero(), Poly.one()])
+    # y ((1 + y phi') C_1' - y phi'' C_1 / 2), the x-identity's bracket times y
+    y_bracket = SeriesYX(m, [Poly.zero(), c1d, dphi * c1d - c1 * phi2 / 2][: m + 1])
+    prefactor_dy = prefactor * dy
     residuals = {
-        "y_self": prefactor * dy - shifted_g,
-        "x_self": prefactor * dx - x_bracket * y * g,
+        "y_self": prefactor_dy - shifted_g,
+        "x_self": prefactor * dx - y_bracket * g,
         # phi(x + y phi) = phi * prefactor
-        "master": (phi * prefactor) * dy - phi * shifted_g,
+        "master": phi * prefactor_dy - phi * shifted_g,
     }
     if n >= 1:
         shifted_lower = shifted * genfun_truncated(pair, n - 1, m)

@@ -27,6 +27,7 @@ from .rodrigues import (
     mu_eigenvalue,
     ode_residual,
     rodrigues_formula_residual,
+    rodrigues_r1,
     rodrigues_rk,
     sturm_liouville_residual,
 )
@@ -88,19 +89,17 @@ class _Tally:
 
 
 def _suite_recursion(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) -> None:
-    one = Poly.one()
     dphi = pair.phi.derivative()
     for n in range(max_n + 1):
         table = complementary_table(pair, n)
-        for nu in range(n + 1):
-            row = table.rows[nu]
-            tally.check(row == rodrigues_rk(pair, nu, n - nu, one),
-                        f"n={n} nu={nu}: recursion row != iterated operator")
+        # chain[nu] = R_1(phi, u_{n-nu})[chain[nu-1]] = rodrigues_rk(pair, nu, n - nu, 1)
+        chain = [p := Poly.one()] + [p := rodrigues_r1(pair, k, p) for k in range(n - 1, -1, -1)]
+        for nu, row in enumerate(table.rows):
+            tally.check(row == chain[nu], f"n={n} nu={nu}: recursion row != iterated operator")
             tally.check(row.degree == nu, f"n={n} nu={nu}: row degree {row.degree} != {nu}")
-            split = next((mid for mid in sorted({0, nu // 2, nu})
-                          if row != rodrigues_rk(pair, nu - mid, n - nu,
-                                                 rodrigues_rk(pair, mid, n - mid, one))), None)
-            tally.check(split is None, f"n={n} nu={nu}: composition split at {split} differs")
+            # the splits at 0 and nu would only repeat the chain
+            tally.check(row == rodrigues_rk(pair, nu - nu // 2, n - nu, chain[nu // 2]),
+                        f"n={n} nu={nu}: composition split at {nu // 2} differs")
         if n >= 1:
             tally.check(table.rows[1] == (n - 1) * dphi + pair.psi,
                         f"n={n} nu=1: first row != (n-1) phi' + psi")

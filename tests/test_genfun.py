@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import copoly.genfun
 from copoly import (
     PDE_IDENTITIES,
     Poly,
@@ -141,3 +142,20 @@ class TestPdeResiduals:
         res = pde_residual(jacobi_pair, 4, order=6)["x_lower"]
         assert res.is_zero
 
+    @pytest.mark.parametrize("spec", [
+        hermite_family(),
+        jacobi_family(Fraction(1, 3), Fraction(4, 3)),
+        custom_family(Poly([1, 1]), Poly([0, 1])),
+    ], ids=["hermite", "jacobi", "custom"])
+    def test_every_identity_sees_a_perturbed_series(self, spec, monkeypatch):
+        # G(3) off by x y**2, G(2) left alone: no identity may stay zero
+        pair = pair_from_family(spec, max_order=16)
+        original = copoly.genfun.genfun_truncated
+
+        def perturbed(pair, n, order):
+            series = original(pair, n, order)
+            return series + SeriesYX(order, [0, 0, Poly.x()]) if n == 3 else series
+        monkeypatch.setattr(copoly.genfun, "genfun_truncated", perturbed)
+        residuals = pde_residual(pair, 3, 4)
+        assert tuple(residuals) == PDE_IDENTITIES
+        assert not any(res.is_zero for res in residuals.values())

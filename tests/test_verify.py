@@ -101,6 +101,21 @@ class TestPassingRuns:
         # rows 0..12 of n = 0..8 are 117 distinct rows
         assert sum(built) <= 162
 
+    def test_recursion_suite_steps_once_per_row_and_split(self, hermite_pair, monkeypatch):
+        # per n: n steps for the chain, then ceil(nu/2) for each split at nu // 2;
+        # a chain rebuilt from 1 for every (n, nu), with three splits, took 472
+        steps = []
+        original = copoly.rodrigues.rodrigues_r1
+
+        def counted(pair, k, p):
+            steps.append(k)
+            return original(pair, k, p)
+        monkeypatch.setattr(copoly.verify, "rodrigues_r1", counted)
+        monkeypatch.setattr(copoly.rodrigues, "rodrigues_r1", counted)
+        assert verify_pair(hermite_pair, suites=("recursion",), max_n=8).passed
+        assert len(steps) == sum(n + sum((nu + 1) // 2 for nu in range(n + 1))
+                                 for n in range(9)) == 106
+
 
 class TestNotes:
     def test_probe_note_reports_coincidence_without_phi2(self, hermite_pair):
@@ -222,20 +237,29 @@ class TestGoldenReports:
         }, [_SKIPPED, _COINCIDE])
 
     def test_wrong_operator_breaks_rows_and_composition(self, hermite_pair, monkeypatch):
-        original = copoly.verify.rodrigues_rk
-
-        def off_by_one(pair, k, m, p):
-            result = original(pair, k, m, p)
-            return result + 1 if k == 2 else result
-        monkeypatch.setattr(copoly.verify, "rodrigues_rk", off_by_one)
+        # A wrong single step at base index 1 enters the chain at nu = n - 1
+        # and every row built on it; the integer-kernel rows stay right.
+        r1 = copoly.verify.rodrigues_r1
+        monkeypatch.setattr(copoly.verify, "rodrigues_r1",
+                            lambda pair, k, p: r1(pair, k, p) + (1 if k == 1 else 0))
         report = verify_pair(hermite_pair, suites=("recursion",), max_n=3, order=4)
         assert _summary(report) == ({"recursion": (33, [
+            "n=2 nu=1: recursion row != iterated operator",
             "n=2 nu=2: recursion row != iterated operator",
-            "n=2 nu=2: composition split at 0 differs",
+            # the split at 1 starts from chain[1], the wrong row
+            "n=2 nu=2: composition split at 1 differs",
             "n=3 nu=2: recursion row != iterated operator",
-            "n=3 nu=2: composition split at 0 differs",
-            "n=3 nu=3: composition split at 1 differs",
+            "n=3 nu=3: recursion row != iterated operator",
         ])}, [])
+        monkeypatch.undo()
+        # The chain never calls rodrigues_rk; only the split at nu // 2 does,
+        # with nu - nu // 2 == 2 steps first at n = 3, nu = 3.
+        rk = copoly.verify.rodrigues_rk
+        monkeypatch.setattr(copoly.verify, "rodrigues_rk",
+                            lambda pair, k, m, p: rk(pair, k, m, p) + (1 if k == 2 else 0))
+        report = verify_pair(hermite_pair, suites=("recursion",), max_n=3, order=4)
+        assert _summary(report) == (
+            {"recursion": (33, ["n=3 nu=3: composition split at 1 differs"])}, [])
 
     def test_vanishing_hankel_stops_the_ratio_checks(self, hermite_pair, monkeypatch):
         original = copoly.verify.hankel_minors
