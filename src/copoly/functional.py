@@ -22,6 +22,7 @@ equivalently ``psi' + k phi''/2 != 0``).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import perm
 from typing import Callable, Iterable, Sequence
 
 from .errors import AdmissibilityViolation, InvalidParameter
@@ -137,11 +138,23 @@ def functional_apply(u: MomentFunctional, p: Poly) -> Fraction:
     return total
 
 
-def functional_derivative(u: MomentFunctional) -> MomentFunctional:
-    """Distributional derivative: moments ``v_k = -k u_{k-1}`` (``v_0 = 0``)."""
+def functional_derivative(u: MomentFunctional, times: int = 1) -> MomentFunctional:
+    """Distributional derivative taken ``times`` times, in closed form:
+    moments ``v_k = (-1)^t k!/(k-t)! u_{k-t}``, zero for ``k < t``.
+
+    A block reads the parent's prefix once, however many times it is
+    differentiated; ``times = 0`` gives ``u``'s moments.
+    """
+    if times < 0:
+        raise ValueError("derivative order must be >= 0")
+    sign = -1 if times % 2 else 1
+
     def block(lo: int, hi: int) -> list[Fraction]:
-        below = u.moments(hi - 1)
-        return [-k * below[k - 1] if k else Fraction(0) for k in range(lo, hi + 1)]
+        below = u.moments(hi - times)
+        first = min(max(lo, times), hi + 1)
+        return [Fraction(0)] * (first - lo) + [
+            Fraction(sign * perm(k, times) * m.numerator, m.denominator)
+            for k, m in zip(range(first, hi + 1), below[first - times:])]
     return MomentFunctional(block=block)
 
 

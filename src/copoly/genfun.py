@@ -32,12 +32,12 @@ Taylor: ``phi'(x + y phi) = phi' + y phi'' phi`` and
 
 from __future__ import annotations
 
-from math import factorial
+from fractions import Fraction
 
 from .errors import UnsupportedFamily
 from .poly import Poly
 from .rodrigues import FAMILIES, ClassicalPair, FamilySpec
-from .series import SeriesYX, series_pow_rational
+from .series import SeriesYX, _product_sum, series_pow_rational
 
 PDE_IDENTITIES = ("y_self", "y_lower", "x_self", "x_lower", "master")
 
@@ -49,8 +49,13 @@ def genfun_truncated(pair: ClassicalPair, n: int, order: int) -> SeriesYX:
     ``n - nu - 1`` gone negative; those are exactly the higher coefficients
     of the closed form.
     """
-    rows = pair.rows(n, order)
-    return SeriesYX(order, [row / factorial(nu) for nu, row in enumerate(rows)])
+    coeffs = []
+    factorial = 1
+    for nu, row in enumerate(pair.rows(n, order)):
+        factorial *= max(nu, 1)
+        coeffs.append(Poly._of([Fraction(c.numerator, c.denominator * factorial)
+                                for c in row.coeffs]))
+    return SeriesYX(order, coeffs)
 
 
 def _quadratic_prefactor(pair: ClassicalPair, order: int) -> SeriesYX:
@@ -107,20 +112,21 @@ def pde_residual(pair: ClassicalPair, n: int, order: int) -> dict[str, SeriesYX]
     prefactor = _quadratic_prefactor(pair, m)
     # C_1(x + y phi), exactly: deg C_1 <= 1 leaves no higher Taylor terms
     shifted = SeriesYX(m, [c1, phi * c1d])
-    shifted_g = shifted * g
-
     # y ((1 + y phi') C_1' - y phi'' C_1 / 2), the x-identity's bracket times y
     y_bracket = SeriesYX(m, [Poly.zero(), c1d, dphi * c1d - c1 * phi2 / 2][: m + 1])
-    prefactor_dy = prefactor * dy
+    # Each identity is one fused sum of products; the sparse factor goes left.
+    const_phi = SeriesYX(m, [phi])
+    y_self = _product_sum([(1, prefactor, dy), (-1, shifted, g)])
     residuals = {
-        "y_self": prefactor_dy - shifted_g,
-        "x_self": prefactor * dx - y_bracket * g,
-        # phi(x + y phi) = phi * prefactor
-        "master": phi * prefactor_dy - phi * shifted_g,
+        "y_self": y_self,
+        "x_self": _product_sum([(1, prefactor, dx), (-1, y_bracket, g)]),
+        # phi(x + y phi) = phi * prefactor, so master is phi times y_self
+        "master": _product_sum([(1, const_phi, y_self)]),
     }
     if n >= 1:
-        shifted_lower = shifted * genfun_truncated(pair, n - 1, m)
+        lower = genfun_truncated(pair, n - 1, m)
         outer = SeriesYX(m, [Poly.one(), dphi])
-        residuals["y_lower"] = dy - shifted_lower
-        residuals["x_lower"] = phi * dx - outer * shifted_lower + c1 * g
+        residuals["y_lower"] = _product_sum([(1, SeriesYX.one(m), dy), (-1, shifted, lower)])
+        residuals["x_lower"] = _product_sum([(1, const_phi, dx), (-1, outer * shifted, lower),
+                                             (1, SeriesYX(m, [c1]), g)])
     return {which: residuals[which] for which in PDE_IDENTITIES if which in residuals}

@@ -31,6 +31,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .errors import InvalidParameter, NotProportional
 from .functional import (
     MomentFunctional,
+    _combination,
     check_pearson_degrees,
     functional_derivative,
     functional_poly_mul,
@@ -171,10 +172,11 @@ class ClassicalPair:
 
     Immutable apart from internal memoization: the moment sequence of ``u``
     extends on demand, the shifted functionals ``u_k = phi**k u`` are cached
-    per index, and the complementary rows are cached per ``n``.
+    per index, the complementary rows per ``n``, and the weighted rows
+    ``C_nu u_{n-nu}`` per ``(n, nu)``.
     """
 
-    __slots__ = ("phi", "psi", "u", "name", "params", "_shifted", "_rows")
+    __slots__ = ("phi", "psi", "u", "name", "params", "_shifted", "_rows", "_weighted")
 
     def __init__(self, phi: Poly, psi: Poly, u: MomentFunctional,
                  name: str = "custom", params: Mapping[str, Fraction] | None = None):
@@ -186,6 +188,7 @@ class ClassicalPair:
         self.params = dict(params or {})
         self._shifted: dict[int, MomentFunctional] = {0: u}
         self._rows: dict[int, list[Poly]] = {}
+        self._weighted: dict[tuple[int, int], MomentFunctional] = {}
 
     def functional_power(self, k: int) -> MomentFunctional:
         """The shifted functional ``u_k = phi**k u``."""
@@ -204,6 +207,14 @@ class ClassicalPair:
         if len(rows) <= count:
             rows.extend(_comp_rows(self, n, count, rows))
         return rows[: count + 1]
+
+    def weighted_row(self, n: int, nu: int) -> MomentFunctional:
+        """The functional ``C_nu(x; n) u_{n-nu}``, built once per ``(n, nu)``."""
+        key = (n, nu)
+        if key not in self._weighted:
+            self._weighted[key] = functional_poly_mul(
+                complementary(self, n, nu), self.functional_power(n - nu))
+        return self._weighted[key]
 
     def __repr__(self) -> str:
         return f"ClassicalPair({self.name!r}, phi={self.phi!r}, psi={self.psi!r})"
@@ -337,12 +348,10 @@ def sturm_liouville_residual(pair: ClassicalPair, n: int, nu: int,
     This is the self-adjoint (weighted) form of the row equation, stated at
     the functional level; every moment vanishes.
     """
-    p = complementary(pair, n, nu)
+    lhs = functional_derivative(functional_poly_mul(
+        complementary(pair, n, nu).derivative(), pair.functional_power(n - nu + 1)))
     mu = mu_eigenvalue(pair, n, nu)
-    lhs = functional_derivative(
-        functional_poly_mul(p.derivative(), pair.functional_power(n - nu + 1)))
-    rhs = mu * functional_poly_mul(p, pair.functional_power(n - nu))
-    return (lhs + rhs).moments(order)
+    return _combination([(1, lhs, 0), (mu, pair.weighted_row(n, nu), 0)]).moments(order)
 
 
 def rodrigues_formula_residual(pair: ClassicalPair, n: int, nu: int, mu: int,
@@ -355,11 +364,8 @@ def rodrigues_formula_residual(pair: ClassicalPair, n: int, nu: int, mu: int,
     """
     if not 0 <= mu <= nu <= n:
         raise IndexError(f"need 0 <= mu <= nu <= n, got mu={mu}, nu={nu}, n={n}")
-    lhs = functional_poly_mul(complementary(pair, n, nu), pair.functional_power(n - nu))
-    rhs = functional_poly_mul(complementary(pair, n, mu), pair.functional_power(n - mu))
-    for _ in range(nu - mu):
-        rhs = functional_derivative(rhs)
-    return (lhs - rhs).moments(order)
+    rhs = functional_derivative(pair.weighted_row(n, mu), nu - mu)
+    return (pair.weighted_row(n, nu) - rhs).moments(order)
 
 
 def derivative_proportionality(pair: ClassicalPair, n: int, nu: int) -> Fraction:

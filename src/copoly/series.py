@@ -11,7 +11,7 @@ display choice.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .poly import Poly, _convolve, _integer_form, as_poly, as_rational
 
@@ -85,20 +85,7 @@ class SeriesYX:
 
     def __mul__(self, other) -> SeriesYX:
         if isinstance(other, SeriesYX):
-            self._check_order(other)
-            # One bivariate convolution on integer numerators over one common
-            # denominator per operand; each output coefficient is one Fraction.
-            n = self._order
-            da, ia = _integer_form([p.coeffs for p in self._coeffs])
-            db, ib = _integer_form([p.coeffs for p in other._coeffs])
-            d = da * db
-            out = []
-            for k in range(n + 1):
-                acc: list[int] = []
-                for a, b in zip(ia[: k + 1], reversed(ib[: k + 1])):
-                    _convolve(acc, a, b)
-                out.append(Poly._of([Fraction(v, d) for v in acc]))
-            return SeriesYX(n, out)
+            return _product_sum([(1, self, other)])
         if isinstance(other, Poly):
             return self._scale(other)
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
@@ -149,6 +136,41 @@ class SeriesYX:
     def __str__(self) -> str:
         parts = [f"({c})*y^{nu}" for nu, c in enumerate(self._coeffs) if not c.is_zero]
         return " + ".join(parts) if parts else "0"
+
+
+def _product_sum(terms: Sequence[tuple[int | Fraction, SeriesYX, SeriesYX]]) -> SeriesYX:
+    """``sum c * a * b`` over the ``(c, a, b)`` in ``terms``, every series of one order.
+
+    One bivariate convolution on integer numerators: every left factor goes
+    over one common denominator and every right factor over another, so each
+    output coefficient is one ``Fraction``.  The left factor's zero
+    coefficients are skipped, so a sparse factor belongs on the left.
+    """
+    first = terms[0][1]
+    for _, a, b in terms:
+        first._check_order(a)
+        first._check_order(b)
+    order = first._order
+    dc, (weights,) = _integer_form(([as_rational(c) for c, _, _ in terms],))
+    da, lefts = _integer_form([p.coeffs for _, a, _ in terms for p in a._coeffs])
+    db, rights = _integer_form([p.coeffs for _, _, b in terms for p in b._coeffs])
+    size = order + 1
+    # per term: the nonzero powers of a with their numerators times c, and b's numerators
+    pairs = []
+    for w, t in zip(weights, range(0, len(lefts), size)):
+        left = [(i, [w * v for v in a]) for i, a in enumerate(lefts[t:t + size]) if a]
+        pairs.append((left, rights[t:t + size]))
+    d = dc * da * db
+    out = []
+    for k in range(size):
+        acc: list[int] = []
+        for left, right in pairs:
+            for i, a in left:
+                if i > k:
+                    break
+                _convolve(acc, a, right[k - i])
+        out.append(Poly._of([Fraction(v, d) for v in acc]))
+    return SeriesYX(order, out)
 
 
 def poly_shift_substitute(p: Poly, q: Poly, order: int) -> SeriesYX:

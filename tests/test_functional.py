@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
@@ -167,6 +167,48 @@ class TestDerivative:
         u = MomentFunctional(rule=lambda k, pre: Fraction((-1) ** k, k + 2))
         lhs = functional_apply(functional_derivative(u), p)
         assert lhs == -functional_apply(u, p.derivative())
+
+
+def pearson_functionals() -> st.SearchStrategy[MomentFunctional]:
+    """Moment functionals of random admissible Pearson pairs."""
+    def build(coeffs):
+        a, b, c, d, e = coeffs
+        assume(d != 0 and all(d + k * a != 0 for k in range(20)))
+        return moments_from_pearson(Poly([c, b, a]), Poly([e, d]), 1, 20)
+    return st.tuples(*[rationals()] * 5).map(build)
+
+
+class TestKFoldDerivative:
+    """``functional_derivative(u, t)`` is the closed form of ``t`` single derivatives."""
+
+    @given(pearson_functionals(), st.integers(0, 6), st.integers(0, 12))
+    def test_matches_chained_single_derivatives(self, u, times, first):
+        chained = u
+        for _ in range(times):
+            chained = functional_derivative(chained)
+        fused = functional_derivative(u, times)
+        # one moment is read first; the rest fill around it
+        fused.moment(first)
+        assert fused.moments(12) == chained.moments(12)
+
+    def test_zero_below_the_order(self, hermite_pair):
+        # v_k = (-1)^3 k!/(k-3)! u_{k-3}; the Gaussian u_0 = 1, u_2 = 1/2
+        v = functional_derivative(hermite_pair.u, 3)
+        assert v.moments(5) == [0, 0, 0, -6, 0, -30]
+
+    def test_reading_past_a_finite_prefix_raises(self):
+        u = MomentFunctional(initial=[1, 2, 5, 7])
+        chained = u
+        for times in range(4):
+            derived = functional_derivative(u, times)
+            assert derived.moments(3 + times) == chained.moments(3 + times)
+            with pytest.raises(ValueError):
+                derived.moment(4 + times)
+            chained = functional_derivative(chained)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            functional_derivative(MomentFunctional(initial=[1]), -1)
 
 
 class TestPolyMul:

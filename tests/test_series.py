@@ -17,6 +17,7 @@ from copoly import (
     series_exp,
     series_pow_rational,
 )
+from copoly.series import _product_sum
 
 
 def series(order, *polys):
@@ -124,6 +125,35 @@ class TestArithmetic:
         assert (a * b).coeffs == tuple(oracles.cauchy_product(a.coeffs, b.coeffs))
         with pytest.raises(ValueError):
             a * SeriesYX(a.order + 1)
+
+
+def product_terms(order: int):
+    """One to three ``(c, a, b)`` terms of order-``order`` series over mixed denominators."""
+    return st.lists(st.tuples(mixed_rationals(), series_pairs(order)), min_size=1, max_size=3)
+
+
+class TestProductSum:
+    """``_product_sum`` is the one series convolution; ``*`` is its one-term case."""
+
+    @given(st.integers(0, 5).flatmap(product_terms))
+    @example([(Fraction(1, 1048573), (series(2, [1, "1/1048571"]), series(2, [0], ["2/1048559"]))),
+              (Fraction(-3), (SeriesYX(2), series(2, [1], [1], [1]))),
+              (Fraction(0), (series(2, [5]), series(2, [7])))])
+    @example([(Fraction(1), (SeriesYX(0), SeriesYX(0)))])
+    def test_matches_sum_of_reference_products(self, terms):
+        expected = [Poly.zero()] * (terms[0][1][0].order + 1)
+        for c, (a, b) in terms:
+            product = oracles.cauchy_product(a.coeffs, b.coeffs)
+            expected = [e + c * p for e, p in zip(expected, product)]
+        fused = _product_sum([(c, a, b) for c, (a, b) in terms])
+        assert fused.coeffs == tuple(expected)
+
+    def test_different_orders_rejected(self):
+        s2, s3 = SeriesYX.one(2), SeriesYX.one(3)
+        for terms in ([(1, s2, s3)], [(1, s3, s2)], [(1, s2, s2), (1, s2, s3)],
+                      [(1, s2, s2), (1, s3, s3)]):
+            with pytest.raises(ValueError, match="orders differ"):
+                _product_sum(terms)
 
 
 class TestCalculus:

@@ -116,6 +116,36 @@ class TestPassingRuns:
         assert len(steps) == sum(n + sum((nu + 1) // 2 for nu in range(n + 1))
                                  for n in range(9)) == 106
 
+    def test_functional_suite_weights_each_row_once(self, monkeypatch):
+        # A fresh pair: the session fixtures carry their memos between tests.
+        # 2 Pearson + 15 product-rule + 9 shifted functionals u_1..u_9, then per
+        # (n, nu) one C_nu' u_{n-nu+1} and one memoized C_nu u_{n-nu}; building
+        # C_nu u_{n-nu} afresh for every residual took 262
+        pair = pair_from_family(hermite_family(), max_order=40)
+        calls = []
+        original = copoly.functional.functional_poly_mul
+
+        def counted(h, u):
+            calls.append(h)
+            return original(h, u)
+        monkeypatch.setattr(copoly.functional, "functional_poly_mul", counted)
+        monkeypatch.setattr(copoly.rodrigues, "functional_poly_mul", counted)
+        assert verify_pair(pair, suites=("functional",), max_n=8).passed
+        rows = sum(n + 1 for n in range(9))
+        assert len(calls) == 2 + 15 + 9 + 2 * rows == 116
+
+    def test_a_wrong_weighted_row_fails_where_it_is_read(self):
+        # C_3(x; 5) u_2 memoized as (C_3 + 1) u_2: both residuals that read it
+        # must fail there, and nothing else may
+        pair = pair_from_family(hermite_family(), max_order=40)
+        pair._weighted[(5, 3)] = pair.weighted_row(5, 3) + pair.functional_power(2)
+        report = verify_pair(pair, suites=("functional",), max_n=5, order=4)
+        assert report.suites[0].failures == [
+            "n=5 nu=3: self-adjoint residual nonzero",
+            "n=5 nu=3 mu=0: functional Rodrigues residual nonzero",
+            "n=5 nu=3 mu=1: functional Rodrigues residual nonzero",
+        ]
+
 
 class TestNotes:
     def test_probe_note_reports_coincidence_without_phi2(self, hermite_pair):
