@@ -32,8 +32,6 @@ Taylor: ``phi'(x + y phi) = phi' + y phi'' phi`` and
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import UnsupportedFamily
 from .poly import Poly
 from .rodrigues import FAMILIES, ClassicalPair, FamilySpec
@@ -53,8 +51,7 @@ def genfun_truncated(pair: ClassicalPair, n: int, order: int) -> SeriesYX:
     factorial = 1
     for nu, row in enumerate(pair.rows(n, order)):
         factorial *= max(nu, 1)
-        coeffs.append(Poly._of([Fraction(c.numerator, c.denominator * factorial)
-                                for c in row.coeffs]))
+        coeffs.append(Poly._of(row._den * factorial, list(row._nums)))
     return SeriesYX(order, coeffs)
 
 

@@ -108,26 +108,24 @@ def orthogonality_matrix(u: MomentFunctional,
     """Gram matrix ``G[i][j] = <u, polys[i] * polys[j]>``.
 
     Computed as ``C H C^T`` on integer numerators: ``C`` holds each
-    polynomial's coefficients over its own common denominator and ``H`` the
-    Hankel matrix of the moments over theirs, so each entry costs integer
-    products and one ``Fraction``.  ``G`` is symmetric, so only ``i <= j``
-    is computed.  No moment past ``2 * max degree`` is read.
+    polynomial's numerators over its own denominator and ``H`` the Hankel
+    matrix of the moments over theirs, so each entry costs integer products
+    and one ``Fraction``.  ``G`` is symmetric, so only ``i <= j`` is
+    computed.  No moment past ``2 * max degree`` is read.
     """
     size = len(polys)
-    width = max((len(p.coeffs) for p in polys), default=0)
+    width = max((len(p._nums) for p in polys), default=0)
     if width == 0:
         return [[Fraction(0)] * size for _ in range(size)]
     moments = u.moments(2 * width - 2)
     mden, (hankel,) = _integer_form((moments,))
-    forms = [_integer_form((p.coeffs,)) for p in polys]
-    dens = [d for d, _ in forms]
-    rows = [row for _, (row,) in forms]
     # ch[i][b] = sum_a C[i][a] H[a][b]
-    ch = [[sum(map(mul, row, hankel[b:])) for b in range(width)] for row in rows]
+    ch = [[sum(map(mul, p._nums, hankel[b:])) for b in range(width)] for p in polys]
     gram = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
+    for i, p in enumerate(polys):
         for j in range(i, size):
-            entry = Fraction(sum(map(mul, ch[i], rows[j])), dens[i] * dens[j] * mden)
+            q = polys[j]
+            entry = Fraction(sum(map(mul, ch[i], q._nums)), p._den * q._den * mden)
             gram[i][j] = gram[j][i] = entry
     return gram
 

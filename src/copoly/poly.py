@@ -2,10 +2,11 @@
 
 The scalar field everywhere in this package is ``fractions.Fraction``:
 arbitrary precision, always reduced, positive denominator.  ``Poly`` stores
-coefficients densely by ascending power of ``x`` with no trailing zeros, so
-two polynomials are equal exactly when their coefficient tuples are equal.
-The zero polynomial is the empty tuple and reports degree ``-inf``, keeping
-degree bookkeeping honest without a fake ``-1``.
+integer numerators ``_nums`` by ascending power of ``x``, with no trailing
+zero, over one denominator ``_den > 0`` with ``gcd(_den, *_nums) == 1``.
+That form is canonical, so equality is a tuple comparison and the kernels
+compute on it directly; ``coeffs`` builds reduced ``Fraction``s on each read.
+The zero polynomial is ``(1, ())`` and reports degree ``-inf``.
 
 Floats are rejected everywhere: there is no rounding anywhere in this
 package, and accepting a float would silently launder binary approximation
@@ -35,26 +36,27 @@ def as_rational(value: int | str | Fraction) -> Fraction:
 class Poly:
     """Immutable polynomial in ``x`` with exact rational coefficients.
 
-    Every operation returns a new canonical ``Poly`` (no trailing zero
-    coefficients).  Arithmetic mixes freely with ``int`` and ``Fraction``
-    scalars, which are treated as constant polynomials.
+    Every operation returns a new canonical ``Poly`` through ``_of``.
+    Arithmetic mixes freely with ``int`` and ``Fraction`` scalars, which are
+    treated as constant polynomials.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_den", "_nums")
 
     def __init__(self, coeffs: Iterable[int | str | Fraction] = ()):
-        cs = [as_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        den, (nums,) = _integer_form(([as_rational(c) for c in coeffs],))
+        canonical = Poly._of(den, nums)
+        self._den, self._nums = canonical._den, canonical._nums
 
     @classmethod
-    def _of(cls, cs: list[Fraction]) -> Poly:
-        """Wrap reduced ``Fraction``s without coercing them; internal results only."""
-        while cs and not cs[-1]:
-            cs.pop()
+    def _of(cls, den: int, nums: list[int]) -> Poly:
+        """``nums / den`` for ``den > 0``, stripped and reduced; ``nums`` may be
+        stripped in place.  Every constructor and kernel returns through here."""
+        while nums and not nums[-1]:
+            nums.pop()
         p = object.__new__(cls)
-        p._coeffs = tuple(cs)
+        p._den, nums = _reduced(den, nums)
+        p._nums = tuple(nums)
         return p
 
     @classmethod
@@ -81,38 +83,36 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple([Fraction(v, self._den) for v in self._nums])
 
     @property
     def degree(self) -> int | float:
         """Degree of the polynomial; ``-inf`` for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INF
+        return len(self._nums) - 1 if self._nums else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self._coeffs:
+        if not self._nums:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return Fraction(self._nums[-1], self._den)
 
     def coefficient(self, power: int) -> Fraction:
         """Coefficient of ``x**power``; zero beyond the degree."""
         if power < 0:
             raise IndexError("coefficient power must be >= 0")
-        if power >= len(self._coeffs):
-            return Fraction(0)
-        return self._coeffs[power]
+        return Fraction(self._nums[power] if power < len(self._nums) else 0, self._den)
 
     def derivative(self, order: int = 1) -> Poly:
         if order < 0:
             raise ValueError("derivative order must be >= 0")
-        cs = list(self._coeffs)
+        nums = list(self._nums)
         for _ in range(order):
-            cs = [i * c for i, c in enumerate(cs) if i > 0]
-        return Poly._of(cs)
+            nums = [i * c for i, c in enumerate(nums)][1:]
+        return Poly._of(self._den, nums)
 
     def monic(self) -> Poly:
         return self / self.leading_coefficient
@@ -120,33 +120,33 @@ class Poly:
     def __call__(self, point: int | str | Fraction) -> Fraction:
         value = as_rational(point)
         acc = Fraction(0)
-        for c in reversed(self._coeffs):
+        for c in reversed(self._nums):
             acc = acc * value + c
-        return acc
+        return acc / self._den
 
     def _coerce(self, other) -> Poly | None:
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return Poly.constant(other)
+            return Poly._of(other.denominator, [other.numerator])
         return None
 
     def __add__(self, other) -> Poly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = self._coeffs, rhs._coeffs
+        den, (a, b) = _over_lcm((self, rhs))
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly._of(out)
+        return Poly._of(den, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly._of([-c for c in self._coeffs])
+        return Poly._of(self._den, [-c for c in self._nums])
 
     def __sub__(self, other) -> Poly:
         rhs = self._coerce(other)
@@ -164,15 +164,7 @@ class Poly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = self._coeffs, rhs._coeffs
-        if not a or not b:
-            return Poly._of([])
-        # Integer numerators over one common denominator per operand: one gcd
-        # per output coefficient instead of a Fraction multiply and add per term.
-        da, (ia,) = _integer_form((a,))
-        db, (ib,) = _integer_form((b,))
-        d = da * db
-        return Poly._of([Fraction(v, d) for v in _convolve([], ia, ib)])
+        return Poly._of(self._den * rhs._den, _convolve([], self._nums, rhs._nums))
 
     __rmul__ = __mul__
 
@@ -194,24 +186,24 @@ class Poly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self._coeffs == rhs._coeffs
+        return self._den == rhs._den and self._nums == rhs._nums
 
     def __hash__(self) -> int:
         # Constants hash like their scalar value so Poly([3]) == 3 stays
         # consistent with the hash contract.
-        if len(self._coeffs) <= 1:
-            return hash(self._coeffs[0] if self._coeffs else Fraction(0))
-        return hash(self._coeffs)
+        if len(self._nums) <= 1:
+            return hash(self.coefficient(0))
+        return hash((self._den, self._nums))
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._nums)
 
     def __repr__(self) -> str:
-        return f"Poly({list(self._coeffs)!r})"
+        return f"Poly({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
         # Ascending powers; the output re-parses through parse_poly_expr.
-        return _signed_sum(self, range(len(self._coeffs)), _text_term)
+        return _signed_sum(self, _text_term)
 
 
 def _text_term(power: int, magnitude: Fraction) -> str:
@@ -221,12 +213,13 @@ def _text_term(power: int, magnitude: Fraction) -> str:
     return xs if magnitude == 1 else f"{magnitude}*{xs}"
 
 
-def _signed_sum(p: Poly, powers: Iterable[int], body: Callable[[int, Fraction], str]) -> str:
-    """The nonzero terms of ``p`` at ``powers``, in that order, joined by their signs;
-    ``body(power, magnitude)`` writes a term without its sign.  Zero is ``"0"``."""
+def _signed_sum(p: Poly, body: Callable[[int, Fraction], str], descending: bool = False) -> str:
+    """The nonzero terms of ``p`` by ascending (or descending) power, joined by their
+    signs; ``body(power, magnitude)`` writes a term without its sign.  Zero is ``"0"``."""
+    cs = p.coeffs
     parts: list[str] = []
-    for power in powers:
-        c = p._coeffs[power]
+    for power in reversed(range(len(cs))) if descending else range(len(cs)):
+        c = cs[power]
         if c == 0:
             continue
         if parts:
@@ -237,15 +230,23 @@ def _signed_sum(p: Poly, powers: Iterable[int], body: Callable[[int, Fraction], 
     return "".join(parts) or "0"
 
 
-# The exact kernels (Poly and SeriesYX products, the Rodrigues rows, moment
-# blocks, Hankel minors and the Gram matrix) carry rational vectors as integer
-# numerators over one denominator through the three helpers below.
+# The exact kernels compute on integer numerators over one denominator, the
+# form a Poly holds; _integer_form converts sequences of Fractions to it.
 
 def _integer_form(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
     """``(d, nums)``: ``d`` is the least common denominator of every value in
     ``rows`` (1 when there is none) and ``nums[i][j] / d == rows[i][j]``."""
     d = math.lcm(*[c.denominator for row in rows for c in row])
     return d, [[c.numerator * (d // c.denominator) for c in row] for row in rows]
+
+
+def _over_lcm(polys: Sequence[Poly]) -> tuple[int, list[Sequence[int]]]:
+    """``(d, nums)``: ``d`` is the lcm of the denominators of ``polys`` and
+    ``nums[i] / d`` is ``polys[i]``; a numerator sequence already over ``d``
+    is shared, not copied."""
+    d = math.lcm(*[p._den for p in polys])
+    return d, [p._nums if p._den == d else [v * (d // p._den) for v in p._nums]
+               for p in polys]
 
 
 def _convolve(acc: list[int], a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -50,4 +50,4 @@ def _latex_term(power: int, magnitude: Fraction) -> str:
 
 def poly_latex(p: Poly) -> str:
     """Descending-degree LaTeX, e.g. ``4 x^{2} - 2``."""
-    return _signed_sum(p, range(len(p.coeffs) - 1, -1, -1), _latex_term)
+    return _signed_sum(p, _latex_term, descending=True)

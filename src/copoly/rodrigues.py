@@ -37,7 +37,7 @@ from .functional import (
     functional_poly_mul,
     moments_from_pearson,
 )
-from .poly import Poly, _convolve, _integer_form, _reduced, as_rational
+from .poly import Poly, _convolve, _over_lcm, as_rational
 from .series import SeriesYX, series_exp, series_pow_rational
 
 
@@ -263,21 +263,20 @@ def _comp_rows(pair: ClassicalPair, n: int, count: int,
     """The rows after ``prefix = [C_0, ...]`` through ``C_count``, newly built."""
     # The recursion coefficient (n - nu - 1) goes negative past nu = n; that
     # continuation is what the generating series needs, so no bound check here.
-    # The last row is carried as integer numerators ``num`` over one reduced
-    # denominator ``den``, with phi and psi over their common denominator
-    # ``scale``: a step is two integer convolutions and one gcd over the row,
-    # and each emitted coefficient is one Fraction.
+    # Each row is a Poly: its integer numerators over one reduced denominator
+    # are the recursion's state.  With phi and psi over their common
+    # denominator ``scale``, a step is two integer convolutions and one gcd.
     out = [] if prefix else [Poly.one()]
-    den, (num,) = _integer_form(((prefix or out)[-1].coeffs,))
-    scale, (phi, psi) = _integer_form((pair.phi.coeffs, pair.psi.coeffs))
+    row = (prefix or out)[-1]
+    scale, (phi, psi) = _over_lcm((pair.phi, pair.psi))
     dphi = [i * c for i, c in enumerate(phi)][1:]
     for nu in range(max(len(prefix) - 1, 0), count):
         k = n - nu - 1
         factor = [a + k * b for a, b in zip_longest(psi, dphi, fillvalue=0)]
+        num = row._nums
         dnum = [i * c for i, c in enumerate(num)][1:]
-        new = _convolve(_convolve([], phi, dnum), factor, num)
-        den, num = _reduced(den * scale, new)
-        out.append(Poly._of([Fraction(v, den) for v in num]))
+        row = Poly._of(row._den * scale, _convolve(_convolve([], phi, dnum), factor, num))
+        out.append(row)
     return out
 
 

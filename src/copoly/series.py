@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .poly import Poly, _convolve, _integer_form, as_poly, as_rational
+from .poly import Poly, _convolve, _integer_form, _over_lcm, as_poly, as_rational
 
 
 class SeriesYX:
@@ -142,9 +142,10 @@ def _product_sum(terms: Sequence[tuple[int | Fraction, SeriesYX, SeriesYX]]) -> 
     """``sum c * a * b`` over the ``(c, a, b)`` in ``terms``, every series of one order.
 
     One bivariate convolution on integer numerators: every left factor goes
-    over one common denominator and every right factor over another, so each
-    output coefficient is one ``Fraction``.  The left factor's zero
-    coefficients are skipped, so a sparse factor belongs on the left.
+    over one common denominator and every right factor over another, and
+    each output coefficient is one ``Poly`` of the sums over their product.
+    The left factor's zero coefficients are skipped, so a sparse factor
+    belongs on the left.
     """
     first = terms[0][1]
     for _, a, b in terms:
@@ -152,8 +153,8 @@ def _product_sum(terms: Sequence[tuple[int | Fraction, SeriesYX, SeriesYX]]) -> 
         first._check_order(b)
     order = first._order
     dc, (weights,) = _integer_form(([as_rational(c) for c, _, _ in terms],))
-    da, lefts = _integer_form([p.coeffs for _, a, _ in terms for p in a._coeffs])
-    db, rights = _integer_form([p.coeffs for _, _, b in terms for p in b._coeffs])
+    da, lefts = _over_lcm([p for _, a, _ in terms for p in a._coeffs])
+    db, rights = _over_lcm([p for _, _, b in terms for p in b._coeffs])
     size = order + 1
     # per term: the nonzero powers of a with their numerators times c, and b's numerators
     pairs = []
@@ -169,7 +170,7 @@ def _product_sum(terms: Sequence[tuple[int | Fraction, SeriesYX, SeriesYX]]) -> 
                 if i > k:
                     break
                 _convolve(acc, a, right[k - i])
-        out.append(Poly._of([Fraction(v, d) for v in acc]))
+        out.append(Poly._of(d, acc))
     return SeriesYX(order, out)
 
 
@@ -192,23 +193,22 @@ def poly_shift_substitute(p: Poly, q: Poly, order: int) -> SeriesYX:
     return SeriesYX(order, coeffs)
 
 
-def _first_order(s: SeriesYX, weight: Callable[[int, int], int | Fraction]) -> SeriesYX:
-    """The series ``f`` with ``f_0 = 1`` and ``n f_n = sum_{k=1..n} weight(n, k) s_k f_{n-k}``.
+def _first_order(s: SeriesYX, weight: Callable[[int, int], int], scale: int = 1) -> SeriesYX:
+    """The series ``f``: ``f_0 = 1``, ``scale n f_n = sum_{k=1..n} weight(n, k) s_k f_{n-k}``.
 
     The first-order equations in ``y`` of ``exp(s)`` and ``s**alpha`` give this
     recurrence (J. C. P. Miller's; Knuth, TAOCP vol. 2, 4.7): each ``f_n`` is
     one pass of integer convolutions over ``s``, not a sum of powers of ``s``.
+    The weights are integers and ``scale`` is a positive integer.
     """
-    ds, s_nums = _integer_form([p.coeffs for p in s.coeffs])
+    ds, s_nums = _over_lcm(s.coeffs)
     f = [Poly.one()]
     for n in range(1, s.order + 1):
-        dw, (w,) = _integer_form(([weight(n, k) for k in range(1, n + 1)],))
-        df, f_nums = _integer_form([p.coeffs for p in f])
+        df, f_nums = _over_lcm(f)
         acc: list[int] = []
         for k in range(1, n + 1):
-            _convolve(acc, [w[k - 1] * v for v in s_nums[k]], f_nums[n - k])
-        d = n * dw * ds * df
-        f.append(Poly._of([Fraction(v, d) for v in acc]))
+            _convolve(acc, [weight(n, k) * v for v in s_nums[k]], f_nums[n - k])
+        f.append(Poly._of(n * scale * ds * df, acc))
     return SeriesYX(s.order, f)
 
 
@@ -226,4 +226,6 @@ def series_pow_rational(s: SeriesYX, alpha: int | str | Fraction) -> SeriesYX:
     a = as_rational(alpha)
     if s.coeff(0) != Poly.one():
         raise ValueError("series_pow_rational needs constant term 1")
-    return _first_order(s, lambda n, k: (a + 1) * k - n)
+    # (a + 1) k - n over a's denominator q, for a = p / q
+    p, q = a.numerator, a.denominator
+    return _first_order(s, lambda n, k: (p + q) * k - q * n, q)

@@ -72,6 +72,16 @@ def test_one_integer_convolution_loop():
     assert loops == {("poly.py", "_convolve")}
 
 
+def test_no_kernel_converts_poly_coeffs():
+    """A ``Poly`` already holds its integer form, so no kernel converts ``.coeffs`` to it."""
+    calls = [(name, node.lineno) for name, tree in _modules().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "_integer_form"
+             and any(isinstance(inner, ast.Attribute) and inner.attr == "coeffs"
+                     for arg in node.args for inner in ast.walk(arg))]
+    assert calls == []
+
+
 def test_exp_and_pow_have_no_loop_of_their_own():
     """Both are one check and one call of the shared first-order recurrence."""
     loops = [(function.name, node.lineno)

@@ -188,6 +188,16 @@ class TestEqualityAndHash:
         assert hash(Poly([3])) == hash(3)
         assert hash(Poly.zero()) == hash(0)
 
+    def test_equal_across_construction_paths(self):
+        # a kernel product against string coefficients, and a reducible Fraction against its scalar
+        product, parsed = Poly([1, 2]) * Fraction(1, 3), Poly(["1/3", "2/3"])
+        assert product == parsed
+        assert hash(product) == hash(parsed)
+        assert (product._den, product._nums) == (3, (1, 2))
+        half = Poly([Fraction(2, 4)])
+        assert half == Fraction(1, 2)
+        assert hash(half) == hash(Fraction(1, 2))
+
     def test_bool(self):
         assert not Poly.zero()
         assert Poly([0, 1])
@@ -240,6 +250,12 @@ def _assert_canonical(r):
                for c in r.coeffs)
     assert not r.coeffs or r.coeffs[-1] != 0
     assert hash(r) == hash(Poly(list(r.coeffs)))
+    # the stored form: integer numerators over one positive, reduced denominator
+    assert type(r._den) is int and r._den > 0
+    assert all(type(v) is int for v in r._nums)
+    assert math.gcd(r._den, *r._nums) == 1
+    assert not r._nums or r._nums[-1] != 0
+    assert r._nums or r._den == 1
 
 
 def _assert_matches(result, expected):
