@@ -23,60 +23,82 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import perm
+from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import AdmissibilityViolation, InvalidParameter
-from .poly import Poly, _integer_form, _reduced, as_rational
+from .poly import Poly, _integer_form, _over_lcm, _reduced, as_rational
 
 MomentRule = Callable[[int, Sequence[Fraction]], Fraction]
-MomentBlock = Callable[[int, int], list[Fraction]]
+MomentBlock = Callable[["MomentFunctional", int, int], tuple[int, list[int]]]
 
 
 class MomentFunctional:
     """Linear functional on polynomials, held as an extendable moment sequence.
 
-    Computed moments are append-only.  A functional may carry a ``rule``
-    that produces moment ``k`` given the moments below it (a recurrence, or
-    an index formula over a parent functional), or a ``block`` that produces
-    moments ``lo .. hi`` at once from its parents' prefixes; without either
-    it is finite and reading past the stored prefix raises ``ValueError``.
-    Nothing is computed until a moment is read.
+    The computed prefix is stored the way ``Poly`` stores coefficients:
+    integer numerators ``_nums`` over one denominator ``_den > 0`` with
+    ``gcd(_den, *_nums) == 1``; ``moment`` and ``moments`` build reduced
+    ``Fraction``s when read.  The prefix is append-only.  A functional may
+    carry a ``block``, called as ``block(u, lo, hi)`` with the functional it
+    fills, that produces moments ``lo .. hi`` at once as ``(den, numerators)``
+    with ``den > 0`` from stored forms (its parents', or ``u``'s own prefix),
+    or a ``rule`` that produces moment ``k`` as a ``Fraction`` given the
+    moments below it; without either it is finite and reading past the
+    stored prefix raises ``ValueError``.  Nothing is computed until a moment
+    is read.
     """
 
-    __slots__ = ("_moments", "_rule", "_block")
+    __slots__ = ("_den", "_nums", "_block")
 
     def __init__(self, rule: MomentRule | None = None,
                  initial: Iterable[int | str | Fraction] = (), *,
                  block: MomentBlock | None = None):
-        self._moments: list[Fraction] = [as_rational(v) for v in initial]
-        self._rule = rule
+        values = [as_rational(v) for v in initial]
+        self._den, (self._nums,) = _integer_form((values,)) if values else (1, ([],))
+        if block is None and rule is not None:
+            known = values  # the rule reads the prefix as Fractions, so they are kept
+
+            def block(_: MomentFunctional, lo: int, hi: int) -> tuple[int, list[int]]:
+                del known[lo:]  # moments of a block that raised
+                for k in range(lo, hi + 1):
+                    known.append(as_rational(rule(k, known)))
+                den, (nums,) = _integer_form((known[lo:],))
+                return den, nums
         self._block = block
-        if not self._moments and rule is None and block is None:
+        if not values and block is None:
             raise ValueError("a functional needs at least u_0 or a generating rule")
+
+    def _form(self, up_to: int) -> tuple[int, list[int]]:
+        """``(den, nums)`` with ``nums[k] / den == u_k`` through at least ``up_to``;
+        callers must not change ``nums``.  The block fills the whole missing
+        range at once; its result is reduced and merged in over the lcm of the
+        two denominators, the one place the stored form changes."""
+        if up_to >= len(self._nums):
+            if self._block is None:
+                raise ValueError(f"moments known only up to index {len(self._nums) - 1}; "
+                                 "no generating rule")
+            added = _reduced(*self._block(self, len(self._nums), up_to))
+            den, (old, new) = _over_lcm([(self._den, self._nums), added])
+            self._den, self._nums = den, [*old, *new]
+        return self._den, self._nums
+
+    def _vanishes(self, up_to: int) -> bool:
+        """Whether ``u_0 .. u_up_to`` are all zero, read off the stored numerators."""
+        return not any(self._form(up_to)[1][:up_to + 1])
 
     def moment(self, k: int) -> Fraction:
         if k < 0:
             raise IndexError("moment index must be >= 0")
-        known = self._moments
-        if k < len(known):
-            return known[k]
-        if self._block is not None:
-            known.extend(self._block(len(known), k))
-        elif self._rule is not None:
-            while len(known) <= k:
-                known.append(as_rational(self._rule(len(known), known)))
-        else:
-            raise ValueError(
-                f"moments known only up to index {len(known) - 1}; no generating rule"
-            )
-        return known[k]
+        den, nums = self._form(k)
+        return Fraction(nums[k], den)
 
     def moments(self, up_to: int) -> list[Fraction]:
         """Moments ``u_0 .. u_up_to`` inclusive."""
         if up_to < 0:
             return []
-        self.moment(up_to)
-        return self._moments[: up_to + 1]
+        den, nums = self._form(up_to)
+        return [Fraction(v, den) for v in nums[:up_to + 1]]
 
     def __add__(self, other) -> MomentFunctional:
         if not isinstance(other, MomentFunctional):
@@ -94,48 +116,47 @@ class MomentFunctional:
     def __rmul__(self, scalar) -> MomentFunctional:
         if isinstance(scalar, float) or not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return _combination([(as_rational(scalar), self, 0)])
+        c = as_rational(scalar)
+        return _combination([(c.numerator, self, 0)], c.denominator)
 
     __mul__ = __rmul__
 
     def __repr__(self) -> str:
-        shown = ", ".join(str(m) for m in self._moments[:6])
-        extends = self._rule is not None or self._block is not None
-        tail = ", ..." if extends or len(self._moments) > 6 else ""
+        shown = ", ".join(str(Fraction(v, self._den)) for v in self._nums[:6])
+        tail = ", ..." if self._block is not None or len(self._nums) > 6 else ""
         return f"MomentFunctional([{shown}{tail}])"
 
 
-def _combination(terms: Sequence[tuple[int | Fraction, MomentFunctional, int]]) -> MomentFunctional:
-    """Moments ``v_k = sum c u_{k+s}`` over the ``(c, u, s)`` in ``terms``, with ``s >= 0``.
+def _combination(terms: Sequence[tuple[int, MomentFunctional, int]],
+                 scale: int = 1) -> MomentFunctional:
+    """Moments ``v_k = sum w u_{k+s} / scale`` over the ``(w, u, s)`` in ``terms``,
+    with integer weights ``w``, shifts ``s >= 0`` and ``scale > 0``.
 
-    A block ``lo .. hi`` reads each parent's prefix once and computes every
-    moment as an integer dot product over one common denominator, so the
-    only ``Fraction`` built per moment is the result.
+    A block ``lo .. hi`` puts the parents' stored numerators over the lcm
+    of their denominators and adds ``w`` times each term's slice into one
+    integer vector; it returns ``(den, numerators)`` and builds no ``Fraction``.
     """
-    terms = [(as_rational(c), u, s) for c, u, s in terms if c != 0]
-    scale, (weights,) = _integer_form(([c for c, _, _ in terms],))
-    reach: dict[MomentFunctional, int] = {}
-    for _, u, s in terms:
-        reach[u] = max(reach.get(u, 0), s)
+    # the largest shift first, so the first read of a parent extends it far enough
+    terms = sorted([(w, u, s) for w, u, s in terms if w], key=lambda term: -term[2])
 
-    def block(lo: int, hi: int) -> list[Fraction]:
-        prefixes = {u: u.moments(hi + s)[lo:] for u, s in reach.items()}
-        den, nums = _integer_form(list(prefixes.values()))
-        ints = dict(zip(prefixes, nums))
-        rows = [(w, ints[u], s) for w, (_, u, s) in zip(weights, terms)]
-        den *= scale
-        return [Fraction(sum(w * m[i + s] for w, m, s in rows), den)
-                for i in range(hi - lo + 1)]
+    def block(_: MomentFunctional, lo: int, hi: int) -> tuple[int, list[int]]:
+        forms = []
+        for _, u, s in terms:
+            den, nums = u._form(hi + s)
+            forms.append((den, nums[lo + s:hi + s + 1]))
+        den, slices = _over_lcm(forms)
+        out = [0] * (hi - lo + 1)
+        for (w, _, _), part in zip(terms, slices):
+            out = list(map(add, out, map(w.__mul__, part)))
+        return den * scale, out
     return MomentFunctional(block=block)
 
 
 def functional_apply(u: MomentFunctional, p: Poly) -> Fraction:
-    """Pair the functional with a polynomial: ``<u, p> = sum p_i u_i``."""
-    total = Fraction(0)
-    for i, c in enumerate(p.coeffs):
-        if c != 0:
-            total += c * u.moment(i)
-    return total
+    """Pair the functional with a polynomial: ``<u, p> = sum p_i u_i``, one
+    integer dot product over ``u``'s stored numerators."""
+    den, nums = u._form(len(p._nums) - 1)
+    return Fraction(sum(map(mul, p._nums, nums)), p._den * den)
 
 
 def functional_derivative(u: MomentFunctional, times: int = 1) -> MomentFunctional:
@@ -149,18 +170,17 @@ def functional_derivative(u: MomentFunctional, times: int = 1) -> MomentFunction
         raise ValueError("derivative order must be >= 0")
     sign = -1 if times % 2 else 1
 
-    def block(lo: int, hi: int) -> list[Fraction]:
-        below = u.moments(hi - times)
+    def block(_: MomentFunctional, lo: int, hi: int) -> tuple[int, list[int]]:
+        den, below = u._form(hi - times)
         first = min(max(lo, times), hi + 1)
-        return [Fraction(0)] * (first - lo) + [
-            Fraction(sign * perm(k, times) * m.numerator, m.denominator)
-            for k, m in zip(range(first, hi + 1), below[first - times:])]
+        return den, [0] * (first - lo) + [
+            sign * perm(k, times) * m for k, m in zip(range(first, hi + 1), below[first - times:])]
     return MomentFunctional(block=block)
 
 
 def functional_poly_mul(h: Poly, u: MomentFunctional) -> MomentFunctional:
     """Left multiplication by a polynomial: moments ``v_k = sum h_j u_{k+j}``."""
-    return _combination([(c, u, j) for j, c in enumerate(h.coeffs)])
+    return _combination([(c, u, j) for j, c in enumerate(h._nums)], h._den)
 
 
 def functional_div_linear(c: int | str | Fraction, u: MomentFunctional) -> MomentFunctional:
@@ -176,9 +196,14 @@ def leibniz_residual(p: Poly, u: MomentFunctional, order: int) -> list[Fraction]
     This is the product rule of the distributional calculus checked as a
     statement about moment sequences rather than proved symbolically.
     """
+    return _leibniz(p, u).moments(order)
+
+
+def _leibniz(p: Poly, u: MomentFunctional) -> MomentFunctional:
+    """The functional ``(p u)' - (p u' + p' u)`` whose moments ``leibniz_residual`` reads."""
     lhs = functional_derivative(functional_poly_mul(p, u))
     rhs = functional_poly_mul(p, functional_derivative(u)) + functional_poly_mul(p.derivative(), u)
-    return (lhs - rhs).moments(order)
+    return lhs - rhs
 
 
 def check_pearson_degrees(phi: Poly, psi: Poly) -> None:
@@ -198,23 +223,30 @@ def moments_from_pearson(phi: Poly, psi: Poly, u0: int | str | Fraction,
     ``max_order`` on demand, checking lazily from there.
     """
     check_pearson_degrees(phi, psi)
-    a, b, c = phi.coefficient(2), phi.coefficient(1), phi.coefficient(0)
-    d, e = psi.coefficient(1), psi.coefficient(0)
+    # the recurrence is homogeneous in (a, b, c, d, e): take their numerators
+    _, (phi_nums, (e, d)) = _over_lcm([(phi._den, phi._nums), (psi._den, psi._nums)])
+    c, b, a = [*phi_nums, 0, 0, 0][:3]
     for k in range(max_order):
         if d + k * a == 0:
             raise AdmissibilityViolation(k)
 
-    def rule(m: int, prefix: Sequence[Fraction]) -> Fraction:
-        k = m - 1  # solve (d + ka) u_{k+1} = -((e + kb) u_k + kc u_{k-1})
-        denom = d + k * a
-        if denom == 0:
-            raise AdmissibilityViolation(k)
-        total = (e + k * b) * prefix[k]
-        if k >= 1:
-            total += k * c * prefix[k - 1]
-        return -total / denom
+    def block(u: MomentFunctional, lo: int, hi: int) -> tuple[int, list[int]]:
+        # u_{k+1} = -((e + kb) u_k + kc u_{k-1}) / (d + ka): cur and prev stay over
+        # den * p, and p gains the factor |d + ka| at each step, so no step divides
+        den, known = u._form(lo - 1)
+        prev, cur = (known[lo - 2] if lo > 1 else 0), known[lo - 1]
+        nums, dens, p = [], [], 1
+        for k in range(lo - 1, hi):
+            q = d + k * a
+            if q == 0:
+                raise AdmissibilityViolation(k)
+            nxt = -((e + k * b) * cur + k * c * prev)
+            prev, cur, p = cur * abs(q), (nxt if q > 0 else -nxt), p * abs(q)
+            nums.append(cur)
+            dens.append(p)
+        return den * p, [v * (p // pk) for v, pk in zip(nums, dens)]
 
-    return MomentFunctional(rule, initial=(as_rational(u0),))
+    return MomentFunctional(initial=(as_rational(u0),), block=block)
 
 
 def pearson_residual(phi: Poly, psi: Poly, u: MomentFunctional,
@@ -225,8 +257,12 @@ def pearson_residual(phi: Poly, psi: Poly, u: MomentFunctional,
     identically, which cross-checks the recurrence against an independent
     path through ``functional_derivative`` and ``functional_poly_mul``.
     """
-    residual = functional_derivative(functional_poly_mul(phi, u)) - functional_poly_mul(psi, u)
-    return residual.moments(order)
+    return _pearson(phi, psi, u).moments(order)
+
+
+def _pearson(phi: Poly, psi: Poly, u: MomentFunctional) -> MomentFunctional:
+    """The functional ``(phi u)' - psi u`` whose moments ``pearson_residual`` reads."""
+    return functional_derivative(functional_poly_mul(phi, u)) - functional_poly_mul(psi, u)
 
 
 def hankel_minors(u: MomentFunctional, n: int) -> list[Fraction]:
@@ -240,8 +276,7 @@ def hankel_minors(u: MomentFunctional, n: int) -> list[Fraction]:
     """
     if n < 0:
         raise IndexError("Hankel order must be >= 0")
-    moments = u.moments(2 * n)
-    den, (ints,) = _integer_form((moments,))
+    den, ints = u._form(2 * n)
     # rows[r] holds the uneliminated columns of row r, from column k on at step k
     rows = [(den, ints[r:r + n + 1]) for r in range(n + 1)]
     minors: list[Fraction] = []
@@ -270,7 +305,8 @@ def hankel_determinant(u: MomentFunctional, n: int) -> Fraction:
     if n < 0:
         raise IndexError("Hankel order must be >= 0")
     size = n + 1
-    m = [[u.moment(i + j) for j in range(size)] for i in range(size)]
+    moments = u.moments(2 * n)
+    m = [moments[i:i + size] for i in range(size)]
     det = Fraction(1)
     for col in range(size):
         pivot = next((r for r in range(col, size) if m[r][col] != 0), None)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .errors import MismatchError, NotQuasiDefinite
 from .functional import MomentFunctional, functional_apply
-from .poly import Poly, _integer_form
+from .poly import Poly
 from .rodrigues import ClassicalPair, complementary
 
 
@@ -109,7 +109,7 @@ def orthogonality_matrix(u: MomentFunctional,
 
     Computed as ``C H C^T`` on integer numerators: ``C`` holds each
     polynomial's numerators over its own denominator and ``H`` the Hankel
-    matrix of the moments over theirs, so each entry costs integer products
+    matrix of ``u``'s stored numerators, so each entry costs integer products
     and one ``Fraction``.  ``G`` is symmetric, so only ``i <= j`` is
     computed.  No moment past ``2 * max degree`` is read.
     """
@@ -117,10 +117,9 @@ def orthogonality_matrix(u: MomentFunctional,
     width = max((len(p._nums) for p in polys), default=0)
     if width == 0:
         return [[Fraction(0)] * size for _ in range(size)]
-    moments = u.moments(2 * width - 2)
-    mden, (hankel,) = _integer_form((moments,))
+    mden, hankel = u._form(2 * width - 2)
     # ch[i][b] = sum_a C[i][a] H[a][b]
-    ch = [[sum(map(mul, p._nums, hankel[b:])) for b in range(width)] for p in polys]
+    ch = [[sum(map(mul, p._nums, hankel[b:b + width])) for b in range(width)] for p in polys]
     gram = [[Fraction(0)] * size for _ in range(size)]
     for i, p in enumerate(polys):
         for j in range(i, size):

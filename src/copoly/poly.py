@@ -135,7 +135,7 @@ class Poly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        den, (a, b) = _over_lcm((self, rhs))
+        den, (a, b) = _over_lcm(((self._den, self._nums), (rhs._den, rhs._nums)))
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -240,13 +240,13 @@ def _integer_form(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[in
     return d, [[c.numerator * (d // c.denominator) for c in row] for row in rows]
 
 
-def _over_lcm(polys: Sequence[Poly]) -> tuple[int, list[Sequence[int]]]:
-    """``(d, nums)``: ``d`` is the lcm of the denominators of ``polys`` and
-    ``nums[i] / d`` is ``polys[i]``; a numerator sequence already over ``d``
-    is shared, not copied."""
-    d = math.lcm(*[p._den for p in polys])
-    return d, [p._nums if p._den == d else [v * (d // p._den) for v in p._nums]
-               for p in polys]
+def _over_lcm(forms: Sequence[tuple[int, Sequence[int]]]) -> tuple[int, list[Sequence[int]]]:
+    """``(d, nums)``: ``d`` is the lcm of the denominators of the ``(den, nums)``
+    pairs in ``forms`` and ``nums[i] / d`` is ``forms[i]``; a numerator sequence
+    already over ``d`` is shared, not copied.  Pairs that are each reduced
+    stay reduced over ``d``."""
+    d = math.lcm(*[den for den, _ in forms])
+    return d, [nums if den == d else [v * (d // den) for v in nums] for den, nums in forms]
 
 
 def _convolve(acc: list[int], a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -268,7 +268,7 @@ def _comp_rows(pair: ClassicalPair, n: int, count: int,
     # denominator ``scale``, a step is two integer convolutions and one gcd.
     out = [] if prefix else [Poly.one()]
     row = (prefix or out)[-1]
-    scale, (phi, psi) = _over_lcm((pair.phi, pair.psi))
+    scale, (phi, psi) = _over_lcm([(p._den, p._nums) for p in (pair.phi, pair.psi)])
     dphi = [i * c for i, c in enumerate(phi)][1:]
     for nu in range(max(len(prefix) - 1, 0), count):
         k = n - nu - 1
@@ -347,10 +347,16 @@ def sturm_liouville_residual(pair: ClassicalPair, n: int, nu: int,
     This is the self-adjoint (weighted) form of the row equation, stated at
     the functional level; every moment vanishes.
     """
+    return _sturm_liouville(pair, n, nu).moments(order)
+
+
+def _sturm_liouville(pair: ClassicalPair, n: int, nu: int) -> MomentFunctional:
+    """The functional whose moments ``sturm_liouville_residual`` reads."""
     lhs = functional_derivative(functional_poly_mul(
         complementary(pair, n, nu).derivative(), pair.functional_power(n - nu + 1)))
     mu = mu_eigenvalue(pair, n, nu)
-    return _combination([(1, lhs, 0), (mu, pair.weighted_row(n, nu), 0)]).moments(order)
+    return _combination([(mu.denominator, lhs, 0), (mu.numerator, pair.weighted_row(n, nu), 0)],
+                        mu.denominator)
 
 
 def rodrigues_formula_residual(pair: ClassicalPair, n: int, nu: int, mu: int,
@@ -361,10 +367,15 @@ def rodrigues_formula_residual(pair: ClassicalPair, n: int, nu: int, mu: int,
     (``C_nu u_{n-nu}`` equals the ``nu``-th derivative of ``u_n``); general
     ``mu`` interpolates between rows.  Every moment vanishes.
     """
+    return _rodrigues_formula(pair, n, nu, mu).moments(order)
+
+
+def _rodrigues_formula(pair: ClassicalPair, n: int, nu: int, mu: int) -> MomentFunctional:
+    """The functional whose moments ``rodrigues_formula_residual`` reads."""
     if not 0 <= mu <= nu <= n:
         raise IndexError(f"need 0 <= mu <= nu <= n, got mu={mu}, nu={nu}, n={n}")
     rhs = functional_derivative(pair.weighted_row(n, mu), nu - mu)
-    return (pair.weighted_row(n, nu) - rhs).moments(order)
+    return pair.weighted_row(n, nu) - rhs
 
 
 def derivative_proportionality(pair: ClassicalPair, n: int, nu: int) -> Fraction:

@@ -153,8 +153,8 @@ def _product_sum(terms: Sequence[tuple[int | Fraction, SeriesYX, SeriesYX]]) -> 
         first._check_order(b)
     order = first._order
     dc, (weights,) = _integer_form(([as_rational(c) for c, _, _ in terms],))
-    da, lefts = _over_lcm([p for _, a, _ in terms for p in a._coeffs])
-    db, rights = _over_lcm([p for _, _, b in terms for p in b._coeffs])
+    da, lefts = _over_lcm([(p._den, p._nums) for _, a, _ in terms for p in a._coeffs])
+    db, rights = _over_lcm([(p._den, p._nums) for _, _, b in terms for p in b._coeffs])
     size = order + 1
     # per term: the nonzero powers of a with their numerators times c, and b's numerators
     pairs = []
@@ -201,10 +201,10 @@ def _first_order(s: SeriesYX, weight: Callable[[int, int], int], scale: int = 1)
     one pass of integer convolutions over ``s``, not a sum of powers of ``s``.
     The weights are integers and ``scale`` is a positive integer.
     """
-    ds, s_nums = _over_lcm(s.coeffs)
+    ds, s_nums = _over_lcm([(p._den, p._nums) for p in s.coeffs])
     f = [Poly.one()]
     for n in range(1, s.order + 1):
-        df, f_nums = _over_lcm(f)
+        df, f_nums = _over_lcm([(p._den, p._nums) for p in f])
         acc: list[int] = []
         for k in range(1, n + 1):
             _convolve(acc, [weight(n, k) * v for v in s_nums[k]], f_nums[n - k])

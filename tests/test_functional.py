@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given
@@ -15,17 +16,19 @@ from copoly import (
     InvalidParameter,
     MomentFunctional,
     Poly,
+    bessel_family,
     functional_apply,
     functional_derivative,
     functional_div_linear,
     functional_poly_mul,
     hankel_determinant,
     hankel_minors,
+    jacobi_family,
     leibniz_residual,
     moments_from_pearson,
     pearson_residual,
 )
-from copoly.functional import check_pearson_degrees
+from copoly.functional import _leibniz, check_pearson_degrees
 
 PHI_PSI = {
     "hermite": (Poly([1]), Poly([0, -2])),
@@ -339,6 +342,81 @@ class TestMomentsFromPearson:
         phi, psi = Poly([0, 0, 1]), Poly([2, 2])
         u = moments_from_pearson(phi, psi, 1, max_order=40)
         assert u.moment(40) == oracles.bessel_moment(0, 40)
+
+
+def _assert_stored_form(u: MomentFunctional):
+    """The prefix is integer numerators over one positive denominator, reduced."""
+    den, nums = u._den, u._nums
+    assert type(den) is int and den > 0
+    assert all(type(v) is int for v in nums)
+    assert gcd(den, *nums) == 1
+
+
+def _pearson_reference(phi: Poly, psi: Poly, u0: Fraction, top: int) -> list[Fraction]:
+    """``u_0 .. u_top`` of ``(phi u)' = psi u``, one ``Fraction`` step at a time."""
+    a, b, c = phi.coefficient(2), phi.coefficient(1), phi.coefficient(0)
+    d, e = psi.coefficient(1), psi.coefficient(0)
+    out = [Fraction(u0)]
+    for k in range(top):
+        total = (e + k * b) * out[k] + (k * c * out[k - 1] if k else 0)
+        out.append(-total / (d + k * a))
+    return out
+
+
+class TestStoredForm:
+    """Moments are stored as integers over one denominator and read as reduced ``Fraction``s."""
+
+    @pytest.mark.parametrize("spec", [bessel_family(Fraction(1, 3)),
+                                      jacobi_family(Fraction(1, 3), Fraction(4, 3))],
+                             ids=["bessel", "jacobi"])
+    def test_growing_denominators_match_the_fraction_recurrence(self, spec):
+        expected = _pearson_reference(spec.phi, spec.psi, spec.u0, 60)
+        whole = moments_from_pearson(spec.phi, spec.psi, spec.u0, max_order=8)
+        assert whole.moments(60) == expected
+        _assert_stored_form(whole)
+        # the same prefix filled in uneven pieces, each merged over a new denominator
+        pieces = moments_from_pearson(spec.phi, spec.psi, spec.u0, max_order=8)
+        for k in (1, 2, 7, 8, 23, 60):
+            assert pieces.moment(k) == expected[k]
+            _assert_stored_form(pieces)
+        assert (pieces._den, pieces._nums) == (whole._den, whole._nums)
+        assert all(type(m) is Fraction for m in pieces.moments(60))
+
+    def test_rule_whose_denominator_changes_every_step(self):
+        def rule(k, pre):
+            return Fraction(1, k + 2) + (pre[-1] * Fraction(k, 2 * k + 3) if pre else 0)
+        expected = []
+        for k in range(41):
+            expected.append(rule(k, expected))
+        u = MomentFunctional(rule=rule)
+        assert u.moment(5) == expected[5]
+        assert u.moments(40) == expected
+        _assert_stored_form(u)
+
+    def test_derived_functionals_are_stored_reduced(self, jacobi_pair):
+        u = jacobi_pair.u
+        h = Poly([Fraction(1, 6), 0, Fraction(3, 4)])
+        derived = [functional_poly_mul(h, u), functional_derivative(u, 3), u - 2 * u,
+                   Fraction(6, 7) * u, _leibniz(h, u)]
+        for v in derived:
+            v.moments(20)
+            _assert_stored_form(v)
+        assert derived[-1]._nums[:21] == [0] * 21
+
+    def test_initial_prefix_is_stored_reduced(self):
+        u = MomentFunctional(initial=[Fraction(2, 4), 3, Fraction(-5, 6)])
+        assert (u._den, u._nums) == (6, [3, 18, -5])
+        assert u.moments(2) == [Fraction(1, 2), 3, Fraction(-5, 6)]
+
+    def test_read_past_an_admissibility_violation_keeps_the_prefix(self):
+        # u_{k+1} = 2 u_k / (3 - k): u_4 divides by zero
+        phi, psi = Poly([0, 0, 1]), Poly([2, -3])
+        u = moments_from_pearson(phi, psi, 1, max_order=3)
+        with pytest.raises(AdmissibilityViolation) as exc:
+            u.moment(6)
+        assert exc.value.k == 3
+        assert u.moments(3) == [1, Fraction(2, 3), Fraction(2, 3), Fraction(4, 3)]
+        _assert_stored_form(u)
 
 
 class TestPearsonResidual:

@@ -82,6 +82,20 @@ def test_no_kernel_converts_poly_coeffs():
     assert calls == []
 
 
+def test_functional_calculus_computes_on_stored_forms():
+    """``functional`` reads no ``Poly.coeffs`` anywhere, and no ``block`` closure
+    builds a ``Fraction``: blocks return integer numerators over one denominator."""
+    tree = _modules()["functional.py"]
+    coeffs = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "coeffs"]
+    fractions = [node.lineno for block in ast.walk(tree)
+                 if isinstance(block, ast.FunctionDef) and block.name == "block"
+                 for node in ast.walk(block)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == "Fraction"]
+    assert (coeffs, fractions) == ([], [])
+
+
 def test_exp_and_pow_have_no_loop_of_their_own():
     """Both are one check and one call of the shared first-order recurrence."""
     loops = [(function.name, node.lineno)
