@@ -35,15 +35,16 @@ for nu in range(N + 1):
     print(f"  nu={nu}: residual = {res}")
 
 # 2. The self-adjoint form trades the explicit derivatives for pairings
-# against the moment functional, one probe degree at a time.
+# against the moment functional: its residual is a functional, and every
+# moment of it, read here through probe degree 2n+4, is zero.
 print("sturm-liouville residuals, probe depth 2n+4")
 for nu in range(N + 1):
-    res = sturm_liouville_residual(pair, N, nu, 2 * N + 4)
+    res = sturm_liouville_residual(pair, N, nu).moments(2 * N + 4)
     print(f"  nu={nu}: all pairings zero = {all(v == 0 for v in res)}")
 
 # 3. Functional Rodrigues: C_nu u_{n-nu} is the nu-th derivative of the
 # functional u_n, checked through moment depth 2n+4 for every row.
-checks = [all(v == 0 for v in rodrigues_formula_residual(pair, N, nu, 0, 2 * N + 4))
+checks = [all(v == 0 for v in rodrigues_formula_residual(pair, N, nu, 0).moments(2 * N + 4))
           for nu in range(N + 1)]
 print("rodrigues pairing identity holds:", all(checks))
 

@@ -12,6 +12,7 @@ from copoly import (
     functional_poly_mul,
     hankel_determinant,
     moments_from_pearson,
+    pearson_residual,
 )
 
 # Moments of the Gaussian weight, generated from (phi u)' = psi u with
@@ -21,6 +22,11 @@ phi = Poly.one()
 psi = Poly([0, -2])
 u = moments_from_pearson(phi, psi, 1, max_order=16)
 print("gaussian moments :", [str(u.moment(k)) for k in range(8)])
+
+# The Pearson equation itself, as a functional: (phi u)' - psi u is built
+# from the calculus below, independently of the recurrence, and every
+# moment of it is zero.
+print("pearson residual :", [str(m) for m in pearson_residual(phi, psi, u).moments(7)])
 
 # Pairing a polynomial against the functional is plain linear algebra on
 # the moment list.
@@ -35,7 +41,8 @@ print("<u', x^3>        =", functional_apply(du, Poly.monomial(3)),
 
 # Multiplying by a polynomial shifts moments.  Division by (x - c) is a
 # section of that multiplication: it recovers every moment except the
-# zeroth, which a point mass at c could change freely.
+# zeroth, which a point mass at c could change freely.  Its moments come
+# from v_k = c v_{k-1} + u_{k-1}, filled a block of indices at a time.
 xu = functional_poly_mul(Poly.monomial(1), u)
 print("(x.u) moments    :", [str(xu.moment(k)) for k in range(6)])
 v = functional_div_linear(Fraction(0), xu)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -333,7 +334,9 @@ def _add_family_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--beta", help="family parameter beta")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once: parsing a request leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="copoly",
         description="Exact construction and verification of complementary polynomials.",

@@ -29,7 +29,6 @@ from typing import Callable, Iterable, Sequence
 from .errors import AdmissibilityViolation, InvalidParameter
 from .poly import Poly, _integer_form, _over_lcm, _reduced, as_rational
 
-MomentRule = Callable[[int, Sequence[Fraction]], Fraction]
 MomentBlock = Callable[["MomentFunctional", int, int], tuple[int, list[int]]]
 
 
@@ -39,35 +38,24 @@ class MomentFunctional:
     The computed prefix is stored the way ``Poly`` stores coefficients:
     integer numerators ``_nums`` over one denominator ``_den > 0`` with
     ``gcd(_den, *_nums) == 1``; ``moment`` and ``moments`` build reduced
-    ``Fraction``s when read.  The prefix is append-only.  A functional may
-    carry a ``block``, called as ``block(u, lo, hi)`` with the functional it
-    fills, that produces moments ``lo .. hi`` at once as ``(den, numerators)``
-    with ``den > 0`` from stored forms (its parents', or ``u``'s own prefix),
-    or a ``rule`` that produces moment ``k`` as a ``Fraction`` given the
-    moments below it; without either it is finite and reading past the
-    stored prefix raises ``ValueError``.  Nothing is computed until a moment
-    is read.
+    ``Fraction``s when read.  The prefix starts as ``initial`` and is
+    append-only.  A functional may carry a ``block``, called as
+    ``block(u, lo, hi)`` with the functional it fills, that produces moments
+    ``lo .. hi`` at once as ``(den, numerators)`` with ``den > 0`` from stored
+    forms (its parents', or ``u``'s own prefix); without one it is finite and
+    reading past the stored prefix raises ``ValueError``.  Nothing is
+    computed until a moment is read.
     """
 
     __slots__ = ("_den", "_nums", "_block")
 
-    def __init__(self, rule: MomentRule | None = None,
-                 initial: Iterable[int | str | Fraction] = (), *,
+    def __init__(self, initial: Iterable[int | str | Fraction] = (), *,
                  block: MomentBlock | None = None):
         values = [as_rational(v) for v in initial]
         self._den, (self._nums,) = _integer_form((values,)) if values else (1, ([],))
-        if block is None and rule is not None:
-            known = values  # the rule reads the prefix as Fractions, so they are kept
-
-            def block(_: MomentFunctional, lo: int, hi: int) -> tuple[int, list[int]]:
-                del known[lo:]  # moments of a block that raised
-                for k in range(lo, hi + 1):
-                    known.append(as_rational(rule(k, known)))
-                den, (nums,) = _integer_form((known[lo:],))
-                return den, nums
         self._block = block
         if not values and block is None:
-            raise ValueError("a functional needs at least u_0 or a generating rule")
+            raise ValueError("a functional needs at least u_0 or a generating block")
 
     def _form(self, up_to: int) -> tuple[int, list[int]]:
         """``(den, nums)`` with ``nums[k] / den == u_k`` through at least ``up_to``;
@@ -77,7 +65,7 @@ class MomentFunctional:
         if up_to >= len(self._nums):
             if self._block is None:
                 raise ValueError(f"moments known only up to index {len(self._nums) - 1}; "
-                                 "no generating rule")
+                                 "no generating block")
             added = _reduced(*self._block(self, len(self._nums), up_to))
             den, (old, new) = _over_lcm([(self._den, self._nums), added])
             self._den, self._nums = den, [*old, *new]
@@ -184,23 +172,36 @@ def functional_poly_mul(h: Poly, u: MomentFunctional) -> MomentFunctional:
 
 
 def functional_div_linear(c: int | str | Fraction, u: MomentFunctional) -> MomentFunctional:
-    """Division by ``x - c``: moments ``v_k = sum_{j<k} c^(k-1-j) u_j`` (``v_0 = 0``),
-    built as ``v_k = c v_{k-1} + u_{k-1}``."""
+    """Division by ``x - c``: moments ``v_k = sum_{j<k} c^(k-1-j) u_j`` (``v_0 = 0``).
+
+    A block runs ``v_k = c v_{k-1} + u_{k-1}`` from ``v``'s last stored moment
+    and ``u``'s stored numerators; with ``c = p/q`` step ``j`` is over
+    ``den * q^j``, so no step divides, and the block ends over the last one.
+    """
     cc = as_rational(c)
-    return MomentFunctional(lambda k, v: cc * v[k - 1] + u.moment(k - 1), (0,))
+    p, q = cc.numerator, cc.denominator
+
+    def block(v: MomentFunctional, lo: int, hi: int) -> tuple[int, list[int]]:
+        v_den, v_nums = v._form(lo - 1)
+        u_den, u_nums = u._form(hi - 1)
+        den, ((cur,), below) = _over_lcm([(v_den, v_nums[lo - 1:lo]),
+                                          (u_den, u_nums[lo - 1:hi])])
+        nums, qj = [], 1
+        for m in below:
+            qj *= q
+            cur = p * cur + qj * m
+            nums.append(cur)
+        return den * qj, [x * q ** (hi - k) for k, x in enumerate(nums, lo)]
+
+    return MomentFunctional(initial=(0,), block=block)
 
 
-def leibniz_residual(p: Poly, u: MomentFunctional, order: int) -> list[Fraction]:
-    """Moments ``0..order`` of ``(p u)' - (p u' + p' u)``; identically zero.
+def leibniz_residual(p: Poly, u: MomentFunctional) -> MomentFunctional:
+    """The functional ``(p u)' - (p u' + p' u)``; every moment is zero.
 
     This is the product rule of the distributional calculus checked as a
     statement about moment sequences rather than proved symbolically.
     """
-    return _leibniz(p, u).moments(order)
-
-
-def _leibniz(p: Poly, u: MomentFunctional) -> MomentFunctional:
-    """The functional ``(p u)' - (p u' + p' u)`` whose moments ``leibniz_residual`` reads."""
     lhs = functional_derivative(functional_poly_mul(p, u))
     rhs = functional_poly_mul(p, functional_derivative(u)) + functional_poly_mul(p.derivative(), u)
     return lhs - rhs
@@ -249,19 +250,13 @@ def moments_from_pearson(phi: Poly, psi: Poly, u0: int | str | Fraction,
     return MomentFunctional(initial=(as_rational(u0),), block=block)
 
 
-def pearson_residual(phi: Poly, psi: Poly, u: MomentFunctional,
-                     order: int) -> list[Fraction]:
-    """Moments ``0..order`` of ``(phi u)' - psi u``, built from the calculus ops.
+def pearson_residual(phi: Poly, psi: Poly, u: MomentFunctional) -> MomentFunctional:
+    """The functional ``(phi u)' - psi u``, built from the calculus ops.
 
-    For a functional generated by ``moments_from_pearson`` this vanishes
-    identically, which cross-checks the recurrence against an independent
-    path through ``functional_derivative`` and ``functional_poly_mul``.
+    For a functional generated by ``moments_from_pearson`` every moment is
+    zero, which cross-checks the recurrence against an independent path
+    through ``functional_derivative`` and ``functional_poly_mul``.
     """
-    return _pearson(phi, psi, u).moments(order)
-
-
-def _pearson(phi: Poly, psi: Poly, u: MomentFunctional) -> MomentFunctional:
-    """The functional ``(phi u)' - psi u`` whose moments ``pearson_residual`` reads."""
     return functional_derivative(functional_poly_mul(phi, u)) - functional_poly_mul(psi, u)
 
 

@@ -340,18 +340,12 @@ def ode_residual(pair: ClassicalPair, n: int, nu: int) -> Poly:
             + mu_eigenvalue(pair, n, nu) * p)
 
 
-def sturm_liouville_residual(pair: ClassicalPair, n: int, nu: int,
-                             order: int) -> list[Fraction]:
-    """Moments ``0..order`` of ``(C_nu' u_{n-nu+1})' + mu(n, nu) C_nu u_{n-nu}``.
+def sturm_liouville_residual(pair: ClassicalPair, n: int, nu: int) -> MomentFunctional:
+    """The functional ``(C_nu' u_{n-nu+1})' + mu(n, nu) C_nu u_{n-nu}``.
 
     This is the self-adjoint (weighted) form of the row equation, stated at
-    the functional level; every moment vanishes.
+    the functional level; every moment is zero.
     """
-    return _sturm_liouville(pair, n, nu).moments(order)
-
-
-def _sturm_liouville(pair: ClassicalPair, n: int, nu: int) -> MomentFunctional:
-    """The functional whose moments ``sturm_liouville_residual`` reads."""
     lhs = functional_derivative(functional_poly_mul(
         complementary(pair, n, nu).derivative(), pair.functional_power(n - nu + 1)))
     mu = mu_eigenvalue(pair, n, nu)
@@ -359,19 +353,13 @@ def _sturm_liouville(pair: ClassicalPair, n: int, nu: int) -> MomentFunctional:
                         mu.denominator)
 
 
-def rodrigues_formula_residual(pair: ClassicalPair, n: int, nu: int, mu: int,
-                               order: int) -> list[Fraction]:
-    """Moments ``0..order`` of ``C_nu u_{n-nu} - (d/dx)^(nu-mu) [C_mu u_{n-mu}]``.
+def rodrigues_formula_residual(pair: ClassicalPair, n: int, nu: int, mu: int) -> MomentFunctional:
+    """The functional ``C_nu u_{n-nu} - (d/dx)^(nu-mu) [C_mu u_{n-mu}]``.
 
     With ``mu = 0`` this is the Rodrigues formula for the rows
     (``C_nu u_{n-nu}`` equals the ``nu``-th derivative of ``u_n``); general
-    ``mu`` interpolates between rows.  Every moment vanishes.
+    ``mu`` interpolates between rows.  Every moment is zero.
     """
-    return _rodrigues_formula(pair, n, nu, mu).moments(order)
-
-
-def _rodrigues_formula(pair: ClassicalPair, n: int, nu: int, mu: int) -> MomentFunctional:
-    """The functional whose moments ``rodrigues_formula_residual`` reads."""
     if not 0 <= mu <= nu <= n:
         raise IndexError(f"need 0 <= mu <= nu <= n, got mu={mu}, nu={nu}, n={n}")
     rhs = functional_derivative(pair.weighted_row(n, mu), nu - mu)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import MismatchError, NotProportional, NotQuasiDefinite, UnsupportedFamily
-from .functional import _leibniz, _pearson, hankel_minors
+from .functional import hankel_minors, leibniz_residual, pearson_residual
 from .genfun import genfun_phi_factor, genfun_truncated, pde_residual, weight_ratio_series
 from .oracle import chebyshev_ops, cross_validate, orthogonality_matrix, three_term_coefficients
 from .poly import Poly
@@ -25,11 +25,11 @@ from .rodrigues import (
     lambda_n,
     leading_coeff_probe,
     mu_eigenvalue,
-    _rodrigues_formula,
-    _sturm_liouville,
     ode_residual,
+    rodrigues_formula_residual,
     rodrigues_r1,
     rodrigues_rk,
+    sturm_liouville_residual,
 )
 
 
@@ -120,23 +120,22 @@ def _suite_ode(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) -> No
 
 def _suite_functional(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) -> None:
     depth = 2 * max_n + 4
-    if (tally.check(_pearson(pair.phi, pair.psi, pair.u)._vanishes(depth),
+    if (tally.check(pearson_residual(pair.phi, pair.psi, pair.u)._vanishes(depth),
                     "pearson residual nonzero")
             and pair.u.moment(0) == 0):
         tally.notes.append("functional checks are vacuous: u0 = 0, and the Pearson recurrence "
                            "is linear in u0, so every moment of u is zero")
     for probe in (Poly.one(), Poly.x(), pair.phi, pair.psi, pair.phi * pair.psi):
-        tally.check(_leibniz(probe, pair.u)._vanishes(depth),
+        tally.check(leibniz_residual(probe, pair.u)._vanishes(depth),
                     f"product rule residual nonzero for p = {probe}")
     for n in range(max_n + 1):
         depth_n = 2 * n + 4
         for nu in range(n + 1):
-            tally.check(_sturm_liouville(pair, n, nu)._vanishes(depth_n),
+            tally.check(sturm_liouville_residual(pair, n, nu)._vanishes(depth_n),
                         f"n={n} nu={nu}: self-adjoint residual nonzero")
             for mu in sorted({0, nu // 2}):
-                tally.check(
-                    _rodrigues_formula(pair, n, nu, mu)._vanishes(depth_n),
-                    f"n={n} nu={nu} mu={mu}: functional Rodrigues residual nonzero")
+                tally.check(rodrigues_formula_residual(pair, n, nu, mu)._vanishes(depth_n),
+                            f"n={n} nu={nu} mu={mu}: functional Rodrigues residual nonzero")
 
 
 def _suite_genfun(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) -> None:

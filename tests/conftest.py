@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from copoly import (
+    MomentFunctional,
     Poly,
     bessel_family,
     hermite_family,
@@ -16,6 +17,7 @@ from copoly import (
     laguerre_family,
     pair_from_family,
 )
+from copoly.poly import _integer_form
 
 settings.register_profile(
     "exact",
@@ -100,3 +102,11 @@ def small_polys(max_degree: int = 5) -> st.SearchStrategy[Poly]:
     return st.builds(
         Poly, st.lists(rationals(), min_size=0, max_size=max_degree + 1)
     )
+
+
+def moments_by_index(moment) -> MomentFunctional:
+    """The functional with moments ``u_k = moment(k)`` for every ``k``, filled by a block."""
+    def block(_: MomentFunctional, lo: int, hi: int) -> tuple[int, list[int]]:
+        den, (nums,) = _integer_form(([Fraction(moment(k)) for k in range(lo, hi + 1)],))
+        return den, nums
+    return MomentFunctional(block=block)

@@ -92,9 +92,9 @@ def test_criterion_3_functional_rodrigues_suite(family_pairs, capfd):
                 depth = 2 * n + 4
                 zeros = [0] * (depth + 1)
                 for nu in range(n + 1):
-                    assert sturm_liouville_residual(pair, n, nu, depth) == zeros
+                    assert sturm_liouville_residual(pair, n, nu).moments(depth) == zeros
                     for mu in range(nu + 1):
-                        assert rodrigues_formula_residual(pair, n, nu, mu, depth) == zeros
+                        assert rodrigues_formula_residual(pair, n, nu, mu).moments(depth) == zeros
 
 
 def test_criterion_4_generating_function_closed_form(family_pairs, capfd):

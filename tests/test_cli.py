@@ -80,6 +80,27 @@ class TestComputeText:
         assert "5/3 - 13/3*x" in out
 
 
+class TestParserReuse:
+    """``main`` parses every request with one parser; no request may leak into the next."""
+
+    def test_requests_do_not_share_options(self, capsys):
+        code, out, _ = run_cli(capsys, "compute", "--family", "hermite", "--n", "2", "--nu", "1")
+        assert code == 0
+        assert out.splitlines()[2:] == ["nu=1  [mu=2]  -2*x"]
+        code, out, _ = run_cli(capsys, "compute", "--family", "hermite", "--n", "2")
+        assert code == 0
+        assert out.splitlines()[2:] == ["nu=0  [mu=0]  1", "nu=1  [mu=2]  -2*x",
+                                        "nu=2  [mu=4]  -2 + 4*x^2"]
+
+    def test_rejection_leaves_the_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--family", "hermite", "--n", "1", "--bogus"])
+        assert exc.value.code == 2
+        code, out, _ = run_cli(capsys, "compute", "--family", "hermite", "--n", "1")
+        assert code == 0
+        assert "-2*x" in out
+
+
 class TestComputeJson:
     def test_full_table_schema(self, capsys):
         code, out, _ = run_cli(

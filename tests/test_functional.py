@@ -10,7 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import rationals, small_polys
+from conftest import moments_by_index, rationals, small_polys
 from copoly import (
     AdmissibilityViolation,
     InvalidParameter,
@@ -28,7 +28,7 @@ from copoly import (
     moments_from_pearson,
     pearson_residual,
 )
-from copoly.functional import _leibniz, check_pearson_degrees
+from copoly.functional import check_pearson_degrees
 
 PHI_PSI = {
     "hermite": (Poly([1]), Poly([0, -2])),
@@ -67,11 +67,19 @@ class TestMomentFunctional:
             MomentFunctional()
 
     def test_rule_extension(self):
-        u = MomentFunctional(rule=lambda k, pre: Fraction(2) ** k)
+        u = moments_by_index(lambda k: Fraction(2) ** k)
         assert u.moment(5) == 32
 
     def test_rule_sees_prefix(self):
-        u = MomentFunctional(rule=lambda k, pre: Fraction(1) if k == 0 else pre[-1] + k)
+        # u_k = u_{k-1} + k: the block reads the functional's own stored prefix
+        def block(u, lo, hi):
+            den, nums = u._form(lo - 1)
+            out = [nums[lo - 1]]
+            for k in range(lo, hi + 1):
+                out.append(out[-1] + k * den)
+            return den, out[1:]
+        u = MomentFunctional(initial=[1], block=block)
+        assert u.moment(1) == 2
         assert u.moments(3) == [1, 2, 4, 7]
 
     def test_linear_combinations(self):
@@ -89,10 +97,17 @@ class TestMomentFunctional:
             0.5 * u
 
     def test_construction_computes_nothing(self):
-        def rule(k, pre):
-            raise AssertionError("moment computed at construction")
-        u = MomentFunctional(rule=rule)
-        functional_derivative(functional_poly_mul(Poly.x(), u) + u)
+        calls = []
+
+        def block(_, lo, hi):
+            calls.append((lo, hi))
+            return 1, [1] * (hi - lo + 1)
+        u = MomentFunctional(block=block)
+        v = functional_derivative(functional_poly_mul(Poly.x(), u) + u)
+        assert calls == []
+        # the first read fills u_0 .. u_2 in one call
+        assert v.moment(2) == -4
+        assert calls == [(0, 2)]
 
 
 def _reference_moments(h: Poly, p: Poly, c: Fraction, base: list[Fraction]):
@@ -151,7 +166,7 @@ class TestApply:
 
     @given(small_polys(4), small_polys(4))
     def test_linearity_in_p(self, p, q):
-        u = MomentFunctional(rule=lambda k, pre: Fraction(1, k + 1))
+        u = moments_by_index(lambda k: Fraction(1, k + 1))
         assert functional_apply(u, p + q) == functional_apply(u, p) + functional_apply(u, q)
 
 
@@ -167,7 +182,7 @@ class TestDerivative:
     @given(small_polys(4))
     def test_anti_duality(self, p):
         # <u', p> = -<u, p'>
-        u = MomentFunctional(rule=lambda k, pre: Fraction((-1) ** k, k + 2))
+        u = moments_by_index(lambda k: Fraction((-1) ** k, k + 2))
         lhs = functional_apply(functional_derivative(u), p)
         assert lhs == -functional_apply(u, p.derivative())
 
@@ -230,7 +245,7 @@ class TestPolyMul:
 
     @given(small_polys(3), small_polys(3))
     def test_adjoint_of_multiplication(self, h, p):
-        u = MomentFunctional(rule=lambda k, pre: Fraction(k + 1, k + 3))
+        u = moments_by_index(lambda k: Fraction(k + 1, k + 3))
         lhs = functional_apply(functional_poly_mul(h, u), p)
         assert lhs == functional_apply(u, h * p)
 
@@ -258,25 +273,49 @@ class TestDivLinear:
     @given(rationals(5, 4), st.integers(min_value=1, max_value=8))
     def test_multiplication_section(self, c, k):
         # Multiplying back by (x - c) restores every moment of index >= 1.
-        u = MomentFunctional(rule=lambda m, pre: Fraction(3, m + 1))
+        u = moments_by_index(lambda m: Fraction(3, m + 1))
         v = functional_poly_mul(Poly([-c, 1]), functional_div_linear(c, u))
         assert v.moment(k) == u.moment(k)
+
+    def test_bessel_moments_match_the_fraction_recurrence(self):
+        # Bessel moments gain a new denominator factor at almost every index
+        spec = bessel_family(Fraction(1, 3))
+        c = Fraction(-5, 7)
+        parent = _pearson_reference(spec.phi, spec.psi, spec.u0, 59)
+        expected = [Fraction(0)]
+        for k in range(1, 61):
+            expected.append(c * expected[-1] + parent[k - 1])
+        one_at_a_time, whole = (functional_div_linear(c, moments_from_pearson(
+            spec.phi, spec.psi, spec.u0, 8)) for _ in range(2))
+        assert [one_at_a_time.moment(k) for k in range(61)] == expected
+        assert whole.moments(60) == expected
+        for v in (one_at_a_time, whole):
+            _assert_stored_form(v)
+        assert (one_at_a_time._den, one_at_a_time._nums) == (whole._den, whole._nums)
+
+    def test_reading_past_a_finite_parent_raises(self):
+        v = functional_div_linear(Fraction(2, 3), MomentFunctional(initial=[1, 2, 5]))
+        with pytest.raises(ValueError):
+            v.moments(4)
+        # v_1 = 1, v_2 = 2/3 + 2, v_3 = (2/3) v_2 + 5
+        assert v.moments(3) == [0, 1, Fraction(8, 3), Fraction(61, 9)]
+        _assert_stored_form(v)
 
 
 class TestLeibniz:
     def test_constant_p(self, hermite_pair):
-        assert leibniz_residual(Poly.one(), hermite_pair.u, 5) == [0] * 6
+        assert leibniz_residual(Poly.one(), hermite_pair.u).moments(5) == [0] * 6
 
     def test_linear_p_hermite(self, hermite_pair):
-        assert leibniz_residual(Poly.x(), hermite_pair.u, 4) == [0] * 5
+        assert leibniz_residual(Poly.x(), hermite_pair.u).moments(4) == [0] * 5
 
     def test_quadratic_p_legendre(self, legendre_pair):
-        assert leibniz_residual(Poly.monomial(2), legendre_pair.u, 6) == [0] * 7
+        assert leibniz_residual(Poly.monomial(2), legendre_pair.u).moments(6) == [0] * 7
 
     @given(small_polys(4))
     def test_any_polynomial(self, p):
-        u = MomentFunctional(rule=lambda k, pre: Fraction(1, 2) ** k)
-        assert leibniz_residual(p, u, 6) == [0] * 7
+        u = moments_by_index(lambda k: Fraction(1, 2) ** k)
+        assert leibniz_residual(p, u).moments(6) == [0] * 7
 
 
 class TestMomentsFromPearson:
@@ -383,12 +422,11 @@ class TestStoredForm:
         assert all(type(m) is Fraction for m in pieces.moments(60))
 
     def test_rule_whose_denominator_changes_every_step(self):
-        def rule(k, pre):
-            return Fraction(1, k + 2) + (pre[-1] * Fraction(k, 2 * k + 3) if pre else 0)
         expected = []
         for k in range(41):
-            expected.append(rule(k, expected))
-        u = MomentFunctional(rule=rule)
+            below = expected[-1] * Fraction(k, 2 * k + 3) if k else 0
+            expected.append(Fraction(1, k + 2) + below)
+        u = moments_by_index(expected.__getitem__)
         assert u.moment(5) == expected[5]
         assert u.moments(40) == expected
         _assert_stored_form(u)
@@ -397,7 +435,7 @@ class TestStoredForm:
         u = jacobi_pair.u
         h = Poly([Fraction(1, 6), 0, Fraction(3, 4)])
         derived = [functional_poly_mul(h, u), functional_derivative(u, 3), u - 2 * u,
-                   Fraction(6, 7) * u, _leibniz(h, u)]
+                   Fraction(6, 7) * u, leibniz_residual(h, u)]
         for v in derived:
             v.moments(20)
             _assert_stored_form(v)
@@ -424,16 +462,16 @@ class TestPearsonResidual:
     def test_constructed_pairs_are_consistent(self, name):
         phi, psi = PHI_PSI[name]
         u = moments_from_pearson(phi, psi, 1, max_order=24)
-        assert pearson_residual(phi, psi, u, 10) == [0] * 11
+        assert pearson_residual(phi, psi, u).moments(10) == [0] * 11
 
     def test_mismatched_functional_detected(self, legendre_pair):
         phi, psi = PHI_PSI["hermite"]
-        res = pearson_residual(phi, psi, legendre_pair.u, 2)
+        res = pearson_residual(phi, psi, legendre_pair.u).moments(2)
         assert any(r != 0 for r in res)
 
     def test_short_prefix_by_hand(self):
         u = MomentFunctional(initial=[1, 0, Fraction(1, 2)])
-        res = pearson_residual(Poly.one(), Poly([0, -2]), u, 1)
+        res = pearson_residual(Poly.one(), Poly([0, -2]), u).moments(1)
         assert res == [0, 0]
 
     def test_pearson_degrees_are_checked(self):
@@ -466,15 +504,15 @@ class TestHankel:
             assert hankel_determinant(u, level) != 0
 
     def test_degenerate_sequence(self):
-        u = MomentFunctional(rule=lambda k, pre: Fraction(1))
+        u = moments_by_index(lambda k: Fraction(1))
         assert hankel_determinant(u, 1) == 0
 
 
 # The point-mass functionals of test_oracle.py: one unit mass at x = 1 has
 # Delta_1 = 0; unit masses at x = -1 and x = 1 have Delta_2 = 0.
 POINT_MASSES = [
-    (lambda k, pre: Fraction(1), [1, 0]),
-    (lambda k, pre: Fraction(1 - k % 2), [1, 1, 0]),
+    (lambda k: Fraction(1), [1, 0]),
+    (lambda k: Fraction(1 - k % 2), [1, 1, 0]),
 ]
 
 
@@ -492,9 +530,9 @@ class TestHankelMinors:
         u = moments_from_pearson(phi, psi, 1, max_order=26)
         assert hankel_minors(u, 12) == [hankel_determinant(u, m) for m in range(13)]
 
-    @pytest.mark.parametrize("rule, expected", POINT_MASSES, ids=["one-point", "two-point"])
-    def test_list_ends_at_the_first_zero(self, rule, expected):
-        u = MomentFunctional(rule=rule)
+    @pytest.mark.parametrize("moment, expected", POINT_MASSES, ids=["one-point", "two-point"])
+    def test_list_ends_at_the_first_zero(self, moment, expected):
+        u = moments_by_index(moment)
         assert hankel_minors(u, 6) == expected
         assert expected == [hankel_determinant(u, m) for m in range(len(expected))]
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import rationals, small_polys
+from conftest import moments_by_index, rationals, small_polys
 from copoly import (
     AdmissibilityViolation,
     MismatchError,
@@ -30,9 +30,9 @@ from copoly import (
 
 POINT_MASSES = [
     # a unit mass at x = 1 degenerates at the first level
-    pytest.param(lambda k, pre: Fraction(1), 1, id="one-point"),
+    pytest.param(lambda k: Fraction(1), 1, id="one-point"),
     # unit masses at x = -1 and x = 1 carry degrees 0 and 1 only
-    pytest.param(lambda k, pre: Fraction(1 - k % 2), 2, id="two-point"),
+    pytest.param(lambda k: Fraction(1 - k % 2), 2, id="two-point"),
 ]
 
 
@@ -59,10 +59,10 @@ class TestGramSchmidt:
         with pytest.raises(IndexError):
             gram_schmidt_ops(hermite_pair.u, -1)
 
-    @pytest.mark.parametrize("rule, level", POINT_MASSES)
-    def test_point_mass_not_quasi_definite(self, rule, level):
+    @pytest.mark.parametrize("moment, level", POINT_MASSES)
+    def test_point_mass_not_quasi_definite(self, moment, level):
         with pytest.raises(NotQuasiDefinite) as exc:
-            gram_schmidt_ops(MomentFunctional(rule=rule), 2)
+            gram_schmidt_ops(moments_by_index(moment), 2)
         assert exc.value.level == level
 
     def test_norm_equals_hankel_ratio(self, family_pairs):
@@ -107,10 +107,10 @@ class TestChebyshev:
         u = MomentFunctional(initial=moments)
         assert _sequence(chebyshev_ops, u, n) == _sequence(gram_schmidt_ops, u, n)
 
-    @pytest.mark.parametrize("rule, level", POINT_MASSES)
-    def test_point_mass_not_quasi_definite(self, rule, level):
+    @pytest.mark.parametrize("moment, level", POINT_MASSES)
+    def test_point_mass_not_quasi_definite(self, moment, level):
         with pytest.raises(NotQuasiDefinite) as exc:
-            chebyshev_ops(MomentFunctional(rule=rule), 2)
+            chebyshev_ops(moments_by_index(moment), 2)
         assert exc.value.level == level
 
     def test_reads_only_the_first_two_n_plus_one_moments(self, jacobi_pair):

@@ -105,3 +105,18 @@ def test_exp_and_pow_have_no_loop_of_their_own():
              for node in ast.walk(function)
              if isinstance(node, (ast.For, ast.While, ast.comprehension))]
     assert loops == []
+
+
+def test_functional_residuals_have_one_entry_point():
+    """Each functional identity has one public ``*_residual`` that returns its
+    functional, and a ``MomentFunctional`` has one generator option, ``block``."""
+    modules = _modules()
+    twins = [(name, node.name) for name, tree in modules.items() for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)
+             and node.name in ("_pearson", "_leibniz", "_sturm_liouville", "_rodrigues_formula")]
+    cls = next(node for node in ast.walk(modules["functional.py"])
+               if isinstance(node, ast.ClassDef) and node.name == "MomentFunctional")
+    init = next(node for node in cls.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    params = [arg.arg for arg in init.args.args + init.args.kwonlyargs]
+    assert (twins, params) == ([], ["self", "initial", "block"])

@@ -405,31 +405,31 @@ class TestOdeResidual:
 
 class TestSturmLiouville:
     def test_nu_zero(self, hermite_pair):
-        assert sturm_liouville_residual(hermite_pair, 4, 0, 6) == [0] * 7
+        assert sturm_liouville_residual(hermite_pair, 4, 0).moments(6) == [0] * 7
 
     def test_hermite_spot(self, hermite_pair):
-        assert sturm_liouville_residual(hermite_pair, 2, 1, 4) == [0] * 5
+        assert sturm_liouville_residual(hermite_pair, 2, 1).moments(4) == [0] * 5
 
     def test_laguerre_spot(self, laguerre_pair):
-        assert sturm_liouville_residual(laguerre_pair, 3, 2, 6) == [0] * 7
+        assert sturm_liouville_residual(laguerre_pair, 3, 2).moments(6) == [0] * 7
 
     def test_small_grid(self, family_pairs):
         for pair in family_pairs.values():
             for n in range(6):
                 for nu in range(n + 1):
                     depth = 2 * n + 4
-                    assert sturm_liouville_residual(pair, n, nu, depth) == [0] * (depth + 1)
+                    assert sturm_liouville_residual(pair, n, nu).moments(depth) == [0] * (depth + 1)
 
 
 class TestRodriguesFormulaResidual:
     def test_identity_case(self, bessel_pair):
-        assert rodrigues_formula_residual(bessel_pair, 4, 2, 2, 6) == [0] * 7
+        assert rodrigues_formula_residual(bessel_pair, 4, 2, 2).moments(6) == [0] * 7
 
     def test_hermite_spot(self, hermite_pair):
-        assert rodrigues_formula_residual(hermite_pair, 2, 1, 0, 4) == [0] * 5
+        assert rodrigues_formula_residual(hermite_pair, 2, 1, 0).moments(4) == [0] * 5
 
     def test_legendre_spot(self, legendre_pair):
-        assert rodrigues_formula_residual(legendre_pair, 3, 2, 1, 6) == [0] * 7
+        assert rodrigues_formula_residual(legendre_pair, 3, 2, 1).moments(6) == [0] * 7
 
     def test_small_grid(self, family_pairs):
         for pair in family_pairs.values():
@@ -437,14 +437,14 @@ class TestRodriguesFormulaResidual:
                 for nu in range(n + 1):
                     for mu in range(nu + 1):
                         depth = 2 * n + 4
-                        res = rodrigues_formula_residual(pair, n, nu, mu, depth)
+                        res = rodrigues_formula_residual(pair, n, nu, mu).moments(depth)
                         assert res == [0] * (depth + 1)
 
     def test_bounds(self, hermite_pair):
         with pytest.raises(IndexError):
-            rodrigues_formula_residual(hermite_pair, 3, 2, 3, 4)
+            rodrigues_formula_residual(hermite_pair, 3, 2, 3)
         with pytest.raises(IndexError):
-            rodrigues_formula_residual(hermite_pair, 3, 4, 0, 4)
+            rodrigues_formula_residual(hermite_pair, 3, 4, 0)
 
 
 class TestDerivativeProportionality:
