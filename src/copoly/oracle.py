@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from operator import mul
 from typing import Sequence
 
 from .errors import MismatchError, NotQuasiDefinite
 from .functional import MomentFunctional, functional_apply
-from .poly import Poly
+from .poly import Poly, _over_lcm, _reduced
 from .rodrigues import ClassicalPair, complementary
 
 
@@ -71,36 +72,53 @@ def chebyshev_ops(u: MomentFunctional, n: int) -> MonicOPS:
     2004, section 2.1.7).  Only ``u_0 .. u_{2n}`` are read, the same moments
     ``gram_schmidt_ops`` reads, and the first vanishing norm raises
     ``NotQuasiDefinite`` at the same level.
+
+    The computation is fraction-free apart from the ``O(n)`` scalars
+    ``r_k``, ``a_k`` and ``b_k``.  Each row ``sigma_k`` is held as integer
+    numerators over one denominator, starting from ``u``'s stored form: row
+    ``k`` puts its three terms over their lcm, takes one integer combination
+    per entry and is reduced once.  Each ``P_{k+1}`` is built by the same
+    step from ``x P_k``, ``P_k`` and ``P_{k-1}``.
     """
     if n < 0:
         raise IndexError("n must be >= 0")
     top = 2 * n
-    # sigma[l] and below[l] are sigma_{k,l} and sigma_{k-1,l}, read only at l >= k
-    sigma = u.moments(top)
-    below = [Fraction(0)] * (top + 1)
-    a = b = Fraction(0)
-    x = Poly.x()
+    den, nums = u._form(top)
+    # (den, row) with row[j] / den = sigma_{k,k+j} for j = 0 .. top - 2k, and below
+    # is row k - 1; row -1 is zero, with top + 3 entries
+    sigma = (den, nums[:top + 1])
+    below = (1, [0] * (top + 3))
+    b = Fraction(0)
     polys = [Poly.one()]
     norms: list[Fraction] = []
     for k in range(n + 1):
         if k:
-            sigma, below = [Fraction(0)] * k + [
-                sigma[l + 1] - a * sigma[l] - b * below[l]
-                for l in range(k, top - k + 1)], sigma
-        r = sigma[k]
-        if r == 0:
+            (sd, s), (bd, s2) = sigma, below
+            sigma, below = _reduced(*_step((sd, s[2:]), (sd, s[1:-1]), (bd, s2[2:-2]), a, b)), sigma
+        sd, s = sigma
+        if not s[0]:
             raise NotQuasiDefinite(k)
-        norms.append(r)
+        norms.append(Fraction(s[0], sd))
         if k == n:
             break
-        a = sigma[k + 1] / r
-        previous = Poly.zero()
+        a = Fraction(s[1], s[0])
+        p, q = polys[k], polys[k - 1] if k else Poly.zero()
         if k:
-            a -= below[k] / norms[k - 1]
-            b = r / norms[k - 1]
-            previous = polys[k - 1]
-        polys.append((x - a) * polys[k] - b * previous)
+            a -= Fraction(below[1][1], below[1][0])
+            b = norms[k] / norms[k - 1]
+        polys.append(Poly._of(*_step((p._den, (0, *p._nums)), (p._den, p._nums),
+                                     (q._den, q._nums), a, b)))
     return MonicOPS(tuple(polys), tuple(norms), u)
+
+
+def _step(ahead: tuple[int, Sequence[int]], here: tuple[int, Sequence[int]],
+          back: tuple[int, Sequence[int]], a: Fraction, b: Fraction) -> tuple[int, list[int]]:
+    """``ahead - a * here - b * back`` for ``(den, nums)`` forms, as ``(den, nums)``
+    over the lcm of the three denominators; a shorter sequence counts as zero-padded."""
+    d, (x, y, z) = _over_lcm((ahead, (a.denominator * here[0], here[1]),
+                              (b.denominator * back[0], back[1])))
+    an, bn = a.numerator, b.numerator
+    return d, [p - an * q - bn * r for p, q, r in zip_longest(x, y, z, fillvalue=0)]
 
 
 def orthogonality_matrix(u: MomentFunctional,
@@ -156,4 +174,4 @@ def cross_validate(pair: ClassicalPair, ops: MonicOPS) -> None:
     for m, expected in enumerate(ops.polys):
         if complementary(pair, m, m).monic() != expected:
             raise MismatchError(
-                m, f"monic diagonal row {m} differs from the Gram-Schmidt polynomial")
+                m, f"monic diagonal row {m} differs from the moment-only polynomial")

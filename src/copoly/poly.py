@@ -61,25 +61,27 @@ class Poly:
 
     @classmethod
     def zero(cls) -> Poly:
-        return cls()
+        return cls._of(1, [])
 
     @classmethod
     def one(cls) -> Poly:
-        return cls((1,))
+        return cls._of(1, [1])
 
     @classmethod
     def x(cls) -> Poly:
-        return cls((0, 1))
+        return cls._of(1, [0, 1])
 
     @classmethod
     def constant(cls, value: int | str | Fraction) -> Poly:
-        return cls((as_rational(value),))
+        c = as_rational(value)
+        return cls._of(c.denominator, [c.numerator])
 
     @classmethod
     def monomial(cls, power: int, coeff: int | str | Fraction = 1) -> Poly:
         if power < 0:
             raise ValueError("monomial power must be >= 0")
-        return cls((0,) * power + (as_rational(coeff),))
+        c = as_rational(coeff)
+        return cls._of(c.denominator, [0] * power + [c.numerator])
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

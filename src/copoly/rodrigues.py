@@ -307,26 +307,33 @@ def complementary_table(pair: ClassicalPair, n: int) -> CompTable:
     return CompTable(n, tuple(pair.rows(n, n)))
 
 
+def _eigen_coefficients(pair: ClassicalPair) -> tuple[int, int, int]:
+    """``(A, P, s)`` with ``A / s`` the ``x**2`` coefficient of ``phi`` and ``P / s``
+    the ``x`` coefficient of ``psi``, read off their integer numerators."""
+    phi, psi = pair.phi, pair.psi
+    a = phi._nums[2] * psi._den if len(phi._nums) > 2 else 0
+    return a, psi._nums[1] * phi._den, phi._den * psi._den
+
+
 def lambda_n(pair: ClassicalPair, n: int) -> Fraction:
     """Second-order eigenvalue of the degree-``n`` orthogonal polynomial:
-    ``-n psi' - n(n-1)/2 phi''``."""
+    ``-n psi' - n(n-1)/2 phi''``, that is ``(-n P - n(n-1) A) / s``."""
     if n < 0:
         raise IndexError("n must be >= 0")
-    psi1 = pair.psi.coefficient(1)
-    phi2 = pair.phi.coefficient(2) * 2
-    return -n * psi1 - Fraction(n * (n - 1), 2) * phi2
+    a, p, s = _eigen_coefficients(pair)
+    return Fraction(-n * p - n * (n - 1) * a, s)
 
 
 def mu_eigenvalue(pair: ClassicalPair, n: int, nu: int) -> Fraction:
-    """Eigenvalue of row ``nu``: ``-nu ((n - (nu+1)/2) phi'' + psi')``.
+    """Eigenvalue of row ``nu``: ``-nu ((n - (nu+1)/2) phi'' + psi')``,
+    that is ``-nu ((2n - nu - 1) A + P) / s``.
 
     At ``nu = n`` this collapses to ``lambda_n``; at ``nu = 0`` it is zero.
     """
     if nu < 0 or nu > n:
         raise IndexError(f"nu must satisfy 0 <= nu <= n, got nu={nu}, n={n}")
-    psi1 = pair.psi.coefficient(1)
-    phi2 = pair.phi.coefficient(2) * 2
-    return -nu * (Fraction(2 * n - nu - 1, 2) * phi2 + psi1)
+    a, p, s = _eigen_coefficients(pair)
+    return Fraction(-nu * ((2 * n - nu - 1) * a + p), s)
 
 
 def ode_residual(pair: ClassicalPair, n: int, nu: int) -> Poly:

@@ -13,7 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from copoly import Poly
+from copoly import NotQuasiDefinite, Poly
 
 
 def rising(a: Fraction | int, k: int) -> Fraction:
@@ -148,3 +148,36 @@ def series_pow_sum(s, alpha: Fraction | int) -> list[Poly]:
     for k in range(1, len(s)):
         binom.append(binom[-1] * (Fraction(alpha) - k + 1) / k)
     return _power_sum([s[0] - 1, *s[1:]], binom)
+
+
+def chebyshev_fraction(u, n: int) -> tuple[tuple[Poly, ...], tuple[Fraction, ...]]:
+    """``(polys, norms)`` of the Chebyshev algorithm with every mixed moment a
+    ``Fraction``: ``sigma_{k,l} = sigma_{k-1,l+1} - a sigma_{k-1,l} - b sigma_{k-2,l}``
+    and ``P_{k+1} = (x - a) P_k - b P_{k-1}`` by ``Poly`` arithmetic.  Reads
+    ``u.moments(2n)``; the first zero norm ``sigma_{k,k}`` raises
+    ``NotQuasiDefinite(k)``."""
+    top = 2 * n
+    sigma = u.moments(top)
+    below = [Fraction(0)] * (top + 1)
+    a = b = Fraction(0)
+    polys = [Poly.one()]
+    norms: list[Fraction] = []
+    for k in range(n + 1):
+        if k:
+            sigma, below = [Fraction(0)] * k + [
+                sigma[l + 1] - a * sigma[l] - b * below[l]
+                for l in range(k, top - k + 1)], sigma
+        r = sigma[k]
+        if r == 0:
+            raise NotQuasiDefinite(k)
+        norms.append(r)
+        if k == n:
+            break
+        a = sigma[k + 1] / r
+        previous = Poly.zero()
+        if k:
+            a -= below[k] / norms[k - 1]
+            b = r / norms[k - 1]
+            previous = polys[k - 1]
+        polys.append((Poly.x() - a) * polys[k] - b * previous)
+    return tuple(polys), tuple(norms)

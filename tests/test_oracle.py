@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import oracles
 from conftest import moments_by_index, rationals, small_polys
 from copoly import (
     AdmissibilityViolation,
@@ -15,16 +16,21 @@ from copoly import (
     MomentFunctional,
     NotQuasiDefinite,
     Poly,
+    bessel_family,
     chebyshev_ops,
     complementary,
     cross_validate,
+    custom_family,
     functional_apply,
     gram_schmidt_ops,
     hankel_determinant,
+    hermite_family,
+    jacobi_family,
     laguerre_family,
     moments_from_pearson,
     orthogonality_matrix,
     pair_from_family,
+    parse_poly_expr,
     three_term_coefficients,
 )
 
@@ -73,6 +79,19 @@ class TestGramSchmidt:
                 assert ops.norms[m] == ratio
 
 
+DEEP_SPECS = [
+    pytest.param(hermite_family, id="hermite"),
+    pytest.param(lambda: laguerre_family("4/3"), id="laguerre-4/3"),
+    pytest.param(lambda: jacobi_family("1/3", "4/3"), id="jacobi-1/3-4/3"),
+    pytest.param(lambda: bessel_family("7/3"), id="bessel-7/3"),
+    pytest.param(lambda: custom_family(parse_poly_expr("3 - x + 2*x^2"),
+                                       parse_poly_expr("1 + 5*x")), id="custom"),
+    # every coefficient over its own prime: the costly shape for one common denominator
+    pytest.param(lambda: custom_family(parse_poly_expr("127/113+109/107*x+103/101*x^2"),
+                                       parse_poly_expr("97/89+83/79*x")), id="five-prime"),
+]
+
+
 def _sequence(build, u, n):
     """``(polys, norms)`` of ``build(u, n)``, or the level it reports as vanishing."""
     try:
@@ -106,6 +125,21 @@ class TestChebyshev:
                                      max_size=2 * n + 1))
         u = MomentFunctional(initial=moments)
         assert _sequence(chebyshev_ops, u, n) == _sequence(gram_schmidt_ops, u, n)
+
+    @pytest.mark.parametrize("spec", DEEP_SPECS)
+    def test_matches_fraction_reference_at_depth(self, spec):
+        u = pair_from_family(spec(), 0).u
+        ops = chebyshev_ops(u, 24)
+        assert (ops.polys, ops.norms) == oracles.chebyshev_fraction(u, 24)
+
+    def test_same_level_as_fraction_reference(self):
+        u = pair_from_family(laguerre_family(-2), 0).u
+        levels = []
+        for build in (chebyshev_ops, oracles.chebyshev_fraction):
+            with pytest.raises(NotQuasiDefinite) as exc:
+                build(u, 24)
+            levels.append(exc.value.level)
+        assert levels == [2, 2]
 
     @pytest.mark.parametrize("moment, level", POINT_MASSES)
     def test_point_mass_not_quasi_definite(self, moment, level):

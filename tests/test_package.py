@@ -120,3 +120,18 @@ def test_functional_residuals_have_one_entry_point():
                 if isinstance(node, ast.FunctionDef) and node.name == "__init__")
     params = [arg.arg for arg in init.args.args + init.args.kwonlyargs]
     assert (twins, params) == ([], ["self", "initial", "block"])
+
+
+def test_chebyshev_kernel_computes_on_integer_forms():
+    """``chebyshev_ops`` reads the stored moment form, not ``Fraction`` moments,
+    and builds no ``Fraction`` per mixed moment or coefficient."""
+    function = next(node for node in ast.walk(_modules()["oracle.py"])
+                    if isinstance(node, ast.FunctionDef) and node.name == "chebyshev_ops")
+    reads = sorted({node.attr for node in ast.walk(function)
+                    if isinstance(node, ast.Attribute) and node.attr in ("_form", "moments")})
+    fractions = [node.lineno for comp in ast.walk(function)
+                 if isinstance(comp, (ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.DictComp))
+                 for node in ast.walk(comp)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == "Fraction"]
+    assert (reads, fractions) == (["_form"], [])

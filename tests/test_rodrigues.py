@@ -381,6 +381,14 @@ class TestEigenvalues:
             for n in range(9):
                 assert mu_eigenvalue(pair, n, n) == lambda_n(pair, n)
 
+    @given(kernel_pairs(), st.integers(0, 30), st.data())
+    def test_integer_form_matches_fraction_formula(self, pair, n, data):
+        """The formulas on ``phi``/``psi`` numerators against the ``Fraction`` ones."""
+        nu = data.draw(st.integers(0, n))
+        psi1, phi2 = pair.psi.coefficient(1), pair.phi.coefficient(2) * 2
+        assert lambda_n(pair, n) == -n * psi1 - Fraction(n * (n - 1), 2) * phi2
+        assert mu_eigenvalue(pair, n, nu) == -nu * (Fraction(2 * n - nu - 1, 2) * phi2 + psi1)
+
     def test_mu_bounds(self, hermite_pair):
         with pytest.raises(IndexError):
             mu_eigenvalue(hermite_pair, 2, 3)

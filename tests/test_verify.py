@@ -263,7 +263,7 @@ class TestGoldenReports:
             ]),
             "genfun": (13, []),
             "oracle": (39, ["cross validation: monic diagonal row 2 differs "
-                            "from the Gram-Schmidt polynomial"]),
+                            "from the moment-only polynomial"]),
         }, [_SKIPPED, _COINCIDE])
 
     def test_wrong_operator_breaks_rows_and_composition(self, hermite_pair, monkeypatch):
