@@ -8,7 +8,6 @@ from copoly import (
     Poly,
     SUITE_NAMES,
     bessel_family,
-    moments_from_pearson,
     pair_from_family,
     verify_pair,
 )
@@ -38,8 +37,7 @@ show(verify_pair(pair, max_n=6))
 # there is no catalog weight to compare against.
 phi = Poly([2, 1])
 psi = Poly([1, -1])
-u = moments_from_pearson(phi, psi, max_order=40, u0=Fraction(1, 2))
-custom = ClassicalPair(phi, psi, u, name="custom")
+custom = ClassicalPair(phi, psi, Fraction(1, 2), max_order=40)
 show(verify_pair(custom, max_n=5))
 
 # Restricting to a subset of suites is just a tuple argument away.

@@ -36,12 +36,10 @@ from .parsing import parse_poly_expr
 from .poly import Poly, as_rational
 from .render import poly_latex, poly_text, poly_to_strings, rational_latex, series_to_strings
 from .rodrigues import (
-    CATALOG,
     FAMILIES,
     ClassicalPair,
     FamilySpec,
     catalog_family,
-    custom_family,
     jacobi_family,
     lambda_n,
     mu_eigenvalue,
@@ -55,7 +53,7 @@ MAX_ORDER = 16
 MAX_COEFF_BITS = 7
 
 _FAMILY_HELP = (
-    f"catalog family name ({', '.join(CATALOG)}; legendre is "
+    f"catalog family name ({', '.join(FAMILIES)}; legendre is "
     "jacobi with alpha = beta = 0)"
 )
 
@@ -122,13 +120,13 @@ def load_family_file(path: str) -> FamilySpec:
     params = {k: _rational(f"{where}params.{k}", v) for k, v in raw_params.items()}
     u0 = _rational(f"{where}u0", data.get("u0", 1))
     name = data["name"]
-    if name in CATALOG:
+    if name in FAMILIES:
         reference = catalog_family(name, params)
         if reference.phi != phi or reference.psi != psi:
             raise InvalidParameter(
                 f"family file claims {name!r} but phi/psi do not match that catalog shape")
         params = reference.params
-    return FamilySpec(name, phi, psi, params, u0)
+    return FamilySpec(phi, psi, u0, name, params)
 
 
 def _catalog_spec(name: str, alpha: Fraction | None, beta: Fraction | None) -> FamilySpec:
@@ -177,7 +175,7 @@ def _family_source(args: argparse.Namespace) -> FamilySpec:
         params["beta"] = beta
     phi = parse_poly_expr(args.phi, params)
     psi = parse_poly_expr(args.psi, params)
-    return custom_family(phi, psi, Fraction(1) if u0 is None else u0, params)
+    return FamilySpec(phi, psi, Fraction(1) if u0 is None else u0, params=params)
 
 
 def _params_doc(params: dict[str, Fraction]) -> dict[str, str]:
@@ -233,7 +231,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
     nu = args.nu
     if nu is not None and not 0 <= nu <= n:
         raise ValueError(f"--nu must satisfy 0 <= nu <= n, got nu={nu}, n={n}")
-    pair = pair_from_family(spec, max_order=n + 2)
+    # row nu + 1 gains the leading factor psi' + k phi''/2, k = 2n - nu - 2 >= n - 1
+    pair = pair_from_family(spec, max_order=max(n + 2, 2 * n - 1))
     if args.format == "json":
         _print_json(build_compute_document(pair, n, nu))
     elif args.format == "latex":

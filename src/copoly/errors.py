@@ -19,9 +19,9 @@ class AdmissibilityViolation(CopolyError):
     would divide by zero.
     """
 
-    def __init__(self, k: int, message: str | None = None):
+    def __init__(self, k: int):
         self.k = k
-        super().__init__(message or f"admissibility fails: psi' + k*phi''/2 = 0 at k = {k}")
+        super().__init__(f"admissibility fails: psi' + k*phi''/2 = 0 at k = {k}")
 
 
 class NotQuasiDefinite(CopolyError):
@@ -30,9 +30,9 @@ class NotQuasiDefinite(CopolyError):
     ``level`` is the order of the first vanishing Hankel determinant.
     """
 
-    def __init__(self, level: int, message: str | None = None):
+    def __init__(self, level: int):
         self.level = level
-        super().__init__(message or f"Hankel determinant of order {level} vanishes")
+        super().__init__(f"Hankel determinant of order {level} vanishes")
 
 
 class MismatchError(CopolyError):

@@ -52,7 +52,7 @@ class MomentFunctional:
     def __init__(self, initial: Iterable[int | str | Fraction] = (), *,
                  block: MomentBlock | None = None):
         values = [as_rational(v) for v in initial]
-        self._den, (self._nums,) = _integer_form((values,)) if values else (1, ([],))
+        self._den, self._nums = _integer_form(values)
         self._block = block
         if not values and block is None:
             raise ValueError("a functional needs at least u_0 or a generating block")
@@ -207,23 +207,20 @@ def leibniz_residual(p: Poly, u: MomentFunctional) -> MomentFunctional:
     return lhs - rhs
 
 
-def check_pearson_degrees(phi: Poly, psi: Poly) -> None:
-    """Reject a pair outside the Pearson setting ``deg phi <= 2``, ``deg psi = 1``."""
-    if phi.degree > 2:
-        raise InvalidParameter(f"phi must have degree <= 2, got degree {phi.degree}")
-    if psi.degree != 1:
-        raise InvalidParameter(f"psi must have degree exactly 1, got degree {psi.degree}")
-
-
 def moments_from_pearson(phi: Poly, psi: Poly, u0: int | str | Fraction,
                          max_order: int) -> MomentFunctional:
     """Moment functional of the Pearson equation ``(phi u)' = psi u``.
 
+    This is the one place a pair is checked: outside the Pearson setting
+    ``deg phi <= 2``, ``deg psi = 1`` it raises ``InvalidParameter``.
     Admissibility (``psi' + k phi''/2 != 0``) is checked eagerly for all
     ``k < max_order``; the returned functional still extends past
     ``max_order`` on demand, checking lazily from there.
     """
-    check_pearson_degrees(phi, psi)
+    if phi.degree > 2:
+        raise InvalidParameter(f"phi must have degree <= 2, got degree {phi.degree}")
+    if psi.degree != 1:
+        raise InvalidParameter(f"psi must have degree exactly 1, got degree {psi.degree}")
     # the recurrence is homogeneous in (a, b, c, d, e): take their numerators
     _, (phi_nums, (e, d)) = _over_lcm([(phi._den, phi._nums), (psi._den, psi._nums)])
     c, b, a = [*phi_nums, 0, 0, 0][:3]

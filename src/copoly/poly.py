@@ -44,7 +44,7 @@ class Poly:
     __slots__ = ("_den", "_nums")
 
     def __init__(self, coeffs: Iterable[int | str | Fraction] = ()):
-        den, (nums,) = _integer_form(([as_rational(c) for c in coeffs],))
+        den, nums = _integer_form([as_rational(c) for c in coeffs])
         canonical = Poly._of(den, nums)
         self._den, self._nums = canonical._den, canonical._nums
 
@@ -233,13 +233,13 @@ def _signed_sum(p: Poly, body: Callable[[int, Fraction], str], descending: bool 
 
 
 # The exact kernels compute on integer numerators over one denominator, the
-# form a Poly holds; _integer_form converts sequences of Fractions to it.
+# form a Poly holds; _integer_form converts a sequence of Fractions to it.
 
-def _integer_form(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
-    """``(d, nums)``: ``d`` is the least common denominator of every value in
-    ``rows`` (1 when there is none) and ``nums[i][j] / d == rows[i][j]``."""
-    d = math.lcm(*[c.denominator for row in rows for c in row])
-    return d, [[c.numerator * (d // c.denominator) for c in row] for row in rows]
+def _integer_form(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``(d, nums)``: ``d`` is the least common denominator of ``values``
+    (1 when there is none) and ``nums[i] / d == values[i]``."""
+    d = math.lcm(*[c.denominator for c in values])
+    return d, [c.numerator * (d // c.denominator) for c in values]
 
 
 def _over_lcm(forms: Sequence[tuple[int, Sequence[int]]]) -> tuple[int, list[Sequence[int]]]:

@@ -32,7 +32,6 @@ from .errors import InvalidParameter, NotProportional
 from .functional import (
     MomentFunctional,
     _combination,
-    check_pearson_degrees,
     functional_derivative,
     functional_poly_mul,
     moments_from_pearson,
@@ -43,13 +42,13 @@ from .series import SeriesYX, series_exp, series_pow_rational
 
 @dataclass
 class FamilySpec:
-    """Shape of a weight family: named pair pattern, parameters, seed moment."""
+    """Unchecked description of a pair; ``FamilySpec(phi, psi, u0)`` is a custom one."""
 
-    name: str
     phi: Poly
     psi: Poly
-    params: dict[str, Fraction] = field(default_factory=dict)
     u0: Fraction = Fraction(1)
+    name: str = "custom"
+    params: dict[str, Fraction] = field(default_factory=dict)
 
 
 class CatalogFamily(NamedTuple):
@@ -117,9 +116,6 @@ FAMILIES: dict[str, CatalogFamily] = {
         lambda a: (Poly([0, 0, 1]), Poly([2, a + 2])), _bessel_ratio),
 }
 
-CATALOG = tuple(FAMILIES)
-
-
 def catalog_family(name: str,
                    params: Mapping[str, int | str | Fraction | None]) -> FamilySpec:
     """Instantiate the catalog family ``name`` from parameter values.
@@ -131,14 +127,14 @@ def catalog_family(name: str,
     family = FAMILIES.get(name)
     if family is None:
         raise InvalidParameter(
-            f"unknown family {name!r}; catalog families are {', '.join(CATALOG)}")
+            f"unknown family {name!r}; catalog families are {', '.join(FAMILIES)}")
     for key in sorted(params):
         if params[key] is not None and key not in family.params:
             raise InvalidParameter(f"family {name!r} does not take {key}")
     values = {key: as_rational(0 if params.get(key) is None else params[key])
               for key in family.params}
     phi, psi = family.pair(*values.values())
-    return FamilySpec(name, phi, psi, values)
+    return FamilySpec(phi, psi, name=name, params=values)
 
 
 def hermite_family() -> FamilySpec:
@@ -161,14 +157,9 @@ def bessel_family(alpha: int | str | Fraction) -> FamilySpec:
     return catalog_family("bessel", {"alpha": alpha})
 
 
-def custom_family(phi: Poly, psi: Poly, u0: int | str | Fraction = 1,
-                  params: Mapping[str, Fraction] | None = None) -> FamilySpec:
-    """User-supplied pair; no closed-form weight is attached to it."""
-    return FamilySpec("custom", phi, psi, dict(params or {}), as_rational(u0))
-
-
 class ClassicalPair:
-    """A validated ``(phi, psi)`` pair with its moment functional.
+    """A ``(phi, psi)`` pair with the Pearson functional ``u`` of ``(phi, psi, u0)``;
+    ``moments_from_pearson`` checks the pair, and admissibility for ``k < max_order``.
 
     Immutable apart from internal memoization: the moment sequence of ``u``
     extends on demand, the shifted functionals ``u_k = phi**k u`` are cached
@@ -178,15 +169,16 @@ class ClassicalPair:
 
     __slots__ = ("phi", "psi", "u", "name", "params", "_shifted", "_rows", "_weighted")
 
-    def __init__(self, phi: Poly, psi: Poly, u: MomentFunctional,
-                 name: str = "custom", params: Mapping[str, Fraction] | None = None):
-        check_pearson_degrees(phi, psi)
+    def __init__(self, phi: Poly, psi: Poly, u0: int | str | Fraction = 1,
+                 name: str = "custom", params: Mapping[str, Fraction] | None = None,
+                 max_order: int = 0):
+        # a module global, so anything that rebinds it (a profiler, say) sees the call
+        self.u = moments_from_pearson(phi, psi, u0, max_order)
         self.phi = phi
         self.psi = psi
-        self.u = u
         self.name = name
         self.params = dict(params or {})
-        self._shifted: dict[int, MomentFunctional] = {0: u}
+        self._shifted: dict[int, MomentFunctional] = {0: self.u}
         self._rows: dict[int, list[Poly]] = {}
         self._weighted: dict[tuple[int, int], MomentFunctional] = {}
 
@@ -220,14 +212,9 @@ class ClassicalPair:
         return f"ClassicalPair({self.name!r}, phi={self.phi!r}, psi={self.psi!r})"
 
 
-def pair_from_family(spec: FamilySpec, max_order: int) -> ClassicalPair:
-    """Instantiate a family: generate its moments and bundle the pair.
-
-    ``max_order`` sets how far admissibility is checked eagerly; moments
-    themselves are generated lazily and may extend further.
-    """
-    u = moments_from_pearson(spec.phi, spec.psi, spec.u0, max_order)
-    return ClassicalPair(spec.phi, spec.psi, u, spec.name, spec.params)
+def pair_from_family(spec: FamilySpec, max_order: int = 0) -> ClassicalPair:
+    """The ``ClassicalPair`` that ``spec`` describes."""
+    return ClassicalPair(spec.phi, spec.psi, spec.u0, spec.name, spec.params, max_order)
 
 
 def psi_k(pair: ClassicalPair, k: int) -> Poly:

@@ -152,7 +152,7 @@ def _product_sum(terms: Sequence[tuple[int | Fraction, SeriesYX, SeriesYX]]) -> 
         first._check_order(a)
         first._check_order(b)
     order = first._order
-    dc, (weights,) = _integer_form(([as_rational(c) for c, _, _ in terms],))
+    dc, weights = _integer_form([as_rational(c) for c, _, _ in terms])
     da, lefts = _over_lcm([(p._den, p._nums) for _, a, _ in terms for p in a._coeffs])
     db, rights = _over_lcm([(p._den, p._nums) for _, _, b in terms for p in b._coeffs])
     size = order + 1

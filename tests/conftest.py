@@ -107,6 +107,5 @@ def small_polys(max_degree: int = 5) -> st.SearchStrategy[Poly]:
 def moments_by_index(moment) -> MomentFunctional:
     """The functional with moments ``u_k = moment(k)`` for every ``k``, filled by a block."""
     def block(_: MomentFunctional, lo: int, hi: int) -> tuple[int, list[int]]:
-        den, (nums,) = _integer_form(([Fraction(moment(k)) for k in range(lo, hi + 1)],))
-        return den, nums
+        return _integer_form([Fraction(moment(k)) for k in range(lo, hi + 1)])
     return MomentFunctional(block=block)

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import src_env
 from copoly import (
-    CATALOG,
+    FAMILIES,
     Poly,
     as_rational,
     complementary,
@@ -60,7 +60,7 @@ class TestFamilies:
         assert [row["name"] for row in doc] == [
             "hermite", "laguerre", "jacobi", "bessel",
         ]
-        assert tuple(row["name"] for row in doc) == CATALOG
+        assert tuple(row["name"] for row in doc) == tuple(FAMILIES)
 
 
 class TestComputeText:
@@ -299,6 +299,21 @@ class TestComputeErrors:
         )
         assert code == 2
         assert "k = 3" in err
+
+    def test_row_that_would_lose_degree_exits_two(self, capsys):
+        # row nu + 1 of n gains the leading factor psi' + k phi''/2 = k - 15 at
+        # k = 2n - nu - 2, so at n = 10 row 4 would drop to degree 0
+        code, out, err = run_cli(capsys, "compute", "--n", "10",
+                                 "--phi", "x^2", "--psi", "1 - 15*x")
+        assert (code, out) == (2, "")
+        assert err == "error: admissibility fails: psi' + k*phi''/2 = 0 at k = 15\n"
+
+    def test_rows_keep_their_degree_past_the_checked_range(self, capsys):
+        # k - 19 vanishes only past k = 2n - 2 = 18, where no row of n = 10 reaches
+        code, out, _ = run_cli(capsys, "compute", "--n", "10", "--phi", "x^2", "--psi", "1 - 19*x",
+                               "--format", "json")
+        assert code == 0
+        assert [len(row) for row in json.loads(out)["rows"]] == list(range(1, 12))
 
 
 class TestFamilyFile:
@@ -539,7 +554,7 @@ class TestGenfun:
         doc = json.loads(out)
         assert doc["truncated"] == [["1"], ["0", "-2"]]
 
-    def test_custom_family_rejected(self, capsys):
+    def test_custom_pair_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "genfun", "--phi", "x", "--psi", "1 - x", "--n", "2"
         )

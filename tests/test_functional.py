@@ -28,7 +28,6 @@ from copoly import (
     moments_from_pearson,
     pearson_residual,
 )
-from copoly.functional import check_pearson_degrees
 
 PHI_PSI = {
     "hermite": (Poly([1]), Poly([0, -2])),
@@ -475,11 +474,11 @@ class TestPearsonResidual:
         assert res == [0, 0]
 
     def test_pearson_degrees_are_checked(self):
-        check_pearson_degrees(Poly([1, 0, -1]), Poly([0, -2]))
+        moments_from_pearson(Poly([1, 0, -1]), Poly([0, -2]), 1, 0)
         with pytest.raises(InvalidParameter, match="phi must have degree <= 2, got degree 3"):
-            check_pearson_degrees(Poly.monomial(3), Poly([0, 1]))
+            moments_from_pearson(Poly.monomial(3), Poly([0, 1]), 1, 0)
         with pytest.raises(InvalidParameter, match="psi must have degree exactly 1, got degree 0"):
-            check_pearson_degrees(Poly.one(), Poly([3]))
+            moments_from_pearson(Poly.one(), Poly([3]), 1, 0)
 
 
 class TestHankel:

@@ -8,11 +8,12 @@ import pytest
 
 import copoly.genfun
 from copoly import (
+    ClassicalPair,
+    FamilySpec,
     PDE_IDENTITIES,
     Poly,
     SeriesYX,
     UnsupportedFamily,
-    custom_family,
     genfun_closed_form,
     genfun_phi_factor,
     genfun_truncated,
@@ -94,7 +95,7 @@ class TestWeightRatio:
         )
 
     def test_custom_unsupported(self):
-        spec = custom_family(Poly([1, 1]), Poly([0, 1]))
+        spec = FamilySpec(Poly([1, 1]), Poly([0, 1]))
         with pytest.raises(UnsupportedFamily):
             weight_ratio_series(spec, 3)
 
@@ -117,7 +118,7 @@ class TestClosedForm:
         assert genfun_closed_form(legendre_pair, 1, 1) == expected
 
     def test_custom_pair_unsupported(self):
-        pair = pair_from_family(custom_family(Poly([1, 1]), Poly([0, 1])), max_order=12)
+        pair = ClassicalPair(Poly([1, 1]), Poly([0, 1]), max_order=12)
         with pytest.raises(UnsupportedFamily):
             genfun_closed_form(pair, 2, 4)
 
@@ -145,7 +146,7 @@ class TestPdeResiduals:
     @pytest.mark.parametrize("spec", [
         hermite_family(),
         jacobi_family(Fraction(1, 3), Fraction(4, 3)),
-        custom_family(Poly([1, 1]), Poly([0, 1])),
+        FamilySpec(Poly([1, 1]), Poly([0, 1])),
     ], ids=["hermite", "jacobi", "custom"])
     def test_every_identity_sees_a_perturbed_series(self, spec, monkeypatch):
         # G(3) off by x y**2, G(2) left alone: no identity may stay zero

@@ -12,6 +12,7 @@ import oracles
 from conftest import moments_by_index, rationals, small_polys
 from copoly import (
     AdmissibilityViolation,
+    FamilySpec,
     MismatchError,
     MomentFunctional,
     NotQuasiDefinite,
@@ -20,7 +21,6 @@ from copoly import (
     chebyshev_ops,
     complementary,
     cross_validate,
-    custom_family,
     functional_apply,
     gram_schmidt_ops,
     hankel_determinant,
@@ -84,11 +84,11 @@ DEEP_SPECS = [
     pytest.param(lambda: laguerre_family("4/3"), id="laguerre-4/3"),
     pytest.param(lambda: jacobi_family("1/3", "4/3"), id="jacobi-1/3-4/3"),
     pytest.param(lambda: bessel_family("7/3"), id="bessel-7/3"),
-    pytest.param(lambda: custom_family(parse_poly_expr("3 - x + 2*x^2"),
-                                       parse_poly_expr("1 + 5*x")), id="custom"),
+    pytest.param(lambda: FamilySpec(parse_poly_expr("3 - x + 2*x^2"),
+                                    parse_poly_expr("1 + 5*x")), id="custom"),
     # every coefficient over its own prime: the costly shape for one common denominator
-    pytest.param(lambda: custom_family(parse_poly_expr("127/113+109/107*x+103/101*x^2"),
-                                       parse_poly_expr("97/89+83/79*x")), id="five-prime"),
+    pytest.param(lambda: FamilySpec(parse_poly_expr("127/113+109/107*x+103/101*x^2"),
+                                    parse_poly_expr("97/89+83/79*x")), id="five-prime"),
 ]
 
 

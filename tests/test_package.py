@@ -135,3 +135,30 @@ def test_chebyshev_kernel_computes_on_integer_forms():
                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                  and node.func.id == "Fraction"]
     assert (reads, fractions) == (["_form"], [])
+
+
+def test_one_way_into_a_pair():
+    """``ClassicalPair`` takes ``(phi, psi, u0)`` and never a functional, the
+    removed aliases stay gone, and ``moments_from_pearson`` alone reads the
+    degrees of ``phi`` and ``psi``."""
+    modules = _modules()
+    cls = next(node for node in ast.walk(modules["rodrigues.py"])
+               if isinstance(node, ast.ClassDef) and node.name == "ClassicalPair")
+    init = next(node for node in cls.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    params = [arg.arg for arg in init.args.args + init.args.kwonlyargs]
+    gone = {"custom_family", "CATALOG", "check_pearson_degrees"}
+    uses = [(name, node.lineno) for name, tree in modules.items() for node in ast.walk(tree)
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone)
+            or (isinstance(node, ast.Name) and node.id in gone)
+            or (isinstance(node, ast.alias) and node.name in gone)
+            or (isinstance(node, ast.Constant) and node.value in gone)]
+    checks = {(name, function.name) for name, tree in modules.items()
+              for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+              for node in ast.walk(function)
+              if isinstance(node, ast.Attribute) and node.attr == "degree"
+              and isinstance(node.value, (ast.Name, ast.Attribute))
+              and getattr(node.value, "id", getattr(node.value, "attr", None)) in ("phi", "psi")}
+    assert (params, uses, checks) == (
+        ["self", "phi", "psi", "u0", "name", "params", "max_order"], [],
+        {("functional.py", "moments_from_pearson")})

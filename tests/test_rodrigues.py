@@ -15,15 +15,15 @@ import oracles
 from conftest import mixed_rationals
 from copoly import (
     AdmissibilityViolation,
-    CATALOG,
+    ClassicalPair,
     FAMILIES,
+    FamilySpec,
     InvalidParameter,
     Poly,
     bessel_family,
     catalog_family,
     complementary,
     complementary_table,
-    custom_family,
     derivative_proportionality,
     functional_apply,
     hermite_family,
@@ -31,6 +31,7 @@ from copoly import (
     laguerre_family,
     lambda_n,
     leading_coeff_probe,
+    moments_from_pearson,
     mu_eigenvalue,
     ode_residual,
     pair_from_family,
@@ -48,7 +49,7 @@ JA, JB = Fraction(1, 3), 2      # jacobi fixture parameters
 
 class TestFamilyBuilders:
     def test_catalog_names(self):
-        assert CATALOG == ("hermite", "laguerre", "jacobi", "bessel")
+        assert tuple(FAMILIES) == ("hermite", "laguerre", "jacobi", "bessel")
 
     def test_hermite(self):
         spec = hermite_family()
@@ -71,8 +72,8 @@ class TestFamilyBuilders:
         assert spec.psi == Poly([2, 3])
 
     def test_custom(self):
-        spec = custom_family(Poly([1, 1]), Poly([0, 1]), u0=Fraction(1, 2))
-        assert spec.name == "custom"
+        spec = FamilySpec(Poly([1, 1]), Poly([0, 1]), Fraction(1, 2))
+        assert (spec.name, spec.params) == ("custom", {})
         assert spec.u0 == Fraction(1, 2)
 
     def test_degenerate_jacobi_rejected(self):
@@ -82,12 +83,25 @@ class TestFamilyBuilders:
 
     def test_cubic_phi_rejected(self):
         with pytest.raises(InvalidParameter):
-            pair_from_family(custom_family(Poly.monomial(3), Poly([0, 1])), max_order=8)
+            ClassicalPair(Poly.monomial(3), Poly([0, 1]), max_order=8)
 
     def test_inadmissible_bessel_rejected(self):
         with pytest.raises(AdmissibilityViolation) as exc:
             pair_from_family(bessel_family(-5), max_order=20)
         assert exc.value.k == 3
+
+    @pytest.mark.parametrize("spec", [
+        hermite_family(),
+        laguerre_family(Fraction(4, 3)),
+        jacobi_family(Fraction(1, 3), Fraction(4, 3)),
+        bessel_family(Fraction(1, 3)),
+        FamilySpec(parse_poly_expr("3 - x + 2*x^2"), parse_poly_expr("1 + 5*x"), Fraction(2, 3)),
+    ], ids=["hermite", "laguerre", "jacobi", "bessel", "custom"])
+    def test_pair_holds_its_own_pearson_functional(self, spec):
+        pair = ClassicalPair(spec.phi, spec.psi, spec.u0, spec.name, spec.params)
+        expected = moments_from_pearson(spec.phi, spec.psi, spec.u0, 0).moments(30)
+        assert pair.u.moments(30) == expected
+        assert pair_from_family(spec, 12).u.moments(30) == expected
 
     def test_pair_carries_moments(self, laguerre_pair):
         assert laguerre_pair.u.moment(1) == Fraction(3, 2)
@@ -107,7 +121,7 @@ REGISTRY_VALUES = (Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(7, 3))
 
 
 class TestCatalogRegistry:
-    @pytest.mark.parametrize("name", CATALOG)
+    @pytest.mark.parametrize("name", FAMILIES)
     def test_display_rows_parse_to_the_pair(self, name):
         family = FAMILIES[name]
         for values in itertools.product(REGISTRY_VALUES, repeat=len(family.params)):
@@ -274,7 +288,7 @@ def kernel_pairs():
     """Pairs with ``deg phi <= 2`` and ``deg psi = 1`` over mixed denominators."""
     phi = st.lists(mixed_rationals(), min_size=1, max_size=3).map(Poly)
     psi = st.tuples(mixed_rationals(), mixed_rationals().filter(bool)).map(Poly)
-    return st.builds(lambda p, q: pair_from_family(custom_family(p, q), max_order=0), phi, psi)
+    return st.builds(ClassicalPair, phi, psi)
 
 
 class TestRowKernel:
@@ -305,7 +319,7 @@ class TestRowKernel:
     def test_unrelated_prime_denominators(self):
         phi = Poly([Fraction(1, 1048573), Fraction(3, 1048571), Fraction(5, 1048559)])
         psi = Poly([Fraction(2, 1048549), Fraction(-19, 1048517)])
-        pair = pair_from_family(custom_family(phi, psi), max_order=0)
+        pair = ClassicalPair(phi, psi)
         assert copoly.rodrigues._comp_rows(pair, 30, 34) == oracles.comp_rows(phi, psi, 30, 34)
 
 

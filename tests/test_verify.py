@@ -12,12 +12,12 @@ import copoly.rodrigues
 import copoly.verify
 from copoly import (
     ClassicalPair,
+    FamilySpec,
     MomentFunctional,
     Poly,
     SUITE_NAMES,
     SeriesYX,
     bessel_family,
-    custom_family,
     hermite_family,
     jacobi_family,
     laguerre_family,
@@ -25,6 +25,14 @@ from copoly import (
     verify_pair,
 )
 from copoly.errors import MismatchError, NotProportional
+
+
+def _hermite_on_legendre_moments(legendre_pair, monkeypatch) -> ClassicalPair:
+    """The Hermite pair as built by a faulty moment generator that returns
+    the Legendre functional."""
+    monkeypatch.setattr(copoly.rodrigues, "moments_from_pearson",
+                        lambda phi, psi, u0, max_order: legendre_pair.u)
+    return ClassicalPair(Poly.one(), Poly([0, -2]), name="broken")
 
 
 class TestPassingRuns:
@@ -157,19 +165,17 @@ class TestNotes:
         assert any("differs" in note for note in report.notes)
 
     def test_custom_pair_skips_closed_form(self):
-        pair = pair_from_family(
-            custom_family(Poly([2, 1]), Poly([1, -1])), max_order=40
-        )
+        pair = ClassicalPair(Poly([2, 1]), Poly([1, -1]), max_order=40)
         report = verify_pair(pair, suites=("genfun",), max_n=3, order=6)
         assert report.passed
         assert any("skipped" in note for note in report.notes)
 
 
 class TestFailureDetection:
-    def test_mismatched_functional_is_caught(self, legendre_pair):
-        # Hermite (phi, psi) glued to Legendre moments: algebra runs fine
-        # but the Pearson consistency checks must fail.
-        bad = ClassicalPair(Poly.one(), Poly([0, -2]), legendre_pair.u, name="broken")
+    def test_mismatched_functional_is_caught(self, legendre_pair, monkeypatch):
+        # A faulty moment generator glues Hermite (phi, psi) to Legendre
+        # moments: algebra runs fine but the Pearson consistency checks must fail.
+        bad = _hermite_on_legendre_moments(legendre_pair, monkeypatch)
         report = verify_pair(bad, suites=("functional",), max_n=2, order=4)
         assert not report.passed
         assert report.first_counterexample is not None
@@ -183,16 +189,13 @@ class TestFailureDetection:
             verify_pair(hermite_pair, suites=("ode",), max_n=2, order=4)
 
     def test_custom_suite_runs_on_consistent_custom_pair(self):
-        pair = pair_from_family(
-            custom_family(Poly([2, 1]), Poly([1, -1]), u0=Fraction(1, 2)),
-            max_order=40,
-        )
+        pair = ClassicalPair(Poly([2, 1]), Poly([1, -1]), Fraction(1, 2), max_order=40)
         report = verify_pair(pair, max_n=3, order=6)
         assert report.passed
 
     @pytest.mark.parametrize("spec, level", [
         (laguerre_family(-1), 1),
-        (custom_family(Poly([1, 1]), Poly([1, -1]), u0=0), 0),
+        (FamilySpec(Poly([1, 1]), Poly([1, -1]), 0), 0),
     ], ids=["laguerre-alpha-minus-one", "custom-u0-zero"])
     def test_not_quasi_definite_skips_oracle(self, spec, level):
         # The functional itself is legal, so the vanishing level is a
@@ -237,7 +240,7 @@ class TestGoldenReports:
         (laguerre_family(Fraction(4, 3)), 34, [_COINCIDE]),
         (jacobi_family(Fraction(1, 3), Fraction(4, 3)), 34, [_DIFFERS + "(-14/3 vs -11/3)"]),
         (bessel_family(Fraction(1, 3)), 34, [_DIFFERS + "(10/3 vs 7/3)"]),
-        (custom_family(Poly([2, 1]), Poly([1, -1]), u0=Fraction(1, 2)), 28,
+        (FamilySpec(Poly([2, 1]), Poly([1, -1]), Fraction(1, 2)), 28,
          [_SKIPPED, _COINCIDE]),
     ], ids=["hermite", "laguerre", "jacobi", "bessel", "custom"])
     def test_passing_pair(self, spec, genfun_checks, notes):
@@ -246,8 +249,8 @@ class TestGoldenReports:
         expected["genfun"] = (genfun_checks, [])
         assert _summary(verify_pair(pair, max_n=5, order=6)) == (expected, notes)
 
-    def test_broken_pair(self, legendre_pair):
-        bad = ClassicalPair(Poly.one(), Poly([0, -2]), legendre_pair.u, name="broken")
+    def test_broken_pair(self, legendre_pair, monkeypatch):
+        bad = _hermite_on_legendre_moments(legendre_pair, monkeypatch)
         assert _summary(verify_pair(bad, max_n=2, order=4)) == ({
             "recursion": (20, []),
             "ode": (17, []),
