@@ -49,7 +49,8 @@ checks = [all(v == 0 for v in rodrigues_formula_residual(pair, N, nu, 0).moments
 print("rodrigues pairing identity holds:", all(checks))
 
 # 4. Ladder: d/dx C_n = -mu_{n,n} C_{n-1} and so on down the row, which
-# compounds into an exact proportionality constant.
+# compounds into an exact proportionality constant (None would mean there is
+# none, a counterexample).
 ratio = derivative_proportionality(pair, N, 2)
 print("second derivative of the diagonal, rescaled:",
       complementary(pair, N, N).derivative(2) * ratio

@@ -57,10 +57,15 @@ print("recurrence coefficients (a_m, b_m):",
       [(str(a), str(b)) for a, b in coeffs[:4]])
 
 # cross_validate does the full comparison in one call: it rescales each
-# diagonal row to monic form and insists on exact equality with the
-# moment-only sequence it is given, raising MismatchError otherwise.
-cross_validate(pair, ops)
+# diagonal row to monic form and compares it exactly with the moment-only
+# sequence it is given, returning the first degree that differs, or None.
+assert cross_validate(pair, ops) is None
 print("diagonals match the moment-only sequence through degree", DEPTH)
+# Against another family's moments the first difference is at degree 2:
+# Hermite and Legendre share the monic P_0 = 1 and P_1 = x.
+legendre = pair_from_family(jacobi_family(0, 0), max_order=40)
+print("first degree where hermite diagonals leave legendre moments:",
+      cross_validate(pair, chebyshev_ops(legendre.u, DEPTH)))
 scale = complementary(pair, 3, 3).leading_coefficient
 print("C_3(x;3) leading coefficient:", scale, "(the monic rescale factor)")
 

@@ -16,8 +16,6 @@ from .errors import (
     CopolyError,
     ExprSyntaxError,
     InvalidParameter,
-    MismatchError,
-    NotProportional,
     NotQuasiDefinite,
     UnknownIdentifier,
     UnsupportedFamily,
@@ -95,10 +93,8 @@ __all__ = [
     "FAMILIES",
     "FamilySpec",
     "InvalidParameter",
-    "MismatchError",
     "MomentFunctional",
     "MonicOPS",
-    "NotProportional",
     "NotQuasiDefinite",
     "PDE_IDENTITIES",
     "Poly",

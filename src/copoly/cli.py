@@ -10,8 +10,12 @@ Subcommands::
 Families come either from the catalog (``--family hermite|laguerre|jacobi|
 bessel``, with ``legendre`` accepted as jacobi at alpha = beta = 0), from a
 JSON family file (``--family-file``), or from expressions (``--phi``/
-``--psi`` with optional ``--u0``).  Exit codes: 0 success, 1 a verification
-counterexample was found, 2 invalid input.
+``--psi`` with optional ``--u0``).
+
+Exit codes, one source each: 0 success; 1 ``verify`` found a counterexample;
+2 invalid input, any ``CopolyError`` or ``OSError`` (``error: <message>``);
+3 an internal error, any other exception (``internal error: <Type>:
+<message>``, no traceback).
 
 Fixed caps bound the work of every accepted request; a request above one is
 rejected rather than silently clamped: ``--n`` above ``MAX_N`` (``compute``
@@ -61,9 +65,9 @@ _FAMILY_HELP = (
 def _check_size(flag: str, value: int, cap: int) -> int:
     """``value`` of ``flag`` when it lies in ``0 .. cap``; refused, never clamped, otherwise."""
     if value < 0:
-        raise ValueError(f"{flag} must be >= 0")
+        raise InvalidParameter(f"{flag} must be >= 0")
     if value > cap:
-        raise ValueError(f"{flag} {value} exceeds the cap of {cap}")
+        raise InvalidParameter(f"{flag} {value} exceeds the cap of {cap}")
     return value
 
 
@@ -71,12 +75,12 @@ def _rational(source: str, value) -> Fraction:
     """One exact value from outside input; floats, booleans, ``p/0`` and ``1e3`` are refused."""
     try:
         # Fraction("1e20000") would build the integer before anything bounds it
-        if isinstance(value, str) and "e" in value.lower():
-            raise ValueError(value)
-        return as_rational(value)
+        if not (isinstance(value, str) and "e" in value.lower()):
+            return as_rational(value)
     except (TypeError, ValueError, ZeroDivisionError):
-        raise InvalidParameter(f"{source} must be an integer or rational text "
-                               f"such as '3/2', got {value!r}") from None
+        pass
+    raise InvalidParameter(f"{source} must be an integer or rational text "
+                           f"such as '3/2', got {value!r}")
 
 
 class _JsonInteger(str):
@@ -99,6 +103,8 @@ def load_family_file(path: str) -> FamilySpec:
             data = json.load(handle, parse_int=_JsonInteger)
         except RecursionError:
             raise InvalidParameter("family file nests JSON arrays or objects too deeply") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidParameter(f"family file is not UTF-8 JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InvalidParameter(
             "family file must hold a JSON object, not a JSON "
@@ -154,20 +160,21 @@ def _family_source(args: argparse.Namespace) -> FamilySpec:
     sources = [args.family_file is not None, args.family is not None,
                args.phi is not None or args.psi is not None]
     if sum(sources) > 1:
-        raise ValueError("give exactly one of --family-file, --family, or --phi/--psi")
+        raise InvalidParameter("give exactly one of --family-file, --family, or --phi/--psi")
     if args.family_file is not None:
         return load_family_file(args.family_file)
     if args.family is not None:
         name = args.family.lower()
         if u0 is not None:
-            raise ValueError("--u0 applies only to --phi/--psi pairs (catalog uses u0 = 1)")
+            raise InvalidParameter("--u0 applies only to --phi/--psi pairs (catalog uses u0 = 1)")
         if name == "legendre":
             if alpha is not None or beta is not None:
-                raise ValueError("legendre fixes alpha = beta = 0; omit --alpha/--beta")
+                raise InvalidParameter("legendre fixes alpha = beta = 0; omit --alpha/--beta")
             return jacobi_family(0, 0)
         return _catalog_spec(name, alpha, beta)
     if args.phi is None or args.psi is None:
-        raise ValueError("no family given: use --family, --family-file, or both --phi and --psi")
+        raise InvalidParameter(
+            "no family given: use --family, --family-file, or both --phi and --psi")
     params = {}
     if alpha is not None:
         params["alpha"] = alpha
@@ -225,14 +232,20 @@ def build_compute_document(pair: ClassicalPair, n: int, nu: int | None = None) -
     }
 
 
+def _rows_pair(spec: FamilySpec, n: int) -> ClassicalPair:
+    """The pair of ``compute`` and ``genfun`` at ``n``, admissible for ``k = 0 ..
+    max(n + 1, 2n - 2)``: row ``nu + 1`` of ``n`` gains the leading factor
+    ``psi' + k phi''/2`` with ``k = 2n - nu - 2``, so every row keeps its degree."""
+    return pair_from_family(spec, max_order=max(n + 2, 2 * n - 1))
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
     spec = resolve_family(args)
     n = _check_size("--n", args.n, MAX_N)
     nu = args.nu
     if nu is not None and not 0 <= nu <= n:
-        raise ValueError(f"--nu must satisfy 0 <= nu <= n, got nu={nu}, n={n}")
-    # row nu + 1 gains the leading factor psi' + k phi''/2, k = 2n - nu - 2 >= n - 1
-    pair = pair_from_family(spec, max_order=max(n + 2, 2 * n - 1))
+        raise InvalidParameter(f"--nu must satisfy 0 <= nu <= n, got nu={nu}, n={n}")
+    pair = _rows_pair(spec, n)
     if args.format == "json":
         _print_json(build_compute_document(pair, n, nu))
     elif args.format == "latex":
@@ -261,7 +274,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _check_size("--max-n", args.max_n, MAX_VERIFY_N)
     order = _check_size("--order", args.order, MAX_ORDER)
     if order < 2:
-        raise ValueError("--order must be >= 2")
+        raise InvalidParameter("--order must be >= 2")
     suites = SUITE_NAMES if args.suite == "all" else (args.suite,)
     pair = pair_from_family(spec, max_order=2 * args.max_n + 6)
     report = verify_pair(pair, suites, args.max_n, order)
@@ -285,7 +298,7 @@ def cmd_genfun(args: argparse.Namespace) -> int:
     spec = resolve_family(args)
     _check_size("--n", args.n, MAX_N)
     order = _check_size("--order", args.order, MAX_ORDER)
-    pair = pair_from_family(spec, max_order=max(args.n, 2))
+    pair = _rows_pair(spec, args.n)
     truncated = genfun_truncated(pair, args.n, order)
     closed = genfun_closed_form(pair, args.n, order)  # UnsupportedFamily for custom
     difference = truncated - closed
@@ -383,9 +396,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CopolyError, ValueError, OSError) as exc:
+    except (CopolyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ class CopolyError(Exception):
 
 
 class InvalidParameter(CopolyError, ValueError):
-    """A family parameter or polynomial violates a structural constraint."""
+    """Outside input (a flag, a family file, a parameter or a polynomial) breaks a rule."""
 
 
 class AdmissibilityViolation(CopolyError):
@@ -33,18 +33,6 @@ class NotQuasiDefinite(CopolyError):
     def __init__(self, level: int):
         self.level = level
         super().__init__(f"Hankel determinant of order {level} vanishes")
-
-
-class MismatchError(CopolyError):
-    """Two constructions that must agree exactly do not."""
-
-    def __init__(self, degree: int, message: str | None = None):
-        self.degree = degree
-        super().__init__(message or f"constructions disagree at degree {degree}")
-
-
-class NotProportional(CopolyError):
-    """Two polynomials expected to be scalar multiples of each other are not."""
 
 
 class UnsupportedFamily(CopolyError):

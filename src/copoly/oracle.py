@@ -6,7 +6,8 @@ by the Chebyshev algorithm, and ``gram_schmidt_ops`` builds the same
 sequence by Gram-Schmidt in the monomial basis as a slower reference.
 ``cross_validate`` alone takes the diagonal rows from
 ``rodrigues.complementary`` and compares them, after monic normalization,
-with these polynomials: a genuine two-path consistency check.
+with these polynomials: a genuine two-path consistency check, which returns
+the first degree that differs.
 Quasi-definiteness (all squared norms nonzero) is exactly the nonvanishing
 of the Hankel determinants, and the norms satisfy
 ``r_n = Delta_n / Delta_{n-1}``.
@@ -20,7 +21,7 @@ from itertools import zip_longest
 from operator import mul
 from typing import Sequence
 
-from .errors import MismatchError, NotQuasiDefinite
+from .errors import NotQuasiDefinite
 from .functional import MomentFunctional, functional_apply
 from .poly import Poly, _over_lcm, _reduced
 from .rodrigues import ClassicalPair, complementary
@@ -164,14 +165,13 @@ def three_term_coefficients(ops: MonicOPS) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def cross_validate(pair: ClassicalPair, ops: MonicOPS) -> None:
-    """Check ``monic C_m(x; m) == ops.polys[m]`` for every degree in ``ops``.
+def cross_validate(pair: ClassicalPair, ops: MonicOPS) -> int | None:
+    """The first degree ``m`` in ``ops`` with ``monic C_m(x; m) != ops.polys[m]``, or ``None``.
 
     ``ops`` is a sequence built from the moments of ``pair.u`` alone
-    (``chebyshev_ops`` or ``gram_schmidt_ops``); the first degree where the
-    monic diagonal row differs raises ``MismatchError``.
+    (``chebyshev_ops`` or ``gram_schmidt_ops``).
     """
     for m, expected in enumerate(ops.polys):
         if complementary(pair, m, m).monic() != expected:
-            raise MismatchError(
-                m, f"monic diagonal row {m} differs from the moment-only polynomial")
+            return m
+    return None

@@ -22,7 +22,9 @@ recursion limit.  No exponent, and no intermediate result, may pass degree
 so ``(x+1)^3000 - (x+1)^3000`` costs nothing.  Likewise a ``^`` is refused
 when the exponent times the bit length of the base's largest numerator or
 denominator passes ``MAX_CONSTANT_BITS``, so ``((2^100)^100)^100`` never
-builds its million-bit constant.
+builds its million-bit constant.  An integer literal is ASCII digits only,
+at most ``MAX_LITERAL_DIGITS`` of them (CPython's default ``int()`` limit),
+so every literal converts exactly.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .poly import Poly, as_rational
 MAX_NESTING = 100
 MAX_DEGREE = 100
 MAX_CONSTANT_BITS = 10_000
+MAX_LITERAL_DIGITS = 4300
 
 
 class _Token(NamedTuple):
@@ -51,9 +54,9 @@ def _tokenize(text: str) -> list[_Token]:
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("int", text[i:j], i))
             i = j
@@ -164,6 +167,9 @@ class _Parser:
     def atom(self) -> Poly:
         tok = self.take()
         if tok.kind == "int":
+            if len(tok.text) > MAX_LITERAL_DIGITS:
+                raise ExprSyntaxError(tok.pos, f"integer literal longer than "
+                                               f"{MAX_LITERAL_DIGITS} digits")
             return Poly.constant(int(tok.text))
         if tok.kind == "ident":
             if tok.text == "x":

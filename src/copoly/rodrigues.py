@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .errors import InvalidParameter, NotProportional
+from .errors import InvalidParameter
 from .functional import (
     MomentFunctional,
     _combination,
@@ -360,30 +360,25 @@ def rodrigues_formula_residual(pair: ClassicalPair, n: int, nu: int, mu: int) ->
     return pair.weighted_row(n, nu) - rhs
 
 
-def derivative_proportionality(pair: ClassicalPair, n: int, nu: int) -> Fraction:
-    """Constant ``c`` with ``C_{n-nu}(x; n) = c * (d/dx)^nu C_n(x; n)``.
-
-    Raises ``NotProportional`` if no exact constant exists (which would be an
-    implementation bug for an admissible pair).
-    """
+def derivative_proportionality(pair: ClassicalPair, n: int, nu: int) -> Fraction | None:
+    """Constant ``c`` with ``C_{n-nu}(x; n) = c * (d/dx)^nu C_n(x; n)``, or ``None``
+    if no exact constant exists (which would be an implementation bug for an
+    admissible pair)."""
     if nu < 0 or nu > n:
         raise IndexError(f"nu must satisfy 0 <= nu <= n, got nu={nu}, n={n}")
     deriv = complementary(pair, n, n).derivative(nu)
     target = complementary(pair, n, n - nu)
     if deriv.is_zero:
-        raise NotProportional("the derivative vanished; no proportionality constant exists")
+        return None
     ratio = target.leading_coefficient / deriv.leading_coefficient
-    if target != ratio * deriv:
-        raise NotProportional(
-            f"C_{n - nu}(x; {n}) is not a scalar multiple of the {nu}-fold derivative")
-    return ratio
+    return ratio if target == ratio * deriv else None
 
 
 def leading_coeff_probe(pair: ClassicalPair, k: int, m: int) -> Fraction:
-    """Leading coefficient of one Rodrigues step on the monic probe ``x**m``.
+    """The ``x**(m+1)`` coefficient of one Rodrigues step on the monic probe ``x**m``.
 
-    Expanding ``phi (x^m)' + psi_k x^m`` shows the top coefficient is
-    ``psi' + (m + 2k) phi''/2``; the probe returns what the arithmetic
-    actually produces, so the formula can be audited against it.
+    Expanding ``phi (x^m)' + psi_k x^m`` shows it is ``psi' + (m + 2k) phi''/2``,
+    the top coefficient unless that value is 0; the probe returns what the
+    arithmetic actually produces, so the formula can be audited against it.
     """
-    return rodrigues_r1(pair, k, Poly.monomial(m)).leading_coefficient
+    return rodrigues_r1(pair, k, Poly.monomial(m)).coefficient(m + 1)

@@ -24,6 +24,7 @@ from copoly import (
     pair_from_family,
 )
 import copoly.cli
+import copoly.verify
 from copoly.cli import (
     MAX_COEFF_BITS,
     MAX_N,
@@ -502,6 +503,18 @@ class TestVerify:
                 "(Hankel determinant of order 1 vanishes)") in out.splitlines()
         assert "overall: PASS" in out
 
+    @pytest.mark.parametrize("argv, checks", [
+        (("--family", "jacobi", "--alpha=-6", "--beta=-6", "--max-n", "0"), (3, 3, 8, 4, 27)),
+        (("--family", "bessel", "--alpha=-12", "--max-n", "1"), (10, 9, 12, 10, 32)),
+    ], ids=["jacobi-sum-minus-12", "bessel-minus-12"])
+    def test_vanishing_probe_value_is_no_counterexample(self, capsys, argv, checks):
+        # psi' + (m+2k) phi''/2 vanishes at m + 2k = 10, inside the probed grid
+        code, out, _ = run_cli(capsys, "verify", *argv, "--order", "4")
+        assert code == 0
+        assert out.splitlines()[-1] == "overall: PASS"
+        assert [int(line.split("checks=")[1].split()[0])
+                for line in out.splitlines() if "checks=" in line] == list(checks)
+
     def test_laguerre_genfun_suite(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--family", "laguerre", "--alpha", "1/2",
@@ -535,6 +548,49 @@ class TestVerify:
         assert "n=2 nu=1" in out
 
 
+class TestFailureContract:
+    """Exit 2 is bad input (a ``CopolyError`` or ``OSError``), exit 1 a counterexample
+    and exit 3 anything else, which is a fault of the program."""
+
+    @pytest.mark.parametrize("fault", [IndexError, ValueError, TypeError])
+    def test_internal_fault_exits_three(self, capsys, monkeypatch, fault):
+        def broken(pair, max_n, order, tally):
+            raise fault("injected")
+        monkeypatch.setitem(copoly.verify._SUITES, "ode", broken)
+        code, out, err = run_cli(capsys, "verify", "--family", "hermite", "--max-n", "2")
+        assert (code, out, err) == (3, "", f"internal error: {fault.__name__}: injected\n")
+
+    def test_internal_fault_prints_no_traceback(self):
+        script = ("import sys, copoly.cli, copoly.verify\n"
+                  "def broken(*args): raise IndexError('injected')\n"
+                  "copoly.verify._SUITES['ode'] = broken\n"
+                  "sys.exit(copoly.cli.main(['verify', '--family', 'hermite']))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=src_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, "", "internal error: IndexError: injected\n")
+
+    @pytest.mark.parametrize("phi, message", [
+        ("2²", "unexpected character '²' (at position 1)"),
+        ("x^²", "unexpected character '²' (at position 2)"),
+        ("9" * 5000 + "*x", "integer literal longer than 4300 digits (at position 0)"),
+    ], ids=["superscript-digit", "superscript-exponent", "5000-digit-literal"])
+    def test_bad_expression_exits_two(self, capsys, phi, message):
+        code, out, err = run_cli(capsys, "compute", "--n", "1", "--phi", phi, "--psi", "1 - x")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{"name": "thing", "phi": ["0", "1"], "psi": [', "Expecting value"),
+        (b'{"name": "\xff", "phi": ["0", "1"], "psi": ["1", "-1"]}', "can't decode byte 0xff"),
+    ], ids=["truncated", "not-utf-8"])
+    def test_unreadable_family_file_exits_two(self, capsys, tmp_path, content, message):
+        path = tmp_path / "family.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "compute", "--family-file", str(path), "--n", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: family file is not UTF-8 JSON: ") and message in err
+
+
 class TestGenfun:
     def test_hermite_identical_paths(self, capsys):
         code, out, _ = run_cli(
@@ -560,6 +616,13 @@ class TestGenfun:
         )
         assert code == 2
         assert "closed-form" in err
+
+    def test_row_that_would_lose_degree_exits_two(self, capsys):
+        # the range compute checks: psi' + k phi''/2 = k - 15 vanishes at k = 15 <= 2n - 2
+        code, out, err = run_cli(capsys, "genfun", "--family", "bessel", "--alpha=-17",
+                                 "--n", "10", "--order", "4")
+        assert (code, out) == (2, "")
+        assert err == "error: admissibility fails: psi' + k*phi''/2 = 0 at k = 15\n"
 
     def test_latex_format(self, capsys):
         code, out, _ = run_cli(

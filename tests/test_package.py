@@ -162,3 +162,24 @@ def test_one_way_into_a_pair():
     assert (params, uses, checks) == (
         ["self", "phi", "psi", "u0", "name", "params", "max_order"], [],
         {("functional.py", "moments_from_pearson")})
+
+
+def test_one_failure_contract():
+    """The exceptions that only carried a counterexample to ``verify`` stay gone,
+    ``cli`` raises no bare ``ValueError``, and ``cli.main`` maps exactly
+    ``CopolyError`` and ``OSError`` to exit 2 and everything else to exit 3."""
+    modules = _modules()
+    gone = {"MismatchError", "NotProportional", "check_call"}
+    uses = [(name, node.lineno) for name, tree in modules.items() for node in ast.walk(tree)
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone)
+            or (isinstance(node, ast.Name) and node.id in gone)
+            or (isinstance(node, ast.Attribute) and node.attr in gone)
+            or (isinstance(node, ast.alias) and node.name in gone)]
+    raised = [ast.unparse(node.exc.func) for node in ast.walk(modules["cli.py"])
+              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)]
+    main = next(node for node in modules["cli.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handlers = [ast.unparse(h.type) for node in ast.walk(main) if isinstance(node, ast.Try)
+                for h in node.handlers]
+    assert (uses, "ValueError" in raised) == ([], False)
+    assert handlers == ["(CopolyError, OSError)", "Exception"]

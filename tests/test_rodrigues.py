@@ -493,6 +493,15 @@ class TestDerivativeProportionality:
         with pytest.raises(IndexError):
             derivative_proportionality(hermite_pair, 2, 3)
 
+    @pytest.mark.parametrize("rows", [
+        [Poly.one(), Poly([1, 1]), Poly([1, 0, 1])],   # C_1 = 1 + x, but C_2' = 2x
+        [Poly.one(), Poly([0, 1]), Poly([3])],         # C_2' = 0
+    ], ids=["not-a-multiple", "vanishing-derivative"])
+    def test_no_constant_is_none(self, rows):
+        pair = ClassicalPair(Poly.one(), Poly([0, -2]))
+        pair._rows[2] = rows
+        assert derivative_proportionality(pair, 2, 1) is None
+
 
 class TestLeadingCoeffProbe:
     def test_hermite_constant(self, hermite_pair):
@@ -507,6 +516,14 @@ class TestLeadingCoeffProbe:
 
     def test_jacobi_spot(self, jacobi_pair):
         assert leading_coeff_probe(jacobi_pair, 1, 0) == -(JA + JB + 4)
+
+    def test_vanishing_value_is_read(self):
+        # jacobi(-6, -6): psi' + (m+2k) phi''/2 = 10 - (m + 2k), so at m + 2k = 10
+        # the x^(m+1) term cancels and the step's top coefficient is of lower degree
+        pair = pair_from_family(jacobi_family(-6, -6))
+        for k, m in ((3, 4), (4, 2), (5, 0)):
+            assert rodrigues_r1(pair, k, Poly.monomial(m)).degree < m + 1
+            assert leading_coeff_probe(pair, k, m) == 0
 
     def test_expansion_formula(self, family_pairs):
         # psi' + (m + 2k) phi''/2 from expanding phi (x^m)' + psi_k x^m

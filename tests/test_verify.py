@@ -21,10 +21,10 @@ from copoly import (
     hermite_family,
     jacobi_family,
     laguerre_family,
+    lambda_n,
     pair_from_family,
     verify_pair,
 )
-from copoly.errors import MismatchError, NotProportional
 
 
 def _hermite_on_legendre_moments(legendre_pair, monkeypatch) -> ClassicalPair:
@@ -164,6 +164,26 @@ class TestNotes:
         report = verify_pair(jacobi_pair, suites=("oracle",), max_n=3)
         assert any("differs" in note for note in report.notes)
 
+    @pytest.mark.parametrize("phi, psi", [
+        (Poly([1]), Poly([0, -2])), (Poly([2, 1]), Poly([1, -1])),
+        (Poly([1, 0, -1]), Poly([Fraction(1, 3), Fraction(-7, 3)])),
+        (Poly([3, -1, 2]), Poly([1, 5])), (Poly([1, -2, 1]), Poly([0, Fraction(-1, 5)])),
+        (Poly([0, 0, Fraction(-3, 2)]), Poly([2, -45])),
+    ])
+    def test_probe_note_matches_a_scan_of_the_grid(self, phi, psi):
+        # the note is computed from psi' and phi''; a scan of the probed grid
+        # against -lambda_j / j must find the same first divergence
+        pair = ClassicalPair(phi, psi, max_order=40)
+        dpsi, ddphi = psi.coefficient(1), 2 * phi.coefficient(2)
+        first = next(((k, m, dpsi + Fraction(m + 2 * k, 2) * ddphi,
+                       -lambda_n(pair, m + 2 * k) / (m + 2 * k))
+                      for k in range(5) for m in range(5) if m + 2 * k >= 1
+                      and dpsi + Fraction(m + 2 * k, 2) * ddphi
+                      != -lambda_n(pair, m + 2 * k) / (m + 2 * k)), None)
+        expected = _COINCIDE if first is None else _DIFFERS.replace(
+            "k=0 m=1", f"k={first[0]} m={first[1]}") + f"({first[2]} vs {first[3]})"
+        assert verify_pair(pair, suites=("oracle",), max_n=1, order=4).notes[-1] == expected
+
     def test_custom_pair_skips_closed_form(self):
         pair = ClassicalPair(Poly([2, 1]), Poly([1, -1]), max_order=40)
         report = verify_pair(pair, suites=("genfun",), max_n=3, order=6)
@@ -224,10 +244,6 @@ _SKIPPED = "closed-form/weight checks skipped: no catalog weight for this pair"
 _VACUOUS = ("functional checks are vacuous: u0 = 0, and the Pearson recurrence "
             "is linear in u0, so every moment of u is zero")
 _PASSING_CHECKS = {"recursion": 68, "ode": 53, "functional": 58, "genfun": 34, "oracle": 72}
-
-
-def _raise(exc):
-    raise exc
 
 
 def _summary(report):
@@ -313,15 +329,16 @@ class TestGoldenReports:
          lambda orig: lambda u, n: [2 * d if m == 1 else d for m, d in enumerate(orig(u, n))],
          "oracle", 48, ["degree 1: norm != Hankel ratio", "degree 2: norm != Hankel ratio"]),
         ("cross_validate",
-         lambda orig: lambda pair, ops: _raise(MismatchError(3)),
-         "oracle", 48, ["cross validation: constructions disagree at degree 3"]),
+         lambda orig: lambda pair, ops: 3,
+         "oracle", 48,
+         ["cross validation: monic diagonal row 3 differs from the moment-only polynomial"]),
         ("leading_coeff_probe",
          lambda orig: lambda pair, k, m: orig(pair, k, m) + ((k, m) == (1, 0)),
          "oracle", 48, ["k=1 m=0: step leading coefficient != psi' + (m+2k) phi''/2"]),
         ("derivative_proportionality",
-         lambda orig: lambda pair, n, nu: (
-             _raise(NotProportional("injected")) if (n, nu) == (2, 1) else orig(pair, n, nu)),
-         "ode", 27, ["n=2 nu=1: derivative ladder: injected"]),
+         lambda orig: lambda pair, n, nu: None if (n, nu) == (2, 1) else orig(pair, n, nu),
+         "ode", 27, ["n=2 nu=1: derivative ladder: C_1(x; 2) is not a scalar multiple "
+                     "of the 1-fold derivative"]),
         ("ode_residual",
          lambda orig: lambda pair, n, nu: Poly.one() if (n, nu) == (2, 1) else orig(pair, n, nu),
          "ode", 27, ["n=2 nu=1: differential equation residual nonzero"]),
