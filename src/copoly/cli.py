@@ -7,10 +7,9 @@ Subcommands::
     copoly verify    ...                 run exact identity suites over a grid
     copoly genfun    ...                 emit the generating series both ways
 
-Families come either from the catalog (``--family hermite|laguerre|jacobi|
-bessel``, with ``legendre`` accepted as jacobi at alpha = beta = 0), from a
-JSON family file (``--family-file``), or from expressions (``--phi``/
-``--psi`` with optional ``--u0``).
+A pair comes from exactly one of two sources: the catalog (``--family
+hermite|laguerre|jacobi|bessel``, with ``legendre`` accepted as jacobi at
+alpha = beta = 0) or expressions (``--phi``/``--psi`` with optional ``--u0``).
 
 Exit codes, one source each: 0 success; 1 ``verify`` found a counterexample;
 2 invalid input, any ``CopolyError`` or ``OSError`` (``error: <message>``);
@@ -22,6 +21,8 @@ rejected rather than silently clamped: ``--n`` above ``MAX_N`` (``compute``
 and ``genfun``), ``--max-n`` above ``MAX_VERIFY_N`` and ``--order`` above
 ``MAX_ORDER`` (``verify`` and ``genfun``), and a ``phi``/``psi`` coefficient
 or ``u0`` whose numerator or denominator is longer than ``MAX_COEFF_BITS``.
+The caps assume CPython's default integer string limit of 4300 digits, so an
+interpreter running with a lower one refuses every pair.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from typing import Iterable
 
 from .errors import CopolyError, InvalidParameter
 from .genfun import genfun_closed_form, genfun_truncated
-from .parsing import parse_poly_expr
-from .poly import Poly, as_rational
+from .parsing import MAX_LITERAL_DIGITS, parse_poly_expr
+from .poly import Poly
 from .render import poly_latex, poly_text, poly_to_strings, rational_latex, series_to_strings
 from .rodrigues import (
     FAMILIES,
@@ -71,68 +72,16 @@ def _check_size(flag: str, value: int, cap: int) -> int:
     return value
 
 
-def _rational(source: str, value) -> Fraction:
-    """One exact value from outside input; floats, booleans, ``p/0`` and ``1e3`` are refused."""
+def _rational(flag: str, text: str) -> Fraction:
+    """The exact value of ``flag``'s text; ``p/0`` and exponent notation (``1e3``) are refused."""
     try:
         # Fraction("1e20000") would build the integer before anything bounds it
-        if not (isinstance(value, str) and "e" in value.lower()):
-            return as_rational(value)
-    except (TypeError, ValueError, ZeroDivisionError):
+        if "e" not in text.lower():
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):
         pass
-    raise InvalidParameter(f"{source} must be an integer or rational text "
-                           f"such as '3/2', got {value!r}")
-
-
-class _JsonInteger(str):
-    """The text of a JSON integer literal, told apart from a JSON string."""
-
-
-def load_family_file(path: str) -> FamilySpec:
-    """Read a family description from JSON.
-
-    Expected fields: ``name`` (text), ``phi`` and ``psi`` (ascending
-    coefficient arrays), optional ``params`` (object of named values) and
-    ``u0`` (default 1); every value is an integer or rational text, never a
-    JSON float or boolean.  A file named after a catalog family must match
-    that family's shape, and its ``params`` follow the ``--family`` rules:
-    missing ones are 0, others are rejected.
-    """
-    with open(path, encoding="utf-8") as handle:
-        try:
-            # integers stay text, so an over-long one reaches _rational and its field name
-            data = json.load(handle, parse_int=_JsonInteger)
-        except RecursionError:
-            raise InvalidParameter("family file nests JSON arrays or objects too deeply") from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise InvalidParameter(f"family file is not UTF-8 JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise InvalidParameter(
-            "family file must hold a JSON object, not a JSON "
-            + ("int" if isinstance(data, _JsonInteger) else type(data).__name__))
-    for key in ("name", "phi", "psi"):
-        if key not in data:
-            raise InvalidParameter(f"family file is missing the {key!r} field")
-    for key in ("phi", "psi"):
-        if not isinstance(data[key], list):
-            raise InvalidParameter(f"family file field {key!r} must be a JSON array")
-    if type(data["name"]) is not str:
-        raise InvalidParameter("family file field 'name' must be JSON text")
-    raw_params = data.get("params", {})
-    if not isinstance(raw_params, dict):
-        raise InvalidParameter("family file field 'params' must be a JSON object")
-    where = "family file field "
-    phi = Poly([_rational(f"{where}phi[{i}]", c) for i, c in enumerate(data["phi"])])
-    psi = Poly([_rational(f"{where}psi[{i}]", c) for i, c in enumerate(data["psi"])])
-    params = {k: _rational(f"{where}params.{k}", v) for k, v in raw_params.items()}
-    u0 = _rational(f"{where}u0", data.get("u0", 1))
-    name = data["name"]
-    if name in FAMILIES:
-        reference = catalog_family(name, params)
-        if reference.phi != phi or reference.psi != psi:
-            raise InvalidParameter(
-                f"family file claims {name!r} but phi/psi do not match that catalog shape")
-        params = reference.params
-    return FamilySpec(phi, psi, u0, name, params)
+    raise InvalidParameter(f"{flag} must be an integer or rational text "
+                           f"such as '3/2', got {text!r}")
 
 
 def _catalog_spec(name: str, alpha: Fraction | None, beta: Fraction | None) -> FamilySpec:
@@ -141,9 +90,35 @@ def _catalog_spec(name: str, alpha: Fraction | None, beta: Fraction | None) -> F
 
 
 def resolve_family(args: argparse.Namespace) -> FamilySpec:
-    """The family from exactly one of the accepted sources, with no coefficient
-    or ``u0`` whose numerator or denominator is longer than ``MAX_COEFF_BITS``."""
-    spec = _family_source(args)
+    """The pair from exactly one of ``--family`` and ``--phi``/``--psi``, with no
+    coefficient or ``u0`` whose numerator or denominator is longer than
+    ``MAX_COEFF_BITS``."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < MAX_LITERAL_DIGITS:
+        # every cap assumes CPython's default limit, which printing a long row needs
+        raise InvalidParameter(f"the integer string limit is {limit} digits, below the "
+                               f"{MAX_LITERAL_DIGITS} the caps assume; unset or raise "
+                               "PYTHONINTMAXSTRDIGITS")
+    alpha, beta, u0 = (None if text is None else _rational(flag, text) for flag, text in
+                       (("--alpha", args.alpha), ("--beta", args.beta), ("--u0", args.u0)))
+    if args.family is not None:
+        if args.phi is not None or args.psi is not None:
+            raise InvalidParameter("give exactly one of --family or --phi/--psi")
+        if u0 is not None:
+            raise InvalidParameter("--u0 applies only to --phi/--psi pairs (catalog uses u0 = 1)")
+        name = args.family.lower()
+        if name == "legendre":
+            if alpha is not None or beta is not None:
+                raise InvalidParameter("legendre fixes alpha = beta = 0; omit --alpha/--beta")
+            spec = jacobi_family(0, 0)
+        else:
+            spec = _catalog_spec(name, alpha, beta)
+    elif args.phi is None or args.psi is None:
+        raise InvalidParameter("no family given: use --family, or both --phi and --psi")
+    else:
+        params = {k: v for k, v in (("alpha", alpha), ("beta", beta)) if v is not None}
+        spec = FamilySpec(parse_poly_expr(args.phi, params), parse_poly_expr(args.psi, params),
+                          Fraction(1) if u0 is None else u0, params=params)
     for name, values in (("phi", spec.phi.coeffs), ("psi", spec.psi.coeffs), ("u0", (spec.u0,))):
         for power, c in enumerate(values):
             if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_COEFF_BITS:
@@ -151,38 +126,6 @@ def resolve_family(args: argparse.Namespace) -> FamilySpec:
                 raise InvalidParameter(f"{where} has a numerator or denominator longer "
                                        f"than the cap of {MAX_COEFF_BITS} bits")
     return spec
-
-
-def _family_source(args: argparse.Namespace) -> FamilySpec:
-    """Build the family from exactly one of the accepted sources."""
-    alpha, beta, u0 = (None if text is None else _rational(flag, text) for flag, text in
-                       (("--alpha", args.alpha), ("--beta", args.beta), ("--u0", args.u0)))
-    sources = [args.family_file is not None, args.family is not None,
-               args.phi is not None or args.psi is not None]
-    if sum(sources) > 1:
-        raise InvalidParameter("give exactly one of --family-file, --family, or --phi/--psi")
-    if args.family_file is not None:
-        return load_family_file(args.family_file)
-    if args.family is not None:
-        name = args.family.lower()
-        if u0 is not None:
-            raise InvalidParameter("--u0 applies only to --phi/--psi pairs (catalog uses u0 = 1)")
-        if name == "legendre":
-            if alpha is not None or beta is not None:
-                raise InvalidParameter("legendre fixes alpha = beta = 0; omit --alpha/--beta")
-            return jacobi_family(0, 0)
-        return _catalog_spec(name, alpha, beta)
-    if args.phi is None or args.psi is None:
-        raise InvalidParameter(
-            "no family given: use --family, --family-file, or both --phi and --psi")
-    params = {}
-    if alpha is not None:
-        params["alpha"] = alpha
-    if beta is not None:
-        params["beta"] = beta
-    phi = parse_poly_expr(args.phi, params)
-    psi = parse_poly_expr(args.psi, params)
-    return FamilySpec(phi, psi, Fraction(1) if u0 is None else u0, params=params)
 
 
 def _params_doc(params: dict[str, Fraction]) -> dict[str, str]:
@@ -276,7 +219,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if order < 2:
         raise InvalidParameter("--order must be >= 2")
     suites = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    pair = pair_from_family(spec, max_order=2 * args.max_n + 6)
+    # the suites read u up to index 4m + 4, and the Leibniz probe phi*psi up to 2m + 6
+    pair = pair_from_family(spec, max_order=max(2 * args.max_n + 6, 4 * args.max_n + 4))
     report = verify_pair(pair, suites, args.max_n, order)
     if args.format == "json":
         _print_json(_report_to_dict(report))
@@ -338,7 +282,6 @@ def cmd_families(args: argparse.Namespace) -> int:
 
 def _add_family_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--family", help=_FAMILY_HELP)
-    sub.add_argument("--family-file", help="path to a JSON family description")
     sub.add_argument("--phi", help="polynomial expression for phi (custom pair)")
     sub.add_argument("--psi", help="polynomial expression for psi (custom pair)")
     sub.add_argument("--u0", help="seed moment for a custom pair (default 1)")

@@ -8,7 +8,7 @@ class CopolyError(Exception):
 
 
 class InvalidParameter(CopolyError, ValueError):
-    """Outside input (a flag, a family file, a parameter or a polynomial) breaks a rule."""
+    """Outside input (a flag, a parameter or a polynomial) breaks a rule."""
 
 
 class AdmissibilityViolation(CopolyError):

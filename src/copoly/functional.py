@@ -52,7 +52,7 @@ class MomentFunctional:
     def __init__(self, initial: Iterable[int | str | Fraction] = (), *,
                  block: MomentBlock | None = None):
         values = [as_rational(v) for v in initial]
-        self._den, self._nums = _integer_form(values)
+        self._den, self._nums = _integer_form(values) if values else (1, [])
         self._block = block
         if not values and block is None:
             raise ValueError("a functional needs at least u_0 or a generating block")

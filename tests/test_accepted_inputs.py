@@ -74,7 +74,8 @@ def _requests(rng: random.Random):
     """``(argv, shapes)`` of 150 verify, 75 compute and 75 genfun requests."""
     for _ in range(150):
         max_n = rng.randint(0, 3)
-        family, tags = (_custom(rng, 2 * max_n + 6) if rng.random() < 0.6 else _catalog(rng))
+        family, tags = (_custom(rng, max(2 * max_n + 6, 4 * max_n + 4)) if rng.random() < 0.6
+                        else _catalog(rng))
         yield ("verify", "--max-n", str(max_n), "--order", str(rng.randint(2, 5)), *family), tags
     for _ in range(75):
         n = rng.randint(0, 5)

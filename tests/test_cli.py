@@ -267,7 +267,9 @@ class TestComputeErrors:
         (("--phi", "1", "--psi=-2*x", "--u0", "1/0"), "--u0"),
         # exponent notation is refused before it builds a 20001-digit integer
         (("--family", "laguerre", "--alpha", "1e20000"), "--alpha"),
-    ], ids=["alpha", "beta", "u0", "alpha-exponent"])
+        (("--phi", "1", "--psi=-2*x", "--u0", "1e20000"), "--u0"),
+        (("--phi", "1", "--psi=-2*x", "--u0", "9" * 5000), "--u0"),
+    ], ids=["alpha", "beta", "u0", "alpha-exponent", "u0-exponent", "u0-5000-digits"])
     def test_zero_denominator_flag_exits_two(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, "verify", *argv, "--max-n", "2")
         assert code == 2
@@ -317,165 +319,47 @@ class TestComputeErrors:
         assert [len(row) for row in json.loads(out)["rows"]] == list(range(1, 12))
 
 
-class TestFamilyFile:
-    def test_round_trip(self, capsys, tmp_path):
-        path = tmp_path / "family.json"
-        path.write_text(json.dumps({
-            "name": "laguerre",
-            "phi": ["0", "1"],
-            "psi": ["3/2", "-1"],
-            "params": {"alpha": "1/2"},
-            "u0": "1",
-        }))
-        code, out, _ = run_cli(
-            capsys, "compute", "--family-file", str(path), "--n", "1",
-            "--format", "json",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["family"] == "laguerre"
-        assert doc["rows"][1] == ["3/2", "-1"]
+class TestPairSources:
+    """A pair comes from exactly one of ``--family`` and ``--phi``/``--psi``."""
 
-    def test_missing_field(self, capsys, tmp_path):
-        path = tmp_path / "family.json"
-        path.write_text(json.dumps({"name": "thing", "phi": ["1"]}))
-        code, _, err = run_cli(capsys, "compute", "--family-file", str(path), "--n", "1")
-        assert code == 2
-        assert "psi" in err
+    @pytest.mark.parametrize("half", [("--phi", "1"), ("--psi=-2*x",)],
+                             ids=["only-phi", "only-psi"])
+    def test_half_a_custom_pair_exits_two(self, capsys, half):
+        code, out, err = run_cli(capsys, "compute", *half, "--n", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: no family given: use --family, or both --phi and --psi\n"
 
-    def test_catalog_shape_mismatch(self, capsys, tmp_path):
-        path = tmp_path / "family.json"
-        path.write_text(json.dumps({
-            "name": "hermite", "phi": ["0", "1"], "psi": ["0", "-2"],
-        }))
-        code, _, err = run_cli(capsys, "compute", "--family-file", str(path), "--n", "1")
-        assert code == 2
-        assert "catalog" in err
+    def test_family_file_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compute", "--family-file", "f.json", "--n", "1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --family-file" in capsys.readouterr().err
 
-    def _write(self, tmp_path, doc):
-        path = tmp_path / "family.json"
-        path.write_text(json.dumps(doc))
-        return str(path)
-
-    @pytest.mark.parametrize("command", [
-        ("compute", "--n", "3", "--format", "json"),
-        ("genfun", "--n", "2", "--order", "4"),
-    ])
-    def test_catalog_file_without_params_matches_flag(self, capsys, tmp_path, command):
-        path = self._write(tmp_path, {"name": "laguerre", "phi": ["0", "1"], "psi": ["1", "-1"]})
-        code, from_file, _ = run_cli(capsys, *command[:1], "--family-file", path, *command[1:])
-        assert code == 0
-        code, from_flag, _ = run_cli(capsys, *command[:1], "--family", "laguerre", *command[1:])
-        assert code == 0
-        assert from_file == from_flag
-        assert json.loads(from_file)["params"] == {"alpha": "0"}
-
-    def test_catalog_file_missing_parameter_defaults_to_zero(self, capsys, tmp_path):
-        # jacobi with alpha = 1, beta omitted (so 0): psi = -1 - 3x
-        path = self._write(tmp_path, {
-            "name": "jacobi", "phi": ["1", "0", "-1"], "psi": ["-1", "-3"],
-            "params": {"alpha": "1"},
-        })
-        code, out, _ = run_cli(
-            capsys, "verify", "--family-file", path, "--max-n", "3", "--order", "4",
-            "--format", "json",
-        )
+    def test_omitted_catalog_parameter_is_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--family", "jacobi", "--alpha", "1",
+                               "--max-n", "3", "--order", "4", "--format", "json")
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] and doc["params"] == {"alpha": "1", "beta": "0"}
 
-    def test_catalog_file_rejects_foreign_parameter(self, capsys, tmp_path):
-        path = self._write(tmp_path, {
-            "name": "hermite", "phi": ["1"], "psi": ["0", "-2"], "params": {"alpha": "1"},
-        })
-        code, _, err = run_cli(capsys, "compute", "--family-file", path, "--n", "1")
-        assert code == 2
-        assert "does not take alpha" in err
-
-    def test_unreadable_file(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, "compute", "--family-file", str(tmp_path / "absent.json"), "--n", "1"
-        )
-        assert code == 2
-
-    def test_malformed_json(self, capsys, tmp_path):
-        path = tmp_path / "family.json"
-        path.write_text("{not json")
-        code, _, err = run_cli(capsys, "compute", "--family-file", str(path), "--n", "1")
-        assert code == 2
-
-    @pytest.mark.parametrize("doc, field", [
-        ({"name": "thing", "phi": [0, 1.5], "psi": ["1", "-1"]}, "phi[1]"),
-        ({"name": "thing", "phi": ["0", "1"], "psi": [True, "-1"]}, "psi[0]"),
-        ({"name": "laguerre", "phi": ["0", "1"], "psi": ["1", "-1"], "params": {"alpha": 0.5}},
-         "params.alpha"),
-        ({"name": "thing", "phi": ["0", "1"], "psi": ["1", "-1"], "u0": "1/0"}, "u0"),
-        ({"name": "thing", "phi": ["0", "1"], "psi": ["1", "-1"], "u0": "1e20000"}, "u0"),
-    ])
-    def test_inexact_or_invalid_value_rejected(self, capsys, tmp_path, doc, field):
-        code, _, err = run_cli(capsys, "compute", "--family-file", self._write(tmp_path, doc),
-                               "--n", "1")
-        assert code == 2
-        assert f"field {field} " in err
-
-    @pytest.mark.parametrize("doc, message", [
-        (5, "JSON object, not a JSON int"),
-        (["0", "1"], "JSON object, not a JSON list"),
-        ({"name": "thing", "phi": "01", "psi": ["1", "-1"]}, "'phi' must be a JSON array"),
-        ({"name": "thing", "phi": ["0", "1"], "psi": {"0": "1"}}, "'psi' must be a JSON array"),
-        ({"name": "laguerre", "phi": ["0", "1"], "psi": ["1", "-1"], "params": ["alpha"]},
-         "'params' must be a JSON object"),
-    ])
-    def test_wrong_shape_rejected(self, capsys, tmp_path, doc, message):
-        code, _, err = run_cli(capsys, "compute", "--family-file", self._write(tmp_path, doc),
-                               "--n", "1")
-        assert code == 2
-        assert message in err
-
-    def test_deep_nesting_rejected(self, capsys, tmp_path):
-        path = tmp_path / "family.json"
-        deep = "[" * 100_000 + "]" * 100_000
-        path.write_text(f'{{"name": "thing", "phi": {deep}, "psi": ["1", "-1"]}}')
-        code, _, err = run_cli(capsys, "compute", "--family-file", str(path), "--n", "1")
-        assert code == 2
-        assert "too deeply" in err
-
-    @pytest.mark.parametrize("name", [{"a": 1}, ["hermite"], 7, None])
-    def test_name_must_be_text(self, capsys, tmp_path, name):
-        doc = {"name": name, "phi": ["0", "1"], "psi": ["1", "-1"]}
-        code, out, err = run_cli(capsys, "compute", "--family-file", self._write(tmp_path, doc),
+    def test_foreign_parameter_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "compute", "--family", "hermite", "--alpha", "1",
                                  "--n", "1")
-        assert code == 2
-        assert out == ""
-        assert "field 'name' must be JSON text" in err
-
-    def test_over_long_integer_names_its_field(self, capsys, tmp_path):
-        path = tmp_path / "family.json"
-        path.write_text('{"name": "thing", "phi": [0, 1], "psi": [1, %s]}' % ("9" * 5000))
-        code, _, err = run_cli(capsys, "compute", "--family-file", str(path), "--n", "1")
-        assert code == 2
-        assert "field psi[1] " in err
-
-    def test_json_integers_are_values(self, capsys, tmp_path):
-        doc = {"name": "laguerre", "phi": [0, 1], "psi": [2, -1], "params": {"alpha": 1}, "u0": 1}
-        code, out, _ = run_cli(capsys, "compute", "--family-file", self._write(tmp_path, doc),
-                               "--n", "1", "--format", "json")
-        assert code == 0
-        assert json.loads(out)["params"] == {"alpha": "1"}
+        assert (code, out) == (2, "")
+        assert "does not take alpha" in err
 
     @pytest.mark.parametrize("command", [
         ("compute", "--n", "1", "--format", "json"),
         ("verify", "--max-n", "1", "--order", "2", "--format", "json"),
     ])
-    def test_params_sorted_by_name(self, capsys, tmp_path, command):
-        path = self._write(tmp_path, {"name": "mine", "phi": ["1", "0", "-1"], "psi": ["1", "-4"],
-                                      "params": {"beta": "1", "alpha": "2"}})
-        code, out, _ = run_cli(capsys, *command[:1], "--family-file", path, *command[1:])
+    def test_params_sorted_by_name(self, capsys, command):
+        pair = ("--phi", "1 - x^2", "--psi", "beta - alpha*x", "--beta", "1", "--alpha", "4")
+        code, out, _ = run_cli(capsys, *command[:1], *pair, *command[1:])
         assert code == 0
-        assert list(json.loads(out)["params"].items()) == [("alpha", "2"), ("beta", "1")]
-        code, out, _ = run_cli(capsys, *command[:1], "--family-file", path, *command[1:-2])
+        assert list(json.loads(out)["params"].items()) == [("alpha", "4"), ("beta", "1")]
+        code, out, _ = run_cli(capsys, *command[:1], *pair, *command[1:-2])
         assert code == 0
-        assert out.splitlines()[0] == "family: mine  params: alpha=2 beta=1"
+        assert out.splitlines()[0] == "family: custom  params: alpha=4 beta=1"
 
 
 class TestVerify:
@@ -514,6 +398,18 @@ class TestVerify:
         assert out.splitlines()[-1] == "overall: PASS"
         assert [int(line.split("checks=")[1].split()[0])
                 for line in out.splitlines() if "checks=" in line] == list(checks)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_admissibility_checked_through_every_moment_read(self, capsys, m):
+        # psi' + k phi''/2 = k - K vanishes at k = K; the suites read u up to index 4m + 4
+        pair = ("--phi", "x^2", "--max-n", str(m), "--order", "4")
+        code, out, err = run_cli(capsys, "verify", *pair, f"--psi=1 - {4 * m + 3}*x",
+                                 "--suite", "recursion")
+        assert (code, out) == (2, "")
+        assert err == f"error: admissibility fails: psi' + k*phi''/2 = 0 at k = {4 * m + 3}\n"
+        code, out, _ = run_cli(capsys, "verify", *pair, f"--psi=1 - {4 * m + 4}*x")
+        assert code == 0
+        assert out.splitlines()[-1] == "overall: PASS"
 
     def test_laguerre_genfun_suite(self, capsys):
         code, out, _ = run_cli(
@@ -579,16 +475,23 @@ class TestFailureContract:
         code, out, err = run_cli(capsys, "compute", "--n", "1", "--phi", phi, "--psi", "1 - x")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("content, message", [
-        (b'{"name": "thing", "phi": ["0", "1"], "psi": [', "Expecting value"),
-        (b'{"name": "\xff", "phi": ["0", "1"], "psi": ["1", "-1"]}', "can't decode byte 0xff"),
-    ], ids=["truncated", "not-utf-8"])
-    def test_unreadable_family_file_exits_two(self, capsys, tmp_path, content, message):
-        path = tmp_path / "family.json"
-        path.write_bytes(content)
-        code, out, err = run_cli(capsys, "compute", "--family-file", str(path), "--n", "1")
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="interpreter has no integer string limit")
+    @pytest.mark.parametrize("argv", [
+        ("--n", "1", "--phi", f"{'1' * 1000}/{'1' * 1000}*x", "--psi", "1-x"),
+        ("--n", "400", "--family", "jacobi", "--alpha", "1/3", "--beta", "4/3"),
+    ], ids=["long-literal", "long-row"])
+    def test_lowered_integer_string_limit_exits_two(self, capsys, argv):
+        # every cap assumes CPython's default limit of 4300 digits
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(capsys, "compute", *argv)
+        finally:
+            sys.set_int_max_str_digits(previous)
         assert (code, out) == (2, "")
-        assert err.startswith("error: family file is not UTF-8 JSON: ") and message in err
+        assert err.startswith("error: the integer string limit is 640 digits")
+        assert "PYTHONINTMAXSTRDIGITS" in err
 
 
 class TestGenfun:
@@ -714,14 +617,6 @@ class TestCoefficientCap:
         code, out, err = run_cli(capsys, "compute", *argv, "--n", "2")
         assert (code, out) == (2, "")
         assert f"error: {where} has a numerator or denominator longer" in err
-
-    def test_family_file_checked_too(self, capsys, tmp_path):
-        path = tmp_path / "wide.json"
-        path.write_text(json.dumps({"name": "wide", "phi": ["1", f"1/{2 ** MAX_COEFF_BITS}"],
-                                    "psi": ["0", "-1"]}))
-        code, out, err = run_cli(capsys, "compute", "--family-file", str(path), "--n", "2")
-        assert (code, out) == (2, "")
-        assert "phi coefficient of x^1" in err
 
     def test_at_the_cap_accepted(self, capsys):
         top = 2 ** MAX_COEFF_BITS - 1

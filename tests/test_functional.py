@@ -28,6 +28,7 @@ from copoly import (
     moments_from_pearson,
     pearson_residual,
 )
+import copoly.functional
 
 PHI_PSI = {
     "hermite": (Poly([1]), Poly([0, -2])),
@@ -444,6 +445,18 @@ class TestStoredForm:
         u = MomentFunctional(initial=[Fraction(2, 4), 3, Fraction(-5, 6)])
         assert (u._den, u._nums) == (6, [3, 18, -5])
         assert u.moments(2) == [Fraction(1, 2), 3, Fraction(-5, 6)]
+
+    def test_block_alone_converts_nothing(self, monkeypatch):
+        u = MomentFunctional(initial=[1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
+
+        def refuse(values):
+            raise AssertionError("a functional built from a block converted its prefix")
+        monkeypatch.setattr(copoly.functional, "_integer_form", refuse)
+        derivative = functional_derivative(u)
+        combination = copoly.functional._combination([(1, u, 0), (-2, u, 1)])
+        assert (derivative._den, derivative._nums) == (1, [])
+        assert derivative.moments(3) == [0, -1, -1, -1]
+        assert combination.moments(2) == [0, Fraction(-1, 6), Fraction(-1, 6)]
 
     def test_read_past_an_admissibility_violation_keeps_the_prefix(self):
         # u_{k+1} = 2 u_k / (3 - k): u_4 divides by zero

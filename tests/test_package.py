@@ -183,3 +183,15 @@ def test_one_failure_contract():
                 for h in node.handlers]
     assert (uses, "ValueError" in raised) == ([], False)
     assert handlers == ["(CopolyError, OSError)", "Exception"]
+
+
+def test_two_ways_into_a_pair():
+    """The JSON family file and its second catalog-shape check stay gone: a pair
+    comes from ``--family`` or from ``--phi``/``--psi``."""
+    gone = {"load_family_file", "_JsonInteger", "family_file"}
+    uses = [(name, node.lineno) for name, tree in _modules().items() for node in ast.walk(tree)
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone)
+            or (isinstance(node, ast.Name) and node.id in gone)
+            or (isinstance(node, ast.Attribute) and node.attr in gone)
+            or (isinstance(node, ast.alias) and node.name in gone)]
+    assert uses == []
