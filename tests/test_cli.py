@@ -362,6 +362,37 @@ class TestPairSources:
         assert out.splitlines()[0] == "family: custom  params: alpha=4 beta=1"
 
 
+class TestFamilyFile:
+    """A family kept in a file of its flag values is re-entered through the flags."""
+
+    def test_round_trip(self, capsys, tmp_path):
+        # the family and params of a saved compute document rebuild that document
+        argv = ("--family", "laguerre", "--alpha", "1/2", "--n", "1", "--format", "json")
+        code, out, _ = run_cli(capsys, "compute", *argv)
+        assert code == 0
+        path = tmp_path / "family.json"
+        path.write_text(out)
+        doc = json.loads(path.read_text())
+        params = [arg for name, value in doc["params"].items() for arg in (f"--{name}", value)]
+        code, again, _ = run_cli(capsys, "compute", "--family", doc["family"], *params,
+                                 "--n", str(doc["n"]), "--format", "json")
+        assert code == 0
+        assert json.loads(again) == doc
+        assert doc["rows"][1] == ["3/2", "-1"]
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"family": "laguerre", "alpha": "nan"}, "alpha"),
+        ({"family": "jacobi", "beta": "inf"}, "beta"),
+        ({"phi": "1 - x^2", "psi": "beta - alpha*x", "alpha": "1/2.5"}, "alpha"),
+        ({"phi": "1", "psi": "-2*x", "u0": "1/0"}, "u0"),
+    ])
+    def test_inexact_or_invalid_value_rejected(self, capsys, doc, field):
+        argv = [f"--{name}={value}" for name, value in doc.items()]
+        code, out, err = run_cli(capsys, "compute", *argv, "--n", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --{field} must be") and f"'{doc[field]}'" in err
+
+
 class TestVerify:
     def test_hermite_full_suite(self, capsys):
         code, out, _ = run_cli(
