@@ -31,6 +31,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Iterable
@@ -72,14 +73,20 @@ def _check_size(flag: str, value: int, cap: int) -> int:
     return value
 
 
+# a flag value in the grammar of parsing's integer literals: an optional "-",
+# ASCII digits and an optional "/" with more digits
+_RATIONAL_TEXT = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
+
+
 def _rational(flag: str, text: str) -> Fraction:
-    """The exact value of ``flag``'s text; ``p/0`` and exponent notation (``1e3``) are refused."""
-    try:
-        # Fraction("1e20000") would build the integer before anything bounds it
-        if "e" not in text.lower():
+    """The exact value of ``flag``'s text, an integer or ``p/q`` (``-3``, ``3/2``) with
+    no literal longer than ``MAX_LITERAL_DIGITS``; ``p/0`` and any other spelling
+    (``1.5``, ``+2``, ``1e3``, ``1_0``, surrounding spaces) are refused."""
+    match = _RATIONAL_TEXT.fullmatch(text)
+    if match is not None:
+        num, den = match.groups("1")
+        if max(len(num), len(den)) <= MAX_LITERAL_DIGITS and int(den) != 0:
             return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        pass
     raise InvalidParameter(f"{flag} must be an integer or rational text "
                            f"such as '3/2', got {text!r}")
 
@@ -140,9 +147,41 @@ def _params_line(family: str, params: dict[str, Fraction]) -> str:
 
 
 def _print_json(doc) -> None:
-    """``doc`` as indented JSON on stdout, written as it is encoded, never held as one string."""
-    json.dump(doc, sys.stdout, indent=2)
-    print()
+    """``doc`` on stdout as ``json.dump(doc, indent=2)`` writes it, then a newline."""
+    _write_json(sys.stdout.write, doc, "")
+    sys.stdout.write("\n")
+
+
+_JSON_CONTAINERS = (dict, list, tuple)
+
+
+def _write_json(write, value, indent: str) -> None:
+    """``value`` through ``write`` as the ``indent=2`` encoder would write it at ``indent``.
+
+    Dicts (with ``str`` keys), lists and tuples are framed here, and every
+    scalar is one ``json.dumps`` call.  Items are written one at a time, not
+    joined: a joined row of 401 long coefficients is held twice over, in its
+    items and in the row, which raised ``compute --n 400`` JSON's peak memory.
+    A module function, not a closure over ``write``: a recursive closure is a
+    reference cycle, which would keep each captured stdout alive until the
+    cyclic collector runs."""
+    if not (isinstance(value, _JSON_CONTAINERS) and value):
+        write(json.dumps(value))  # a scalar, {} or []
+        return
+    inner = indent + "  "
+    comma = ",\n" + inner
+    if isinstance(value, dict):
+        write("{\n" + inner)
+        for i, (key, item) in enumerate(value.items()):
+            write(f"{comma if i else ''}{json.dumps(key)}: ")
+            _write_json(write, item, inner)
+        write(f"\n{indent}}}")
+    else:
+        write("[\n" + inner)
+        for i, item in enumerate(value):
+            write(comma if i else "")
+            _write_json(write, item, inner)
+        write(f"\n{indent}]")
 
 
 def _print_latex_array(comment: str, rows: Iterable[tuple[str, str, str]]) -> None:

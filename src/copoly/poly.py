@@ -208,28 +208,49 @@ class Poly:
         return _signed_sum(self, _text_term)
 
 
-def _text_term(power: int, magnitude: Fraction) -> str:
+def _text_term(power: int, num: int, den: int) -> str:
+    magnitude = str(num) if den == 1 else f"{num}/{den}"
     if power == 0:
-        return str(magnitude)
+        return magnitude
     xs = "x" if power == 1 else f"x^{power}"
-    return xs if magnitude == 1 else f"{magnitude}*{xs}"
+    return xs if num == den == 1 else f"{magnitude}*{xs}"
 
 
-def _signed_sum(p: Poly, body: Callable[[int, Fraction], str], descending: bool = False) -> str:
+def _signed_sum(p: Poly, body: Callable[[int, int, int], str], descending: bool = False) -> str:
     """The nonzero terms of ``p`` by ascending (or descending) power, joined by their
-    signs; ``body(power, magnitude)`` writes a term without its sign.  Zero is ``"0"``."""
-    cs = p.coeffs
+    signs; ``body(power, num, den)`` writes a term without its sign, where ``num / den``
+    is the term's magnitude in lowest terms.  Zero is ``"0"``.  Each coefficient is
+    reduced from ``p``'s integer form by one gcd, none when ``p._den`` is 1."""
+    den, nums = p._den, p._nums
     parts: list[str] = []
-    for power in reversed(range(len(cs))) if descending else range(len(cs)):
-        c = cs[power]
-        if c == 0:
+    for power in reversed(range(len(nums))) if descending else range(len(nums)):
+        v = nums[power]
+        if not v:
             continue
-        if parts:
-            parts.append(" - " if c < 0 else " + ")
-        elif c < 0:
-            parts.append("-")
-        parts.append(body(power, abs(c)))
+        if v < 0:
+            parts.append(" - " if parts else "-")
+            v = -v
+        elif parts:
+            parts.append(" + ")
+        if den == 1:
+            parts.append(body(power, v, 1))
+        else:
+            g = math.gcd(v, den)
+            parts.append(body(power, v // g, den // g))
     return "".join(parts) or "0"
+
+
+def _coefficient_texts(p: Poly) -> list[str]:
+    """Each coefficient of ``p`` by ascending power as ``"n"`` or ``"n/d"`` in lowest
+    terms (zero is ``"0"``), reduced as ``_signed_sum`` reduces it."""
+    den = p._den
+    if den == 1:
+        return [str(v) for v in p._nums]
+    out = []
+    for v in p._nums:
+        g = math.gcd(v, den)
+        out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
+    return out
 
 
 # The exact kernels compute on integer numerators over one denominator, the

@@ -4,20 +4,22 @@ Rationals always travel as ``"p/q"`` (or ``"n"`` for integers) so that JSON
 never holds a float.  Text output lists polynomial terms by ascending
 degree and re-parses through :func:`copoly.parsing.parse_poly_expr`; LaTeX
 uses the human convention of descending degree.  Both join their terms
-through the one signed-term writer, ``poly._signed_sum``.
+through the one signed-term writer, ``poly._signed_sum``.  Every coefficient
+is written from the integer form a ``Poly`` holds, reduced by one gcd; no
+``Fraction`` is built on the way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly, _signed_sum
+from .poly import Poly, _coefficient_texts, _signed_sum
 from .series import SeriesYX
 
 
 def poly_to_strings(p: Poly) -> list[str]:
     """Ascending coefficient list as exact strings; the zero poly is ``[]``."""
-    return [str(c) for c in p.coeffs]
+    return _coefficient_texts(p)
 
 
 def series_to_strings(s: SeriesYX) -> list[list[str]]:
@@ -32,20 +34,20 @@ def poly_text(p: Poly) -> str:
 
 def rational_latex(value: Fraction) -> str:
     sign = "-" if value < 0 else ""
-    return sign + _latex_magnitude(value)
+    return sign + _latex_magnitude(abs(value.numerator), value.denominator)
 
 
-def _latex_magnitude(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(abs(value.numerator))
-    return f"\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+def _latex_magnitude(num: int, den: int) -> str:
+    if den == 1:
+        return str(num)
+    return f"\\frac{{{num}}}{{{den}}}"
 
 
-def _latex_term(power: int, magnitude: Fraction) -> str:
+def _latex_term(power: int, num: int, den: int) -> str:
     if power == 0:
-        return _latex_magnitude(magnitude)
+        return _latex_magnitude(num, den)
     xs = "x" if power == 1 else f"x^{{{power}}}"
-    return xs if magnitude == 1 else f"{_latex_magnitude(magnitude)} {xs}"
+    return xs if num == den == 1 else f"{_latex_magnitude(num, den)} {xs}"
 
 
 def poly_latex(p: Poly) -> str:

@@ -181,3 +181,57 @@ def chebyshev_fraction(u, n: int) -> tuple[tuple[Poly, ...], tuple[Fraction, ...
             previous = polys[k - 1]
         polys.append((Poly.x() - a) * polys[k] - b * previous)
     return tuple(polys), tuple(norms)
+
+
+# The term writer on Fraction coefficients that the integer-form writer in
+# copoly.poly and copoly.render replaced: each coefficient's sign, magnitude
+# and text come from Fraction's own comparison, abs and str.
+
+def _signed_sum_fraction(p: Poly, body, descending: bool = False) -> str:
+    cs = p.coeffs
+    parts: list[str] = []
+    for power in reversed(range(len(cs))) if descending else range(len(cs)):
+        c = cs[power]
+        if c == 0:
+            continue
+        if parts:
+            parts.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            parts.append("-")
+        parts.append(body(power, abs(c)))
+    return "".join(parts) or "0"
+
+
+def _text_term_fraction(power: int, magnitude: Fraction) -> str:
+    if power == 0:
+        return str(magnitude)
+    xs = "x" if power == 1 else f"x^{power}"
+    return xs if magnitude == 1 else f"{magnitude}*{xs}"
+
+
+def _latex_magnitude_fraction(value: Fraction) -> str:
+    if value.denominator == 1:
+        return str(abs(value.numerator))
+    return f"\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+
+
+def _latex_term_fraction(power: int, magnitude: Fraction) -> str:
+    if power == 0:
+        return _latex_magnitude_fraction(magnitude)
+    xs = "x" if power == 1 else f"x^{{{power}}}"
+    return xs if magnitude == 1 else f"{_latex_magnitude_fraction(magnitude)} {xs}"
+
+
+def poly_text_fraction(p: Poly) -> str:
+    """``str(p)``: ascending terms, ``3/2*x^2``."""
+    return _signed_sum_fraction(p, _text_term_fraction)
+
+
+def poly_latex_fraction(p: Poly) -> str:
+    """``render.poly_latex(p)``: descending terms, ``\\frac{3}{2} x^{2}``."""
+    return _signed_sum_fraction(p, _latex_term_fraction, descending=True)
+
+
+def poly_strings_fraction(p: Poly) -> list[str]:
+    """``render.poly_to_strings(p)``: ``str`` of each ``Fraction`` coefficient."""
+    return [str(c) for c in p.coeffs]

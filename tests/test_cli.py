@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -12,6 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import src_env
 from copoly import (
@@ -30,6 +34,8 @@ from copoly.cli import (
     MAX_N,
     MAX_ORDER,
     MAX_VERIFY_N,
+    _print_json,
+    _report_to_dict,
     build_compute_document,
     main,
 )
@@ -275,6 +281,29 @@ class TestComputeErrors:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {flag} must be") and f"'{argv[-1]}'" in err
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--u0"])
+    @pytest.mark.parametrize("text", [
+        "1.5", ".5", "1_0", "+2", " 3/2 ", "3 / 2", "3/2\n", "1/-2", "--2", "3/", "/2", "",
+        "0x10", "inf", "nan", "\u0663", "1" * 4301, "1/" + "1" * 4301,
+    ], ids=["decimal", "bare-point", "underscore", "plus", "spaces", "inner-spaces",
+            "newline", "signed-denominator", "double-minus", "no-denominator",
+            "no-numerator", "empty", "hex", "inf", "nan", "non-ascii-digit",
+            "4301-digit-numerator", "4301-digit-denominator"])
+    def test_non_literal_flag_value_exits_two(self, capsys, flag, text):
+        """Flag values use the integer literal of ``--phi``: ``-``, ASCII digits, ``/digits``."""
+        pair = ("--family", "jacobi") if flag != "--u0" else ("--phi", "1", "--psi=-2*x")
+        code, out, err = run_cli(capsys, "verify", *pair, f"{flag}={text}", "--max-n", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be an integer or rational text")
+
+    @pytest.mark.parametrize("text, value", [
+        ("-3/2", Fraction(-3, 2)), ("007/014", Fraction(1, 2)), ("-0", Fraction(0)),
+        ("1" * 4300 + "/" + "1" * 4300, Fraction(1)),
+    ], ids=["negative", "leading-zeros", "negative-zero", "4300-digit-literals"])
+    def test_literal_flag_value_accepted(self, text, value):
+        assert copoly.cli._rational("--alpha", text) == value
 
     @pytest.mark.parametrize("phi", ["(" * 250 + "x" + ")" * 250, "-" * 1000 + "x"],
                              ids=["parentheses", "signs"])
@@ -746,3 +775,80 @@ class TestDocumentRoundTrip:
             assert [as_rational(v) for v in doc["mu"][0]] == [
                 mu_eigenvalue(pair, n, nu) for nu in range(n + 1)
             ]
+
+
+def _printed_json(doc) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _print_json(doc)
+    return out.getvalue()
+
+
+def _json_dump(doc) -> str:
+    """What ``json.dump(doc, indent=2)`` and a newline write."""
+    with io.StringIO() as out:
+        json.dump(doc, out, indent=2)
+        return out.getvalue() + "\n"
+
+
+_JSON_LEAVES = st.one_of(st.text(max_size=8), st.integers(), st.floats(), st.booleans(),
+                         st.none())
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=24)
+
+
+class TestJsonWriter:
+    """``_print_json`` writes exactly the bytes of ``json.dump(doc, indent=2)``."""
+
+    def test_compute_document_with_empty_params(self):
+        doc = build_compute_document(pair_from_family(hermite_family(), max_order=6), 4)
+        assert doc["params"] == {}
+        assert _printed_json(doc) == _json_dump(doc)
+
+    def test_compute_document_with_fractions(self):
+        pair = pair_from_family(jacobi_family(Fraction(1, 3), Fraction(4, 3)), max_order=12)
+        doc = build_compute_document(pair, 10)
+        assert _printed_json(doc) == _json_dump(doc)
+
+    def test_genfun_document(self, capsys):
+        code, out, _ = run_cli(capsys, "genfun", "--family", "laguerre", "--alpha", "1/2",
+                               "--n", "3", "--order", "4")
+        assert code == 0
+        assert out == _json_dump(json.loads(out))
+
+    def test_verify_report(self):
+        pair = pair_from_family(hermite_family(), max_order=14)
+        report = copoly.verify.verify_pair(pair, copoly.verify.SUITE_NAMES, 2, 4)
+        doc = _report_to_dict(report)
+        assert doc["params"] == {} and doc["first_counterexample"] is None
+        assert isinstance(doc["suites"][0]["seconds"], float)
+        assert doc["passed"] is True
+        assert _printed_json(doc) == _json_dump(doc)
+
+    def test_failed_report_keeps_tuples(self):
+        from copoly.verify import SuiteResult, VerifyReport
+        report = VerifyReport(
+            family="hermite", params={"alpha": Fraction(-1, 2)}, max_n=2, series_order=4,
+            suites=[SuiteResult("ode", False, 3, ("n=2 nu=1: residual", "n=2 nu=2"), 0.25),
+                    SuiteResult("oracle", True, 0, (), 1e-7)],
+            notes=())
+        doc = _report_to_dict(report)
+        assert doc["suites"][0]["failures"] == ("n=2 nu=1: residual", "n=2 nu=2")
+        assert _printed_json(doc) == _json_dump(doc)
+
+    def test_families_list(self, capsys):
+        code, out, _ = run_cli(capsys, "families", "--format", "json")
+        assert code == 0
+        assert out == _json_dump(json.loads(out))
+
+    @pytest.mark.parametrize("doc", [{}, [], (), [{}], {"a": []}, [[], [[]]], "x", 0, None,
+                                     float("nan"), [1.5, -0.0, float("inf"), True, None]])
+    def test_edges(self, doc):
+        assert _printed_json(doc) == _json_dump(doc)
+
+    @given(_JSON_TREES)
+    def test_any_tree(self, doc):
+        assert _printed_json(doc) == _json_dump(doc)

@@ -195,3 +195,22 @@ def test_two_ways_into_a_pair():
             or (isinstance(node, ast.Attribute) and node.attr in gone)
             or (isinstance(node, ast.alias) and node.name in gone)]
     assert uses == []
+
+
+def test_output_is_written_from_stored_forms():
+    """The term writers and the coefficient strings read ``(_den, _nums)``, never
+    ``Poly.coeffs``, and ``cli._print_json`` is the one JSON writer: nothing in
+    the package calls ``json.dump``."""
+    modules = _modules()
+    writers = {"poly.py": ("_text_term", "_signed_sum", "_coefficient_texts"),
+               "render.py": ("poly_to_strings", "_latex_magnitude", "_latex_term",
+                             "poly_latex")}
+    coeffs = [(name, function.name) for name, names in writers.items()
+              for function in ast.walk(modules[name])
+              if isinstance(function, ast.FunctionDef) and function.name in names
+              for node in ast.walk(function)
+              if (isinstance(node, ast.Attribute) and node.attr == "coeffs")
+              or (isinstance(node, ast.Name) and node.id == "Fraction")]
+    dumps = [(name, node.lineno) for name, tree in modules.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "dump"]
+    assert (coeffs, dumps) == ([], [])

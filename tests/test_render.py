@@ -5,8 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import oracles
 from conftest import rationals, small_polys
 from copoly import Poly, SeriesYX, as_rational
 from copoly.render import (
@@ -111,3 +113,26 @@ def test_term_writer_table(coeffs, text, latex):
     p = Poly(coeffs)
     assert str(p) == text
     assert poly_latex(p) == latex
+
+
+# Coefficients on every branch of the integer-form writer: zero, unit
+# magnitudes (``x``, not ``1*x``), small and many-digit integers, and fractions
+# whose denominator is or is not the polynomial's common one.
+_COEFFS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    rationals(),
+    st.builds(Fraction, st.integers(-10**40, 10**40)),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**20)),
+)
+
+
+@given(st.lists(_COEFFS, max_size=8).map(Poly))
+@example(Poly.zero())
+@example(Poly([0, 1]))
+@example(Poly([0, 0, -1]))
+@example(Poly([Fraction(1, 2), 0, 1]))
+@example(Poly([2, Fraction(-3, 4), 1]))
+def test_renderers_match_the_fraction_reference(p):
+    assert str(p) == poly_text(p) == oracles.poly_text_fraction(p)
+    assert poly_latex(p) == oracles.poly_latex_fraction(p)
+    assert poly_to_strings(p) == oracles.poly_strings_fraction(p)
