@@ -17,13 +17,11 @@ from fractions import Fraction
 
 from copoly import (
     bessel_family,
-    complementary_table,
     hermite_family,
     jacobi_family,
     laguerre_family,
     lambda_n,
     mu_eigenvalue,
-    pair_from_family,
 )
 
 FAMILIES = [
@@ -35,18 +33,16 @@ FAMILIES = [
 
 N = 4
 
-for spec in FAMILIES:
-    pair = pair_from_family(spec, max_order=2 * N + 4)
-    table = complementary_table(pair, N)
-    params = ", ".join(f"{k}={v}" for k, v in sorted(spec.params.items()))
-    print(f"== {spec.name} ({params or 'no parameters'})")
+for pair in FAMILIES:
+    params = ", ".join(f"{k}={v}" for k, v in sorted(pair.params.items()))
+    print(f"== {pair.name} ({params or 'no parameters'})")
     print(f"   phi = {pair.phi},  psi = {pair.psi},  lambda_{N} = {lambda_n(pair, N)}")
-    for nu, row in enumerate(table.rows):
+    for nu, row in enumerate(pair.rows(N, N)):
         mu = mu_eigenvalue(pair, N, nu)
         print(f"   nu={nu}  mu={str(mu):>6}  C_{nu}(x;{N}) = {row}")
     print()
 
 # The first row past C_0 is always (n-1) phi' + psi, whatever the family:
-pair = pair_from_family(jacobi_family(0, 0), max_order=12)
+pair = jacobi_family(0, 0)
 for n in range(1, 5):
-    print(f"legendre C_1(x;{n}) = {complementary_table(pair, n).rows[1]}")
+    print(f"legendre C_1(x;{n}) = {pair.rows(n, 1)[1]}")

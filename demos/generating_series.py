@@ -23,7 +23,6 @@ from copoly import (
     genfun_truncated,
     hermite_family,
     jacobi_family,
-    pair_from_family,
     pde_residual,
 )
 
@@ -31,7 +30,7 @@ ORDER = 8
 
 # Hermite first: phi = 1 kills the phi-dependent factor entirely, so G
 # does not depend on n at all.  The closed form is exp(-2xy - y^2).
-pair = pair_from_family(hermite_family(), max_order=2 * ORDER)
+pair = hermite_family()
 recursion = genfun_truncated(pair, 3, ORDER)
 closed = genfun_closed_form(pair, 3, ORDER)
 print("hermite, n=3, order", ORDER)
@@ -43,7 +42,7 @@ print()
 
 # Legendre at n=1 is the one case where the series terminates: the exact
 # generating function is the polynomial 1 - 2xy - (1 - x^2) y^2.
-pair = pair_from_family(jacobi_family(0, 0), max_order=2 * ORDER)
+pair = jacobi_family(0, 0)
 g1 = genfun_closed_form(pair, 1, ORDER)
 print("legendre, n=1 coefficients:", [str(g1.coeff(k)) for k in range(4)])
 print()
@@ -51,7 +50,7 @@ print()
 # Every identity in the catalogue has a zero residual; one call returns
 # them all.  Each residual comes back as a series one order shorter than
 # the input.
-pair = pair_from_family(jacobi_family(Fraction(1, 3), 2), max_order=4 * ORDER)
+pair = jacobi_family(Fraction(1, 3), 2)
 print("jacobi(1/3, 2), n=2 residuals at order", ORDER)
 for token, res in pde_residual(pair, 2, ORDER).items():
     print(f"  {token:<8} order={res.order}  zero={res.is_zero}")

@@ -19,12 +19,11 @@ from copoly import (
     laguerre_family,
     mu_eigenvalue,
     ode_residual,
-    pair_from_family,
     rodrigues_formula_residual,
     sturm_liouville_residual,
 )
 
-pair = pair_from_family(laguerre_family(Fraction(1, 2)), max_order=40)
+pair = laguerre_family(Fraction(1, 2))
 N = 5
 
 # 1. Differential equation: phi C'' + (psi + (n - nu) phi') C' + mu C = 0,

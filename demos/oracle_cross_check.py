@@ -21,11 +21,10 @@ from copoly import (
     hermite_family,
     jacobi_family,
     orthogonality_matrix,
-    pair_from_family,
     three_term_coefficients,
 )
 
-pair = pair_from_family(hermite_family(), max_order=40)
+pair = hermite_family()
 DEPTH = 6
 
 ops = chebyshev_ops(pair.u, DEPTH)
@@ -63,13 +62,13 @@ assert cross_validate(pair, ops) is None
 print("diagonals match the moment-only sequence through degree", DEPTH)
 # Against another family's moments the first difference is at degree 2:
 # Hermite and Legendre share the monic P_0 = 1 and P_1 = x.
-legendre = pair_from_family(jacobi_family(0, 0), max_order=40)
+legendre = jacobi_family(0, 0)
 print("first degree where hermite diagonals leave legendre moments:",
       cross_validate(pair, chebyshev_ops(legendre.u, DEPTH)))
 scale = complementary(pair, 3, 3).leading_coefficient
 print("C_3(x;3) leading coefficient:", scale, "(the monic rescale factor)")
 
 # Same game for a nonsymmetric family; here the a_m drift with m.
-pair = pair_from_family(jacobi_family(Fraction(1, 3), 2), max_order=40)
+pair = jacobi_family(Fraction(1, 3), 2)
 coeffs = three_term_coefficients(chebyshev_ops(pair.u, 4))
 print("jacobi(1/3, 2) a_m:", [str(a) for a, _ in coeffs])

@@ -53,12 +53,9 @@ from .poly import Poly, as_poly, as_rational
 from .rodrigues import (
     FAMILIES,
     ClassicalPair,
-    CompTable,
-    FamilySpec,
     bessel_family,
     catalog_family,
     complementary,
-    complementary_table,
     derivative_proportionality,
     hermite_family,
     jacobi_family,
@@ -67,7 +64,6 @@ from .rodrigues import (
     leading_coeff_probe,
     mu_eigenvalue,
     ode_residual,
-    pair_from_family,
     psi_k,
     rodrigues_formula_residual,
     rodrigues_r1,
@@ -87,11 +83,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibilityViolation",
     "ClassicalPair",
-    "CompTable",
     "CopolyError",
     "ExprSyntaxError",
     "FAMILIES",
-    "FamilySpec",
     "InvalidParameter",
     "MomentFunctional",
     "MonicOPS",
@@ -110,7 +104,6 @@ __all__ = [
     "catalog_family",
     "chebyshev_ops",
     "complementary",
-    "complementary_table",
     "cross_validate",
     "derivative_proportionality",
     "functional_apply",
@@ -133,7 +126,6 @@ __all__ = [
     "mu_eigenvalue",
     "ode_residual",
     "orthogonality_matrix",
-    "pair_from_family",
     "parse_poly_expr",
     "pde_residual",
     "pearson_residual",

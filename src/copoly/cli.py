@@ -12,9 +12,10 @@ hermite|laguerre|jacobi|bessel``, with ``legendre`` accepted as jacobi at
 alpha = beta = 0) or expressions (``--phi``/``--psi`` with optional ``--u0``).
 
 Exit codes, one source each: 0 success; 1 ``verify`` found a counterexample;
-2 invalid input, any ``CopolyError`` or ``OSError`` (``error: <message>``);
+2 invalid input, any ``CopolyError`` or other ``OSError`` (``error: <message>``);
 3 an internal error, any other exception (``internal error: <Type>:
-<message>``, no traceback).
+<message>``, no traceback); 141 (128 + SIGPIPE) stdout was closed early, as
+by ``| head``, and nothing is printed.
 
 Fixed caps bound the work of every accepted request; a request above one is
 rejected rather than silently clamped: ``--n`` above ``MAX_N`` (``compute``
@@ -31,6 +32,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -45,8 +47,7 @@ from .rodrigues import (
     FAMILIES,
     ClassicalPair,
     FamilySpec,
-    catalog_family,
-    jacobi_family,
+    _catalog_spec as _catalog_lookup,
     lambda_n,
     mu_eigenvalue,
     pair_from_family,
@@ -93,7 +94,7 @@ def _rational(flag: str, text: str) -> Fraction:
 
 def _catalog_spec(name: str, alpha: Fraction | None, beta: Fraction | None) -> FamilySpec:
     """The ``--family name --alpha --beta`` lookup; ``None`` means the flag is absent."""
-    return catalog_family(name, {"alpha": alpha, "beta": beta})
+    return _catalog_lookup(name, {"alpha": alpha, "beta": beta})
 
 
 def resolve_family(args: argparse.Namespace) -> FamilySpec:
@@ -117,9 +118,8 @@ def resolve_family(args: argparse.Namespace) -> FamilySpec:
         if name == "legendre":
             if alpha is not None or beta is not None:
                 raise InvalidParameter("legendre fixes alpha = beta = 0; omit --alpha/--beta")
-            spec = jacobi_family(0, 0)
-        else:
-            spec = _catalog_spec(name, alpha, beta)
+            name = "jacobi"  # absent --alpha and --beta are 0
+        spec = _catalog_spec(name, alpha, beta)
     elif args.phi is None or args.psi is None:
         raise InvalidParameter("no family given: use --family, or both --phi and --psi")
     else:
@@ -374,10 +374,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_to_devnull() -> None:
+    """After the reader of stdout has gone, point its file descriptor, if it has one,
+    at ``os.devnull``: the interpreter flushes stdout at exit, which would fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # a stream with no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout is met here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return 141
     except (CopolyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from .errors import UnsupportedFamily
 from .poly import Poly
-from .rodrigues import FAMILIES, ClassicalPair, FamilySpec
+from .rodrigues import FAMILIES, ClassicalPair
 from .series import SeriesYX, _product_sum, series_pow_rational
 
 PDE_IDENTITIES = ("y_self", "y_lower", "x_self", "x_lower", "master")
@@ -67,16 +67,16 @@ def genfun_phi_factor(pair: ClassicalPair, n: int, order: int) -> SeriesYX:
     return series_pow_rational(_quadratic_prefactor(pair, order), n)
 
 
-def weight_ratio_series(family: FamilySpec | ClassicalPair, order: int) -> SeriesYX:
+def weight_ratio_series(pair: ClassicalPair, order: int) -> SeriesYX:
     """``rho(x + y phi) / rho(x)`` for a catalog family, exactly truncated.
 
     The series comes from the family's ``FAMILIES`` entry, for example
     ``exp(-2xy - y^2)`` for hermite; any other name is unsupported.
     """
-    entry = FAMILIES.get(family.name)
+    entry = FAMILIES.get(pair.name)
     if entry is None:
-        raise UnsupportedFamily(f"no closed-form weight ratio for family {family.name!r}")
-    return entry.weight_ratio(order, *(family.params[key] for key in entry.params))
+        raise UnsupportedFamily(f"no closed-form weight ratio for family {pair.name!r}")
+    return entry.weight_ratio(order, *(pair.params[key] for key in entry.params))
 
 
 def genfun_closed_form(pair: ClassicalPair, n: int, order: int) -> SeriesYX:

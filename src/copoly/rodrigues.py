@@ -42,7 +42,8 @@ from .series import SeriesYX, series_exp, series_pow_rational
 
 @dataclass
 class FamilySpec:
-    """Unchecked description of a pair; ``FamilySpec(phi, psi, u0)`` is a custom one."""
+    """Unchecked description of a pair; ``FamilySpec(phi, psi, u0)`` is a custom one.
+    Only the CLI's request and the benchmark's inputs: kept here, not exported."""
 
     phi: Poly
     psi: Poly
@@ -116,9 +117,9 @@ FAMILIES: dict[str, CatalogFamily] = {
         lambda a: (Poly([0, 0, 1]), Poly([2, a + 2])), _bessel_ratio),
 }
 
-def catalog_family(name: str,
-                   params: Mapping[str, int | str | Fraction | None]) -> FamilySpec:
-    """Instantiate the catalog family ``name`` from parameter values.
+def _catalog_spec(name: str,
+                  params: Mapping[str, int | str | Fraction | None]) -> FamilySpec:
+    """The unchecked description of the catalog family ``name`` at ``params``.
 
     A parameter the family takes but ``params`` omits (or gives as ``None``)
     is 0; a parameter it does not take, and a name outside the catalog, are
@@ -137,22 +138,27 @@ def catalog_family(name: str,
     return FamilySpec(phi, psi, name=name, params=values)
 
 
-def hermite_family() -> FamilySpec:
+def catalog_family(name: str, params: Mapping[str, int | str | Fraction | None]) -> ClassicalPair:
+    """The checked pair of catalog family ``name``, ``params`` read as ``_catalog_spec`` does."""
+    return pair_from_family(_catalog_spec(name, params))
+
+
+def hermite_family() -> ClassicalPair:
     """phi = 1, psi = -2x (weight exp(-x^2) on the line)."""
     return catalog_family("hermite", {})
 
 
-def laguerre_family(alpha: int | str | Fraction) -> FamilySpec:
+def laguerre_family(alpha: int | str | Fraction) -> ClassicalPair:
     """phi = x, psi = (alpha+1) - x (weight x^alpha exp(-x) on the half line)."""
     return catalog_family("laguerre", {"alpha": alpha})
 
 
-def jacobi_family(alpha: int | str | Fraction, beta: int | str | Fraction) -> FamilySpec:
+def jacobi_family(alpha: int | str | Fraction, beta: int | str | Fraction) -> ClassicalPair:
     """phi = 1 - x^2, psi = (beta-alpha) - (alpha+beta+2)x (weight (1-x)^a (1+x)^b)."""
     return catalog_family("jacobi", {"alpha": alpha, "beta": beta})
 
 
-def bessel_family(alpha: int | str | Fraction) -> FamilySpec:
+def bessel_family(alpha: int | str | Fraction) -> ClassicalPair:
     """phi = x^2, psi = (alpha+2)x + 2 (formal weight x^alpha exp(-2/x))."""
     return catalog_family("bessel", {"alpha": alpha})
 
@@ -167,7 +173,7 @@ class ClassicalPair:
     ``C_nu u_{n-nu}`` per ``(n, nu)``.
     """
 
-    __slots__ = ("phi", "psi", "u", "name", "params", "_shifted", "_rows", "_weighted")
+    __slots__ = ("phi", "psi", "u0", "u", "name", "params", "_shifted", "_rows", "_weighted")
 
     def __init__(self, phi: Poly, psi: Poly, u0: int | str | Fraction = 1,
                  name: str = "custom", params: Mapping[str, Fraction] | None = None,
@@ -176,6 +182,7 @@ class ClassicalPair:
         self.u = moments_from_pearson(phi, psi, u0, max_order)
         self.phi = phi
         self.psi = psi
+        self.u0 = as_rational(u0)
         self.name = name
         self.params = dict(params or {})
         self._shifted: dict[int, MomentFunctional] = {0: self.u}
@@ -195,6 +202,8 @@ class ClassicalPair:
 
         The memo for ``n`` is extended only by the rows it lacks.
         """
+        if count < 0:
+            raise IndexError(f"count must be >= 0, got {count}")
         rows = self._rows.setdefault(n, [])
         if len(rows) <= count:
             rows.extend(_comp_rows(self, n, count, rows))
@@ -213,7 +222,8 @@ class ClassicalPair:
 
 
 def pair_from_family(spec: FamilySpec, max_order: int = 0) -> ClassicalPair:
-    """The ``ClassicalPair`` that ``spec`` describes."""
+    """The ``ClassicalPair`` that ``spec`` (or a pair) describes in ``(phi, psi, u0, name,
+    params)``; the CLI builds here after its caps.  Kept here for the benchmark, not exported."""
     return ClassicalPair(spec.phi, spec.psi, spec.u0, spec.name, spec.params, max_order)
 
 
@@ -276,7 +286,8 @@ def complementary(pair: ClassicalPair, n: int, nu: int) -> Poly:
 
 @dataclass(frozen=True)
 class CompTable:
-    """Full triangle row set ``C_0 .. C_n`` for one ``n``.
+    """Full triangle row set ``C_0 .. C_n`` for one ``n``; kept here for the benchmark's
+    sweep and tracer, not exported (library code reads ``pair.rows(n, n)``).
 
     The normalization constant multiplying the diagonal is fixed to 1
     throughout this package; ``deg rows[nu] = nu`` whenever the pair is
@@ -288,7 +299,7 @@ class CompTable:
 
 
 def complementary_table(pair: ClassicalPair, n: int) -> CompTable:
-    """All rows ``C_0 .. C_n`` in one pass of the recursion."""
+    """All rows ``C_0 .. C_n`` in one pass; kept here for the benchmark, not exported."""
     if n < 0:
         raise IndexError("n must be >= 0")
     return CompTable(n, tuple(pair.rows(n, n)))

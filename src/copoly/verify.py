@@ -20,7 +20,6 @@ from .oracle import chebyshev_ops, cross_validate, orthogonality_matrix, three_t
 from .poly import Poly
 from .rodrigues import (
     ClassicalPair,
-    complementary_table,
     derivative_proportionality,
     lambda_n,
     leading_coeff_probe,
@@ -82,17 +81,17 @@ class _Tally:
 def _suite_recursion(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) -> None:
     dphi = pair.phi.derivative()
     for n in range(max_n + 1):
-        table = complementary_table(pair, n)
+        rows = pair.rows(n, n)
         # chain[nu] = R_1(phi, u_{n-nu})[chain[nu-1]] = rodrigues_rk(pair, nu, n - nu, 1)
         chain = [p := Poly.one()] + [p := rodrigues_r1(pair, k, p) for k in range(n - 1, -1, -1)]
-        for nu, row in enumerate(table.rows):
+        for nu, row in enumerate(rows):
             tally.check(row == chain[nu], f"n={n} nu={nu}: recursion row != iterated operator")
             tally.check(row.degree == nu, f"n={n} nu={nu}: row degree {row.degree} != {nu}")
             # the splits at 0 and nu would only repeat the chain
             tally.check(row == rodrigues_rk(pair, nu - nu // 2, n - nu, chain[nu // 2]),
                         f"n={n} nu={nu}: composition split at {nu // 2} differs")
         if n >= 1:
-            tally.check(table.rows[1] == (n - 1) * dphi + pair.psi,
+            tally.check(rows[1] == (n - 1) * dphi + pair.psi,
                         f"n={n} nu=1: first row != (n-1) phi' + psi")
 
 

@@ -15,7 +15,6 @@ from copoly import (
     hermite_family,
     jacobi_family,
     laguerre_family,
-    pair_from_family,
 )
 from copoly.poly import _integer_form
 
@@ -44,27 +43,27 @@ MOMENT_DEPTH = 80
 
 @pytest.fixture(scope="session")
 def hermite_pair():
-    return pair_from_family(hermite_family(), max_order=MOMENT_DEPTH)
+    return hermite_family()
 
 
 @pytest.fixture(scope="session")
 def laguerre_pair():
-    return pair_from_family(laguerre_family(Fraction(1, 2)), max_order=MOMENT_DEPTH)
+    return laguerre_family(Fraction(1, 2))
 
 
 @pytest.fixture(scope="session")
 def jacobi_pair():
-    return pair_from_family(jacobi_family(Fraction(1, 3), 2), max_order=MOMENT_DEPTH)
+    return jacobi_family(Fraction(1, 3), 2)
 
 
 @pytest.fixture(scope="session")
 def bessel_pair():
-    return pair_from_family(bessel_family(1), max_order=MOMENT_DEPTH)
+    return bessel_family(1)
 
 
 @pytest.fixture(scope="session")
 def legendre_pair():
-    return pair_from_family(jacobi_family(0, 0), max_order=MOMENT_DEPTH)
+    return jacobi_family(0, 0)
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,6 @@ from copoly import (
     leading_coeff_probe,
     mu_eigenvalue,
     ode_residual,
-    pair_from_family,
     pde_residual,
     rodrigues_formula_residual,
     rodrigues_rk,
@@ -202,7 +201,7 @@ def test_criterion_9_cli_contract(capfd):
         )
         rng = random.Random(97)
         for _ in range(100):
-            pair = pair_from_family(rng.choice(builders)(), max_order=10)
+            pair = rng.choice(builders)()
             n = rng.randrange(0, 8)
             doc = json.loads(json.dumps(build_compute_document(pair, n)))
             rows = [Poly(r) for r in doc["rows"]]

@@ -39,6 +39,18 @@ def test_catalog_spec_keeps_its_shape():
     assert (spec.phi, spec.psi, spec.u0) == (expected.phi, expected.psi, 1)
 
 
+def test_catalog_spec_stays_unchecked():
+    """``perfbench/test_bench.py`` calls ``cli._catalog_spec`` outside its ``try`` on
+    pairs whose ``psi`` has degree 0 or is zero, and the sweep reads ``.u0`` from
+    what ``jacobi_family`` returns."""
+    from copoly.cli import _catalog_spec
+    from copoly.rodrigues import jacobi_family
+    bessel = _catalog_spec("bessel", Fraction(-2), None)
+    jacobi = _catalog_spec("jacobi", Fraction(-1), Fraction(-1))
+    assert (bessel.psi.degree, jacobi.psi.is_zero) == (0, True)
+    assert jacobi_family(Fraction(2, 3), Fraction(5, 3)).u0 == 1
+
+
 def test_tracer_sees_the_poly_kernel(monkeypatch, capsys):
     """Products computed outside the wrapped ``Poly`` methods would vanish from the trace."""
     from copoly.cli import main

@@ -25,7 +25,6 @@ from copoly import (
     complementary,
     lambda_n,
     mu_eigenvalue,
-    pair_from_family,
 )
 import copoly.cli
 import copoly.verify
@@ -141,7 +140,7 @@ class TestComputeJson:
         doc = json.loads(out)
         assert len(doc["rows"]) == 1
         assert Poly(doc["rows"][0]) == complementary(
-            pair_from_family(jacobi_family(Fraction(1, 3), 2), max_order=8), 2, 1
+            jacobi_family(Fraction(1, 3), 2), 2, 1
         )
 
     def test_legendre_alias(self, capsys):
@@ -154,7 +153,7 @@ class TestComputeJson:
         assert doc["rows"] == [["1"], ["0", "-2"]]
 
     def test_single_row_builds_no_later_row(self):
-        pair = pair_from_family(jacobi_family(Fraction(1, 3), Fraction(4, 3)), max_order=42)
+        pair = jacobi_family(Fraction(1, 3), Fraction(4, 3))
         build_compute_document(pair, 40, 3)
         assert len(pair._rows[40]) == 4
 
@@ -526,6 +525,14 @@ class TestFailureContract:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             3, "", "internal error: IndexError: injected\n")
 
+    def test_closed_stdout_exits_141_silently(self, capsys, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["compute", "--family", "hermite", "--n", "3", "--format", "json"])
+        assert (code, capsys.readouterr().err) == (141, "")
+
     @pytest.mark.parametrize("phi, message", [
         ("2²", "unexpected character '²' (at position 1)"),
         ("x^²", "unexpected character '²' (at position 2)"),
@@ -707,6 +714,38 @@ class TestSubprocessContract:
         assert (first.returncode, second.returncode, third.returncode) == (0, 2, 0)
         assert "k = 3" in second.stderr
 
+    @staticmethod
+    def buffered_env() -> dict[str, str]:
+        """``src_env()`` with stdout block-buffered, as an interpreter starts by default."""
+        env = src_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        return env
+
+    def test_pipe_closed_after_100_bytes_exits_141_silently(self, tmp_path):
+        # as `| head -c 100` does; 141 = 128 + SIGPIPE, what a shell reports
+        # for a tool that SIGPIPE ends
+        with open(tmp_path / "err", "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "copoly", "compute", "--family", "jacobi", "--alpha",
+                 "1/3", "--beta", "4/3", "--n", "200", "--format", "json"],
+                stdout=subprocess.PIPE, stderr=err, env=self.buffered_env())
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+        assert (code, len(head), (tmp_path / "err").read_bytes()) == (141, 100, b"")
+
+    def test_output_held_in_the_buffer_meets_the_closed_pipe_in_main(self):
+        # the whole of `families` fits in stdout's buffer, so the first write to
+        # the pipe, whose reader is gone before the child starts, is a flush
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "copoly", "families"], stdout=write,
+                                  stderr=subprocess.PIPE, env=self.buffered_env(), timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
     def test_unknown_flag_exits_two(self):
         proc = self.run("compute", "--family", "hermite", "--n", "1", "--bogus")
         assert proc.returncode == 2
@@ -765,9 +804,8 @@ class TestDocumentRoundTrip:
     def test_randomized_tables(self):
         rng = random.Random(20260823)
         for _ in range(30):
-            spec = rng.choice(self.FAMILIES)()
+            pair = rng.choice(self.FAMILIES)()
             n = rng.randrange(0, 7)
-            pair = pair_from_family(spec, max_order=n + 2)
             doc = json.loads(json.dumps(build_compute_document(pair, n)))
             rows = [Poly(r) for r in doc["rows"]]
             assert rows == [complementary(pair, n, nu) for nu in range(n + 1)]
@@ -804,12 +842,12 @@ class TestJsonWriter:
     """``_print_json`` writes exactly the bytes of ``json.dump(doc, indent=2)``."""
 
     def test_compute_document_with_empty_params(self):
-        doc = build_compute_document(pair_from_family(hermite_family(), max_order=6), 4)
+        doc = build_compute_document(hermite_family(), 4)
         assert doc["params"] == {}
         assert _printed_json(doc) == _json_dump(doc)
 
     def test_compute_document_with_fractions(self):
-        pair = pair_from_family(jacobi_family(Fraction(1, 3), Fraction(4, 3)), max_order=12)
+        pair = jacobi_family(Fraction(1, 3), Fraction(4, 3))
         doc = build_compute_document(pair, 10)
         assert _printed_json(doc) == _json_dump(doc)
 
@@ -820,7 +858,7 @@ class TestJsonWriter:
         assert out == _json_dump(json.loads(out))
 
     def test_verify_report(self):
-        pair = pair_from_family(hermite_family(), max_order=14)
+        pair = hermite_family()
         report = copoly.verify.verify_pair(pair, copoly.verify.SUITE_NAMES, 2, 4)
         doc = _report_to_dict(report)
         assert doc["params"] == {} and doc["first_counterexample"] is None

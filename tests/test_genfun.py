@@ -9,7 +9,6 @@ import pytest
 import copoly.genfun
 from copoly import (
     ClassicalPair,
-    FamilySpec,
     PDE_IDENTITIES,
     Poly,
     SeriesYX,
@@ -20,7 +19,6 @@ from copoly import (
     hermite_family,
     jacobi_family,
     laguerre_family,
-    pair_from_family,
     pde_residual,
     weight_ratio_series,
 )
@@ -95,9 +93,9 @@ class TestWeightRatio:
         )
 
     def test_custom_unsupported(self):
-        spec = FamilySpec(Poly([1, 1]), Poly([0, 1]))
+        pair = ClassicalPair(Poly([1, 1]), Poly([0, 1]))
         with pytest.raises(UnsupportedFamily):
-            weight_ratio_series(spec, 3)
+            weight_ratio_series(pair, 3)
 
 
 class TestClosedForm:
@@ -143,14 +141,13 @@ class TestPdeResiduals:
         res = pde_residual(jacobi_pair, 4, order=6)["x_lower"]
         assert res.is_zero
 
-    @pytest.mark.parametrize("spec", [
+    @pytest.mark.parametrize("pair", [
         hermite_family(),
         jacobi_family(Fraction(1, 3), Fraction(4, 3)),
-        FamilySpec(Poly([1, 1]), Poly([0, 1])),
+        ClassicalPair(Poly([1, 1]), Poly([0, 1])),
     ], ids=["hermite", "jacobi", "custom"])
-    def test_every_identity_sees_a_perturbed_series(self, spec, monkeypatch):
+    def test_every_identity_sees_a_perturbed_series(self, pair, monkeypatch):
         # G(3) off by x y**2, G(2) left alone: no identity may stay zero
-        pair = pair_from_family(spec, max_order=16)
         original = copoly.genfun.genfun_truncated
 
         def perturbed(pair, n, order):

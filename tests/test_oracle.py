@@ -12,7 +12,7 @@ import oracles
 from conftest import moments_by_index, rationals, small_polys
 from copoly import (
     AdmissibilityViolation,
-    FamilySpec,
+    ClassicalPair,
     MomentFunctional,
     NotQuasiDefinite,
     Poly,
@@ -28,7 +28,6 @@ from copoly import (
     laguerre_family,
     moments_from_pearson,
     orthogonality_matrix,
-    pair_from_family,
     parse_poly_expr,
     three_term_coefficients,
 )
@@ -78,16 +77,16 @@ class TestGramSchmidt:
                 assert ops.norms[m] == ratio
 
 
-DEEP_SPECS = [
+DEEP_PAIRS = [
     pytest.param(hermite_family, id="hermite"),
     pytest.param(lambda: laguerre_family("4/3"), id="laguerre-4/3"),
     pytest.param(lambda: jacobi_family("1/3", "4/3"), id="jacobi-1/3-4/3"),
     pytest.param(lambda: bessel_family("7/3"), id="bessel-7/3"),
-    pytest.param(lambda: FamilySpec(parse_poly_expr("3 - x + 2*x^2"),
-                                    parse_poly_expr("1 + 5*x")), id="custom"),
+    pytest.param(lambda: ClassicalPair(parse_poly_expr("3 - x + 2*x^2"),
+                                       parse_poly_expr("1 + 5*x")), id="custom"),
     # every coefficient over its own prime: the costly shape for one common denominator
-    pytest.param(lambda: FamilySpec(parse_poly_expr("127/113+109/107*x+103/101*x^2"),
-                                    parse_poly_expr("97/89+83/79*x")), id="five-prime"),
+    pytest.param(lambda: ClassicalPair(parse_poly_expr("127/113+109/107*x+103/101*x^2"),
+                                       parse_poly_expr("97/89+83/79*x")), id="five-prime"),
 ]
 
 
@@ -125,14 +124,14 @@ class TestChebyshev:
         u = MomentFunctional(initial=moments)
         assert _sequence(chebyshev_ops, u, n) == _sequence(gram_schmidt_ops, u, n)
 
-    @pytest.mark.parametrize("spec", DEEP_SPECS)
-    def test_matches_fraction_reference_at_depth(self, spec):
-        u = pair_from_family(spec(), 0).u
+    @pytest.mark.parametrize("build", DEEP_PAIRS)
+    def test_matches_fraction_reference_at_depth(self, build):
+        u = build().u
         ops = chebyshev_ops(u, 24)
         assert (ops.polys, ops.norms) == oracles.chebyshev_fraction(u, 24)
 
     def test_same_level_as_fraction_reference(self):
-        u = pair_from_family(laguerre_family(-2), 0).u
+        u = laguerre_family(-2).u
         levels = []
         for build in (chebyshev_ops, oracles.chebyshev_fraction):
             with pytest.raises(NotQuasiDefinite) as exc:
@@ -191,11 +190,8 @@ class TestOrthogonalityMatrix:
     def test_mixed_rows_of_one_table_not_orthogonal(self):
         # Rows of a single table mix different weights; only the diagonal
         # across tables forms the orthogonal family.
-        from copoly import complementary_table
-
-        pair = pair_from_family(laguerre_family(0), max_order=24)
-        table = complementary_table(pair, 2)
-        g = orthogonality_matrix(pair.u, table.rows)
+        pair = laguerre_family(0)
+        g = orthogonality_matrix(pair.u, pair.rows(2, 2))
         assert g[0][1] == 1  # <u, 2 - x> with u_1 = 1
 
 

@@ -166,8 +166,9 @@ def test_one_way_into_a_pair():
 
 def test_one_failure_contract():
     """The exceptions that only carried a counterexample to ``verify`` stay gone,
-    ``cli`` raises no bare ``ValueError``, and ``cli.main`` maps exactly
-    ``CopolyError`` and ``OSError`` to exit 2 and everything else to exit 3."""
+    ``cli`` raises no bare ``ValueError``, and ``cli.main`` maps a closed stdout to
+    141, exactly ``CopolyError`` and other ``OSError``s to exit 2 and everything
+    else to exit 3."""
     modules = _modules()
     gone = {"MismatchError", "NotProportional", "check_call"}
     uses = [(name, node.lineno) for name, tree in modules.items() for node in ast.walk(tree)
@@ -182,7 +183,23 @@ def test_one_failure_contract():
     handlers = [ast.unparse(h.type) for node in ast.walk(main) if isinstance(node, ast.Try)
                 for h in node.handlers]
     assert (uses, "ValueError" in raised) == ([], False)
-    assert handlers == ["(CopolyError, OSError)", "Exception"]
+    assert handlers == ["BrokenPipeError", "(CopolyError, OSError)", "Exception"]
+
+
+def test_one_pair_type():
+    """The catalog returns checked pairs; the CLI's unchecked request and the
+    sweep's row table are not exported, and only ``cli`` uses the request."""
+    pairs = [copoly.catalog_family("laguerre", {"alpha": 1}), copoly.hermite_family(),
+             copoly.laguerre_family(1), copoly.jacobi_family(1, 2), copoly.bessel_family(1)]
+    unexported = {"FamilySpec", "pair_from_family", "CompTable", "complementary_table"}
+    request = {"FamilySpec", "pair_from_family"}
+    users = {name for name, tree in _modules().items() for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id in request)
+             or (isinstance(node, ast.alias) and node.name in request)
+             or (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in request)}
+    assert {type(pair) for pair in pairs} == {copoly.ClassicalPair}
+    assert unexported & set(copoly.__all__) == set()
+    assert users == {"cli.py", "rodrigues.py"}
 
 
 def test_two_ways_into_a_pair():

@@ -17,13 +17,11 @@ from copoly import (
     AdmissibilityViolation,
     ClassicalPair,
     FAMILIES,
-    FamilySpec,
     InvalidParameter,
     Poly,
     bessel_family,
     catalog_family,
     complementary,
-    complementary_table,
     derivative_proportionality,
     functional_apply,
     hermite_family,
@@ -34,7 +32,6 @@ from copoly import (
     moments_from_pearson,
     mu_eigenvalue,
     ode_residual,
-    pair_from_family,
     parse_poly_expr,
     psi_k,
     rodrigues_formula_residual,
@@ -42,9 +39,15 @@ from copoly import (
     rodrigues_rk,
     sturm_liouville_residual,
 )
+from copoly.rodrigues import _catalog_spec, complementary_table
 
 ALPHA = Fraction(1, 2)          # laguerre fixture parameter
 JA, JB = Fraction(1, 3), 2      # jacobi fixture parameters
+
+
+def _fields(pair: ClassicalPair) -> tuple:
+    """What a pair is made from: a pair has no ``==`` of its own."""
+    return pair.phi, pair.psi, pair.u0, pair.name, pair.params
 
 
 class TestFamilyBuilders:
@@ -72,36 +75,53 @@ class TestFamilyBuilders:
         assert spec.psi == Poly([2, 3])
 
     def test_custom(self):
-        spec = FamilySpec(Poly([1, 1]), Poly([0, 1]), Fraction(1, 2))
-        assert (spec.name, spec.params) == ("custom", {})
-        assert spec.u0 == Fraction(1, 2)
+        pair = ClassicalPair(Poly([1, 1]), Poly([0, 1]), Fraction(1, 2))
+        assert (pair.name, pair.params) == ("custom", {})
+        assert pair.u0 == Fraction(1, 2)
+
+    @pytest.mark.parametrize("name, builder", [
+        ("hermite", hermite_family), ("laguerre", laguerre_family),
+        ("jacobi", jacobi_family), ("bessel", bessel_family)])
+    def test_builders_return_the_pair_of_their_description(self, name, builder):
+        values = (Fraction(1, 3), Fraction(4, 3))[:len(FAMILIES[name].params)]
+        spec = _catalog_spec(name, dict(zip(FAMILIES[name].params, values)))
+        expected = ClassicalPair(spec.phi, spec.psi, spec.u0, spec.name, spec.params)
+        for pair in (builder(*values), catalog_family(name, spec.params)):
+            assert type(pair) is ClassicalPair
+            assert _fields(pair) == _fields(expected)
+            assert pair.u.moments(20) == expected.u.moments(20)
 
     def test_degenerate_jacobi_rejected(self):
         # alpha + beta + 2 = 0 collapses psi to a constant
         with pytest.raises(InvalidParameter):
-            pair_from_family(jacobi_family(-3, 1), max_order=8)
+            jacobi_family(-3, 1)
 
     def test_cubic_phi_rejected(self):
         with pytest.raises(InvalidParameter):
             ClassicalPair(Poly.monomial(3), Poly([0, 1]), max_order=8)
 
     def test_inadmissible_bessel_rejected(self):
+        pair = bessel_family(-5)  # checked as its moments are read
         with pytest.raises(AdmissibilityViolation) as exc:
-            pair_from_family(bessel_family(-5), max_order=20)
+            pair.u.moments(20)
+        assert exc.value.k == 3
+        with pytest.raises(AdmissibilityViolation) as exc:
+            ClassicalPair(pair.phi, pair.psi, max_order=20)
         assert exc.value.k == 3
 
-    @pytest.mark.parametrize("spec", [
+    @pytest.mark.parametrize("pair", [
         hermite_family(),
         laguerre_family(Fraction(4, 3)),
         jacobi_family(Fraction(1, 3), Fraction(4, 3)),
         bessel_family(Fraction(1, 3)),
-        FamilySpec(parse_poly_expr("3 - x + 2*x^2"), parse_poly_expr("1 + 5*x"), Fraction(2, 3)),
+        ClassicalPair(parse_poly_expr("3 - x + 2*x^2"), parse_poly_expr("1 + 5*x"),
+                      Fraction(2, 3)),
     ], ids=["hermite", "laguerre", "jacobi", "bessel", "custom"])
-    def test_pair_holds_its_own_pearson_functional(self, spec):
-        pair = ClassicalPair(spec.phi, spec.psi, spec.u0, spec.name, spec.params)
-        expected = moments_from_pearson(spec.phi, spec.psi, spec.u0, 0).moments(30)
+    def test_pair_holds_its_own_pearson_functional(self, pair):
+        expected = moments_from_pearson(pair.phi, pair.psi, pair.u0, 0).moments(30)
         assert pair.u.moments(30) == expected
-        assert pair_from_family(spec, 12).u.moments(30) == expected
+        eager = ClassicalPair(pair.phi, pair.psi, pair.u0, max_order=12)
+        assert eager.u.moments(30) == expected
 
     def test_pair_carries_moments(self, laguerre_pair):
         assert laguerre_pair.u.moment(1) == Fraction(3, 2)
@@ -131,7 +151,7 @@ class TestCatalogRegistry:
             assert parse_poly_expr(family.psi_text, params) == psi
 
     def test_missing_parameters_default_to_zero(self):
-        assert catalog_family("jacobi", {"alpha": 1}) == jacobi_family(1, 0)
+        assert _fields(catalog_family("jacobi", {"alpha": 1})) == _fields(jacobi_family(1, 0))
         assert catalog_family("laguerre", {"alpha": None}).params == {"alpha": 0}
 
     def test_foreign_parameter_rejected(self):
@@ -266,7 +286,7 @@ class TestCompTable:
 
     def test_row_memo_builds_only_missing_rows(self, monkeypatch):
         # A fresh pair: the session fixtures carry their row memos between tests.
-        pair = pair_from_family(jacobi_family(JA, JB), max_order=8)
+        pair = jacobi_family(JA, JB)
         original = copoly.rodrigues._comp_rows
         built = []
 
@@ -282,6 +302,14 @@ class TestCompTable:
         pair.rows(3, 5).append(Poly.zero())
         assert pair.rows(3, 6) == original(pair, 3, 6)
         assert built == [4, 3]
+
+    def test_negative_row_count_rejected(self):
+        # once read the memo held C_0 .. C_3, and a slice would hand back part of it
+        pair = hermite_family()
+        pair.rows(3, 3)
+        for count in (-1, -2):
+            with pytest.raises(IndexError, match="count must be >= 0"):
+                pair.rows(3, count)
 
 
 def kernel_pairs():
@@ -520,7 +548,7 @@ class TestLeadingCoeffProbe:
     def test_vanishing_value_is_read(self):
         # jacobi(-6, -6): psi' + (m+2k) phi''/2 = 10 - (m + 2k), so at m + 2k = 10
         # the x^(m+1) term cancels and the step's top coefficient is of lower degree
-        pair = pair_from_family(jacobi_family(-6, -6))
+        pair = jacobi_family(-6, -6)
         for k, m in ((3, 4), (4, 2), (5, 0)):
             assert rodrigues_r1(pair, k, Poly.monomial(m)).degree < m + 1
             assert leading_coeff_probe(pair, k, m) == 0

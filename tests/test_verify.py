@@ -12,7 +12,6 @@ import copoly.rodrigues
 import copoly.verify
 from copoly import (
     ClassicalPair,
-    FamilySpec,
     MomentFunctional,
     Poly,
     SUITE_NAMES,
@@ -22,7 +21,6 @@ from copoly import (
     jacobi_family,
     laguerre_family,
     lambda_n,
-    pair_from_family,
     verify_pair,
 )
 
@@ -94,7 +92,7 @@ class TestPassingRuns:
 
     def test_rows_are_built_once_per_pair(self, monkeypatch):
         # A fresh pair: the session fixtures carry their row memos between tests.
-        pair = pair_from_family(jacobi_family(Fraction(1, 3), Fraction(4, 3)), max_order=40)
+        pair = jacobi_family(Fraction(1, 3), Fraction(4, 3))
         built = []
         original = copoly.rodrigues._comp_rows
 
@@ -129,7 +127,7 @@ class TestPassingRuns:
         # 2 Pearson + 15 product-rule + 9 shifted functionals u_1..u_9, then per
         # (n, nu) one C_nu' u_{n-nu+1} and one memoized C_nu u_{n-nu}; building
         # C_nu u_{n-nu} afresh for every residual took 262
-        pair = pair_from_family(hermite_family(), max_order=40)
+        pair = hermite_family()
         calls = []
         original = copoly.functional.functional_poly_mul
 
@@ -145,7 +143,7 @@ class TestPassingRuns:
     def test_a_wrong_weighted_row_fails_where_it_is_read(self):
         # C_3(x; 5) u_2 memoized as (C_3 + 1) u_2: both residuals that read it
         # must fail there, and nothing else may
-        pair = pair_from_family(hermite_family(), max_order=40)
+        pair = hermite_family()
         pair._weighted[(5, 3)] = pair.weighted_row(5, 3) + pair.functional_power(2)
         report = verify_pair(pair, suites=("functional",), max_n=5, order=4)
         assert report.suites[0].failures == [
@@ -213,14 +211,13 @@ class TestFailureDetection:
         report = verify_pair(pair, max_n=3, order=6)
         assert report.passed
 
-    @pytest.mark.parametrize("spec, level", [
+    @pytest.mark.parametrize("pair, level", [
         (laguerre_family(-1), 1),
-        (FamilySpec(Poly([1, 1]), Poly([1, -1]), 0), 0),
+        (ClassicalPair(Poly([1, 1]), Poly([1, -1]), 0), 0),
     ], ids=["laguerre-alpha-minus-one", "custom-u0-zero"])
-    def test_not_quasi_definite_skips_oracle(self, spec, level):
+    def test_not_quasi_definite_skips_oracle(self, pair, level):
         # The functional itself is legal, so the vanishing level is a
         # property of the input recorded as a note, not a counterexample.
-        pair = pair_from_family(spec, max_order=12)
         report = verify_pair(pair, max_n=3, order=6)
         assert report.passed
         suites, notes = _summary(report)
@@ -228,7 +225,7 @@ class TestFailureDetection:
         assert all(checks > 0 for name, (checks, _) in suites.items() if name != "oracle")
         assert notes[-1] == ("oracle checks skipped: moment functional is not quasi-definite "
                              f"(Hankel determinant of order {level} vanishes)")
-        assert (_VACUOUS in notes) == (spec.u0 == 0)
+        assert (_VACUOUS in notes) == (pair.u0 == 0)
 
 
 # Golden reports: every suite's (checks, failures) and the notes, pinned
@@ -251,16 +248,15 @@ def _summary(report):
 
 
 class TestGoldenReports:
-    @pytest.mark.parametrize("spec, genfun_checks, notes", [
+    @pytest.mark.parametrize("pair, genfun_checks, notes", [
         (hermite_family(), 34, [_COINCIDE]),
         (laguerre_family(Fraction(4, 3)), 34, [_COINCIDE]),
         (jacobi_family(Fraction(1, 3), Fraction(4, 3)), 34, [_DIFFERS + "(-14/3 vs -11/3)"]),
         (bessel_family(Fraction(1, 3)), 34, [_DIFFERS + "(10/3 vs 7/3)"]),
-        (FamilySpec(Poly([2, 1]), Poly([1, -1]), Fraction(1, 2)), 28,
+        (ClassicalPair(Poly([2, 1]), Poly([1, -1]), Fraction(1, 2)), 28,
          [_SKIPPED, _COINCIDE]),
     ], ids=["hermite", "laguerre", "jacobi", "bessel", "custom"])
-    def test_passing_pair(self, spec, genfun_checks, notes):
-        pair = pair_from_family(spec, max_order=16)
+    def test_passing_pair(self, pair, genfun_checks, notes):
         expected = {name: (count, []) for name, count in _PASSING_CHECKS.items()}
         expected["genfun"] = (genfun_checks, [])
         assert _summary(verify_pair(pair, max_n=5, order=6)) == (expected, notes)
