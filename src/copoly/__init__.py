@@ -17,8 +17,6 @@ from .errors import (
     ExprSyntaxError,
     InvalidParameter,
     NotQuasiDefinite,
-    UnknownIdentifier,
-    UnsupportedFamily,
 )
 from .functional import (
     MomentFunctional,
@@ -95,8 +93,6 @@ __all__ = [
     "SUITE_NAMES",
     "SeriesYX",
     "SuiteResult",
-    "UnknownIdentifier",
-    "UnsupportedFamily",
     "VerifyReport",
     "as_poly",
     "as_rational",

@@ -33,15 +33,14 @@ import dataclasses
 import functools
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import CopolyError, InvalidParameter
 from .genfun import genfun_closed_form, genfun_truncated
-from .parsing import MAX_LITERAL_DIGITS, parse_poly_expr
-from .poly import Poly
+from .parsing import parse_poly_expr
+from .poly import MAX_LITERAL_DIGITS, Poly, as_rational
 from .render import poly_latex, poly_text, poly_to_strings, rational_latex, series_to_strings
 from .rodrigues import (
     FAMILIES,
@@ -65,31 +64,29 @@ _FAMILY_HELP = (
 )
 
 
-def _check_size(flag: str, value: int, cap: int) -> int:
-    """``value`` of ``flag`` when it lies in ``0 .. cap``; refused, never clamped, otherwise."""
-    if value < 0:
+def _check_size(flag: str, value: int | str, cap: int) -> int:
+    """``flag``'s value, text that ``as_rational`` reads and that has no ``/`` (or an
+    int default), when it is in ``0 .. cap``; refused, never clamped, otherwise."""
+    try:
+        size = None if "/" in str(value) else as_rational(value).numerator
+    except InvalidParameter:
+        size = None
+    if size is None:
+        raise InvalidParameter(f"{flag} must be an integer, got {value!r}")
+    if size < 0:
         raise InvalidParameter(f"{flag} must be >= 0")
-    if value > cap:
-        raise InvalidParameter(f"{flag} {value} exceeds the cap of {cap}")
-    return value
-
-
-# a flag value in the grammar of parsing's integer literals: an optional "-",
-# ASCII digits and an optional "/" with more digits
-_RATIONAL_TEXT = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
+    if size > cap:
+        raise InvalidParameter(f"{flag} {size} exceeds the cap of {cap}")
+    return size
 
 
 def _rational(flag: str, text: str) -> Fraction:
-    """The exact value of ``flag``'s text, an integer or ``p/q`` (``-3``, ``3/2``) with
-    no literal longer than ``MAX_LITERAL_DIGITS``; ``p/0`` and any other spelling
-    (``1.5``, ``+2``, ``1e3``, ``1_0``, surrounding spaces) are refused."""
-    match = _RATIONAL_TEXT.fullmatch(text)
-    if match is not None:
-        num, den = match.groups("1")
-        if max(len(num), len(den)) <= MAX_LITERAL_DIGITS and int(den) != 0:
-            return Fraction(text)
-    raise InvalidParameter(f"{flag} must be an integer or rational text "
-                           f"such as '3/2', got {text!r}")
+    """``flag``'s text as ``as_rational`` reads it, refused under the flag's name."""
+    try:
+        return as_rational(text)
+    except InvalidParameter:
+        raise InvalidParameter(f"{flag} must be an integer or rational text "
+                               f"such as '3/2', got {text!r}") from None
 
 
 def _catalog_spec(name: str, alpha: Fraction | None, beta: Fraction | None) -> FamilySpec:
@@ -224,9 +221,7 @@ def _rows_pair(spec: FamilySpec, n: int) -> ClassicalPair:
 def cmd_compute(args: argparse.Namespace) -> int:
     spec = resolve_family(args)
     n = _check_size("--n", args.n, MAX_N)
-    nu = args.nu
-    if nu is not None and not 0 <= nu <= n:
-        raise InvalidParameter(f"--nu must satisfy 0 <= nu <= n, got nu={nu}, n={n}")
+    nu = None if args.nu is None else _check_size("--nu", args.nu, n)
     pair = _rows_pair(spec, n)
     if args.format == "json":
         _print_json(build_compute_document(pair, n, nu))
@@ -253,14 +248,14 @@ def _report_to_dict(report: VerifyReport) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = resolve_family(args)
-    _check_size("--max-n", args.max_n, MAX_VERIFY_N)
+    max_n = _check_size("--max-n", args.max_n, MAX_VERIFY_N)
     order = _check_size("--order", args.order, MAX_ORDER)
     if order < 2:
         raise InvalidParameter("--order must be >= 2")
     suites = SUITE_NAMES if args.suite == "all" else (args.suite,)
     # the suites read u up to index 4m + 4, and the Leibniz probe phi*psi up to 2m + 6
-    pair = pair_from_family(spec, max_order=max(2 * args.max_n + 6, 4 * args.max_n + 4))
-    report = verify_pair(pair, suites, args.max_n, order)
+    pair = pair_from_family(spec, max_order=max(2 * max_n + 6, 4 * max_n + 4))
+    report = verify_pair(pair, suites, max_n, order)
     if args.format == "json":
         _print_json(_report_to_dict(report))
     else:
@@ -279,22 +274,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_genfun(args: argparse.Namespace) -> int:
     spec = resolve_family(args)
-    _check_size("--n", args.n, MAX_N)
+    n = _check_size("--n", args.n, MAX_N)
     order = _check_size("--order", args.order, MAX_ORDER)
-    pair = _rows_pair(spec, args.n)
-    truncated = genfun_truncated(pair, args.n, order)
-    closed = genfun_closed_form(pair, args.n, order)  # UnsupportedFamily for custom
+    pair = _rows_pair(spec, n)
+    truncated = genfun_truncated(pair, n, order)
+    closed = genfun_closed_form(pair, n, order)  # InvalidParameter for custom
     difference = truncated - closed
     if args.format == "latex":
         _print_latex_array(
-            f"family {pair.name}, n = {args.n}, order = {order}",
+            f"family {pair.name}, n = {n}, order = {order}",
             ((f"y^{{{nu}}}", poly_latex(truncated.coeff(nu)), poly_latex(difference.coeff(nu)))
              for nu in range(order + 1)))
     else:
         doc = {
             "family": pair.name,
             "params": _params_doc(pair.params),
-            "n": args.n,
+            "n": n,
             "order": order,
             "truncated": series_to_strings(truncated),
             "closed_form": series_to_strings(closed),
@@ -347,17 +342,16 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Text output lists terms by ascending degree; LaTeX by descending degree.",
     )
     _add_family_arguments(compute)
-    compute.add_argument("--n", type=int, required=True,
-                         help=f"table size (top degree), at most {MAX_N}")
-    compute.add_argument("--nu", type=int, default=None, help="emit only row nu")
+    compute.add_argument("--n", required=True, help=f"table size (top degree), at most {MAX_N}")
+    compute.add_argument("--nu", help="emit only row nu")
     compute.add_argument("--format", choices=("text", "json", "latex"), default="text")
     compute.set_defaults(func=cmd_compute)
 
     verify = sub.add_parser("verify", help="run exact identity suites over a grid")
     _add_family_arguments(verify)
-    verify.add_argument("--max-n", type=int, default=8,
+    verify.add_argument("--max-n", default=8,
                         help=f"largest n in the grid, at most {MAX_VERIFY_N}")
-    verify.add_argument("--order", type=int, default=12,
+    verify.add_argument("--order", default=12,
                         help=f"series truncation order, at most {MAX_ORDER}")
     verify.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     verify.add_argument("--format", choices=("text", "json"), default="text")
@@ -365,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     genfun = sub.add_parser("genfun", help="emit the generating series both ways")
     _add_family_arguments(genfun)
-    genfun.add_argument("--n", type=int, required=True, help=f"series index, at most {MAX_N}")
-    genfun.add_argument("--order", type=int, default=8,
+    genfun.add_argument("--n", required=True, help=f"series index, at most {MAX_N}")
+    genfun.add_argument("--order", default=8,
                         help=f"series truncation order, at most {MAX_ORDER}")
     genfun.add_argument("--format", choices=("json", "latex"), default="json")
     genfun.set_defaults(func=cmd_genfun)
@@ -386,6 +380,14 @@ def _stdout_to_devnull() -> None:
     os.close(devnull)
 
 
+def _complain(line: str) -> None:
+    """``line`` on stderr, or nowhere if stderr is gone: the exit code still tells."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        pass
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -396,10 +398,10 @@ def main(argv: list[str] | None = None) -> int:
         _stdout_to_devnull()
         return 141
     except (CopolyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(f"error: {exc}")
         return 2
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _complain(f"internal error: {type(exc).__name__}: {exc}")
         return 3
 
 

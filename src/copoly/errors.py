@@ -35,22 +35,9 @@ class NotQuasiDefinite(CopolyError):
         super().__init__(f"Hankel determinant of order {level} vanishes")
 
 
-class UnsupportedFamily(CopolyError):
-    """The operation needs a catalog family with a known closed-form weight."""
-
-
-class ExprSyntaxError(CopolyError):
-    """Malformed polynomial expression; offending position in ``position``."""
+class ExprSyntaxError(InvalidParameter):
+    """Malformed polynomial expression or unbound name; offending position in ``position``."""
 
     def __init__(self, position: int, message: str):
         self.position = position
         super().__init__(f"{message} (at position {position})")
-
-
-class UnknownIdentifier(CopolyError):
-    """An identifier in a polynomial expression has no binding."""
-
-    def __init__(self, name: str, position: int):
-        self.name = name
-        self.position = position
-        super().__init__(f"unknown identifier {name!r} (at position {position})")

@@ -32,7 +32,7 @@ Taylor: ``phi'(x + y phi) = phi' + y phi'' phi`` and
 
 from __future__ import annotations
 
-from .errors import UnsupportedFamily
+from .errors import InvalidParameter
 from .poly import Poly
 from .rodrigues import FAMILIES, ClassicalPair
 from .series import SeriesYX, _product_sum, series_pow_rational
@@ -75,7 +75,7 @@ def weight_ratio_series(pair: ClassicalPair, order: int) -> SeriesYX:
     """
     entry = FAMILIES.get(pair.name)
     if entry is None:
-        raise UnsupportedFamily(f"no closed-form weight ratio for family {pair.name!r}")
+        raise InvalidParameter(f"no closed-form weight ratio for family {pair.name!r}")
     return entry.weight_ratio(order, *(pair.params[key] for key in entry.params))
 
 

@@ -32,13 +32,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .errors import ExprSyntaxError, UnknownIdentifier
-from .poly import Poly, as_rational
+from .errors import ExprSyntaxError
+from .poly import MAX_LITERAL_DIGITS, Poly, as_rational
 
 MAX_NESTING = 100
 MAX_DEGREE = 100
 MAX_CONSTANT_BITS = 10_000
-MAX_LITERAL_DIGITS = 4300
 
 
 class _Token(NamedTuple):
@@ -176,7 +175,7 @@ class _Parser:
                 return Poly.x()
             if tok.text in self.params:
                 return Poly.constant(self.params[tok.text])
-            raise UnknownIdentifier(tok.text, tok.pos)
+            raise ExprSyntaxError(tok.pos, f"unknown identifier {tok.text!r}")
         if tok.kind == "op" and tok.text == "(":
             self.enter(tok)
             inner = self.expr()

@@ -16,21 +16,36 @@ into "exact" arithmetic.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
-Scalar = Union[int, Fraction]
+from .errors import InvalidParameter
 
 NEG_INF = -math.inf
 
+# numeric text: an optional "-", ASCII digits and an optional "/" with more digits,
+# no digit run longer than MAX_LITERAL_DIGITS (CPython's default int() string limit)
+MAX_LITERAL_DIGITS = 4300
+_RATIONAL_TEXT = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+
 
 def as_rational(value: int | str | Fraction) -> Fraction:
-    """Coerce to an exact ``Fraction``; accepts ints and ``"p/q"`` text."""
+    """Coerce to an exact ``Fraction``; the one reader of numeric text.  Text is an
+    integer or ``p/q`` (``-3``, ``007/014``); ``p/0`` and every other spelling (``1.5``,
+    ``+2``, ``1e3``, ``1_0``, non-ASCII digits, spaces) raise ``InvalidParameter``."""
     if type(value) is Fraction:
         return value
     if isinstance(value, (float, bool)):
         raise TypeError(f"refusing {value!r}; pass int, Fraction or 'p/q' text")
-    return Fraction(value)
+    if not isinstance(value, str):
+        return Fraction(value)
+    match = _RATIONAL_TEXT.fullmatch(value)
+    if match is not None:
+        sign, num, den = match.groups("1")
+        if max(len(num), len(den)) <= MAX_LITERAL_DIGITS and int(den) != 0:
+            return Fraction(int(sign + num), int(den))
+    raise InvalidParameter(f"not an integer or rational text such as '3/2': {value!r}")
 
 
 class Poly:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from conftest import src_env
 from copoly import (
     FAMILIES,
+    InvalidParameter,
     Poly,
     as_rational,
     complementary,
@@ -304,6 +305,43 @@ class TestComputeErrors:
     def test_literal_flag_value_accepted(self, text, value):
         assert copoly.cli._rational("--alpha", text) == value
 
+    # what as_rational reads from each spelling; None is a refusal
+    SPELLINGS = {"3": 3, "-7": -7, "007/014": Fraction(1, 2), "3/2": Fraction(3, 2),
+                 "\u0663": None, "1_0": None, "+2": None, " 2 ": None, "1.5": None,
+                 "1e3": None, "1/0": None, "1" * 4301: None}
+    # a request that finishes for every value a flag accepts
+    REQUESTS = {"--alpha": ("compute", "--family", "laguerre", "--n", "2"),
+                "--beta": ("compute", "--family", "jacobi", "--alpha", "1/3", "--n", "2"),
+                "--u0": ("compute", "--phi", "1", "--psi=-2*x", "--n", "2"),
+                "--n": ("compute", "--family", "hermite"),
+                "--nu": ("compute", "--family", "hermite", "--n", "3"),
+                "--max-n": ("verify", "--family", "hermite", "--order", "4"),
+                "--order": ("genfun", "--family", "hermite", "--n", "1")}
+
+    @pytest.mark.parametrize("flag", list(REQUESTS))
+    @pytest.mark.parametrize("text", list(SPELLINGS), ids=[
+        "3", "-7", "007-014", "3-2", "non-ascii-digit", "underscore", "plus", "spaces",
+        "decimal", "exponent", "zero-denominator", "4301-digits"])
+    def test_one_number_grammar(self, capsys, flag, text):
+        """Every numeric flag and ``as_rational`` read one grammar; the integer flags
+        take no ``/`` and refuse a negative value as out of range."""
+        value = self.SPELLINGS[text]
+        if value is None:
+            with pytest.raises(InvalidParameter):
+                as_rational(text)
+        else:
+            assert as_rational(text) == value
+        integer = flag in ("--n", "--nu", "--max-n", "--order")
+        accepted = value is not None and not (integer and ("/" in text or value < 0))
+        code, out, err = run_cli(capsys, *self.REQUESTS[flag], f"{flag}={text}")
+        if accepted:
+            assert (code, err) == (0, "")
+            if flag in ("--alpha", "--beta"):
+                assert f"{flag[2:]}={value}" in out.splitlines()[0]
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {flag} must be")
+
     @pytest.mark.parametrize("phi", ["(" * 250 + "x" + ")" * 250, "-" * 1000 + "x"],
                              ids=["parentheses", "signs"])
     def test_deep_nesting_exits_two(self, capsys, phi):
@@ -532,6 +570,35 @@ class TestFailureContract:
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
         code = main(["compute", "--family", "hermite", "--n", "3", "--format", "json"])
         assert (code, capsys.readouterr().err) == (141, "")
+
+    def test_closed_stderr_still_exits_two(self):
+        """A refusal whose ``error:`` line cannot be written still exits 2, not 1."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "copoly", "compute", "--family", "hermite", "--n", "-1"],
+                stdout=subprocess.PIPE, stderr=write_end, env=src_env(), timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+
+    def test_unwritable_stderr_still_exits_three(self, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        def broken(pair, max_n, order, tally):
+            raise IndexError("injected")
+        monkeypatch.setitem(copoly.verify._SUITES, "ode", broken)
+        monkeypatch.setattr(sys, "stderr", ClosedPipe())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", "--family", "hermite", "--max-n", "2"])
+        assert (code, out.getvalue()) == (3, "")
 
     @pytest.mark.parametrize("phi, message", [
         ("2²", "unexpected character '²' (at position 1)"),

@@ -11,8 +11,8 @@ from copoly import (
     ClassicalPair,
     PDE_IDENTITIES,
     Poly,
+    InvalidParameter,
     SeriesYX,
-    UnsupportedFamily,
     genfun_closed_form,
     genfun_phi_factor,
     genfun_truncated,
@@ -94,7 +94,8 @@ class TestWeightRatio:
 
     def test_custom_unsupported(self):
         pair = ClassicalPair(Poly([1, 1]), Poly([0, 1]))
-        with pytest.raises(UnsupportedFamily):
+        with pytest.raises(InvalidParameter,
+                           match="^no closed-form weight ratio for family 'custom'$"):
             weight_ratio_series(pair, 3)
 
 
@@ -117,7 +118,7 @@ class TestClosedForm:
 
     def test_custom_pair_unsupported(self):
         pair = ClassicalPair(Poly([1, 1]), Poly([0, 1]), max_order=12)
-        with pytest.raises(UnsupportedFamily):
+        with pytest.raises(InvalidParameter, match="^no closed-form weight ratio"):
             genfun_closed_form(pair, 2, 4)
 
 

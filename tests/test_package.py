@@ -4,6 +4,7 @@ integer kernel lives in ``poly`` alone."""
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import copoly
@@ -200,6 +201,24 @@ def test_one_pair_type():
     assert {type(pair) for pair in pairs} == {copoly.ClassicalPair}
     assert unexported & set(copoly.__all__) == set()
     assert users == {"cli.py", "rodrigues.py"}
+
+
+def test_one_number_reader():
+    """``poly.as_rational`` is the one reader of numeric text: no ``cli`` argument
+    converts with argparse's ``type=``, no module but ``poly`` compiles a pattern, and
+    the two exception classes folded into ``InvalidParameter`` stay gone."""
+    modules = _modules()
+    typed = [node.lineno for node in ast.walk(modules["cli.py"])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "add_argument"
+             and any(keyword.arg == "type" for keyword in node.keywords)]
+    patterns = {name for name, tree in modules.items() for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "compile"
+                and isinstance(node.value, ast.Name) and node.value.id == "re"}
+    gone = [path.name for path in sorted(SRC.glob("*.py"))
+            if {"UnknownIdentifier", "UnsupportedFamily"} & set(
+                re.findall(r"\w+", path.read_text(encoding="utf-8")))]
+    assert (typed, patterns, gone) == ([], {"poly.py"}, [])
 
 
 def test_two_ways_into_a_pair():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 
 from conftest import small_polys
-from copoly import ExprSyntaxError, Poly, UnknownIdentifier, parse_poly_expr
+from copoly import ExprSyntaxError, InvalidParameter, Poly, parse_poly_expr
 from copoly.parsing import MAX_CONSTANT_BITS, MAX_DEGREE, MAX_NESTING
 
 
@@ -71,10 +71,11 @@ class TestParams:
         assert p == Poly([0, Fraction(1, 2)])
 
     def test_unknown_identifier(self):
-        with pytest.raises(UnknownIdentifier) as exc:
+        with pytest.raises(ExprSyntaxError) as exc:
             parse_poly_expr("1 + gamma*x")
-        assert exc.value.name == "gamma"
+        assert str(exc.value) == "unknown identifier 'gamma' (at position 4)"
         assert exc.value.position == 4
+        assert isinstance(exc.value, InvalidParameter)
 
     def test_float_parameter_rejected(self):
         with pytest.raises(TypeError):
