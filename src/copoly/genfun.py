@@ -33,7 +33,7 @@ Taylor: ``phi'(x + y phi) = phi' + y phi'' phi`` and
 from __future__ import annotations
 
 from .errors import InvalidParameter
-from .poly import Poly
+from .poly import Poly, _over_lcm
 from .rodrigues import FAMILIES, ClassicalPair
 from .series import SeriesYX, _product_sum, series_pow_rational
 
@@ -47,18 +47,19 @@ def genfun_truncated(pair: ClassicalPair, n: int, order: int) -> SeriesYX:
     ``n - nu - 1`` gone negative; those are exactly the higher coefficients
     of the closed form.
     """
-    coeffs = []
+    forms = []
     factorial = 1
     for nu, row in enumerate(pair.rows(n, order)):
         factorial *= max(nu, 1)
-        coeffs.append(Poly._of(row._den * factorial, list(row._nums)))
-    return SeriesYX(order, coeffs)
+        forms.append((row._den * factorial, row._nums))
+    # C_nu / nu! for every nu over one lcm, reduced once
+    den, nums = _over_lcm(forms)
+    return SeriesYX._of(order, den, nums)
 
 
 def _quadratic_prefactor(pair: ClassicalPair, order: int) -> SeriesYX:
     phi = pair.phi
-    phi2 = phi.coefficient(2) * 2
-    coeffs = [Poly.one(), phi.derivative(), phi * phi2 / 2]
+    coeffs = [Poly.one(), phi.derivative(), phi * phi.coefficient(2)]
     return SeriesYX(order, coeffs[: order + 1])
 
 
@@ -98,7 +99,7 @@ def pde_residual(pair: ClassicalPair, n: int, order: int) -> dict[str, SeriesYX]
     m = order - 1
     phi, psi = pair.phi, pair.psi
     dphi = phi.derivative()
-    phi2 = phi.coefficient(2) * 2
+    half_phi2 = phi.coefficient(2)
     c1 = psi + (n - 1) * dphi
     c1d = c1.derivative()
 
@@ -110,7 +111,7 @@ def pde_residual(pair: ClassicalPair, n: int, order: int) -> dict[str, SeriesYX]
     # C_1(x + y phi), exactly: deg C_1 <= 1 leaves no higher Taylor terms
     shifted = SeriesYX(m, [c1, phi * c1d])
     # y ((1 + y phi') C_1' - y phi'' C_1 / 2), the x-identity's bracket times y
-    y_bracket = SeriesYX(m, [Poly.zero(), c1d, dphi * c1d - c1 * phi2 / 2][: m + 1])
+    y_bracket = SeriesYX(m, [Poly.zero(), c1d, dphi * c1d - c1 * half_phi2][: m + 1])
     # Each identity is one fused sum of products; the sparse factor goes left.
     const_phi = SeriesYX(m, [phi])
     y_self = _product_sum([(1, prefactor, dy), (-1, shifted, g)])

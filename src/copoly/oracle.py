@@ -169,9 +169,15 @@ def cross_validate(pair: ClassicalPair, ops: MonicOPS) -> int | None:
     """The first degree ``m`` in ``ops`` with ``monic C_m(x; m) != ops.polys[m]``, or ``None``.
 
     ``ops`` is a sequence built from the moments of ``pair.u`` alone
-    (``chebyshev_ops`` or ``gram_schmidt_ops``).
+    (``chebyshev_ops`` or ``gram_schmidt_ops``).  With ``C_m`` stored as
+    ``c / dc`` and ``ops.polys[m]`` as ``e / de``, ``monic C_m`` is
+    ``c / c[-1]``, so the two agree exactly when they have the same length and
+    ``c[i] * de == e[i] * c[-1]`` for every ``i``: no division and no
+    ``Fraction``.  A zero row, which has no monic form, or a row of the
+    wrong degree reports its ``m``.
     """
     for m, expected in enumerate(ops.polys):
-        if complementary(pair, m, m).monic() != expected:
+        c, de, e = complementary(pair, m, m)._nums, expected._den, expected._nums
+        if not c or len(c) != len(e) or any(ci * de != ei * c[-1] for ci, ei in zip(c, e)):
             return m
     return None

@@ -283,8 +283,15 @@ def _over_lcm(forms: Sequence[tuple[int, Sequence[int]]]) -> tuple[int, list[Seq
     pairs in ``forms`` and ``nums[i] / d`` is ``forms[i]``; a numerator sequence
     already over ``d`` is shared, not copied.  Pairs that are each reduced
     stay reduced over ``d``."""
-    d = math.lcm(*[den for den, _ in forms])
-    return d, [nums if den == d else [v * (d // den) for v in nums] for den, nums in forms]
+    d, scales = _scales([den for den, _ in forms])
+    return d, [nums if s == 1 else [v * s for v in nums] for s, (_, nums) in zip(scales, forms)]
+
+
+def _scales(dens: Sequence[int]) -> tuple[int, list[int]]:
+    """``(d, [d // den, ...])`` for the lcm ``d`` of the positive ``dens``: the
+    factor that puts numerators over ``den`` over ``d``."""
+    d = math.lcm(*dens)
+    return d, [d // den for den in dens]
 
 
 def _convolve(acc: list[int], a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -304,6 +311,17 @@ def _reduced(den: int, nums: list[int]) -> tuple[int, list[int]]:
     if g == 1:
         return den, nums
     return den // g, [v // g for v in nums]
+
+
+def _reduced_rows(den: int, rows: list[Sequence[int]]) -> tuple[int, list[Sequence[int]]]:
+    """``den`` and every row of ``rows`` divided by the gcd of ``den`` and all their
+    numerators: the ``_reduced`` of several numerator sequences over one ``den``."""
+    g = den
+    for row in rows:
+        g = math.gcd(g, *row)
+        if g == 1:
+            return den, rows
+    return den // g, [[v // g for v in row] for row in rows]
 
 
 def as_poly(value: Poly | int | str | Fraction) -> Poly:

@@ -1,25 +1,41 @@
 """Truncated power series in ``y`` whose coefficients are polynomials in ``x``.
 
-``SeriesYX`` fixes a truncation order ``N`` and stores exactly ``N + 1``
-``Poly`` coefficients: the entry at index ``nu`` is the coefficient of
-``y**nu``.  All arithmetic truncates back to the carried order.  Combining
-two series of different orders raises ``ValueError`` instead of silently
-coercing; a truncation order is part of the meaning of the value, not a
-display choice.
+``SeriesYX`` fixes a truncation order ``N`` and stores the ``N + 1``
+coefficients in one integer form, as ``Poly`` stores one polynomial: one
+numerator tuple per power of ``y`` (ascending powers of ``x``, no trailing
+zero) over one denominator ``_den > 0``, with the gcd of ``_den`` and all
+numerators 1.  The form is canonical, so equality and hashing compare the
+integers, and ``coeffs`` and ``coeff`` build ``Poly``s only when they are
+read.  The sums of products, ``exp`` and ``pow`` compute on the numerators
+and reduce their result once.  All arithmetic truncates back to the carried
+order.  Combining two series of different orders raises ``ValueError``
+instead of silently coercing; a truncation order is part of the meaning of
+the value, not a display choice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, Iterable, Sequence
 
-from .poly import Poly, _convolve, _integer_form, _over_lcm, as_poly, as_rational
+from .poly import (
+    Poly,
+    _convolve,
+    _over_lcm,
+    _reduced,
+    _reduced_rows,
+    _scales,
+    as_poly,
+    as_rational,
+)
 
 
 class SeriesYX:
-    """Power series in ``y`` truncated at a fixed order, one ``Poly`` per power."""
+    """Power series in ``y`` truncated at a fixed order: the coefficient of
+    ``y**nu`` has the numerators ``_nums[nu]`` over the shared ``_den``."""
 
-    __slots__ = ("_order", "_coeffs")
+    __slots__ = ("_order", "_den", "_nums")
 
     def __init__(self, order: int, coeffs: Iterable[Poly | int | str | Fraction] = ()):
         if order < 0:
@@ -27,9 +43,27 @@ class SeriesYX:
         polys = [as_poly(c) for c in coeffs]
         if len(polys) > order + 1:
             raise ValueError(f"got {len(polys)} coefficients for truncation order {order}")
-        polys.extend(Poly.zero() for _ in range(order + 1 - len(polys)))
+        # reduced polynomials stay reduced over the lcm of their denominators
+        den, nums = _over_lcm([(p._den, p._nums) for p in polys])
         self._order = order
-        self._coeffs = tuple(polys)
+        self._den = den
+        self._nums = tuple(map(tuple, nums)) + ((),) * (order + 1 - len(nums))
+
+    @classmethod
+    def _of(cls, order: int, den: int, rows: list[Sequence[int]]) -> SeriesYX:
+        """``rows[nu] / den`` for ``y**nu``, ``den > 0`` and ``order + 1`` rows,
+        stripped and reduced; list rows may be stripped in place.  Every kernel
+        returns through here."""
+        for row in rows:
+            if row and not any(row):
+                row.clear()  # at once: a vanishing residual is all zeros
+            while row and not row[-1]:
+                row.pop()
+        s = object.__new__(cls)
+        s._order = order
+        s._den, rows = _reduced_rows(den, rows)
+        s._nums = tuple(map(tuple, rows))
+        return s
 
     @classmethod
     def one(cls, order: int) -> SeriesYX:
@@ -41,23 +75,23 @@ class SeriesYX:
 
     @property
     def coeffs(self) -> tuple[Poly, ...]:
-        return self._coeffs
+        return tuple([Poly._of(self._den, list(row)) for row in self._nums])
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self._coeffs)
+        return not any(self._nums)
 
     def coeff(self, nu: int) -> Poly:
         """Coefficient of ``y**nu``; beyond the order it is unknown, not zero."""
         if nu < 0 or nu > self._order:
             raise IndexError(f"coefficient index {nu} outside truncation order {self._order}")
-        return self._coeffs[nu]
+        return Poly._of(self._den, list(self._nums[nu]))
 
     def truncate(self, order: int) -> SeriesYX:
         """Drop to a lower order; raising the order would invent coefficients."""
         if order > self._order:
             raise ValueError(f"cannot extend order {self._order} series to order {order}")
-        return SeriesYX(order, self._coeffs[: order + 1])
+        return SeriesYX._of(order, self._den, list(self._nums[: order + 1]))
 
     def _check_order(self, other: SeriesYX) -> None:
         if self._order != other._order:
@@ -65,23 +99,31 @@ class SeriesYX:
                 f"series truncation orders differ: {self._order} vs {other._order}"
             )
 
+    def _combine(self, other: SeriesYX, sign: int) -> SeriesYX:
+        """``self + sign * other`` over the lcm of the two denominators."""
+        self._check_order(other)
+        den, (sa, sb) = _scales((self._den, other._den))
+        sb *= sign
+        return SeriesYX._of(self._order, den, [
+            [sa * u + sb * v for u, v in zip_longest(a, b, fillvalue=0)]
+            for a, b in zip(self._nums, other._nums)])
+
     def __add__(self, other) -> SeriesYX:
         if not isinstance(other, SeriesYX):
             return NotImplemented
-        self._check_order(other)
-        return SeriesYX(self._order, tuple(a + b for a, b in zip(self._coeffs, other._coeffs)))
+        return self._combine(other, 1)
 
     def __sub__(self, other) -> SeriesYX:
         if not isinstance(other, SeriesYX):
             return NotImplemented
-        self._check_order(other)
-        return SeriesYX(self._order, tuple(a - b for a, b in zip(self._coeffs, other._coeffs)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> SeriesYX:
-        return SeriesYX(self._order, tuple(-c for c in self._coeffs))
+        return SeriesYX._of(self._order, self._den, [[-v for v in row] for row in self._nums])
 
     def _scale(self, factor: Poly) -> SeriesYX:
-        return SeriesYX(self._order, tuple(factor * c for c in self._coeffs))
+        return SeriesYX._of(self._order, self._den * factor._den,
+                            [_convolve([], factor._nums, row) for row in self._nums])
 
     def __mul__(self, other) -> SeriesYX:
         if isinstance(other, SeriesYX):
@@ -106,72 +148,68 @@ class SeriesYX:
         """d/dy; the result carries order ``N - 1`` since the top term is lost."""
         if self._order == 0:
             raise ValueError("cannot differentiate an order-0 series in y")
-        return SeriesYX(
-            self._order - 1,
-            tuple((nu + 1) * c for nu, c in enumerate(self._coeffs[1:])),
-        )
+        return SeriesYX._of(self._order - 1, self._den,
+                            [[nu * v for v in row] for nu, row in enumerate(self._nums[1:], 1)])
 
     def differentiate_x(self) -> SeriesYX:
-        return SeriesYX(self._order, tuple(c.derivative() for c in self._coeffs))
+        return SeriesYX._of(self._order, self._den,
+                            [[i * v for i, v in enumerate(row)][1:] for row in self._nums])
 
     def evaluate(self, x0: int | str | Fraction, y0: int | str | Fraction) -> Fraction:
         """Exact value of the truncated sum at a rational point."""
         y = as_rational(y0)
         acc = Fraction(0)
-        for c in reversed(self._coeffs):
+        for c in reversed(self.coeffs):
             acc = acc * y + c(x0)
         return acc
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SeriesYX):
             return NotImplemented
-        return self._order == other._order and self._coeffs == other._coeffs
+        return (self._order == other._order and self._den == other._den
+                and self._nums == other._nums)
 
     def __hash__(self) -> int:
-        return hash((self._order, self._coeffs))
+        return hash((self._order, self._den, self._nums))
 
     def __repr__(self) -> str:
-        return f"SeriesYX(order={self._order}, coeffs={list(self._coeffs)!r})"
+        return f"SeriesYX(order={self._order}, coeffs={list(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        parts = [f"({c})*y^{nu}" for nu, c in enumerate(self._coeffs) if not c.is_zero]
+        parts = [f"({c})*y^{nu}" for nu, c in enumerate(self.coeffs) if not c.is_zero]
         return " + ".join(parts) if parts else "0"
 
 
 def _product_sum(terms: Sequence[tuple[int | Fraction, SeriesYX, SeriesYX]]) -> SeriesYX:
     """``sum c * a * b`` over the ``(c, a, b)`` in ``terms``, every series of one order.
 
-    One bivariate convolution on integer numerators: every left factor goes
-    over one common denominator and every right factor over another, and
-    each output coefficient is one ``Poly`` of the sums over their product.
-    The left factor's zero coefficients are skipped, so a sparse factor
-    belongs on the left.
+    One bivariate convolution on the stored numerators: ``c * a * b`` is
+    ``c / (a._den * b._den)`` times the product of the numerators, so each
+    term needs one integer weight over the lcm of the terms' denominators,
+    and the result is reduced once.  The left factor's zero coefficients are
+    skipped, so a sparse factor belongs on the left.
     """
     first = terms[0][1]
     for _, a, b in terms:
         first._check_order(a)
         first._check_order(b)
     order = first._order
-    dc, weights = _integer_form([as_rational(c) for c, _, _ in terms])
-    da, lefts = _over_lcm([(p._den, p._nums) for _, a, _ in terms for p in a._coeffs])
-    db, rights = _over_lcm([(p._den, p._nums) for _, _, b in terms for p in b._coeffs])
-    size = order + 1
-    # per term: the nonzero powers of a with their numerators times c, and b's numerators
-    pairs = []
-    for w, t in zip(weights, range(0, len(lefts), size)):
-        left = [(i, [w * v for v in a]) for i, a in enumerate(lefts[t:t + size]) if a]
-        pairs.append((left, rights[t:t + size]))
-    d = dc * da * db
+    cs = [c if isinstance(c, int) else as_rational(c) for c, _, _ in terms]
+    den, scales = _scales([c.denominator * a._den * b._den for c, (_, a, b) in zip(cs, terms)])
+    weights = [c.numerator * scale for c, scale in zip(cs, scales)]
+    # per term: the nonzero powers of a with their numerators times the weight, and b's rows
+    pairs = [([(i, row if w == 1 else [w * v for v in row]) for i, row in enumerate(a._nums)
+               if row], b._nums) for w, (_, a, b) in zip(weights, terms) if w]
     out = []
-    for k in range(size):
+    for k in range(order + 1):
         acc: list[int] = []
         for left, right in pairs:
-            for i, a in left:
+            for i, row in left:
                 if i > k:
                     break
-                _convolve(acc, a, right[k - i])
-        out.append(Poly._of(d, acc))
-    return SeriesYX(order, out)
+                _convolve(acc, row, right[k - i])
+        out.append(acc)
+    return SeriesYX._of(order, den, out)
 
 
 def poly_shift_substitute(p: Poly, q: Poly, order: int) -> SeriesYX:
@@ -198,18 +236,21 @@ def _first_order(s: SeriesYX, weight: Callable[[int, int], int], scale: int = 1)
 
     The first-order equations in ``y`` of ``exp(s)`` and ``s**alpha`` give this
     recurrence (J. C. P. Miller's; Knuth, TAOCP vol. 2, 4.7): each ``f_n`` is
-    one pass of integer convolutions over ``s``, not a sum of powers of ``s``.
-    The weights are integers and ``scale`` is a positive integer.
+    one pass of integer convolutions over ``s``'s stored numerators, not a sum
+    of powers of ``s``.  The weights are integers and ``scale`` is a positive
+    integer.  ``f_0 .. f_{n-1}`` are kept over one denominator; each new
+    ``f_n`` is reduced and joins them over the lcm.
     """
-    ds, s_nums = _over_lcm([(p._den, p._nums) for p in s.coeffs])
-    f = [Poly.one()]
-    for n in range(1, s.order + 1):
-        df, f_nums = _over_lcm([(p._den, p._nums) for p in f])
+    ds, s_nums = s._den, s._nums
+    den = 1
+    f: list[Sequence[int]] = [[1]]
+    for n in range(1, s._order + 1):
         acc: list[int] = []
         for k in range(1, n + 1):
-            _convolve(acc, [weight(n, k) * v for v in s_nums[k]], f_nums[n - k])
-        f.append(Poly._of(n * scale * ds * df, acc))
-    return SeriesYX(s.order, f)
+            if s_nums[k]:
+                _convolve(acc, [weight(n, k) * v for v in s_nums[k]], f[n - k])
+        den, f = _over_lcm([*((den, row) for row in f), _reduced(n * scale * ds * den, acc)])
+    return SeriesYX._of(s._order, den, f)
 
 
 def series_exp(s: SeriesYX) -> SeriesYX:

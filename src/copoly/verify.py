@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InvalidParameter, NotQuasiDefinite
 from .functional import hankel_minors, leibniz_residual, pearson_residual
-from .genfun import genfun_phi_factor, genfun_truncated, pde_residual, weight_ratio_series
+from .genfun import _quadratic_prefactor, genfun_truncated, pde_residual, weight_ratio_series
 from .oracle import chebyshev_ops, cross_validate, orthogonality_matrix, three_term_coefficients
 from .poly import Poly
 from .rodrigues import (
@@ -31,6 +31,7 @@ from .rodrigues import (
     rodrigues_rk,
     sturm_liouville_residual,
 )
+from .series import SeriesYX
 
 
 @dataclass
@@ -134,11 +135,18 @@ def _suite_genfun(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) ->
     weight = weight_ratio_series(pair, order) if pair.name in FAMILIES else None
     if weight is None:
         tally.notes.append("closed-form/weight checks skipped: no catalog weight for this pair")
+    else:
+        prefactor = _quadratic_prefactor(pair, order)
+        power = SeriesYX.one(order)
     for n in range(max_n + 1):
         truncated = genfun_truncated(pair, n, order)
         if weight is not None:
-            # the closed form genfun_closed_form(pair, n, order), sharing one weight ratio
-            tally.check(truncated == genfun_phi_factor(pair, n, order) * weight,
+            # the closed form genfun_closed_form(pair, n, order), sharing one weight ratio;
+            # its factor (phi(x + y phi)/phi)^n is prefactor * (the factor at n - 1),
+            # one product with a three-term left factor
+            if n:
+                power = prefactor * power
+            tally.check(truncated == power * weight,
                         f"n={n}: truncated series != closed form at order {order}")
         for which, residual in pde_residual(pair, n, order).items():
             tally.check(residual.is_zero, f"n={n}: identity {which} residual nonzero")

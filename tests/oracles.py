@@ -127,6 +127,45 @@ def cauchy_product(a, b) -> list[Poly]:
     return out
 
 
+# A truncated series in y as rows of Fraction coefficients, one row per power of
+# y: the references for SeriesYX's integer kernels.  Results keep their zeros;
+# series_rows strips them for comparison.
+
+def series_rows(rows) -> list[list[Fraction]]:
+    """``rows`` with every trailing zero coefficient of every row removed."""
+    out = []
+    for row in rows:
+        row = [Fraction(c) for c in row]
+        while row and row[-1] == 0:
+            row.pop()
+        out.append(row)
+    return out
+
+
+def series_rows_sum(a, b, c: Fraction | int = 1) -> list[list[Fraction]]:
+    """``a + c * b``, row by row."""
+    return [_fraction_sum(x, [c * v for v in y]) for x, y in zip(a, b)]
+
+
+def series_rows_product(a, b) -> list[list[Fraction]]:
+    """``a * b`` truncated to ``len(a)`` rows: ``sum_{i+j=k} a_i b_j`` by ``Fraction``s."""
+    out = []
+    for k in range(len(a)):
+        acc: list[Fraction] = []
+        for i in range(k + 1):
+            acc = _fraction_sum(acc, _fraction_product(a[i], b[k - i]))
+        out.append(acc)
+    return out
+
+
+def series_rows_dx(a) -> list[list[Fraction]]:
+    return [[i * c for i, c in enumerate(row)][1:] for row in a]
+
+
+def series_rows_dy(a) -> list[list[Fraction]]:
+    return [[k * c for c in row] for k, row in enumerate(a[1:], 1)]
+
+
 def _power_sum(s, weights) -> list[Poly]:
     """``sum_k weights[k] * s**k``, every power of ``s`` built by ``cauchy_product``."""
     out = [Poly.zero()] * len(s)

@@ -647,6 +647,29 @@ class TestGenfun:
         doc = json.loads(out)
         assert doc["truncated"] == [["1"], ["0", "-2"]]
 
+    @pytest.mark.parametrize("order, truncated", [
+        (0, [["1"]]),
+        (1, [["1"], ["1", "-17/3"]]),
+    ])
+    def test_lowest_orders(self, capsys, order, truncated):
+        code, out, _ = run_cli(capsys, "genfun", "--family", "jacobi", "--alpha", "1/3",
+                               "--beta", "4/3", "--n", "2", "--order", str(order))
+        assert code == 0
+        assert json.loads(out) == {
+            "family": "jacobi", "params": {"alpha": "1/3", "beta": "4/3"}, "n": 2,
+            "order": order, "truncated": truncated, "closed_form": truncated,
+            "difference": [[]] * (order + 1)}
+
+    @pytest.mark.parametrize("argv, rows", [
+        (("--family", "hermite", "--n", "2", "--order", "0"), ["y^{0} & 1 & 0 \\\\"]),
+        (("--family", "bessel", "--alpha", "1/3", "--n", "3", "--order", "1"),
+         ["y^{0} & 1 & 0 \\\\", "y^{1} & \\frac{19}{3} x + 2 & 0 \\\\"]),
+    ], ids=["hermite-order-0", "bessel-order-1"])
+    def test_lowest_orders_latex(self, capsys, argv, rows):
+        code, out, _ = run_cli(capsys, "genfun", *argv, "--format", "latex")
+        assert code == 0
+        assert out.splitlines()[2:] == [*rows, "\\end{array}"]
+
     def test_custom_pair_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "genfun", "--phi", "x", "--psi", "1 - x", "--n", "2"

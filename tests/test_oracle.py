@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import copoly.oracle
 import oracles
 from conftest import moments_by_index, rationals, small_polys
 from copoly import (
@@ -235,3 +237,43 @@ class TestCrossValidate:
     def test_mismatch_names_first_degree(self, hermite_pair, legendre_pair):
         # Degrees 0 and 1 are 1 and x for both families; degree 2 differs.
         assert cross_validate(hermite_pair, gram_schmidt_ops(legendre_pair.u, 3)) == 2
+
+    @pytest.mark.parametrize("perturb", [
+        lambda p: p + 1, lambda p: p + Poly.x(), lambda p: 2 * p, lambda p: p / 3,
+        lambda p: Poly.zero(), lambda p: p * Poly.x()],
+        ids=["constant", "linear", "doubled", "third", "zero", "raised"])
+    def test_perturbed_polynomial_is_reported(self, jacobi_pair, perturb):
+        ops = chebyshev_ops(jacobi_pair.u, 5)
+        polys = list(ops.polys)
+        polys[2] = perturb(polys[2])
+        assert cross_validate(jacobi_pair, ops) is None
+        assert cross_validate(jacobi_pair, replace(ops, polys=tuple(polys))) == 2
+
+    @pytest.mark.parametrize("row", [Poly.zero(), Poly.x(), Poly([1, 0, 0, 5])],
+                             ids=["zero", "short", "long"])
+    def test_wrong_row_reports_its_degree(self, jacobi_pair, monkeypatch, row):
+        # a zero row has no monic form, and a row of the wrong degree has no
+        # matching coefficients: both report the degree instead of raising
+        original = copoly.oracle.complementary
+        monkeypatch.setattr(copoly.oracle, "complementary",
+                            lambda pair, n, nu: row if n == 2 else original(pair, n, nu))
+        ops = chebyshev_ops(jacobi_pair.u, 5)
+        assert cross_validate(jacobi_pair, ops) == 2
+        # against its own monic form the row agrees; a zero row has none, so it
+        # differs even from a zero polynomial
+        polys = list(ops.polys)
+        polys[2] = row.monic() if row else row
+        assert cross_validate(jacobi_pair, replace(ops, polys=tuple(polys))) == (
+            None if row else 2)
+
+    @given(st.integers(0, 5), st.lists(rationals(4, 3), min_size=1, max_size=4))
+    def test_agrees_with_monic_division(self, m, shift):
+        # the cross-multiplied comparison against the Poly division it replaced
+        pair = jacobi_family(Fraction(1, 3), Fraction(4, 3))
+        ops = chebyshev_ops(pair.u, 5)
+        polys = list(ops.polys)
+        polys[m] = polys[m] + Poly(shift)
+        perturbed = replace(ops, polys=tuple(polys))
+        expected = next((k for k, p in enumerate(polys)
+                         if complementary(pair, k, k).monic() != p), None)
+        assert cross_validate(pair, perturbed) == expected

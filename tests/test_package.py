@@ -97,6 +97,32 @@ def test_functional_calculus_computes_on_stored_forms():
     assert (coeffs, fractions) == ([], [])
 
 
+def test_series_kernels_compute_on_stored_forms():
+    """``SeriesYX`` holds one integer form, and its kernels and
+    ``genfun_truncated`` read it: none of them reads ``.coeffs`` or calls
+    ``coeff``, which build ``Poly``s."""
+    modules = _modules()
+    cls = next(node for node in ast.walk(modules["series.py"])
+               if isinstance(node, ast.ClassDef) and node.name == "SeriesYX")
+    slots = next(ast.literal_eval(node.value) for node in cls.body
+                 if isinstance(node, ast.Assign) and node.targets[0].id == "__slots__")
+    kernels = {"series.py": {"_product_sum", "_first_order", "_of", "truncate", "_combine",
+                             "__neg__", "_scale", "differentiate_x", "differentiate_y",
+                             "is_zero", "__eq__", "__hash__"},
+               "genfun.py": {"genfun_truncated"}}
+    found = {(name, function.name) for name, names in kernels.items()
+             for function in ast.walk(modules[name])
+             if isinstance(function, ast.FunctionDef) and function.name in names}
+    reads = [(name, function.name, node.lineno) for name, names in kernels.items()
+             for function in ast.walk(modules[name])
+             if isinstance(function, ast.FunctionDef) and function.name in names
+             for node in ast.walk(function)
+             if isinstance(node, ast.Attribute) and node.attr in ("coeffs", "coeff")]
+    assert slots == ("_order", "_den", "_nums")
+    assert found == {(name, function) for name, names in kernels.items() for function in names}
+    assert reads == []
+
+
 def test_exp_and_pow_have_no_loop_of_their_own():
     """Both are one check and one call of the shared first-order recurrence."""
     loops = [(function.name, node.lineno)

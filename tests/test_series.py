@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import mixed_rationals, rationals, small_polys
+from conftest import PRIME_DENOMINATORS, mixed_rationals, rationals, small_polys
 from copoly import (
     Poly,
     SeriesYX,
@@ -154,6 +155,91 @@ class TestProductSum:
                       [(1, s2, s2), (1, s3, s3)]):
             with pytest.raises(ValueError, match="orders differ"):
                 _product_sum(terms)
+
+
+def _assert_stored(s):
+    """The stored form: ``order + 1`` integer rows without trailing zeros over
+    one positive denominator, reduced; zero is all rows empty over 1."""
+    assert type(s._den) is int and s._den > 0
+    assert len(s._nums) == s.order + 1
+    for row in s._nums:
+        assert type(row) is tuple and all(type(v) is int for v in row)
+        assert not row or row[-1] != 0
+    assert math.gcd(s._den, *(v for row in s._nums for v in row)) == 1
+
+
+def _rows(s) -> list[list[Fraction]]:
+    """The coefficients of ``s`` as ``Fraction`` rows, read through ``coeffs``."""
+    assert all(type(c) is Poly for c in s.coeffs)
+    return [list(c.coeffs) for c in s.coeffs]
+
+
+def fraction_rows(order: int):
+    """``order + 1`` rows of mixed rationals, zeros and empty rows included."""
+    return st.lists(st.lists(mixed_rationals(), max_size=4), min_size=order + 1,
+                    max_size=order + 1)
+
+
+def _over(*dens):
+    """One row per denominator, each coefficient over its own unrelated prime."""
+    return [Fraction(k + 1, d) for k, d in enumerate(dens)]
+
+
+P1, P2, P3, P4, P5 = PRIME_DENOMINATORS
+
+
+class TestStoredForm:
+    """The integer form against ``Fraction`` rows from ``tests/oracles.py``."""
+
+    @given(st.integers(0, 5).flatmap(lambda order: st.tuples(
+        st.just(order), fraction_rows(order), fraction_rows(order), mixed_rationals())))
+    # the five-prime shape: every coefficient over its own 20-bit prime
+    @example((2, [_over(P1, P2), _over(P3), [0, *_over(P4, P5)]],
+              [_over(P5, P4, P3), [], _over(P2, P1)], Fraction(3, P1)))
+    @example((0, [_over(P1, P2, P3)], [_over(P4, P5)], Fraction(-1)))
+    @example((3, [[], [0, 0], [], [Fraction(0)]], [[1], [], [0, 2], []], Fraction(0)))
+    @example((0, [[]], [[]], Fraction(1)))
+    def test_kernels_match_fraction_oracle(self, operands):
+        order, ra, rb, c = operands
+        a, b = (SeriesYX(order, [Poly(row) for row in rows]) for rows in (ra, rb))
+        zero = [[]] * (order + 1)
+        checks = [
+            (a, ra),
+            (b, rb),
+            (a + b, oracles.series_rows_sum(ra, rb)),
+            (a - b, oracles.series_rows_sum(ra, rb, -1)),
+            (a - a, zero),
+            (-a, oracles.series_rows_sum(zero, ra, -1)),
+            (a * b, oracles.series_rows_product(ra, rb)),
+            (_product_sum([(c, a, b), (1, b, a)]),
+             oracles.series_rows_sum(oracles.series_rows_product(rb, ra),
+                                     oracles.series_rows_product(ra, rb), c)),
+            (a.differentiate_x(), oracles.series_rows_dx(ra)),
+            *((a.truncate(k), ra[:k + 1]) for k in range(order + 1)),
+            *(((a.differentiate_y(), oracles.series_rows_dy(ra)),) if order else ()),
+        ]
+        for result, expected in checks:
+            _assert_stored(result)
+            assert _rows(result) == oracles.series_rows(expected)
+            assert result.is_zero == (not any(oracles.series_rows(expected)))
+            assert [result.coeff(nu) for nu in range(result.order + 1)] == list(result.coeffs)
+        for x, y in ((a * b, b * a), (a + SeriesYX(order), a), (SeriesYX(order, a.coeffs), a),
+                     (a - b, -(b - a))):
+            assert x == y and hash(x) == hash(y)
+        assert (a == b) == (oracles.series_rows(ra) == oracles.series_rows(rb))
+
+    def test_zero_is_one_form(self):
+        for s in (SeriesYX(2), SeriesYX(2, [0, Poly.zero(), "0"]), SeriesYX.one(2) - SeriesYX.one(2),
+                  series(2, [1], ["1/3"]).differentiate_x()):
+            _assert_stored(s)
+            assert (s._den, s._nums) == (1, ((), (), ()))
+            assert s == SeriesYX(2) and hash(s) == hash(SeriesYX(2))
+
+    def test_truncation_reduces(self):
+        # the top row carries the denominator 5; without it the series is over 1
+        s = series(1, [2, 4], ["1/5"]).truncate(0)
+        assert (s._den, s._nums) == (1, ((2, 4),))
+        assert s == series(0, [2, 4])
 
 
 class TestCalculus:

@@ -206,6 +206,23 @@ class TestFailureDetection:
         with pytest.raises(TypeError, match="internal fault"):
             verify_pair(hermite_pair, suites=("ode",), max_n=2, order=4)
 
+    def test_genfun_suite_sees_one_perturbed_row(self):
+        # C_2(x; 3) off by x: the series of n = 3 is wrong in every check that
+        # reads it, and n = 4 reads it through its *_lower identities
+        pair = jacobi_family(Fraction(1, 3), Fraction(4, 3))
+        pair.rows(3, 8)
+        pair._rows[3][2] += Poly.x()
+        tally = copoly.verify._Tally()
+        copoly.verify._suite_genfun(pair, 5, 8, tally)
+        assert tally.checks == 34
+        assert tally.failures == [
+            "n=3: truncated series != closed form at order 8",
+            *(f"n=3: identity {which} residual nonzero"
+              for which in ("y_self", "y_lower", "x_self", "x_lower", "master")),
+            "n=4: identity y_lower residual nonzero",
+            "n=4: identity x_lower residual nonzero",
+        ]
+
     def test_custom_suite_runs_on_consistent_custom_pair(self):
         pair = ClassicalPair(Poly([2, 1]), Poly([1, -1]), Fraction(1, 2), max_order=40)
         report = verify_pair(pair, max_n=3, order=6)
