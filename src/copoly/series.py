@@ -194,7 +194,7 @@ def _product_sum(terms: Sequence[tuple[int | Fraction, SeriesYX, SeriesYX]]) -> 
         first._check_order(a)
         first._check_order(b)
     order = first._order
-    cs = [c if isinstance(c, int) else as_rational(c) for c, _, _ in terms]
+    cs = [as_rational(c) for c, _, _ in terms]
     den, scales = _scales([c.denominator * a._den * b._den for c, (_, a, b) in zip(cs, terms)])
     weights = [c.numerator * scale for c, scale in zip(cs, scales)]
     # per term: the nonzero powers of a with their numerators times the weight, and b's rows
