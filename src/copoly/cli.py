@@ -35,7 +35,8 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Iterable
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator
 
 from .errors import CopolyError, InvalidParameter
 from .genfun import genfun_closed_form, genfun_truncated
@@ -47,6 +48,7 @@ from .rodrigues import (
     ClassicalPair,
     FamilySpec,
     _catalog_spec as _catalog_lookup,
+    _row_stream,
     lambda_n,
     mu_eigenvalue,
     pair_from_family,
@@ -149,28 +151,44 @@ def _print_json(doc) -> None:
     sys.stdout.write("\n")
 
 
+class _TextRows:
+    """Rows of ``poly._coefficient_texts`` strings, which ``_write_json`` writes as a
+    list of lists and reads once, as it writes them."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Iterable[list[str]]):
+        self.rows = rows
+
+
 _JSON_CONTAINERS = (dict, list, tuple)
 
 
 def _write_json(write, value, indent: str) -> None:
     """``value`` through ``write`` as the ``indent=2`` encoder would write it at ``indent``.
 
-    Dicts (with ``str`` keys), lists and tuples are framed here, and every
-    scalar is one ``json.dumps`` call.  Items are written one at a time, not
-    joined: a joined row of 401 long coefficients is held twice over, in its
-    items and in the row, which raised ``compute --n 400`` JSON's peak memory.
+    Dicts (with ``str`` keys), lists and tuples are framed here, a ``str`` is
+    quoted by ``encode_basestring_ascii`` (where ``json.dumps`` ends for one),
+    and every other scalar is one ``json.dumps`` call.  A ``_TextRows`` is
+    written row by row, each row as one joined string (``_write_text_rows``).
     A module function, not a closure over ``write``: a recursive closure is a
     reference cycle, which would keep each captured stdout alive until the
     cyclic collector runs."""
+    if isinstance(value, str):
+        write(encode_basestring_ascii(value))
+        return
+    if isinstance(value, _TextRows):
+        _write_text_rows(write, value.rows, indent)
+        return
     if not (isinstance(value, _JSON_CONTAINERS) and value):
-        write(json.dumps(value))  # a scalar, {} or []
+        write(json.dumps(value))  # a non-text scalar, {} or []
         return
     inner = indent + "  "
     comma = ",\n" + inner
     if isinstance(value, dict):
         write("{\n" + inner)
         for i, (key, item) in enumerate(value.items()):
-            write(f"{comma if i else ''}{json.dumps(key)}: ")
+            write(f"{comma if i else ''}{encode_basestring_ascii(key)}: ")
             _write_json(write, item, inner)
         write(f"\n{indent}}}")
     else:
@@ -179,6 +197,23 @@ def _write_json(write, value, indent: str) -> None:
             write(comma if i else "")
             _write_json(write, item, inner)
         write(f"\n{indent}]")
+
+
+def _write_text_rows(write, rows: Iterable[list[str]], indent: str) -> None:
+    """``rows`` as ``_write_json`` writes a list of lists of strings at ``indent``, each
+    row's items joined into one string: a ``poly._coefficient_texts`` string matches
+    ``-?[0-9]+(/[0-9]+)?``, so it needs no escaping."""
+    inner, cell = indent + "  ", indent + "    "
+    i = -1
+    for i, texts in enumerate(rows):
+        write((",\n" if i else "[\n") + inner)
+        if texts:
+            write(f'[\n{cell}"')
+            write(f'",\n{cell}"'.join(texts))
+            write(f'"\n{inner}]')
+        else:
+            write("[]")
+    write("[]" if i < 0 else f"\n{indent}]")
 
 
 def _print_latex_array(comment: str, rows: Iterable[tuple[str, str, str]]) -> None:
@@ -190,17 +225,19 @@ def _print_latex_array(comment: str, rows: Iterable[tuple[str, str, str]]) -> No
     print("\\end{array}")
 
 
-def _compute_rows(pair: ClassicalPair, n: int, nu: int | None) -> list[tuple[int, Fraction, Poly]]:
-    """``(nu, mu, row)`` for every row of the table at ``n``, or for row ``nu`` alone;
-    no row past the last one returned is built."""
-    indices = range(n + 1) if nu is None else (nu,)
-    rows = pair.rows(n, indices[-1])
-    return [(v, mu_eigenvalue(pair, n, v), rows[v]) for v in indices]
+def _compute_rows(pair: ClassicalPair, n: int, nu: int | None) -> Iterator[tuple[int, Fraction, Poly]]:
+    """``(nu, mu, row)`` for every row of the table at ``n``, or for row ``nu`` alone,
+    each as it is built; no row past the last one yielded is built, and none is kept."""
+    for v, row in enumerate(_row_stream(pair, n, n if nu is None else nu)):
+        if nu is None or v == nu:
+            yield v, mu_eigenvalue(pair, n, v), row
 
 
 def build_compute_document(pair: ClassicalPair, n: int, nu: int | None = None) -> dict:
-    """The JSON document emitted by ``compute``; also used by tests directly."""
-    rows = _compute_rows(pair, n, nu)
+    """The JSON document of ``compute``, held whole.  ``compute`` itself streams it
+    (``_print_compute_json``); this is the reference its output must equal, as
+    ``json.dump(doc, indent=2)`` writes it, and tests call it directly."""
+    rows = list(_compute_rows(pair, n, nu))
     return {
         "family": pair.name,
         "params": _params_doc(pair.params),
@@ -209,6 +246,27 @@ def build_compute_document(pair: ClassicalPair, n: int, nu: int | None = None) -
         "lambda": str(lambda_n(pair, n)),
         "mu": [[str(mu) for _, mu, _ in rows]],
     }
+
+
+def _print_compute_json(pair: ClassicalPair, n: int, nu: int | None) -> None:
+    """``build_compute_document(pair, n, nu)`` on stdout, each row written as it is
+    built and then let go; only the short ``mu`` strings are collected."""
+    mus: list[str] = []
+
+    def texts() -> Iterator[list[str]]:
+        for _, mu, row in _compute_rows(pair, n, nu):
+            mus.append(str(mu))
+            yield poly_to_strings(row)
+
+    # a dict writes its keys in order, so "mu" is written after "rows" has filled it
+    _print_json({
+        "family": pair.name,
+        "params": _params_doc(pair.params),
+        "n": n,
+        "rows": _TextRows(texts()),
+        "lambda": str(lambda_n(pair, n)),
+        "mu": [mus],
+    })
 
 
 def _rows_pair(spec: FamilySpec, n: int) -> ClassicalPair:
@@ -224,7 +282,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     nu = None if args.nu is None else _check_size("--nu", args.nu, n)
     pair = _rows_pair(spec, n)
     if args.format == "json":
-        _print_json(build_compute_document(pair, n, nu))
+        _print_compute_json(pair, n, nu)
     elif args.format == "latex":
         _print_latex_array(
             f"family {pair.name}, n = {n}, lambda = {rational_latex(lambda_n(pair, n))}",
@@ -291,9 +349,9 @@ def cmd_genfun(args: argparse.Namespace) -> int:
             "params": _params_doc(pair.params),
             "n": n,
             "order": order,
-            "truncated": series_to_strings(truncated),
-            "closed_form": series_to_strings(closed),
-            "difference": series_to_strings(difference),
+            "truncated": _TextRows(series_to_strings(truncated)),
+            "closed_form": _TextRows(series_to_strings(closed)),
+            "difference": _TextRows(series_to_strings(difference)),
         }
         _print_json(doc)
     return 0

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .errors import InvalidParameter
 from .functional import (
@@ -206,7 +206,7 @@ class ClassicalPair:
             raise IndexError(f"count must be >= 0, got {count}")
         rows = self._rows.setdefault(n, [])
         if len(rows) <= count:
-            rows.extend(_comp_rows(self, n, count, rows))
+            rows.extend(_comp_rows(self, n, count, len(rows), rows[-1] if rows else None))
         return rows[: count + 1]
 
     def weighted_row(self, n: int, nu: int) -> MomentFunctional:
@@ -256,18 +256,19 @@ def rodrigues_rk(pair: ClassicalPair, k: int, base: int, p: Poly) -> Poly:
 
 
 def _comp_rows(pair: ClassicalPair, n: int, count: int,
-               prefix: Sequence[Poly] = ()) -> list[Poly]:
-    """The rows after ``prefix = [C_0, ...]`` through ``C_count``, newly built."""
+               start: int = 0, last: Poly | None = None) -> list[Poly]:
+    """Rows ``C_start .. C_count``, newly built from ``last = C_{start-1}`` (unread
+    when ``start`` is 0)."""
     # The recursion coefficient (n - nu - 1) goes negative past nu = n; that
     # continuation is what the generating series needs, so no bound check here.
     # Each row is a Poly: its integer numerators over one reduced denominator
     # are the recursion's state.  With phi and psi over their common
     # denominator ``scale``, a step is two integer convolutions and one gcd.
-    out = [] if prefix else [Poly.one()]
-    row = (prefix or out)[-1]
+    out = [] if start else [Poly.one()]
+    row = last if start else out[0]
     scale, (phi, psi) = _over_lcm([(p._den, p._nums) for p in (pair.phi, pair.psi)])
     dphi = [i * c for i, c in enumerate(phi)][1:]
-    for nu in range(max(len(prefix) - 1, 0), count):
+    for nu in range(max(start - 1, 0), count):
         k = n - nu - 1
         factor = [a + k * b for a, b in zip_longest(psi, dphi, fillvalue=0)]
         num = row._nums
@@ -275,6 +276,21 @@ def _comp_rows(pair: ClassicalPair, n: int, count: int,
         row = Poly._of(row._den * scale, _convolve(_convolve([], phi, dnum), factor, num))
         out.append(row)
     return out
+
+
+# Rows per ``_comp_rows`` call in ``_row_stream``: a call pays about 8 us to set up.
+_ROW_BLOCK = 8
+
+
+def _row_stream(pair: ClassicalPair, n: int, count: int) -> Iterator[Poly]:
+    """Rows ``C_0 .. C_count`` of ``n``, built ``_ROW_BLOCK`` at a time as they are asked
+    for; only the current block is held, and ``pair.rows``'s memo is not filled."""
+    last = None
+    for start in range(0, count + 1, _ROW_BLOCK):
+        block = _comp_rows(pair, n, min(start + _ROW_BLOCK - 1, count), start, last)
+        last = block[-1]
+        yield from block
+        del block  # the next block is built from ``last`` alone
 
 
 def complementary(pair: ClassicalPair, n: int, nu: int) -> Poly:

@@ -7,19 +7,22 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import src_env
+from conftest import mixed_rationals, src_env
 from copoly import (
     FAMILIES,
+    ClassicalPair,
     InvalidParameter,
     Poly,
     as_rational,
@@ -28,6 +31,8 @@ from copoly import (
     mu_eigenvalue,
 )
 import copoly.cli
+import copoly.poly
+import copoly.rodrigues
 import copoly.verify
 from copoly.cli import (
     MAX_COEFF_BITS,
@@ -153,10 +158,19 @@ class TestComputeJson:
         assert doc["family"] == "jacobi"
         assert doc["rows"] == [["1"], ["0", "-2"]]
 
-    def test_single_row_builds_no_later_row(self):
-        pair = jacobi_family(Fraction(1, 3), Fraction(4, 3))
-        build_compute_document(pair, 40, 3)
-        assert len(pair._rows[40]) == 4
+    def test_single_row_builds_no_later_row(self, capsys, monkeypatch):
+        original = copoly.rodrigues._comp_rows
+        built = []
+
+        def counted(*args):
+            rows = original(*args)
+            built.append(len(rows))
+            return rows
+        monkeypatch.setattr(copoly.rodrigues, "_comp_rows", counted)
+        code, out, _ = run_cli(capsys, "compute", "--family", "jacobi", "--alpha", "1/3",
+                               "--beta", "4/3", "--n", "40", "--nu", "3", "--format", "json")
+        assert code == 0 and len(json.loads(out)["rows"]) == 1
+        assert sum(built) == 4
 
 
 class TestComputeLatex:
@@ -980,3 +994,109 @@ class TestJsonWriter:
     @given(_JSON_TREES)
     def test_any_tree(self, doc):
         assert _printed_json(doc) == _json_dump(doc)
+
+
+class _Discard(io.TextIOBase):
+    """A stdout that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+
+class _PipeClosedAfter(io.TextIOBase):
+    """A stdout whose reader goes away once ``limit`` characters were written."""
+
+    def __init__(self, limit):
+        self.left = limit
+
+    def write(self, text):
+        self.left -= len(text)
+        if self.left < 0:
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+
+class TestComputeStream:
+    """``compute`` writes each row as it is built, in the bytes of the whole document."""
+
+    PAIRS = [
+        (("--family", "hermite"), hermite_family),
+        (("--family", "laguerre", "--alpha", "1/2"), lambda: laguerre_family(Fraction(1, 2))),
+        (("--family", "jacobi", "--alpha", "1/3", "--beta", "4/3"),
+         lambda: jacobi_family(Fraction(1, 3), Fraction(4, 3))),
+        (("--family", "bessel", "--alpha", "1/3"), lambda: bessel_family(Fraction(1, 3))),
+        (("--phi", "3 - x + 2*x^2", "--psi", "1 + 5*x", "--u0", "2/3"),
+         lambda: ClassicalPair(Poly([3, -1, 2]), Poly([1, 5]), Fraction(2, 3))),
+    ]
+
+    @pytest.mark.parametrize("flags, make", PAIRS, ids=["hermite", "laguerre", "jacobi",
+                                                        "bessel", "custom"])
+    def test_streamed_json_is_the_document(self, capsys, flags, make):
+        pair = make()
+        for n in range(13):
+            for nu in (None, *range(n + 1)):
+                extra = () if nu is None else ("--nu", str(nu))
+                code, out, err = run_cli(capsys, "compute", *flags, "--n", str(n), *extra,
+                                         "--format", "json")
+                assert (code, err) == (0, "")
+                assert out == _json_dump(build_compute_document(pair, n, nu)), (n, nu)
+
+    @settings(max_examples=200)
+    @given(st.lists(mixed_rationals(), max_size=8))
+    def test_coefficient_texts_need_no_escaping(self, coeffs):
+        # the joined row writer quotes a row with one join on this grammar
+        for text in copoly.poly._coefficient_texts(Poly(coeffs)):
+            assert re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text)
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "latex"])
+    def test_compute_reads_no_row_memo(self, capsys, monkeypatch, fmt):
+        def memo(*args):
+            raise AssertionError("compute filled the row memo")
+        monkeypatch.setattr(ClassicalPair, "rows", memo)
+        code, out, _ = run_cli(capsys, "compute", "--family", "laguerre", "--alpha", "1/3",
+                               "--n", "20", "--format", fmt)
+        assert code == 0 and out
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "latex"])
+    def test_peak_memory_holds_about_one_row(self, monkeypatch, fmt):
+        # whole-document builds peaked at 4.4-13.4 MiB here; one row at n = 200 is 0.06 MiB
+        monkeypatch.setattr(sys, "stdout", _Discard())
+        tracemalloc.start()
+        try:
+            code = main(["compute", "--family", "jacobi", "--alpha", "1/3", "--beta", "4/3",
+                         "--n", "200", "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "latex"])
+    @pytest.mark.parametrize("argv", [
+        ("--phi", "x^2", "--psi=-x", "--n", "4"),
+        ("--family", "hermite", "--n", "3", "--nu", "4"),
+        ("--phi", "x", "--psi", f"1 - {2 ** MAX_COEFF_BITS}*x", "--n", "400"),
+    ], ids=["inadmissible", "nu-above-n", "coefficient-over-cap"])
+    def test_refusal_prints_nothing(self, capsys, argv, fmt):
+        code, out, err = run_cli(capsys, "compute", *argv, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "latex"])
+    def test_lowered_integer_string_limit_prints_nothing(self, fmt):
+        env = dict(src_env(), PYTHONINTMAXSTRDIGITS="640")
+        proc = subprocess.run(
+            [sys.executable, "-m", "copoly", "compute", "--family", "jacobi", "--alpha", "1/3",
+             "--beta", "4/3", "--n", "400", "--format", fmt],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: the integer string limit is 640 digits")
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "latex"])
+    def test_pipe_closed_mid_table_exits_141_silently(self, capsys, monkeypatch, fmt):
+        sink = _PipeClosedAfter(4096)
+        monkeypatch.setattr(sys, "stdout", sink)
+        code = main(["compute", "--family", "jacobi", "--alpha", "1/3", "--beta", "4/3",
+                     "--n", "60", "--format", fmt])
+        assert (code, capsys.readouterr().err) == (141, "")
+        assert sink.left < 0

@@ -335,14 +335,22 @@ class TestRowKernel:
         count = n + past
         rows = oracles.comp_rows(pair.phi, pair.psi, n, count)
         cut = data.draw(st.integers(1, count + 1))
-        got = copoly.rodrigues._comp_rows(pair, n, count, rows[:cut])
+        got = copoly.rodrigues._comp_rows(pair, n, count, cut, rows[cut - 1])
         assert got == rows[cut:]
 
     @given(kernel_pairs(), st.integers(0, 10), st.integers(1, 6), st.data())
     def test_nothing_to_build(self, pair, n, size, data):
-        prefix = oracles.comp_rows(pair.phi, pair.psi, n, size - 1)
+        last = oracles.comp_rows(pair.phi, pair.psi, n, size - 1)[-1]
         count = data.draw(st.integers(-1, size - 1))
-        assert copoly.rodrigues._comp_rows(pair, n, count, prefix) == []
+        assert copoly.rodrigues._comp_rows(pair, n, count, size, last) == []
+
+    @settings(max_examples=40)
+    @given(kernel_pairs(), st.integers(0, 20), st.integers(0, 20))
+    def test_row_stream_matches_reference(self, pair, n, count):
+        # blocks of _ROW_BLOCK rows, each continued from the last row of the one before
+        expected = oracles.comp_rows(pair.phi, pair.psi, n, count)
+        assert list(copoly.rodrigues._row_stream(pair, n, count)) == expected
+        assert pair._rows == {}
 
     def test_unrelated_prime_denominators(self):
         phi = Poly([Fraction(1, 1048573), Fraction(3, 1048571), Fraction(5, 1048559)])
