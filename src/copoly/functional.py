@@ -264,31 +264,34 @@ def hankel_minors(u: MomentFunctional, n: int) -> list[Fraction]:
     ``Delta_m`` is the product of the first ``m + 1`` pivots.  The list ends
     at the first zero: no pivot exists past it without a swap.  Each row is
     held as integer numerators over one denominator, so a row update costs
-    integer products and one gcd instead of a ``Fraction`` per entry.
+    integer products and one gcd instead of a ``Fraction`` per entry.  Every
+    step leaves the uneliminated block symmetric, so row ``r`` keeps only its
+    columns ``c >= r`` and reads its column-``k`` entry off the pivot row.
     """
     if n < 0:
         raise IndexError("Hankel order must be >= 0")
     den, ints = u._form(2 * n)
-    # rows[r] holds the uneliminated columns of row r, from column k on at step k
-    rows = [(den, ints[r:r + n + 1]) for r in range(n + 1)]
+    # rows[r] = (d, row) with row[c - r] / d the entry in column c >= r of row r
+    rows = [(den, ints[2 * r:r + n + 1]) for r in range(n + 1)]
     minors: list[Fraction] = []
     delta = Fraction(1)
     for k in range(n + 1):
-        pivot_den, pivot_row = rows[k]
+        dk, pivot_row = rows[k]
         p = pivot_row[0]
-        delta *= Fraction(p, pivot_den)
+        delta *= Fraction(p, dk)
         minors.append(delta)
         if p == 0:
             break
-        tail = pivot_row[1:]
+        dkp = dk * p
         for r in range(k + 1, n + 1):
-            d, row = rows[r]
-            f = row[0]
+            f = pivot_row[r - k]  # the column-k entry of row r, over dk
             if f == 0:
-                rows[r] = (d, row[1:])
                 continue
-            # row - (f/d) / (p/pivot_den) * pivot_row == (p*row - f*pivot)/(d*p)
-            rows[r] = _reduced(d * p, [p * x - f * y for x, y in zip(row[1:], tail)])
+            dr, row = rows[r]
+            drf = dr * f
+            # row - (f/dk) / (p/dk) * pivot_row == (dk*p*row - dr*f*pivot_row) / (dr*dk*p)
+            rows[r] = _reduced(dr * dkp, [dkp * x - drf * y
+                                          for x, y in zip(row, pivot_row[r - k:])])
     return minors
 
 

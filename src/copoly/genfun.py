@@ -85,17 +85,23 @@ def genfun_closed_form(pair: ClassicalPair, n: int, order: int) -> SeriesYX:
     return genfun_phi_factor(pair, n, order) * weight_ratio_series(pair, order)
 
 
-def pde_residual(pair: ClassicalPair, n: int, order: int) -> dict[str, SeriesYX]:
+def pde_residual(pair: ClassicalPair, n: int, order: int, *, full: SeriesYX | None = None,
+                 lower: SeriesYX | None = None) -> dict[str, SeriesYX]:
     """Residuals of the generating-series identities, keyed as in ``PDE_IDENTITIES``.
 
     The series is built at truncation ``order``; differentiating in ``y``
     loses the top coefficient, so every residual is returned (and vanishes)
     at order ``order - 1``.  The ``*_lower`` identities relate ``n`` to
-    ``n - 1`` and are present only for ``n >= 1``.
+    ``n - 1`` and are present only for ``n >= 1``.  A caller that has built
+    ``G(n)`` at ``order`` or ``G(n - 1)`` at ``order - 1`` already passes it as
+    ``full`` or ``lower``; a series not passed is built here.
     """
     if order < 2:
         raise ValueError("order must be >= 2 to leave room for d/dy")
-
+    if full is None:
+        full = genfun_truncated(pair, n, order)
+    if lower is None and n >= 1:
+        lower = genfun_truncated(pair, n - 1, order - 1)
     m = order - 1
     phi, psi = pair.phi, pair.psi
     dphi = phi.derivative()
@@ -103,7 +109,6 @@ def pde_residual(pair: ClassicalPair, n: int, order: int) -> dict[str, SeriesYX]
     c1 = psi + (n - 1) * dphi
     c1d = c1.derivative()
 
-    full = genfun_truncated(pair, n, order)
     g = full.truncate(m)
     dy = full.differentiate_y()
     dx = full.differentiate_x().truncate(m)
@@ -122,7 +127,6 @@ def pde_residual(pair: ClassicalPair, n: int, order: int) -> dict[str, SeriesYX]
         "master": _product_sum([(1, const_phi, y_self)]),
     }
     if n >= 1:
-        lower = genfun_truncated(pair, n - 1, m)
         outer = SeriesYX(m, [Poly.one(), dphi])
         residuals["y_lower"] = _product_sum([(1, SeriesYX.one(m), dy), (-1, shifted, lower)])
         residuals["x_lower"] = _product_sum([(1, const_phi, dx), (-1, outer * shifted, lower),

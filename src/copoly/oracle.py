@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .errors import NotQuasiDefinite
 from .functional import MomentFunctional, functional_apply
-from .poly import Poly, _over_lcm, _reduced
+from .poly import Poly, _convolve, _over_lcm, _reduced
 from .rodrigues import ClassicalPair, complementary
 
 
@@ -122,29 +122,35 @@ def _step(ahead: tuple[int, Sequence[int]], here: tuple[int, Sequence[int]],
     return d, [p - an * q - bn * r for p, q, r in zip_longest(x, y, z, fillvalue=0)]
 
 
-def orthogonality_matrix(u: MomentFunctional,
-                         polys: Sequence[Poly]) -> list[list[Fraction]]:
-    """Gram matrix ``G[i][j] = <u, polys[i] * polys[j]>``.
+def _gram_numerators(u: MomentFunctional,
+                     polys: Sequence[Poly]) -> tuple[int, list[int], list[list[int]]]:
+    """``(mden, dens, upper)`` with ``<u, polys[i] * polys[j]>`` equal to
+    ``upper[i][j - i] / (dens[i] * dens[j] * mden)`` for ``i <= j``.
 
     Computed as ``C H C^T`` on integer numerators: ``C`` holds each
-    polynomial's numerators over its own denominator and ``H`` the Hankel
-    matrix of ``u``'s stored numerators, so each entry costs integer products
-    and one ``Fraction``.  ``G`` is symmetric, so only ``i <= j`` is
-    computed.  No moment past ``2 * max degree`` is read.
+    polynomial's numerators over its own denominator ``dens[i]`` and ``H``
+    the Hankel matrix of ``u``'s stored numerators over ``mden``.  The Gram
+    matrix is symmetric, so only its upper triangle is computed.  No moment
+    past ``2 * max degree`` is read.
     """
-    size = len(polys)
     width = max((len(p._nums) for p in polys), default=0)
-    if width == 0:
-        return [[Fraction(0)] * size for _ in range(size)]
     mden, hankel = u._form(2 * width - 2)
     # ch[i][b] = sum_a C[i][a] H[a][b]
     ch = [[sum(map(mul, p._nums, hankel[b:b + width])) for b in range(width)] for p in polys]
+    return mden, [p._den for p in polys], [[sum(map(mul, ch[i], q._nums)) for q in polys[i:]]
+                                           for i in range(len(polys))]
+
+
+def orthogonality_matrix(u: MomentFunctional,
+                         polys: Sequence[Poly]) -> list[list[Fraction]]:
+    """Gram matrix ``G[i][j] = <u, polys[i] * polys[j]>``, one ``Fraction`` per entry
+    of ``_gram_numerators``'s upper triangle."""
+    mden, dens, upper = _gram_numerators(u, polys)
+    size = len(polys)
     gram = [[Fraction(0)] * size for _ in range(size)]
-    for i, p in enumerate(polys):
-        for j in range(i, size):
-            q = polys[j]
-            entry = Fraction(sum(map(mul, ch[i], q._nums)), p._den * q._den * mden)
-            gram[i][j] = gram[j][i] = entry
+    for i, row in enumerate(upper):
+        for j, entry in enumerate(row, i):
+            gram[i][j] = gram[j][i] = Fraction(entry, dens[i] * dens[j] * mden)
     return gram
 
 
@@ -152,14 +158,17 @@ def three_term_coefficients(ops: MonicOPS) -> list[tuple[Fraction, Fraction]]:
     """Recurrence data ``(a_m, b_m)`` with ``P_{m+1} = (x - a_m) P_m - b_m P_{m-1}``.
 
     ``a_m = <u, x P_m**2> / r_m`` and ``b_m = r_m / r_{m-1}``; ``b_0`` is
-    reported as 0 since ``P_{-1} = 0`` removes it from the recurrence.
+    reported as 0 since ``P_{-1} = 0`` removes it from the recurrence.  With
+    ``P_m = c / d``, ``<u, x P_m**2>`` is the integer square ``c * c`` dotted with
+    ``u``'s stored numerators shifted by one, over ``d**2``, and each ``a_m`` is
+    one ``Fraction``.
     """
-    u = ops.functional
-    x = Poly.x()
+    width = max((len(p._nums) for p in ops.polys), default=0)
+    mden, moments = ops.functional._form(2 * width - 1)
     out: list[tuple[Fraction, Fraction]] = []
-    for m in range(len(ops.polys)):
-        p, r = ops.polys[m], ops.norms[m]
-        a = functional_apply(u, x * p * p) / r
+    for m, (p, r) in enumerate(zip(ops.polys, ops.norms)):
+        dot = sum(map(mul, _convolve([], p._nums, p._nums), moments[1:2 * len(p._nums)]))
+        a = Fraction(dot * r.denominator, p._den * p._den * mden * r.numerator)
         b = Fraction(0) if m == 0 else r / ops.norms[m - 1]
         out.append((a, b))
     return out

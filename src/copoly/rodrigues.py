@@ -235,9 +235,16 @@ def psi_k(pair: ClassicalPair, k: int) -> Poly:
 def rodrigues_r1(pair: ClassicalPair, k: int, p: Poly) -> Poly:
     """One Rodrigues step at base index ``k``: ``p -> phi p' + psi_k p``.
 
-    This is the polynomial ``q`` with ``(p u_{k+1})' = q u_k``.
+    This is the polynomial ``q`` with ``(p u_{k+1})' = q u_k``.  With phi and
+    psi over their common denominator ``scale``, the step is two integer
+    convolutions, ``phi * p'`` and ``psi_k * p``, and one reduction.
     """
-    return pair.phi * p.derivative() + psi_k(pair, k) * p
+    scale, (phi, psi) = _over_lcm([(q._den, q._nums) for q in (pair.phi, pair.psi)])
+    dphi = [i * c for i, c in enumerate(phi)][1:]
+    factor = [a + k * b for a, b in zip_longest(psi, dphi, fillvalue=0)]
+    num = p._nums
+    dnum = [i * c for i, c in enumerate(num)][1:]
+    return Poly._of(p._den * scale, _convolve(_convolve([], phi, dnum), factor, num))
 
 
 def rodrigues_rk(pair: ClassicalPair, k: int, base: int, p: Poly) -> Poly:
@@ -259,21 +266,25 @@ def _comp_rows(pair: ClassicalPair, n: int, count: int,
                start: int = 0, last: Poly | None = None) -> list[Poly]:
     """Rows ``C_start .. C_count``, newly built from ``last = C_{start-1}`` (unread
     when ``start`` is 0)."""
-    # The recursion coefficient (n - nu - 1) goes negative past nu = n; that
+    # The recursion coefficient k = n - nu - 1 goes negative past nu = n; that
     # continuation is what the generating series needs, so no bound check here.
     # Each row is a Poly: its integer numerators over one reduced denominator
-    # are the recursion's state.  With phi and psi over their common
-    # denominator ``scale``, a step is two integer convolutions and one gcd.
+    # are the recursion's state.  With phi = (p0 + p1 x + p2 x^2) / s and
+    # psi = (q0 + q1 x) / s, the x^j numerator of phi C' + (psi + k phi') C
+    # over den(C) s is the three-term stencil
+    #   (j+1) p0 c[j+1] + ((j+k) p1 + q0) c[j] + ((j+2k-1) p2 + q1) c[j-1].
     out = [] if start else [Poly.one()]
     row = last if start else out[0]
     scale, (phi, psi) = _over_lcm([(p._den, p._nums) for p in (pair.phi, pair.psi)])
-    dphi = [i * c for i, c in enumerate(phi)][1:]
+    p0, p1, p2 = [*phi, 0, 0, 0][:3]
+    q0, q1 = [*psi, 0, 0][:2]
     for nu in range(max(start - 1, 0), count):
         k = n - nu - 1
-        factor = [a + k * b for a, b in zip_longest(psi, dphi, fillvalue=0)]
-        num = row._nums
-        dnum = [i * c for i, c in enumerate(num)][1:]
-        row = Poly._of(row._den * scale, _convolve(_convolve([], phi, dnum), factor, num))
+        mid, low = q0 + k * p1, q1 + (2 * k - 1) * p2
+        c = [0, *row._nums, 0, 0]  # c[j + 1] is the x^j numerator
+        row = Poly._of(row._den * scale, [
+            (j + 1) * p0 * above + (mid + j * p1) * here + (low + j * p2) * below
+            for j, (below, here, above) in enumerate(zip(c, c[1:], c[2:]))])
         out.append(row)
     return out
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import InvalidParameter, NotQuasiDefinite
 from .functional import hankel_minors, leibniz_residual, pearson_residual
 from .genfun import _quadratic_prefactor, genfun_truncated, pde_residual, weight_ratio_series
-from .oracle import chebyshev_ops, cross_validate, orthogonality_matrix, three_term_coefficients
+from .oracle import _gram_numerators, _step, chebyshev_ops, cross_validate, three_term_coefficients
 from .poly import Poly
 from .rodrigues import (
     FAMILIES,
@@ -31,7 +31,6 @@ from .rodrigues import (
     rodrigues_rk,
     sturm_liouville_residual,
 )
-from .series import SeriesYX
 
 
 @dataclass
@@ -132,24 +131,27 @@ def _suite_functional(pair: ClassicalPair, max_n: int, order: int, tally: _Tally
 
 
 def _suite_genfun(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) -> None:
-    weight = weight_ratio_series(pair, order) if pair.name in FAMILIES else None
-    if weight is None:
+    # Each G(n) is built once: the identities of n read it, and the *_lower
+    # identities of n + 1 read it truncated to order - 1.
+    closed = weight_ratio_series(pair, order) if pair.name in FAMILIES else None
+    if closed is None:
         tally.notes.append("closed-form/weight checks skipped: no catalog weight for this pair")
     else:
         prefactor = _quadratic_prefactor(pair, order)
-        power = SeriesYX.one(order)
+    lower = None
     for n in range(max_n + 1):
         truncated = genfun_truncated(pair, n, order)
-        if weight is not None:
-            # the closed form genfun_closed_form(pair, n, order), sharing one weight ratio;
-            # its factor (phi(x + y phi)/phi)^n is prefactor * (the factor at n - 1),
-            # one product with a three-term left factor
+        if closed is not None:
+            # the closed form genfun_closed_form(pair, n, order): the weight ratio
+            # times (phi(x + y phi)/phi)^n, that is prefactor * (the closed form at
+            # n - 1), one product with a three-term left factor
             if n:
-                power = prefactor * power
-            tally.check(truncated == power * weight,
+                closed = prefactor * closed
+            tally.check(truncated == closed,
                         f"n={n}: truncated series != closed form at order {order}")
-        for which, residual in pde_residual(pair, n, order).items():
+        for which, residual in pde_residual(pair, n, order, full=truncated, lower=lower).items():
             tally.check(residual.is_zero, f"n={n}: identity {which} residual nonzero")
+        lower = truncated.truncate(order - 1)
 
 
 def _suite_oracle(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) -> None:
@@ -159,13 +161,18 @@ def _suite_oracle(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) ->
         tally.notes.append("oracle checks skipped: moment functional is not quasi-definite "
                            f"(Hankel determinant of order {exc.level} vanishes)")
         return
-    gram = orthogonality_matrix(pair.u, ops.polys)
+    # Gram entry (i, j) is upper[i][j - i] / (dens[i] dens[j] mden) for i <= j
+    mden, dens, upper = _gram_numerators(pair.u, ops.polys)
     for i in range(max_n + 1):
         for j in range(max_n + 1):
             if i == j:
-                tally.check(gram[i][j] == ops.norms[i], f"degree {i}: Gram diagonal != squared norm")
+                norm = ops.norms[i]
+                tally.check(upper[i][0] * norm.denominator
+                            == norm.numerator * dens[i] * dens[i] * mden,
+                            f"degree {i}: Gram diagonal != squared norm")
             else:
-                tally.check(gram[i][j] == 0, f"degrees ({i},{j}): Gram entry nonzero")
+                tally.check(not upper[min(i, j)][abs(i - j)],
+                            f"degrees ({i},{j}): Gram entry nonzero")
     previous = Fraction(1)
     for m, delta in enumerate(hankel_minors(pair.u, max_n)):
         if delta == 0:
@@ -174,11 +181,11 @@ def _suite_oracle(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) ->
         tally.check(ops.norms[m] == delta / previous, f"degree {m}: norm != Hankel ratio")
         previous = delta
     coeffs = three_term_coefficients(ops)
-    x = Poly.x()
     # the top entry has no successor inside the computed range
     for m, (a, b) in enumerate(coeffs[:-1]):
-        below = ops.polys[m - 1] if m >= 1 else Poly.zero()
-        tally.check(ops.polys[m + 1] == (x - a) * ops.polys[m] - b * below,
+        p, q = ops.polys[m], ops.polys[m - 1] if m >= 1 else Poly.zero()
+        step = _step((p._den, (0, *p._nums)), (p._den, p._nums), (q._den, q._nums), a, b)
+        tally.check(Poly._of(*step) == ops.polys[m + 1],
                     f"degree {m}: three-term reconstruction fails")
     degree = cross_validate(pair, ops)
     tally.check(degree is None, f"cross validation: monic diagonal row {degree} differs "

@@ -13,7 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from copoly import NotQuasiDefinite, Poly
+from copoly import NotQuasiDefinite, Poly, functional_apply
 
 
 def rising(a: Fraction | int, k: int) -> Fraction:
@@ -114,6 +114,25 @@ def comp_rows(phi: Poly, psi: Poly, n: int, count: int) -> list[Poly]:
         rows.append(_fraction_sum(_fraction_product(phi.coeffs, drow),
                                   _fraction_product(factor, row)))
     return [Poly(r) for r in rows]
+
+
+def rodrigues_step_rows(phi: Poly, psi: Poly, n: int, count: int) -> list[Poly]:
+    """Rows ``C_0 .. C_count`` by ``Poly`` arithmetic, one step
+    ``C_{nu+1} = phi C_nu' + (psi + k phi') C_nu`` with ``k = n - nu - 1`` at a time:
+    the operator form that the integer stencil in ``_comp_rows`` expands."""
+    rows = [Poly.one()]
+    for nu in range(count):
+        k = n - nu - 1
+        rows.append(phi * rows[-1].derivative() + (psi + k * phi.derivative()) * rows[-1])
+    return rows
+
+
+def three_term_pairing(u, polys, norms) -> list[tuple[Fraction, Fraction]]:
+    """``(a_m, b_m)`` with ``a_m = <u, x P_m**2> / r_m`` from ``Poly`` products and the
+    pairing ``functional_apply``, and ``b_m = r_m / r_{m-1}`` (``b_0 = 0``)."""
+    x = Poly.x()
+    return [(functional_apply(u, x * p * p) / r, Fraction(0) if m == 0 else r / norms[m - 1])
+            for m, (p, r) in enumerate(zip(polys, norms))]
 
 
 def cauchy_product(a, b) -> list[Poly]:

@@ -24,6 +24,7 @@ from copoly import (
     hankel_determinant,
     hankel_minors,
     jacobi_family,
+    laguerre_family,
     leibniz_residual,
     moments_from_pearson,
     pearson_residual,
@@ -535,6 +536,13 @@ class TestHankelMinors:
         for pair in family_pairs.values():
             minors = hankel_minors(pair.u, 12)
             assert minors == [hankel_determinant(pair.u, m) for m in range(13)]
+
+    def test_stops_at_the_first_vanishing_level(self):
+        # a Pearson functional whose Delta_2 vanishes, read to the verify cap
+        u = laguerre_family(-2).u
+        expected = [hankel_determinant(u, m) for m in range(3)]
+        assert expected[-1] == 0 != expected[-2]
+        assert hankel_minors(u, 24) == expected
 
     @pytest.mark.parametrize("name", sorted(PHI_PSI))
     def test_pearson_pairs_through_level_twelve(self, name):

@@ -138,6 +138,18 @@ class TestPdeResiduals:
         assert tuple(pde_residual(laguerre_pair, 0, order=4)) == ("y_self", "x_self", "master")
         assert tuple(pde_residual(laguerre_pair, 1, order=4)) == PDE_IDENTITIES
 
+    def test_series_passed_in_are_read_as_built(self, jacobi_pair):
+        # the genfun suite passes G(n) and the truncated G(n - 1) it built already;
+        # a G(n - 1) perturbed by y breaks exactly the *_lower identities
+        full = genfun_truncated(jacobi_pair, 3, 6)
+        lower = genfun_truncated(jacobi_pair, 2, 6).truncate(5)
+        assert pde_residual(jacobi_pair, 3, 6, full=full, lower=lower) == pde_residual(
+            jacobi_pair, 3, 6)
+        wrong = lower + SeriesYX(5, [0, 1])
+        residuals = pde_residual(jacobi_pair, 3, 6, full=full, lower=wrong)
+        assert [which for which, res in residuals.items() if not res.is_zero] == [
+            "y_lower", "x_lower"]
+
     def test_deep_spot_check(self, jacobi_pair):
         res = pde_residual(jacobi_pair, 4, order=6)["x_lower"]
         assert res.is_zero

@@ -189,6 +189,18 @@ class TestOrthogonalityMatrix:
         assert orthogonality_matrix(u, polys) == [
             [functional_apply(u, p * q) for q in polys] for p in polys]
 
+    @given(st.lists(small_polys(5), max_size=6), st.data())
+    def test_numerators_match_pairing(self, polys, data):
+        top = max((p.degree for p in polys if p), default=0)
+        u = MomentFunctional(initial=data.draw(st.lists(rationals(), min_size=2 * top + 1,
+                                                        max_size=2 * top + 1)))
+        mden, dens, upper = copoly.oracle._gram_numerators(u, polys)
+        assert [len(row) for row in upper] == list(range(len(polys), 0, -1))
+        for i, row in enumerate(upper):
+            for j, entry in enumerate(row, i):
+                expected = functional_apply(u, polys[i] * polys[j])
+                assert Fraction(entry, dens[i] * dens[j] * mden) == expected
+
     def test_mixed_rows_of_one_table_not_orthogonal(self):
         # Rows of a single table mix different weights; only the diagonal
         # across tables forms the orthogonal family.
@@ -208,6 +220,22 @@ class TestThreeTerm:
         coeffs = three_term_coefficients(ops)
         assert coeffs[0] == (0, 0)
         assert coeffs[1] == (0, Fraction(1, 3))
+
+    @pytest.mark.parametrize("build", DEEP_PAIRS)
+    def test_matches_pairing_at_depth(self, build):
+        ops = chebyshev_ops(build().u, 24)
+        assert three_term_coefficients(ops) == oracles.three_term_pairing(
+            ops.functional, ops.polys, ops.norms)
+
+    @given(rationals(), rationals(), rationals(), rationals().filter(bool), rationals(),
+           rationals(), st.integers(min_value=0, max_value=8))
+    def test_matches_pairing_on_random_pearson_pairs(self, a, b, c, d, e, u0, n):
+        try:
+            u = moments_from_pearson(Poly([c, b, a]), Poly([e, d]), u0, max_order=2 * n + 2)
+            ops = chebyshev_ops(u, n)
+        except (AdmissibilityViolation, NotQuasiDefinite):
+            assume(False)
+        assert three_term_coefficients(ops) == oracles.three_term_pairing(u, ops.polys, ops.norms)
 
     def test_reconstruction(self, family_pairs):
         # P_{m+1} = (x - a_m) P_m - b_m P_{m-1} holds degree by degree.

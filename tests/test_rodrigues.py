@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import copoly.rodrigues
 import oracles
-from conftest import mixed_rationals
+from conftest import mixed_rationals, small_polys
 from copoly import (
     AdmissibilityViolation,
     ClassicalPair,
@@ -351,6 +351,22 @@ class TestRowKernel:
         expected = oracles.comp_rows(pair.phi, pair.psi, n, count)
         assert list(copoly.rodrigues._row_stream(pair, n, count)) == expected
         assert pair._rows == {}
+
+    @settings(max_examples=60)
+    @given(kernel_pairs(), st.integers(0, 30), st.integers(0, 8), st.data())
+    def test_stencil_matches_operator_step(self, pair, n, past, data):
+        # phi of degree 0, 1 or 2 over denominators unrelated to psi's, rows past
+        # nu = n (k < 0), and a block resumed from the row before it
+        count = n + past
+        expected = oracles.rodrigues_step_rows(pair.phi, pair.psi, n, count)
+        assert copoly.rodrigues._comp_rows(pair, n, count) == expected
+        cut = data.draw(st.integers(1, count + 1))
+        got = copoly.rodrigues._comp_rows(pair, n, count, cut, expected[cut - 1])
+        assert got == expected[cut:]
+
+    @given(kernel_pairs(), st.integers(-3, 6), small_polys())
+    def test_fused_step_matches_operator_step(self, pair, k, p):
+        assert rodrigues_r1(pair, k, p) == pair.phi * p.derivative() + psi_k(pair, k) * p
 
     def test_unrelated_prime_denominators(self):
         phi = Poly([Fraction(1, 1048573), Fraction(3, 1048571), Fraction(5, 1048559)])

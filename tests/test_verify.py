@@ -78,7 +78,8 @@ class TestPassingRuns:
         assert calls == [4]
 
     def test_genfun_suite_builds_each_series_once(self, hermite_pair, monkeypatch):
-        # per n: the suite's own series, then G(n) and G(n-1) in pde_residual
+        # per n: the suite's own series G(n); the identities read it, and those
+        # of n + 1 read it truncated (building G(n) and G(n-1) again took 11)
         calls = []
         original = copoly.genfun.genfun_truncated
 
@@ -88,7 +89,7 @@ class TestPassingRuns:
         monkeypatch.setattr(copoly.verify, "genfun_truncated", counted)
         monkeypatch.setattr(copoly.genfun, "genfun_truncated", counted)
         assert verify_pair(hermite_pair, suites=("genfun",), max_n=3, order=6).passed
-        assert len(calls) == 11
+        assert calls == [(n, 6) for n in range(4)]
 
     def test_rows_are_built_once_per_pair(self, monkeypatch):
         # A fresh pair: the session fixtures carry their row memos between tests.
@@ -323,6 +324,29 @@ class TestGoldenReports:
         assert _summary(report) == (
             {"recursion": (33, ["n=3 nu=3: composition split at 1 differs"])}, [])
 
+    def test_a_wrong_memoized_row_fails_at_its_own_place(self):
+        # The rows come from the integer stencil in _comp_rows, the chain from the
+        # fused step rodrigues_r1: a memoized C_2(x; 3) off by x^2 is caught by the
+        # chain and by the split that reads it, and nowhere else.
+        pair = hermite_family()
+        pair.rows(3, 3)
+        pair._rows[3][2] += Poly.monomial(2)
+        report = verify_pair(pair, suites=("recursion",), max_n=3, order=4)
+        assert _summary(report) == ({"recursion": (33, [
+            "n=3 nu=2: recursion row != iterated operator",
+            "n=3 nu=2: composition split at 1 differs",
+        ])}, [])
+
+    def test_a_wrong_recurrence_coefficient_fails_its_degree_only(self, hermite_pair,
+                                                                   monkeypatch):
+        # a_1 off by 1: P_2 is rebuilt from a_1 alone, and P_3 from a_2 and b_2
+        original = copoly.verify.three_term_coefficients
+        monkeypatch.setattr(copoly.verify, "three_term_coefficients", lambda ops: [
+            (a + (m == 1), b) for m, (a, b) in enumerate(original(ops))])
+        report = verify_pair(hermite_pair, suites=("oracle",), max_n=3, order=4)
+        assert _summary(report) == (
+            {"oracle": (48, ["degree 1: three-term reconstruction fails"])}, [_COINCIDE])
+
     def test_vanishing_hankel_stops_the_ratio_checks(self, hermite_pair, monkeypatch):
         original = copoly.verify.hankel_minors
         monkeypatch.setattr(copoly.verify, "hankel_minors",
@@ -332,12 +356,14 @@ class TestGoldenReports:
             {"oracle": (57, ["degree 2: Hankel determinant vanishes"])}, [_COINCIDE])
 
     @pytest.mark.parametrize("name, patched, suite, checks, failures", [
-        ("orthogonality_matrix",
-         lambda orig: lambda u, polys: [
-             [v + ((i, j) in ((0, 1), (2, 2))) for j, v in enumerate(row)]
-             for i, row in enumerate(orig(u, polys))],
+        # the upper triangle is stored once, so entry (0, 1) is also read as (1, 0)
+        ("_gram_numerators",
+         lambda orig: lambda u, polys: (lambda mden, dens, upper: (mden, dens, [
+             [v + ((i, j) in ((0, 1), (2, 2))) for j, v in enumerate(row, i)]
+             for i, row in enumerate(upper)]))(*orig(u, polys)),
          "oracle", 48,
-         ["degrees (0,1): Gram entry nonzero", "degree 2: Gram diagonal != squared norm"]),
+         ["degrees (0,1): Gram entry nonzero", "degrees (1,0): Gram entry nonzero",
+          "degree 2: Gram diagonal != squared norm"]),
         ("hankel_minors",
          lambda orig: lambda u, n: [2 * d if m == 1 else d for m, d in enumerate(orig(u, n))],
          "oracle", 48, ["degree 1: norm != Hankel ratio", "degree 2: norm != Hankel ratio"]),
@@ -356,8 +382,8 @@ class TestGoldenReports:
          lambda orig: lambda pair, n, nu: Poly.one() if (n, nu) == (2, 1) else orig(pair, n, nu),
          "ode", 27, ["n=2 nu=1: differential equation residual nonzero"]),
         ("pde_residual",
-         lambda orig: lambda pair, n, order: {
-             **orig(pair, n, order), **({"x_lower": Poly.one()} if n == 1 else {})},
+         lambda orig: lambda pair, n, order, **series: {
+             **orig(pair, n, order, **series), **({"x_lower": Poly.one()} if n == 1 else {})},
          "genfun", 22, ["n=1: identity x_lower residual nonzero"]),
         ("weight_ratio_series",
          lambda orig: lambda pair, order: orig(pair, order) + SeriesYX(order, [0] * order + [1]),
