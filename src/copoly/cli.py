@@ -336,7 +336,7 @@ def cmd_genfun(args: argparse.Namespace) -> int:
     order = _check_size("--order", args.order, MAX_ORDER)
     pair = _rows_pair(spec, n)
     truncated = genfun_truncated(pair, n, order)
-    closed = genfun_closed_form(pair, n, order)  # InvalidParameter for custom
+    closed = genfun_closed_form(pair, n, order)
     difference = truncated - closed
     if args.format == "latex":
         _print_latex_array(

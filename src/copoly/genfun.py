@@ -7,12 +7,14 @@ form as
     G(y, x; n) = (phi(x + y phi) / phi)**n * rho(x + y phi) / rho(x)
 
 where ``rho`` is the weight solving the family's Pearson equation.  Both
-factors truncate exactly: the first is ``(1 + y phi' + y^2 phi'' phi / 2)**n``
-because ``phi`` is at most quadratic, and the weight ratio has an explicit
-elementary form per catalog family (for example ``exp(-2xy - y**2)`` for
-hermite).  The two constructions agree coefficient by coefficient, and the
-series satisfies a family of first-order identities in ``y`` and ``x`` whose
-residuals are computed here as truncated series that vanish identically.
+factors truncate exactly: the first is ``Phi**n = (1 + y phi' + y^2 phi'' phi/2)**n``
+because ``phi`` is at most quadratic, and the weight ratio, which is ``G(0)``,
+has an explicit elementary form per catalog family (for example
+``exp(-2xy - y**2)`` for hermite); any other pair takes ``G(0)`` from the row
+recursion, so its closed form checks the factorization ``G(n) = Phi**n G(0)``.
+Both constructions agree coefficient by coefficient, and the series satisfies
+a family of first-order identities in ``y`` and ``x`` whose residuals are
+computed here as truncated series that vanish identically.
 
 Identity keys of :func:`pde_residual` (all linear, first order):
 
@@ -32,7 +34,6 @@ Taylor: ``phi'(x + y phi) = phi' + y phi'' phi`` and
 
 from __future__ import annotations
 
-from .errors import InvalidParameter
 from .poly import Poly, _over_lcm
 from .rodrigues import FAMILIES, ClassicalPair
 from .series import SeriesYX, _product_sum, series_pow_rational
@@ -69,14 +70,12 @@ def genfun_phi_factor(pair: ClassicalPair, n: int, order: int) -> SeriesYX:
 
 
 def weight_ratio_series(pair: ClassicalPair, order: int) -> SeriesYX:
-    """``rho(x + y phi) / rho(x)`` for a catalog family, exactly truncated.
-
-    The series comes from the family's ``FAMILIES`` entry, for example
-    ``exp(-2xy - y^2)`` for hermite; any other name is unsupported.
-    """
+    """``rho(x + y phi) / rho(x)``, exactly truncated: a catalog family's ``FAMILIES``
+    series (``exp(-2xy - y^2)`` for hermite); for any other pair ``G(0)``, that is
+    ``genfun_truncated(pair, 0, order)``."""
     entry = FAMILIES.get(pair.name)
     if entry is None:
-        raise InvalidParameter(f"no closed-form weight ratio for family {pair.name!r}")
+        return genfun_truncated(pair, 0, order)
     return entry.weight_ratio(order, *(pair.params[key] for key in entry.params))
 
 

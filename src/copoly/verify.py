@@ -133,6 +133,7 @@ def _suite_functional(pair: ClassicalPair, max_n: int, order: int, tally: _Tally
 def _suite_genfun(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) -> None:
     # Each G(n) is built once: the identities of n read it, and the *_lower
     # identities of n + 1 read it truncated to order - 1.
+    # catalog only: a custom pair's weight ratio is G(0) from these same rows, no closed form
     closed = weight_ratio_series(pair, order) if pair.name in FAMILIES else None
     if closed is None:
         tally.notes.append("closed-form/weight checks skipped: no catalog weight for this pair")
@@ -142,8 +143,7 @@ def _suite_genfun(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) ->
     for n in range(max_n + 1):
         truncated = genfun_truncated(pair, n, order)
         if closed is not None:
-            # the closed form genfun_closed_form(pair, n, order): the weight ratio
-            # times (phi(x + y phi)/phi)^n, that is prefactor * (the closed form at
+            # genfun_closed_form(pair, n, order) as prefactor * (the closed form at
             # n - 1), one product with a three-term left factor
             if n:
                 closed = prefactor * closed

@@ -88,6 +88,68 @@ def laguerre_poly(n: int, alpha: Fraction | int) -> Poly:
     return cur
 
 
+def jacobi_poly(n: int, alpha: Fraction | int, beta: Fraction | int) -> Poly:
+    """Jacobi P_n^(alpha, beta) via the classical three-term recurrence
+    2(m+1)(m+1+s)(2m+s) P_{m+1}
+      = (2m+s+1)((2m+s+2)(2m+s) x + alpha^2 - beta^2) P_m - 2(m+alpha)(m+beta)(2m+s+2) P_{m-1}
+    with s = alpha + beta."""
+    a, b = Fraction(alpha), Fraction(beta)
+    s = a + b
+    if n == 0:
+        return Poly.one()
+    prev, cur = Poly.one(), Poly([(a - b) / 2, (s + 2) / 2])
+    for m in range(1, n):
+        c = 2 * m + s
+        lead = ((c + 1) * Poly([a * a - b * b, (c + 2) * c]) * cur
+                - 2 * (m + a) * (m + b) * (c + 2) * prev)
+        prev, cur = cur, lead / (2 * (m + 1) * (m + 1 + s) * c)
+    return cur
+
+
+def bessel_poly(n: int, alpha: Fraction | int) -> Poly:
+    """``B_n = 2^n y_n(x; alpha + 2, 2)``, the generalized Bessel polynomial, via
+    (m+alpha+1)(2m+alpha) B_{m+1}
+      = (2m+alpha+1)((2m+alpha+2)(2m+alpha) x + 2 alpha) B_m + 4m(2m+alpha+2) B_{m-1}
+    from B_0 = 1 and B_1 = 2 + (alpha + 2) x."""
+    a = Fraction(alpha)
+    if n == 0:
+        return Poly.one()
+    prev, cur = Poly.one(), Poly([2, a + 2])
+    for m in range(1, n):
+        c = 2 * m + a
+        lead = (c + 1) * Poly([2 * a, (c + 2) * c]) * cur + 4 * m * (c + 2) * prev
+        prev, cur = cur, lead / ((m + a + 1) * c)
+    return cur
+
+
+# (phi'', psi') of each catalog family at its parameters
+_SHAPES = {
+    "hermite": lambda: (0, -2),
+    "laguerre": lambda a: (0, -1),
+    "jacobi": lambda a, b: (-2, -(a + b + 2)),
+    "bessel": lambda a: (2, a + 2),
+}
+
+
+def classical_diagonal(name: str, n: int, *params: Fraction) -> Poly:
+    """``C_n(x; n)`` of a catalog family from its classical polynomial, under the
+    Rodrigues normalization ``C_n u = (d/dx)^n (phi^n u)``: ``(-1)^n H_n``,
+    ``n! L_n^a``, ``(-2)^n n! P_n^(a,b)`` and ``2^n y_n(x; a + 2, 2)``."""
+    if name == "hermite":
+        return (-1) ** n * hermite_poly(n)
+    if name == "laguerre":
+        return math.factorial(n) * laguerre_poly(n, *params)
+    if name == "jacobi":
+        return (-2) ** n * math.factorial(n) * jacobi_poly(n, *params)
+    return bessel_poly(n, *params)
+
+
+def row_eigenvalue(name: str, n: int, nu: int, *params: Fraction) -> Fraction:
+    """``mu(n, nu) = -nu ((2n - nu - 1) phi''/2 + psi')`` of a catalog family."""
+    phi2, psi1 = _SHAPES[name](*(Fraction(p) for p in params))
+    return -nu * (Fraction(2 * n - nu - 1, 2) * phi2 + psi1)
+
+
 def _fraction_product(a, b) -> list[Fraction]:
     """Coefficients of ``a * b``, one ``Fraction`` multiply and add per term."""
     out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)

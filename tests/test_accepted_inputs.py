@@ -2,7 +2,8 @@
 
 The paper's identities are theorems for every admissible pair, so on a pair
 the CLI accepts ``verify`` must exit 0: an exit 1 there is a false
-counterexample, and an exit 3 an internal fault.  The requests are drawn
+counterexample, and an exit 3 an internal fault; so is a nonzero ``difference``
+in an exit-0 ``genfun`` answer, custom pairs included.  The requests are drawn
 from a seeded source at small sizes, and they lean on the degenerate
 shapes: ``phi`` of degree 0, 1 and 2 (a double root included), ``u0 = 0``,
 ``psi'`` chosen so that ``psi' + k phi''/2`` vanishes just past the range of
@@ -12,6 +13,7 @@ shapes: ``phi`` of degree 0, 1 and 2 (a double root included), ``u0 = 0``,
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -84,8 +86,10 @@ def _requests(rng: random.Random):
         yield ("compute", "--n", str(n), "--format", rng.choice(["text", "json", "latex"]),
                *family), tags
     for _ in range(75):
-        family, tags = _catalog(rng)
-        yield ("genfun", "--n", str(rng.randint(0, 6)), "--order", str(rng.randint(0, 5)),
+        n = rng.randint(0, 6)
+        family, tags = (_custom(rng, max(n + 2, 2 * n - 1)) if rng.random() < 0.6
+                        else _catalog(rng))
+        yield ("genfun", "--n", str(n), "--order", str(rng.randint(0, 5)),
                "--format", rng.choice(["json", "latex"]), *family), tags
 
 
@@ -96,6 +100,12 @@ def test_accepted_requests_never_fail_or_crash(capsys):
         out, err = capsys.readouterr()
         if code == 0:
             answered |= tags
+            if argv[0] == "genfun" and "json" in argv:
+                # the closed form of an accepted pair equals its series: a nonzero
+                # difference is a false counterexample
+                difference = json.loads(out)["difference"]
+                if any(difference):
+                    faults.append((argv, code, f"difference {difference}"))
         elif code != 2 or out or not err.startswith("error:"):
             faults.append((argv, code, (err or out).strip()[-200:]))
     assert faults == []

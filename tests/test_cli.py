@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import mixed_rationals, src_env
 from copoly import (
     FAMILIES,
@@ -171,6 +172,48 @@ class TestComputeJson:
                                "--beta", "4/3", "--n", "40", "--nu", "3", "--format", "json")
         assert code == 0 and len(json.loads(out)["rows"]) == 1
         assert sum(built) == 4
+
+
+class TestComputeRowsLowering:
+    """Every row ``compute`` prints is the scaled derivative of the classical diagonal:
+    ``C_nu = (d/dx)^(n-nu) C_n / prod_{j=nu+1}^{n} (-mu(n, j))``, from the lowering
+    relation ``C_j' = -mu(n, j) C_{j-1}``; the diagonal and ``mu`` come from
+    ``oracles``, and the printed ``mu`` is checked too."""
+
+    @staticmethod
+    def _check(name, n, params, rows):
+        """``rows`` holds ``(nu, mu, row)`` for ``nu = 0 .. n``."""
+        derivative, scale = oracles.classical_diagonal(name, n, *params), Fraction(1)
+        for nu, mu, row in reversed(rows):
+            assert mu == oracles.row_eigenvalue(name, n, nu, *params)
+            assert derivative == scale * row, (name, n, nu)
+            derivative, scale = derivative.derivative(), -mu * scale
+
+    @pytest.mark.parametrize("name, params", [
+        ("hermite", ()),
+        ("laguerre", (Fraction(1, 2),)),
+        ("laguerre", (Fraction(-7, 3),)),
+        ("jacobi", (Fraction(1, 3), Fraction(4, 3))),
+        ("jacobi", (Fraction(0), Fraction(0))),
+        ("bessel", (Fraction(1, 3),)),
+        ("bessel", (Fraction(-5, 2),)),
+    ])
+    @pytest.mark.parametrize("n", [0, 1, 5, 17])
+    def test_printed_rows(self, capsys, name, params, n):
+        flags = [f"--{key}={value}" for key, value in zip(FAMILIES[name].params, params)]
+        code, out, _ = run_cli(capsys, "compute", "--family", name, *flags, "--n", str(n),
+                               "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        self._check(name, n, params, [(nu, Fraction(mu), Poly(row)) for nu, (mu, row)
+                                      in enumerate(zip(doc["mu"][0], doc["rows"]))])
+
+    def test_jacobi_at_max_n(self):
+        # the rows compute's writers print, taken before they are written: the
+        # 73 MB document would only add parsing (TestComputeStream checks the writers)
+        params = (Fraction(1, 3), Fraction(4, 3))
+        pair = jacobi_family(*params)
+        self._check("jacobi", MAX_N, params, list(copoly.cli._compute_rows(pair, MAX_N, None)))
 
 
 class TestComputeLatex:
@@ -685,11 +728,22 @@ class TestGenfun:
         assert out.splitlines()[2:] == [*rows, "\\end{array}"]
 
     def test_custom_pair_rejected(self, capsys):
-        code, _, err = run_cli(
+        # answered: a --phi/--psi pair's closed form is Phi^n G(0), with G(0) from
+        # the rows, so its difference checks that factorization
+        code, out, err = run_cli(
             capsys, "genfun", "--phi", "x", "--psi", "1 - x", "--n", "2"
         )
-        assert code == 2
-        assert "closed-form" in err
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["closed_form"] == doc["truncated"]
+        assert doc["difference"] == [[]] * 9
+
+    def test_legendre_as_custom_pair_matches_catalog(self, capsys):
+        _, custom, _ = run_cli(capsys, "genfun", "--phi", "1 - x^2", "--psi=-2*x",
+                               "--n", "5", "--order", "7")
+        _, catalog, _ = run_cli(capsys, "genfun", "--family", "legendre", "--n", "5",
+                                "--order", "7")
+        assert json.loads(custom)["closed_form"] == json.loads(catalog)["closed_form"]
 
     def test_row_that_would_lose_degree_exits_two(self, capsys):
         # the range compute checks: psi' + k phi''/2 = k - 15 vanishes at k = 15 <= 2n - 2

@@ -8,11 +8,12 @@ import pytest
 
 import copoly.genfun
 from copoly import (
+    FAMILIES,
     ClassicalPair,
     PDE_IDENTITIES,
     Poly,
-    InvalidParameter,
     SeriesYX,
+    catalog_family,
     genfun_closed_form,
     genfun_phi_factor,
     genfun_truncated,
@@ -93,10 +94,24 @@ class TestWeightRatio:
         )
 
     def test_custom_unsupported(self):
+        # a pair outside the catalog gets G(0) from the row recursion
         pair = ClassicalPair(Poly([1, 1]), Poly([0, 1]))
-        with pytest.raises(InvalidParameter,
-                           match="^no closed-form weight ratio for family 'custom'$"):
-            weight_ratio_series(pair, 3)
+        assert weight_ratio_series(pair, 3) == genfun_truncated(pair, 0, 3)
+
+    @pytest.mark.parametrize("name, points", [
+        ("hermite", [()]),
+        ("laguerre", [(ALPHA,), (Fraction(-7, 3),)]),
+        ("jacobi", [(JA, JB), (Fraction(-1, 2), Fraction(5, 2))]),
+        ("bessel", [(Fraction(1, 3),), (Fraction(-5, 2),)]),
+    ])
+    def test_catalog_ratio_is_the_rows_at_n0(self, name, points):
+        # the elementary weight ratio and G(0) of the same (phi, psi) as a custom pair
+        entry = FAMILIES[name]
+        for values in points:
+            catalog = catalog_family(name, dict(zip(entry.params, values)))
+            custom = ClassicalPair(*entry.pair(*values))
+            assert weight_ratio_series(catalog, 9) == genfun_truncated(custom, 0, 9)
+            assert weight_ratio_series(custom, 9) == weight_ratio_series(catalog, 9)
 
 
 class TestClosedForm:
@@ -117,9 +132,26 @@ class TestClosedForm:
         assert genfun_closed_form(legendre_pair, 1, 1) == expected
 
     def test_custom_pair_unsupported(self):
+        # supported: a custom pair's closed form is Phi^n G(0)
         pair = ClassicalPair(Poly([1, 1]), Poly([0, 1]), max_order=12)
-        with pytest.raises(InvalidParameter, match="^no closed-form weight ratio"):
-            genfun_closed_form(pair, 2, 4)
+        for n in range(6):
+            assert genfun_closed_form(pair, n, 4) == genfun_truncated(pair, n, 4)
+
+    def test_custom_pair_sees_a_perturbed_row(self):
+        # a wrong G(0) row breaks Phi^n G(0) at n >= 1; at n = 0 both sides read it
+        pair = ClassicalPair(Poly([3, -1, 2]), Poly([1, 5]), max_order=12)
+        pair.rows(0, 6)
+        pair._rows[0][2] += Poly.x()
+        assert genfun_closed_form(pair, 0, 6) == genfun_truncated(pair, 0, 6)
+        assert all(genfun_closed_form(pair, n, 6) != genfun_truncated(pair, n, 6)
+                   for n in range(1, 5))
+        # a wrong row of n = 3 shows at n = 3 only
+        pair = ClassicalPair(Poly([3, -1, 2]), Poly([1, 5]), max_order=12)
+        for n in range(5):
+            pair.rows(n, 6)
+        pair._rows[3][2] += Poly.x()
+        assert [n for n in range(5)
+                if genfun_closed_form(pair, n, 6) != genfun_truncated(pair, n, 6)] == [3]
 
 
 class TestPdeResiduals:
