@@ -35,7 +35,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
 from .errors import CopolyError, InvalidParameter
@@ -145,15 +144,9 @@ def _params_line(family: str, params: dict[str, Fraction]) -> str:
     return f"family: {family}  params: {shown or '(none)'}"
 
 
-def _print_json(doc) -> None:
-    """``doc`` on stdout as ``json.dump(doc, indent=2)`` writes it, then a newline."""
-    _write_json(sys.stdout.write, doc, "")
-    sys.stdout.write("\n")
-
-
 class _TextRows:
-    """Rows of ``poly._coefficient_texts`` strings, which ``_write_json`` writes as a
-    list of lists and reads once, as it writes them."""
+    """Rows of ``poly._coefficient_texts`` strings, the value of a top-level key that
+    ``_print_json`` writes as a list of lists and reads once, as it writes them."""
 
     __slots__ = ("rows",)
 
@@ -161,59 +154,50 @@ class _TextRows:
         self.rows = rows
 
 
-_JSON_CONTAINERS = (dict, list, tuple)
+_ENCODER = json.JSONEncoder(indent=2)
 
 
-def _write_json(write, value, indent: str) -> None:
-    """``value`` through ``write`` as the ``indent=2`` encoder would write it at ``indent``.
+def _print_json(doc) -> None:
+    """``doc`` on stdout as ``json.dump(doc, indent=2)`` writes it, then a newline.
 
-    Dicts (with ``str`` keys), lists and tuples are framed here, a ``str`` is
-    quoted by ``encode_basestring_ascii`` (where ``json.dumps`` ends for one),
-    and every other scalar is one ``json.dumps`` call.  A ``_TextRows`` is
-    written row by row, each row as one joined string (``_write_text_rows``).
-    A module function, not a closure over ``write``: a recursive closure is a
-    reference cycle, which would keep each captured stdout alive until the
-    cyclic collector runs."""
-    if isinstance(value, str):
-        write(encode_basestring_ascii(value))
+    Only a non-empty top-level dict (with ``str`` keys) is framed here, one key at
+    a time: a ``_TextRows`` value goes to ``_write_text_rows``, a dict, list or
+    tuple to the one ``_ENCODER`` with each newline indented two more spaces (the
+    encoder escapes every newline inside a string, so each one it writes is its
+    own), and any other value to ``json.dumps``.  Any other document is one
+    ``_ENCODER`` call."""
+    write = sys.stdout.write
+    if not (isinstance(doc, dict) and doc):
+        write(_ENCODER.encode(doc) + "\n")
         return
-    if isinstance(value, _TextRows):
-        _write_text_rows(write, value.rows, indent)
-        return
-    if not (isinstance(value, _JSON_CONTAINERS) and value):
-        write(json.dumps(value))  # a non-text scalar, {} or []
-        return
-    inner = indent + "  "
-    comma = ",\n" + inner
-    if isinstance(value, dict):
-        write("{\n" + inner)
-        for i, (key, item) in enumerate(value.items()):
-            write(f"{comma if i else ''}{encode_basestring_ascii(key)}: ")
-            _write_json(write, item, inner)
-        write(f"\n{indent}}}")
-    else:
-        write("[\n" + inner)
-        for i, item in enumerate(value):
-            write(comma if i else "")
-            _write_json(write, item, inner)
-        write(f"\n{indent}]")
+    separator = "{\n  "
+    for key, value in doc.items():
+        write(f"{separator}{json.dumps(key)}: ")
+        separator = ",\n  "
+        if isinstance(value, _TextRows):
+            _write_text_rows(write, value.rows)
+        elif isinstance(value, (dict, list, tuple)):
+            write(_ENCODER.encode(value).replace("\n", "\n  "))
+        else:
+            write(json.dumps(value))
+    write("\n}\n")
 
 
-def _write_text_rows(write, rows: Iterable[list[str]], indent: str) -> None:
-    """``rows`` as ``_write_json`` writes a list of lists of strings at ``indent``, each
-    row's items joined into one string: a ``poly._coefficient_texts`` string matches
-    ``-?[0-9]+(/[0-9]+)?``, so it needs no escaping."""
-    inner, cell = indent + "  ", indent + "    "
+def _write_text_rows(write, rows: Iterable[list[str]]) -> None:
+    """``rows`` as the ``indent=2`` encoder writes a list of lists of strings at the
+    value of a top-level key, each row's items joined into one string: a
+    ``poly._coefficient_texts`` string matches ``-?[0-9]+(/[0-9]+)?``, so it needs
+    no escaping."""
     i = -1
     for i, texts in enumerate(rows):
-        write((",\n" if i else "[\n") + inner)
+        write(",\n    " if i else "[\n    ")
         if texts:
-            write(f'[\n{cell}"')
-            write(f'",\n{cell}"'.join(texts))
-            write(f'"\n{inner}]')
+            write('[\n      "')
+            write('",\n      "'.join(texts))
+            write('"\n    ]')
         else:
             write("[]")
-    write("[]" if i < 0 else f"\n{indent}]")
+    write("[]" if i < 0 else "\n  ]")
 
 
 def _print_latex_array(comment: str, rows: Iterable[tuple[str, str, str]]) -> None:
@@ -225,48 +209,34 @@ def _print_latex_array(comment: str, rows: Iterable[tuple[str, str, str]]) -> No
     print("\\end{array}")
 
 
-def _compute_rows(pair: ClassicalPair, n: int, nu: int | None) -> Iterator[tuple[int, Fraction, Poly]]:
-    """``(nu, mu, row)`` for every row of the table at ``n``, or for row ``nu`` alone,
-    each as it is built; no row past the last one yielded is built, and none is kept."""
+def _compute_rows(pair: ClassicalPair, n: int, nu: int | None) -> Iterator[tuple[int, Poly]]:
+    """``(nu, row)`` for every row of the table at ``n``, or for row ``nu`` alone, each
+    as it is built; no row past the last one yielded is built, and none is kept."""
     for v, row in enumerate(_row_stream(pair, n, n if nu is None else nu)):
         if nu is None or v == nu:
-            yield v, mu_eigenvalue(pair, n, v), row
+            yield v, row
 
 
-def build_compute_document(pair: ClassicalPair, n: int, nu: int | None = None) -> dict:
-    """The JSON document of ``compute``, held whole.  ``compute`` itself streams it
-    (``_print_compute_json``); this is the reference its output must equal, as
-    ``json.dump(doc, indent=2)`` writes it, and tests call it directly."""
-    rows = list(_compute_rows(pair, n, nu))
+def _compute_document(pair: ClassicalPair, n: int, nu: int | None) -> dict:
+    """The JSON document of ``compute``, whose ``rows`` builds each row as
+    ``_print_json`` writes it and then lets it go."""
+    indices = range(n + 1) if nu is None else (nu,)
     return {
         "family": pair.name,
         "params": _params_doc(pair.params),
         "n": n,
-        "rows": [poly_to_strings(row) for _, _, row in rows],
+        "rows": _TextRows(poly_to_strings(row) for _, row in _compute_rows(pair, n, nu)),
         "lambda": str(lambda_n(pair, n)),
-        "mu": [[str(mu) for _, mu, _ in rows]],
+        "mu": [[str(mu_eigenvalue(pair, n, v)) for v in indices]],
     }
 
 
-def _print_compute_json(pair: ClassicalPair, n: int, nu: int | None) -> None:
-    """``build_compute_document(pair, n, nu)`` on stdout, each row written as it is
-    built and then let go; only the short ``mu`` strings are collected."""
-    mus: list[str] = []
-
-    def texts() -> Iterator[list[str]]:
-        for _, mu, row in _compute_rows(pair, n, nu):
-            mus.append(str(mu))
-            yield poly_to_strings(row)
-
-    # a dict writes its keys in order, so "mu" is written after "rows" has filled it
-    _print_json({
-        "family": pair.name,
-        "params": _params_doc(pair.params),
-        "n": n,
-        "rows": _TextRows(texts()),
-        "lambda": str(lambda_n(pair, n)),
-        "mu": [mus],
-    })
+def build_compute_document(pair: ClassicalPair, n: int, nu: int | None = None) -> dict:
+    """The JSON document of ``compute`` with its rows held in a list: ``json.dump(doc,
+    indent=2)`` writes the bytes ``compute`` streams, and tests call it directly."""
+    doc = _compute_document(pair, n, nu)
+    doc["rows"] = list(doc["rows"].rows)
+    return doc
 
 
 def _rows_pair(spec: FamilySpec, n: int) -> ClassicalPair:
@@ -282,17 +252,17 @@ def cmd_compute(args: argparse.Namespace) -> int:
     nu = None if args.nu is None else _check_size("--nu", args.nu, n)
     pair = _rows_pair(spec, n)
     if args.format == "json":
-        _print_compute_json(pair, n, nu)
+        _print_json(_compute_document(pair, n, nu))
     elif args.format == "latex":
         _print_latex_array(
             f"family {pair.name}, n = {n}, lambda = {rational_latex(lambda_n(pair, n))}",
-            ((f"\\nu={v}", f"\\mu={rational_latex(mu)}", poly_latex(row))
-             for v, mu, row in _compute_rows(pair, n, nu)))
+            ((f"\\nu={v}", f"\\mu={rational_latex(mu_eigenvalue(pair, n, v))}", poly_latex(row))
+             for v, row in _compute_rows(pair, n, nu)))
     else:
         print(_params_line(pair.name, pair.params))
         print(f"n = {n}, lambda = {lambda_n(pair, n)}")
-        for v, mu, row in _compute_rows(pair, n, nu):
-            print(f"nu={v}  [mu={mu}]  {poly_text(row)}")
+        for v, row in _compute_rows(pair, n, nu):
+            print(f"nu={v}  [mu={mu_eigenvalue(pair, n, v)}]  {poly_text(row)}")
     return 0
 
 

@@ -102,19 +102,24 @@ def _bessel_ratio(order: int, alpha: Fraction) -> SeriesYX:
             * series_exp(two_y * series_pow_rational(one_plus_xy, -1)))
 
 
+# The catalog's parameter-free polynomials, built once: a pair with a catalog
+# name builds its family's pair a second time, in ClassicalPair's check.
+_ONE, _X, _X2 = Poly([1]), Poly([0, 1]), Poly([0, 0, 1])
+_ONE_MINUS_X2, _MINUS_2X = Poly([1, 0, -1]), Poly([0, -2])
+
 FAMILIES: dict[str, CatalogFamily] = {
     "hermite": CatalogFamily(
         (), "1", "-2*x",
-        lambda: (Poly([1]), Poly([0, -2])), _hermite_ratio),
+        lambda: (_ONE, _MINUS_2X), _hermite_ratio),
     "laguerre": CatalogFamily(
         ("alpha",), "x", "(alpha + 1) - x",
-        lambda a: (Poly([0, 1]), Poly([a + 1, -1])), _laguerre_ratio),
+        lambda a: (_X, Poly([a + 1, -1])), _laguerre_ratio),
     "jacobi": CatalogFamily(
         ("alpha", "beta"), "1 - x^2", "(beta - alpha) - (alpha + beta + 2)*x",
-        lambda a, b: (Poly([1, 0, -1]), Poly([b - a, -(a + b + 2)])), _jacobi_ratio),
+        lambda a, b: (_ONE_MINUS_X2, Poly([b - a, -(a + b + 2)])), _jacobi_ratio),
     "bessel": CatalogFamily(
         ("alpha",), "x^2", "(alpha + 2)*x + 2",
-        lambda a: (Poly([0, 0, 1]), Poly([2, a + 2])), _bessel_ratio),
+        lambda a: (_X2, Poly([2, a + 2])), _bessel_ratio),
 }
 
 def _catalog_spec(name: str,
@@ -166,6 +171,7 @@ def bessel_family(alpha: int | str | Fraction) -> ClassicalPair:
 class ClassicalPair:
     """A ``(phi, psi)`` pair with the Pearson functional ``u`` of ``(phi, psi, u0)``;
     ``moments_from_pearson`` checks the pair, and admissibility for ``k < max_order``.
+    A catalog ``name`` must come with that family's ``params`` and ``(phi, psi)``.
 
     Immutable apart from internal memoization: the moment sequence of ``u``
     extends on demand, the shifted functionals ``u_k = phi**k u`` are cached
@@ -185,6 +191,13 @@ class ClassicalPair:
         self.u0 = as_rational(u0)
         self.name = name
         self.params = dict(params or {})
+        family = FAMILIES.get(name)
+        if family is not None:
+            # genfun reads a catalog name's weight ratio at these params
+            values = [self.params.get(key) for key in family.params]
+            if set(self.params) != set(family.params) or family.pair(*values) != (phi, psi):
+                raise InvalidParameter(f"phi = {phi}, psi = {psi} with params {self.params} "
+                                       f"is not the catalog family {name!r}")
         self._shifted: dict[int, MomentFunctional] = {0: self.u}
         self._rows: dict[int, list[Poly]] = {}
         self._weighted: dict[tuple[int, int], MomentFunctional] = {}

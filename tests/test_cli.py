@@ -40,6 +40,7 @@ from copoly.cli import (
     MAX_N,
     MAX_ORDER,
     MAX_VERIFY_N,
+    _TextRows,
     _print_json,
     _report_to_dict,
     build_compute_document,
@@ -213,7 +214,9 @@ class TestComputeRowsLowering:
         # 73 MB document would only add parsing (TestComputeStream checks the writers)
         params = (Fraction(1, 3), Fraction(4, 3))
         pair = jacobi_family(*params)
-        self._check("jacobi", MAX_N, params, list(copoly.cli._compute_rows(pair, MAX_N, None)))
+        self._check("jacobi", MAX_N, params,
+                    [(nu, mu_eigenvalue(pair, MAX_N, nu), row)
+                     for nu, row in copoly.cli._compute_rows(pair, MAX_N, None)])
 
 
 class TestComputeLatex:
@@ -1041,9 +1044,16 @@ class TestJsonWriter:
         assert out == _json_dump(json.loads(out))
 
     @pytest.mark.parametrize("doc", [{}, [], (), [{}], {"a": []}, [[], [[]]], "x", 0, None,
-                                     float("nan"), [1.5, -0.0, float("inf"), True, None]])
+                                     float("nan"), [1.5, -0.0, float("inf"), True, None],
+                                     {"a": ["x\ny", {"k\n": "\n"}]}, {"\n": {}},
+                                     {"x": 1, "y": [[]]}])
     def test_edges(self, doc):
         assert _printed_json(doc) == _json_dump(doc)
+
+    @pytest.mark.parametrize("rows", [[], [[]], [["1"], [], ["-2/3", "0"]]])
+    def test_text_rows_between_scalars(self, rows):
+        doc = {"a": "x", "rows": _TextRows(iter(rows)), "n": 0}
+        assert _printed_json(doc) == _json_dump({"a": "x", "rows": rows, "n": 0})
 
     @given(_JSON_TREES)
     def test_any_tree(self, doc):

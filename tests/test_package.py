@@ -262,7 +262,9 @@ def test_two_ways_into_a_pair():
 def test_output_is_written_from_stored_forms():
     """The term writers and the coefficient strings read ``(_den, _nums)``, never
     ``Poly.coeffs``, and ``cli._print_json`` is the one JSON writer: nothing in
-    the package calls ``json.dump``."""
+    the package calls ``json.dump``, every ``json.dumps`` call and ``JSONEncoder``
+    sits in ``_print_json`` or in the module-level ``_ENCODER``, and no function in
+    ``cli.py`` calls itself (the framer writes only a document's top level)."""
     modules = _modules()
     writers = {"poly.py": ("_text_term", "_signed_sum", "_coefficient_texts"),
                "render.py": ("poly_to_strings", "_latex_magnitude", "_latex_term",
@@ -275,4 +277,16 @@ def test_output_is_written_from_stored_forms():
               or (isinstance(node, ast.Name) and node.id == "Fraction")]
     dumps = [(name, node.lineno) for name, tree in modules.items() for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "dump"]
-    assert (coeffs, dumps) == ([], [])
+    encoders = {(name, top.name if hasattr(top, "name") else ast.unparse(top).split(" = ")[0])
+                for name, tree in modules.items() for top in tree.body
+                for node in ast.walk(top)
+                if (isinstance(node, ast.Attribute) and node.attr in ("dumps", "JSONEncoder"))
+                or (isinstance(node, ast.Name) and node.id in ("dumps", "JSONEncoder"))
+                or (isinstance(node, ast.alias) and node.name in ("dumps", "JSONEncoder"))}
+    recursive = [function.name for function in ast.walk(modules["cli.py"])
+                 if isinstance(function, ast.FunctionDef)
+                 for node in ast.walk(function)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == function.name]
+    assert (coeffs, dumps, recursive) == ([], [], [])
+    assert encoders == {("cli.py", "_print_json"), ("cli.py", "_ENCODER")}

@@ -39,7 +39,7 @@ from copoly import (
     rodrigues_rk,
     sturm_liouville_residual,
 )
-from copoly.rodrigues import _catalog_spec, complementary_table
+from copoly.rodrigues import FamilySpec, _catalog_spec, complementary_table, pair_from_family
 
 ALPHA = Fraction(1, 2)          # laguerre fixture parameter
 JA, JB = Fraction(1, 3), 2      # jacobi fixture parameters
@@ -163,6 +163,27 @@ class TestCatalogRegistry:
     def test_unknown_name_rejected(self):
         with pytest.raises(InvalidParameter, match="unknown family 'legendre'"):
             catalog_family("legendre", {})
+
+    @pytest.mark.parametrize("phi, psi, name", [
+        (Poly([0, 1]), Poly([1, -1]), "hermite"),   # laguerre(0), read as hermite's weight
+        (Poly([1, 0, -1]), Poly([0, -2]), "jacobi"),  # legendre without its params
+    ])
+    def test_pair_named_after_a_family_it_is_not_rejected(self, phi, psi, name):
+        with pytest.raises(InvalidParameter, match=f"not the catalog family '{name}'"):
+            ClassicalPair(phi, psi, name=name)
+
+    def test_catalog_and_custom_pairs_build(self):
+        for name, family in FAMILIES.items():
+            for values in itertools.product(REGISTRY_VALUES, repeat=len(family.params)):
+                assert catalog_family(name, dict(zip(family.params, values))).name == name
+        for pair in (hermite_family(), laguerre_family(ALPHA), jacobi_family(JA, JB),
+                     bessel_family(ALPHA)):
+            assert pair.name in FAMILIES
+        params = {"alpha": ALPHA}
+        custom = pair_from_family(FamilySpec(parse_poly_expr("x", params),
+                                             parse_poly_expr("(alpha + 1) - x", params),
+                                             params=params))
+        assert (custom.name, custom.params) == ("custom", params)
 
 
 class TestPsiK:
