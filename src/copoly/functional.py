@@ -14,7 +14,8 @@ Pearson equation against ``x**k`` gives the three-term moment recurrence
 
     (d + k a) u_{k+1} + (e + k b) u_k + k c u_{k-1} = 0,
 
-with ``phi = a x^2 + b x + c`` and ``psi = d x + e``; it is solvable for
+with ``phi = (a x^2 + b x + c) / s`` and ``psi = (d x + e) / s`` over one
+denominator ``s``, which the recurrence does not need; it is solvable for
 ``u_{k+1}`` exactly when ``d + k a != 0`` (the admissibility condition,
 equivalently ``psi' + k phi''/2 != 0``).
 """
@@ -207,23 +208,34 @@ def leibniz_residual(p: Poly, u: MomentFunctional) -> MomentFunctional:
     return lhs - rhs
 
 
-def moments_from_pearson(phi: Poly, psi: Poly, u0: int | str | Fraction,
-                         max_order: int) -> MomentFunctional:
-    """Moment functional of the Pearson equation ``(phi u)' = psi u``.
+def _pearson_form(phi: Poly, psi: Poly) -> tuple[int, tuple[int, int, int], tuple[int, int]]:
+    """``(s, (c, b, a), (e, d))`` with ``phi = (a x^2 + b x + c) / s`` and
+    ``psi = (d x + e) / s``, ``s`` the lcm of their denominators.
 
-    This is the one place a pair is checked: outside the Pearson setting
-    ``deg phi <= 2``, ``deg psi = 1`` it raises ``InvalidParameter``.
-    Admissibility (``psi' + k phi''/2 != 0``) is checked eagerly for all
-    ``k < max_order``; the returned functional still extends past
-    ``max_order`` on demand, checking lazily from there.
+    This is the one place a pair is checked and read into integers: outside
+    the Pearson setting ``deg phi <= 2``, ``deg psi = 1`` it raises
+    ``InvalidParameter``.
     """
     if phi.degree > 2:
         raise InvalidParameter(f"phi must have degree <= 2, got degree {phi.degree}")
     if psi.degree != 1:
         raise InvalidParameter(f"psi must have degree exactly 1, got degree {psi.degree}")
-    # the recurrence is homogeneous in (a, b, c, d, e): take their numerators
-    _, (phi_nums, (e, d)) = _over_lcm([(phi._den, phi._nums), (psi._den, psi._nums)])
+    s, (phi_nums, (e, d)) = _over_lcm([(phi._den, phi._nums), (psi._den, psi._nums)])
     c, b, a = [*phi_nums, 0, 0, 0][:3]
+    return s, (c, b, a), (e, d)
+
+
+def moments_from_pearson(phi: Poly, psi: Poly, u0: int | str | Fraction,
+                         max_order: int) -> MomentFunctional:
+    """Moment functional of the Pearson equation ``(phi u)' = psi u``.
+
+    The pair is checked by ``_pearson_form``.  Admissibility
+    (``psi' + k phi''/2 != 0``) is checked eagerly for all ``k < max_order``;
+    the returned functional still extends past ``max_order`` on demand,
+    checking lazily from there.
+    """
+    # the recurrence is homogeneous in (a, b, c, d, e): s is not needed
+    _, (c, b, a), (e, d) = _pearson_form(phi, psi)
     for k in range(max_order):
         if d + k * a == 0:
             raise AdmissibilityViolation(k)

@@ -19,24 +19,29 @@ a second-order differential equation with eigenvalue ``mu(n, nu)``, and a
 family of functional identities relating ``C_nu u_{n-nu}`` to derivatives of
 ``C_mu u_{n-mu}``; the residual operations below state each identity as an
 exactly-zero object.
+
+A pair reads ``(phi, psi)`` into integers once, as ``functional._pearson_form``
+gives them: ``phi = (a x^2 + b x + c) / s`` and ``psi = (d x + e) / s``.  The
+Rodrigues step, the row stencil and the eigenvalues compute on those five
+integers and ``s``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .errors import InvalidParameter
 from .functional import (
     MomentFunctional,
     _combination,
+    _pearson_form,
     functional_derivative,
     functional_poly_mul,
     moments_from_pearson,
 )
-from .poly import Poly, _convolve, _over_lcm, as_rational
+from .poly import Poly, _convolve, as_rational
 from .series import SeriesYX, series_exp, series_pow_rational
 
 
@@ -170,8 +175,10 @@ def bessel_family(alpha: int | str | Fraction) -> ClassicalPair:
 
 class ClassicalPair:
     """A ``(phi, psi)`` pair with the Pearson functional ``u`` of ``(phi, psi, u0)``;
-    ``moments_from_pearson`` checks the pair, and admissibility for ``k < max_order``.
-    A catalog ``name`` must come with that family's ``params`` and ``(phi, psi)``.
+    ``_pearson_form`` checks the pair and gives its integer form ``_pearson``,
+    ``(s, (c, b, a), (e, d))``; ``moments_from_pearson`` checks admissibility for
+    ``k < max_order``.  A catalog ``name`` must come with that family's ``params``
+    and ``(phi, psi)``.
 
     Immutable apart from internal memoization: the moment sequence of ``u``
     extends on demand, the shifted functionals ``u_k = phi**k u`` are cached
@@ -179,13 +186,15 @@ class ClassicalPair:
     ``C_nu u_{n-nu}`` per ``(n, nu)``.
     """
 
-    __slots__ = ("phi", "psi", "u0", "u", "name", "params", "_shifted", "_rows", "_weighted")
+    __slots__ = ("phi", "psi", "u0", "u", "name", "params", "_pearson", "_shifted", "_rows",
+                 "_weighted")
 
     def __init__(self, phi: Poly, psi: Poly, u0: int | str | Fraction = 1,
                  name: str = "custom", params: Mapping[str, Fraction] | None = None,
                  max_order: int = 0):
         # a module global, so anything that rebinds it (a profiler, say) sees the call
         self.u = moments_from_pearson(phi, psi, u0, max_order)
+        self._pearson = _pearson_form(phi, psi)
         self.phi = phi
         self.psi = psi
         self.u0 = as_rational(u0)
@@ -248,16 +257,16 @@ def psi_k(pair: ClassicalPair, k: int) -> Poly:
 def rodrigues_r1(pair: ClassicalPair, k: int, p: Poly) -> Poly:
     """One Rodrigues step at base index ``k``: ``p -> phi p' + psi_k p``.
 
-    This is the polynomial ``q`` with ``(p u_{k+1})' = q u_k``.  With phi and
-    psi over their common denominator ``scale``, the step is two integer
-    convolutions, ``phi * p'`` and ``psi_k * p``, and one reduction.
+    This is the polynomial ``q`` with ``(p u_{k+1})' = q u_k``.  Over
+    ``den(p) s``, with ``phi = (c, b, a) / s`` and so
+    ``psi_k = (e + k b, d + 2k a) / s``, the step is two integer convolutions,
+    ``phi * p'`` and ``psi_k * p``, and one reduction.
     """
-    scale, (phi, psi) = _over_lcm([(q._den, q._nums) for q in (pair.phi, pair.psi)])
-    dphi = [i * c for i, c in enumerate(phi)][1:]
-    factor = [a + k * b for a, b in zip_longest(psi, dphi, fillvalue=0)]
+    s, (c, b, a), (e, d) = pair._pearson
     num = p._nums
-    dnum = [i * c for i, c in enumerate(num)][1:]
-    return Poly._of(p._den * scale, _convolve(_convolve([], phi, dnum), factor, num))
+    dnum = [i * v for i, v in enumerate(num)][1:]
+    return Poly._of(p._den * s, _convolve(_convolve([], (c, b, a), dnum),
+                                          (e + k * b, d + 2 * k * a), num))
 
 
 def rodrigues_rk(pair: ClassicalPair, k: int, base: int, p: Poly) -> Poly:
@@ -282,22 +291,20 @@ def _comp_rows(pair: ClassicalPair, n: int, count: int,
     # The recursion coefficient k = n - nu - 1 goes negative past nu = n; that
     # continuation is what the generating series needs, so no bound check here.
     # Each row is a Poly: its integer numerators over one reduced denominator
-    # are the recursion's state.  With phi = (p0 + p1 x + p2 x^2) / s and
-    # psi = (q0 + q1 x) / s, the x^j numerator of phi C' + (psi + k phi') C
-    # over den(C) s is the three-term stencil
-    #   (j+1) p0 c[j+1] + ((j+k) p1 + q0) c[j] + ((j+2k-1) p2 + q1) c[j-1].
+    # are the recursion's state.  With phi = (a x^2 + b x + c) / s and
+    # psi = (d x + e) / s, and r_j the x^j numerator of C, the x^j numerator
+    # of phi C' + (psi + k phi') C over den(C) s is the three-term stencil
+    #   (j+1) c r_{j+1} + ((j+k) b + e) r_j + ((j+2k-1) a + d) r_{j-1}.
     out = [] if start else [Poly.one()]
     row = last if start else out[0]
-    scale, (phi, psi) = _over_lcm([(p._den, p._nums) for p in (pair.phi, pair.psi)])
-    p0, p1, p2 = [*phi, 0, 0, 0][:3]
-    q0, q1 = [*psi, 0, 0][:2]
+    s, (c, b, a), (e, d) = pair._pearson
     for nu in range(max(start - 1, 0), count):
         k = n - nu - 1
-        mid, low = q0 + k * p1, q1 + (2 * k - 1) * p2
-        c = [0, *row._nums, 0, 0]  # c[j + 1] is the x^j numerator
-        row = Poly._of(row._den * scale, [
-            (j + 1) * p0 * above + (mid + j * p1) * here + (low + j * p2) * below
-            for j, (below, here, above) in enumerate(zip(c, c[1:], c[2:]))])
+        mid, low = e + k * b, d + (2 * k - 1) * a
+        r = [0, *row._nums, 0, 0]  # r[j + 1] is r_j
+        row = Poly._of(row._den * s, [
+            (j + 1) * c * above + (mid + j * b) * here + (low + j * a) * below
+            for j, (below, here, above) in enumerate(zip(r, r[1:], r[2:]))])
         out.append(row)
     return out
 
@@ -345,33 +352,25 @@ def complementary_table(pair: ClassicalPair, n: int) -> CompTable:
     return CompTable(n, tuple(pair.rows(n, n)))
 
 
-def _eigen_coefficients(pair: ClassicalPair) -> tuple[int, int, int]:
-    """``(A, P, s)`` with ``A / s`` the ``x**2`` coefficient of ``phi`` and ``P / s``
-    the ``x`` coefficient of ``psi``, read off their integer numerators."""
-    phi, psi = pair.phi, pair.psi
-    a = phi._nums[2] * psi._den if len(phi._nums) > 2 else 0
-    return a, psi._nums[1] * phi._den, phi._den * psi._den
-
-
 def lambda_n(pair: ClassicalPair, n: int) -> Fraction:
     """Second-order eigenvalue of the degree-``n`` orthogonal polynomial:
-    ``-n psi' - n(n-1)/2 phi''``, that is ``(-n P - n(n-1) A) / s``."""
+    ``-n psi' - n(n-1)/2 phi''``, that is ``(-n d - n(n-1) a) / s``."""
     if n < 0:
         raise IndexError("n must be >= 0")
-    a, p, s = _eigen_coefficients(pair)
-    return Fraction(-n * p - n * (n - 1) * a, s)
+    s, (_, _, a), (_, d) = pair._pearson
+    return Fraction(-n * d - n * (n - 1) * a, s)
 
 
 def mu_eigenvalue(pair: ClassicalPair, n: int, nu: int) -> Fraction:
     """Eigenvalue of row ``nu``: ``-nu ((n - (nu+1)/2) phi'' + psi')``,
-    that is ``-nu ((2n - nu - 1) A + P) / s``.
+    that is ``-nu ((2n - nu - 1) a + d) / s``.
 
     At ``nu = n`` this collapses to ``lambda_n``; at ``nu = 0`` it is zero.
     """
     if nu < 0 or nu > n:
         raise IndexError(f"nu must satisfy 0 <= nu <= n, got nu={nu}, n={n}")
-    a, p, s = _eigen_coefficients(pair)
-    return Fraction(-nu * ((2 * n - nu - 1) * a + p), s)
+    s, (_, _, a), (_, d) = pair._pearson
+    return Fraction(-nu * ((2 * n - nu - 1) * a + d), s)
 
 
 def ode_residual(pair: ClassicalPair, n: int, nu: int) -> Poly:

@@ -92,6 +92,7 @@ def _suite_recursion(pair: ClassicalPair, max_n: int, order: int, tally: _Tally)
             tally.check(row == rodrigues_rk(pair, nu - nu // 2, n - nu, chain[nu // 2]),
                         f"n={n} nu={nu}: composition split at {nu // 2} differs")
         if n >= 1:
+            # from Poly arithmetic, not pair._pearson: this checks the integer form
             tally.check(rows[1] == (n - 1) * dphi + pair.psi,
                         f"n={n} nu=1: first row != (n-1) phi' + psi")
 
@@ -192,6 +193,7 @@ def _suite_oracle(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) ->
                                 "from the moment-only polynomial")
     # Leading-coefficient probe: the expansion value is asserted; how it
     # relates to the eigenvalue ratio -lambda_j / j is recorded as a note.
+    # from Poly coefficients, not pair._pearson: these check the integer form
     psi1 = pair.psi.coefficient(1)
     phi2 = pair.phi.coefficient(2) * 2
     for k in range(0, 5):

@@ -166,29 +166,37 @@ def test_chebyshev_kernel_computes_on_integer_forms():
 
 def test_one_way_into_a_pair():
     """``ClassicalPair`` takes ``(phi, psi, u0)`` and never a functional, the
-    removed aliases stay gone, and ``moments_from_pearson`` alone reads the
-    degrees of ``phi`` and ``psi``."""
+    removed helpers stay gone, and ``_pearson_form`` alone reads ``phi`` and
+    ``psi`` into integers: no other function reads their degree, ``_nums`` or
+    ``_den``, or puts them over one denominator with ``_over_lcm``."""
     modules = _modules()
     cls = next(node for node in ast.walk(modules["rodrigues.py"])
                if isinstance(node, ast.ClassDef) and node.name == "ClassicalPair")
     init = next(node for node in cls.body
                 if isinstance(node, ast.FunctionDef) and node.name == "__init__")
     params = [arg.arg for arg in init.args.args + init.args.kwonlyargs]
-    gone = {"custom_family", "CATALOG", "check_pearson_degrees"}
+    gone = {"custom_family", "CATALOG", "check_pearson_degrees", "_eigen_coefficients"}
     uses = [(name, node.lineno) for name, tree in modules.items() for node in ast.walk(tree)
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone)
             or (isinstance(node, ast.Name) and node.id in gone)
             or (isinstance(node, ast.alias) and node.name in gone)
             or (isinstance(node, ast.Constant) and node.value in gone)]
-    checks = {(name, function.name) for name, tree in modules.items()
-              for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
-              for node in ast.walk(function)
-              if isinstance(node, ast.Attribute) and node.attr == "degree"
-              and isinstance(node.value, (ast.Name, ast.Attribute))
-              and getattr(node.value, "id", getattr(node.value, "attr", None)) in ("phi", "psi")}
-    assert (params, uses, checks) == (
+
+    def is_pair_part(node: ast.AST) -> bool:
+        return getattr(node, "id", getattr(node, "attr", None)) in ("phi", "psi")
+
+    readers = {(name, function.name) for name, tree in modules.items()
+               for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+               for node in ast.walk(function)
+               if (isinstance(node, ast.Attribute) and node.attr in ("degree", "_nums", "_den")
+                   and isinstance(node.value, (ast.Name, ast.Attribute))
+                   and is_pair_part(node.value))
+               or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_over_lcm"
+                   and any(isinstance(sub, (ast.Name, ast.Attribute)) and is_pair_part(sub)
+                           for sub in ast.walk(node)))}
+    assert (params, uses, readers) == (
         ["self", "phi", "psi", "u0", "name", "params", "max_order"], [],
-        {("functional.py", "moments_from_pearson")})
+        {("functional.py", "_pearson_form")})
 
 
 def test_one_failure_contract():

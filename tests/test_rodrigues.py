@@ -340,6 +340,26 @@ def kernel_pairs():
     return st.builds(ClassicalPair, phi, psi)
 
 
+class TestPearsonForm:
+    """``pair._pearson``, the integer form every kernel reads, against ``(phi, psi)``."""
+
+    @given(kernel_pairs())
+    def test_round_trip(self, pair):
+        s, (c, b, a), (e, d) = pair._pearson
+        assert Poly._of(s, [c, b, a]) == pair.phi
+        assert Poly._of(s, [e, d]) == pair.psi
+        assert s == math.lcm(pair.phi._den, pair.psi._den)
+
+    @pytest.mark.parametrize("phi, psi, message", [
+        (Poly.monomial(3), Poly([0, 1]), "phi must have degree <= 2, got degree 3"),
+        (Poly.one(), Poly([3]), "psi must have degree exactly 1, got degree 0"),
+    ], ids=["cubic-phi", "constant-psi"])
+    def test_pair_and_moments_refuse_the_same_degrees(self, phi, psi, message):
+        for build in (ClassicalPair, lambda phi, psi: moments_from_pearson(phi, psi, 1, 0)):
+            with pytest.raises(InvalidParameter, match=message):
+                build(phi, psi)
+
+
 class TestRowKernel:
     """``_comp_rows`` against the plain-``Fraction`` recurrence in ``oracles``."""
 
