@@ -225,6 +225,29 @@ def _pearson_form(phi: Poly, psi: Poly) -> tuple[int, tuple[int, int, int], tupl
     return s, (c, b, a), (e, d)
 
 
+def _quasi_definite(pearson: tuple[int, tuple[int, int, int], tuple[int, int]],
+                    u0: Fraction, depth: int) -> bool:
+    """Whether the Pearson functional of the integer form ``pearson`` (as
+    ``_pearson_form`` gives it) with ``u_0 = u0`` has its Hankel determinants
+    ``Delta_0 .. Delta_depth`` all nonzero, read off the pair in ``O(depth)``.
+
+    With ``d_k = k a + d`` and ``e_k = k b + e``, the monic recurrence of ``u``
+    has ``gamma_{m+1} = -(m+1) d_{m-1} phi(-e_m / d_{2m}) / (d_{2m-1} d_{2m+1})``
+    (``d_{m-1} / d_{2m-1}`` read as 1 at ``m = 0``), and ``Delta_m`` is
+    ``u0^(m+1)`` times a product of ``gamma_1 .. gamma_m``.  So, when ``u0`` and
+    ``d_0 .. d_{2 depth - 1}`` (which ``Delta_depth``'s moments need) are nonzero,
+    it is quasi-definite through ``depth`` exactly when no
+    ``d_2m^2 s phi(-e_m / d_2m) = a e_m^2 - b e_m d_2m + c d_2m^2`` vanishes for
+    ``m < depth``: ``d_{m-1}`` is among the ``d_k`` already checked.  A vanishing
+    ``d_k`` leaves the moments undefined and counts as not quasi-definite.
+    """
+    _, (c, b, a), (e, d) = pearson
+    if u0 == 0 or any(k * a + d == 0 for k in range(2 * depth)):
+        return False
+    return all(a * e_m * e_m - b * e_m * d_2m + c * d_2m * d_2m
+               for e_m, d_2m in ((m * b + e, 2 * m * a + d) for m in range(depth)))
+
+
 def moments_from_pearson(phi: Poly, psi: Poly, u0: int | str | Fraction,
                          max_order: int) -> MomentFunctional:
     """Moment functional of the Pearson equation ``(phi u)' = psi u``.

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import perm
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .errors import InvalidParameter
@@ -377,11 +378,22 @@ def ode_residual(pair: ClassicalPair, n: int, nu: int) -> Poly:
     """Residual of the row differential equation; identically zero:
 
     ``phi C_nu'' + ((n - nu) phi' + psi) C_nu' + mu(n, nu) C_nu``.
+
+    With ``r_j`` the ``x^j`` numerator of the stored row, ``m = n - nu`` and
+    ``mu(n, nu) = mu' / s``, its ``x^j`` numerator over ``den(C_nu) s`` is the stencil
+      ``c (j+2)(j+1) r_{j+2} + (b j + m b + e)(j+1) r_{j+1}
+        + (a j(j-1) + (2m a + d) j + mu') r_j``.
     """
-    p = complementary(pair, n, nu)
-    return (pair.phi * p.derivative(2)
-            + ((n - nu) * pair.phi.derivative() + pair.psi) * p.derivative()
-            + mu_eigenvalue(pair, n, nu) * p)
+    row = complementary(pair, n, nu)
+    s, (c, b, a), (e, d) = pair._pearson
+    m = n - nu
+    mid, low = m * b + e, 2 * m * a + d
+    eigen = -nu * ((2 * n - nu - 1) * a + d)
+    r = [*row._nums, 0, 0]  # r[j] is r_j
+    return Poly._of(row._den * s, [
+        c * (j + 2) * (j + 1) * two + (b * j + mid) * (j + 1) * one
+        + (a * j * (j - 1) + low * j + eigen) * here
+        for j, (here, one, two) in enumerate(zip(r, r[1:], r[2:]))])
 
 
 def sturm_liouville_residual(pair: ClassicalPair, n: int, nu: int) -> MomentFunctional:
@@ -413,15 +425,27 @@ def rodrigues_formula_residual(pair: ClassicalPair, n: int, nu: int, mu: int) ->
 def derivative_proportionality(pair: ClassicalPair, n: int, nu: int) -> Fraction | None:
     """Constant ``c`` with ``C_{n-nu}(x; n) = c * (d/dx)^nu C_n(x; n)``, or ``None``
     if no exact constant exists (which would be an implementation bug for an
-    admissible pair)."""
+    admissible pair).
+
+    The ``nu``-th derivative of ``C_n`` has numerators ``perm(j, nu) r_j`` for
+    ``j >= nu`` over ``den(C_n)``; the rows match when their lengths agree and
+    every numerator pair cross-multiplies by the two leading numerators.
+    """
     if nu < 0 or nu > n:
         raise IndexError(f"nu must satisfy 0 <= nu <= n, got nu={nu}, n={n}")
-    deriv = complementary(pair, n, n).derivative(nu)
+    diagonal = complementary(pair, n, n)
     target = complementary(pair, n, n - nu)
-    if deriv.is_zero:
+    r = diagonal._nums
+    deriv = [perm(j, nu) * r[j] for j in range(nu, len(r))]
+    if not deriv:
         return None
-    ratio = target.leading_coefficient / deriv.leading_coefficient
-    return ratio if target == ratio * deriv else None
+    t = target._nums
+    if not t:
+        raise ValueError("the zero polynomial has no leading coefficient")
+    top_d, top_t = deriv[-1], t[-1]
+    if len(t) != len(deriv) or any(x * top_d != y * top_t for x, y in zip(t, deriv)):
+        return None
+    return Fraction(top_t * diagonal._den, target._den * top_d)
 
 
 def leading_coeff_probe(pair: ClassicalPair, k: int, m: int) -> Fraction:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidParameter, NotQuasiDefinite
-from .functional import hankel_minors, leibniz_residual, pearson_residual
+from .functional import _quasi_definite, hankel_minors, leibniz_residual, pearson_residual
 from .genfun import _quadratic_prefactor, genfun_truncated, pde_residual, weight_ratio_series
 from .oracle import _gram_numerators, _step, chebyshev_ops, cross_validate, three_term_coefficients
 from .poly import Poly
@@ -50,6 +50,9 @@ class VerifyReport:
     series_order: int
     suites: list[SuiteResult] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    # whether the functional suite read its residuals only to proof depth
+    # (None: the suite did not run)
+    functional_proof: bool | None = None
 
     @property
     def passed(self) -> bool:
@@ -65,11 +68,13 @@ class VerifyReport:
 
 @dataclass
 class _Tally:
-    """The record of one suite run: checks counted, failure messages, notes."""
+    """The record of one suite run: checks counted, failure messages, notes, and
+    for the functional suite whether it ran at proof depth."""
 
     checks: int = 0
     failures: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    proof: bool | None = None
 
     def check(self, ok: bool, failure: str) -> bool:
         """Count one check; keep ``failure`` only when ``ok`` is false."""
@@ -113,21 +118,28 @@ def _suite_ode(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) -> No
 
 def _suite_functional(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) -> None:
     depth = 2 * max_n + 4
-    if (tally.check(pearson_residual(pair.phi, pair.psi, pair.u)._vanishes(depth),
-                    "pearson residual nonzero")
-            and pair.u.moment(0) == 0):
+    pearson = tally.check(pearson_residual(pair.phi, pair.psi, pair.u)._vanishes(depth),
+                          "pearson residual nonzero")
+    if pearson and pair.u.moment(0) == 0:
         tally.notes.append("functional checks are vacuous: u0 = 0, and the Pearson recurrence "
                            "is linear in u0, so every moment of u is zero")
     for probe in (Poly.one(), Poly.x(), pair.phi, pair.psi, pair.phi * pair.psi):
         tally.check(leibniz_residual(probe, pair.u)._vanishes(depth),
                     f"product rule residual nonzero for p = {probe}")
+    # Each residual of (n, nu) is r u with deg r <= 2n - nu, by Pearson (the
+    # self-adjoint one is read one moment past that, the degree of C_nu' phi^(n-nu+1)).
+    # On a u quasi-definite through deg r, moments 0 .. deg r of r u all zero force
+    # r = 0, so reading them is a proof.  The certificate reads (phi, psi, u0), not
+    # the moments, so it counts only once the moments satisfy Pearson.
+    tally.proof = pearson and _quasi_definite(pair._pearson, pair.u0, 2 * max_n + 1)
     for n in range(max_n + 1):
-        depth_n = 2 * n + 4
         for nu in range(n + 1):
-            tally.check(sturm_liouville_residual(pair, n, nu)._vanishes(depth_n),
+            adjoint_depth, rodrigues_depth = ((2 * n - nu + 1, 2 * n - nu) if tally.proof
+                                              else (2 * n + 4, 2 * n + 4))
+            tally.check(sturm_liouville_residual(pair, n, nu)._vanishes(adjoint_depth),
                         f"n={n} nu={nu}: self-adjoint residual nonzero")
             for mu in sorted({0, nu // 2}):
-                tally.check(rodrigues_formula_residual(pair, n, nu, mu)._vanishes(depth_n),
+                tally.check(rodrigues_formula_residual(pair, n, nu, mu)._vanishes(rodrigues_depth),
                             f"n={n} nu={nu} mu={mu}: functional Rodrigues residual nonzero")
 
 
@@ -246,4 +258,6 @@ def verify_pair(pair: ClassicalPair, suites: tuple[str, ...] | list[str] | None 
         report.suites.append(
             SuiteResult(name, not tally.failures, tally.checks, tally.failures, elapsed))
         report.notes.extend(tally.notes)
+        if tally.proof is not None:
+            report.functional_proof = tally.proof
     return report

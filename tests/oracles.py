@@ -189,6 +189,27 @@ def rodrigues_step_rows(phi: Poly, psi: Poly, n: int, count: int) -> list[Poly]:
     return rows
 
 
+def ode_residual(phi: Poly, psi: Poly, n: int, nu: int, row: Poly) -> Poly:
+    """``phi C'' + ((n - nu) phi' + psi) C' + mu(n, nu) C`` for ``C = row`` by ``Poly``
+    arithmetic, with ``mu(n, nu) = -nu ((2n - nu - 1) phi''/2 + psi')`` read off
+    the coefficients: the operator form that the integer stencil in
+    ``rodrigues.ode_residual`` expands."""
+    mu = -nu * ((2 * n - nu - 1) * phi.coefficient(2) + psi.coefficient(1))
+    return (phi * row.derivative(2) + ((n - nu) * phi.derivative() + psi) * row.derivative()
+            + mu * row)
+
+
+def derivative_proportionality(diagonal: Poly, target: Poly, nu: int) -> Fraction | None:
+    """``c`` with ``target = c * (d/dx)^nu diagonal`` from ``Poly`` arithmetic, or ``None``
+    when the derivative is zero or no such ``c`` exists; a zero ``target`` against a
+    nonzero derivative raises, as ``target.leading_coefficient`` does."""
+    deriv = diagonal.derivative(nu)
+    if deriv.is_zero:
+        return None
+    ratio = target.leading_coefficient / deriv.leading_coefficient
+    return ratio if target == ratio * deriv else None
+
+
 def three_term_pairing(u, polys, norms) -> list[tuple[Fraction, Fraction]]:
     """``(a_m, b_m)`` with ``a_m = <u, x P_m**2> / r_m`` from ``Poly`` products and the
     pairing ``functional_apply``, and ``b_m = r_m / r_{m-1}`` (``b_0 = 0``)."""

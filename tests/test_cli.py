@@ -585,6 +585,23 @@ class TestVerify:
         assert doc["passed"] is True
         assert doc["suites"][0]["suite"] == "ode"
         assert doc["first_counterexample"] is None
+        assert doc["functional_proof"] is None
+
+    @pytest.mark.parametrize("argv, proof", [
+        (("--family", "jacobi", "--alpha", "1/3", "--beta", "4/3"), True),
+        (("--phi", "3 - x + 2*x^2", "--psi", "1 + 5*x"), True),
+        (("--family", "laguerre", "--alpha=-2"), False),
+    ], ids=["jacobi", "custom", "laguerre-minus-2"])
+    def test_json_report_says_whether_the_functional_checks_were_proofs(self, capsys, argv,
+                                                                         proof):
+        common = ("verify", *argv, "--max-n", "3", "--order", "4", "--suite", "functional")
+        code, out, _ = run_cli(capsys, *common, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["functional_proof"] is proof
+        # the text report has no line for it
+        code, out, _ = run_cli(capsys, *common)
+        assert code == 0
+        assert [line for line in out.splitlines() if "proof" in line] == []
 
     def test_failed_report_exits_one(self, capsys, monkeypatch):
         # Exit 1 signals a verified counterexample, which admissible input

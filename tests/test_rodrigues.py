@@ -43,6 +43,9 @@ from copoly.rodrigues import FamilySpec, _catalog_spec, complementary_table, pai
 
 ALPHA = Fraction(1, 2)          # laguerre fixture parameter
 JA, JB = Fraction(1, 3), 2      # jacobi fixture parameters
+# every coefficient over its own prime denominator
+FIVE_PRIME = (Poly([Fraction(127, 113), Fraction(109, 107), Fraction(103, 101)]),
+              Poly([Fraction(97, 89), Fraction(83, 79)]))
 
 
 def _fields(pair: ClassicalPair) -> tuple:
@@ -517,6 +520,40 @@ class TestOdeResidual:
                 for nu in range(n + 1):
                     assert ode_residual(pair, n, nu) == Poly.zero()
 
+    @settings(max_examples=30)
+    @given(kernel_pairs(), st.integers(0, 24))
+    def test_stencil_matches_reference(self, pair, n):
+        # phi of degree 0, 1 or 2 over denominators unrelated to psi's: the residual
+        # need not vanish, so the stencil is compared with the Poly form, not with 0
+        for nu, row in enumerate(pair.rows(n, n)):
+            assert ode_residual(pair, n, nu) == oracles.ode_residual(pair.phi, pair.psi, n, nu, row)
+
+    @pytest.mark.parametrize("pair", [
+        jacobi_family(Fraction(1, 3), Fraction(4, 3)), bessel_family(Fraction(1, 3)),
+        ClassicalPair(*FIVE_PRIME),
+    ], ids=["jacobi", "bessel", "five-prime"])
+    def test_stencil_matches_reference_through_the_cap(self, pair):
+        for n in range(25):
+            for nu, row in enumerate(pair.rows(n, n)):
+                residual = ode_residual(pair, n, nu)
+                assert residual == oracles.ode_residual(pair.phi, pair.psi, n, nu, row)
+                assert residual.is_zero
+
+    @settings(max_examples=30)
+    @given(st.integers(0, 10), st.data())
+    def test_reads_the_stored_row(self, n, data):
+        # The operator sends x^j to a polynomial with top term (j - nu) d_{2n-1+j-nu} x^j / s,
+        # d_k = k a + d; on jacobi(1/3, 4/3) no d_k vanishes, so x^j added to the
+        # stored row leaves a nonzero residual whenever j != nu.
+        nu = data.draw(st.integers(0, n))
+        j = data.draw(st.integers(0, n + 2).filter(lambda j: j != nu))
+        pair = jacobi_family(Fraction(1, 3), Fraction(4, 3))
+        pair.rows(n, n)
+        pair._rows[n][nu] += Poly.monomial(j)
+        residual = ode_residual(pair, n, nu)
+        assert not residual.is_zero
+        assert residual == oracles.ode_residual(pair.phi, pair.psi, n, nu, pair._rows[n][nu])
+
 
 class TestSturmLiouville:
     def test_nu_zero(self, hermite_pair):
@@ -589,11 +626,48 @@ class TestDerivativeProportionality:
     @pytest.mark.parametrize("rows", [
         [Poly.one(), Poly([1, 1]), Poly([1, 0, 1])],   # C_1 = 1 + x, but C_2' = 2x
         [Poly.one(), Poly([0, 1]), Poly([3])],         # C_2' = 0
-    ], ids=["not-a-multiple", "vanishing-derivative"])
+        # every numerator the two rows share cross-multiplies to a match
+        [Poly.one(), Poly([1, 1, 1]), Poly([0, 1, Fraction(1, 2)])],     # C_2' = 1 + x
+        [Poly.one(), Poly([1, 1]), Poly([0, 1, Fraction(1, 2), Fraction(1, 3)])],
+    ], ids=["not-a-multiple", "vanishing-derivative", "longer-target", "shorter-target"])
     def test_no_constant_is_none(self, rows):
         pair = ClassicalPair(Poly.one(), Poly([0, -2]))
         pair._rows[2] = rows
         assert derivative_proportionality(pair, 2, 1) is None
+        assert oracles.derivative_proportionality(rows[2], rows[1], 1) is None
+
+    def test_matches_reference_on_catalog_pairs(self, family_pairs):
+        for pair in [*family_pairs.values(), ClassicalPair(*FIVE_PRIME)]:
+            for n in range(13):
+                rows = pair.rows(n, n)
+                for nu in range(n + 1):
+                    ratio = derivative_proportionality(pair, n, nu)
+                    assert type(ratio) is Fraction
+                    assert ratio == oracles.derivative_proportionality(rows[n], rows[n - nu], nu)
+
+    @settings(max_examples=150)
+    @given(kernel_pairs(), st.integers(0, 6), st.data())
+    def test_matches_reference(self, pair, n, data):
+        # the pair's own rows, or stored rows of any degree (a zero derivative, a zero
+        # or mismatched target), and with a drawn scale a target that is a multiple
+        # of the derivative
+        nu = data.draw(st.integers(0, n))
+        rows = pair.rows(n, n)
+        if data.draw(st.booleans()):
+            rows = data.draw(st.lists(small_polys(), min_size=n + 1, max_size=n + 1))
+        scale = data.draw(st.one_of(st.none(), mixed_rationals()))
+        if scale is not None:
+            rows[n - nu] = scale * rows[n].derivative(nu)
+        pair._rows[n] = rows
+
+        def outcome(ratio, *args):
+            try:
+                value = ratio(*args)
+            except ValueError as exc:
+                return ValueError, str(exc)
+            return type(value), value
+        assert (outcome(derivative_proportionality, pair, n, nu)
+                == outcome(oracles.derivative_proportionality, rows[n], rows[n - nu], nu))
 
 
 class TestLeadingCoeffProbe:

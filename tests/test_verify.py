@@ -6,23 +6,32 @@ from fractions import Fraction
 
 import pytest
 
+import copoly.functional
 import copoly.genfun
 import copoly.oracle
 import copoly.rodrigues
 import copoly.verify
 from copoly import (
+    AdmissibilityViolation,
     ClassicalPair,
     MomentFunctional,
     Poly,
     SUITE_NAMES,
     SeriesYX,
     bessel_family,
+    functional_poly_mul,
+    hankel_minors,
     hermite_family,
     jacobi_family,
     laguerre_family,
     lambda_n,
     verify_pair,
 )
+from copoly.functional import _quasi_definite
+
+# every coefficient over its own prime denominator
+_FIVE_PRIME = (Poly([Fraction(127, 113), Fraction(109, 107), Fraction(103, 101)]),
+               Poly([Fraction(97, 89), Fraction(83, 79)]))
 
 
 def _hermite_on_legendre_moments(legendre_pair, monkeypatch) -> ClassicalPair:
@@ -152,6 +161,113 @@ class TestPassingRuns:
             "n=5 nu=3 mu=0: functional Rodrigues residual nonzero",
             "n=5 nu=3 mu=1: functional Rodrigues residual nonzero",
         ]
+
+
+class TestProofDepth:
+    """The functional suite reads each residual of ``(n, nu)`` only to ``2n - nu + 1``
+    (self-adjoint) and ``2n - nu`` (Rodrigues) when the moments satisfy Pearson and
+    ``_quasi_definite`` certifies ``u`` through ``2 max_n + 1``; else to ``2n + 4``."""
+
+    @pytest.mark.parametrize("pair, first_zero", [
+        (hermite_family(), None),
+        (laguerre_family(Fraction(1, 2)), None),
+        (laguerre_family(Fraction(4, 3)), None),
+        (jacobi_family(Fraction(1, 3), 2), None),
+        (jacobi_family(Fraction(1, 3), Fraction(4, 3)), None),
+        (jacobi_family(0, 0), None),
+        (bessel_family(1), None),
+        (bessel_family(Fraction(1, 3)), None),
+        (ClassicalPair(Poly([2, 1]), Poly([1, -1]), Fraction(1, 2)), None),
+        (ClassicalPair(Poly([3, -1, 2]), Poly([1, 5])), None),
+        (ClassicalPair(*_FIVE_PRIME), None),
+        (laguerre_family(-1), 1),
+        (laguerre_family(-2), 2),
+        (laguerre_family(-3), 3),
+        (jacobi_family(1, -2), 2),
+    ], ids=["hermite", "laguerre-1/2", "laguerre-4/3", "jacobi-1/3-2", "jacobi-1/3-4/3",
+            "legendre", "bessel-1", "bessel-1/3", "custom-2+x", "custom-3-x+2x^2", "five-prime",
+            "laguerre-minus-1", "laguerre-minus-2", "laguerre-minus-3", "jacobi-1-minus-2"])
+    def test_certificate_agrees_with_hankel_minors(self, pair, first_zero):
+        # the minors of H_19 are the leading minors of every H_depth, depth <= 19,
+        # and the list ends at its first zero
+        minors = hankel_minors(pair.u, 19)
+        assert next((m for m, delta in enumerate(minors) if delta == 0), None) == first_zero
+        assert [_quasi_definite(pair._pearson, pair.u0, depth) for depth in range(20)] == [
+            first_zero is None or depth < first_zero for depth in range(20)]
+
+    def test_certificate_needs_every_moment_defined(self):
+        # d_k = k - 3 vanishes at k = 3, so u_4, which Delta_2 needs, is undefined
+        pair = ClassicalPair(Poly([0, 0, 1]), Poly([2, -3]))
+        assert [_quasi_definite(pair._pearson, pair.u0, depth) for depth in range(2)] == [
+            delta != 0 for delta in hankel_minors(pair.u, 1)] == [True, True]
+        with pytest.raises(AdmissibilityViolation):
+            hankel_minors(pair.u, 2)
+        assert not any(_quasi_definite(pair._pearson, pair.u0, depth) for depth in range(2, 20))
+
+    def test_certificate_is_false_for_a_zero_seed(self):
+        pair = ClassicalPair(Poly([1, 1]), Poly([1, -1]), 0)
+        assert not any(_quasi_definite(pair._pearson, pair.u0, depth) for depth in range(20))
+        report = verify_pair(pair, suites=("functional",), max_n=3, order=4)
+        assert report.passed and report.functional_proof is False
+
+    def test_broken_pair_falls_back(self, legendre_pair, monkeypatch):
+        # The certificate reads (phi, psi, u0), the Hermite pair's, and holds; the
+        # failed Pearson check is what keeps the suite at depth 2n + 4.
+        bad = _hermite_on_legendre_moments(legendre_pair, monkeypatch)
+        assert _quasi_definite(bad._pearson, bad.u0, 5)
+        report = verify_pair(bad, suites=("functional",), max_n=2, order=4)
+        assert report.suites[0].failures[0] == "pearson residual nonzero"
+        assert report.functional_proof is False
+
+    @pytest.mark.parametrize("pair, proof", [
+        (jacobi_family(Fraction(1, 3), Fraction(4, 3)), True),
+        (laguerre_family(-2), False),
+    ], ids=["quasi-definite", "laguerre-minus-2"])
+    def test_depths_read(self, monkeypatch, pair, proof):
+        read = []
+        original = copoly.functional.MomentFunctional._vanishes
+
+        def counted(u, up_to):
+            read.append(up_to)
+            return original(u, up_to)
+        monkeypatch.setattr(copoly.functional.MomentFunctional, "_vanishes", counted)
+        max_n = 4
+        report = verify_pair(pair, suites=("functional",), max_n=max_n, order=4)
+        assert report.passed and report.functional_proof is proof
+        # the Pearson check and the five product-rule probes keep depth 2 max_n + 4
+        expected = [2 * max_n + 4] * 6
+        for n in range(max_n + 1):
+            for nu in range(n + 1):
+                adjoint, rodrigues = (2 * n - nu + 1, 2 * n - nu) if proof else (2 * n + 4,) * 2
+                expected += [adjoint] + [rodrigues] * len({0, nu // 2})
+        assert read == expected
+
+    @pytest.mark.parametrize("build", [
+        hermite_family,
+        lambda: jacobi_family(Fraction(1, 3), Fraction(4, 3)),
+        lambda: ClassicalPair(*_FIVE_PRIME),
+    ], ids=["hermite", "jacobi", "five-prime"])
+    @pytest.mark.parametrize("n, nu", [(5, 3), (4, 4), (6, 4)])
+    def test_a_wrong_weighted_row_fails_at_proof_depth(self, build, n, nu):
+        # C_nu u_{n-nu} memoized with x^j u_{n-nu} added, j <= nu: each residual that
+        # reads it gains r u with r of degree j + 2(n - nu) <= 2n - nu, inside the
+        # depth read, and 2 nu > n keeps every other (n, nu') off this row
+        for j in range(nu + 1):
+            pair = build()
+            pair._weighted[(n, nu)] = pair.weighted_row(n, nu) + functional_poly_mul(
+                Poly.monomial(j), pair.functional_power(n - nu))
+            report = verify_pair(pair, suites=("functional",), max_n=n, order=4)
+            assert report.functional_proof is True
+            assert report.suites[0].failures == [
+                f"n={n} nu={nu}: self-adjoint residual nonzero",
+                *(f"n={n} nu={nu} mu={mu}: functional Rodrigues residual nonzero"
+                  for mu in (0, nu // 2)),
+            ]
+
+    def test_report_field(self, hermite_pair):
+        assert verify_pair(hermite_pair, max_n=3, order=4).functional_proof is True
+        assert verify_pair(hermite_pair, suites=("ode",), max_n=3).functional_proof is None
+        assert verify_pair(laguerre_family(-1), max_n=3, order=4).functional_proof is False
 
 
 class TestNotes:
