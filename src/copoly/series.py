@@ -89,6 +89,8 @@ class SeriesYX:
 
     def truncate(self, order: int) -> SeriesYX:
         """Drop to a lower order; raising the order would invent coefficients."""
+        if order < 0:
+            raise ValueError("series order must be >= 0")
         if order > self._order:
             raise ValueError(f"cannot extend order {self._order} series to order {order}")
         return SeriesYX._of(order, self._den, list(self._nums[: order + 1]))

@@ -3,8 +3,9 @@
 Each suite walks its grid in a fixed order, so the recorded failures (if
 any) are already sorted by ``(n, nu)`` and the first entry is the first
 counterexample.  Everything is exact; a "failure" is a nonzero object, never
-a tolerance call.  Every check goes through the suite's ``_Tally``, which
-counts it and keeps the message of each one that fails.
+a tolerance call.  ``SuiteResult`` is the one record of a suite run: its
+``check`` counts every check and keeps each failure's message.  A suite writes
+its notes, and the functional suite its proof depth, on the ``VerifyReport``.
 """
 
 from __future__ import annotations
@@ -36,10 +37,18 @@ from .rodrigues import (
 @dataclass
 class SuiteResult:
     suite: str
-    passed: bool
-    checks: int
-    failures: list[str]
-    seconds: float
+    passed: bool = True
+    checks: int = 0
+    failures: list[str] = field(default_factory=list)
+    seconds: float = 0.0
+
+    def check(self, ok: bool, failure: str) -> bool:
+        """Count one check; keep ``failure`` only when ``ok`` is false."""
+        self.checks += 1
+        if not ok:
+            self.passed = False
+            self.failures.append(failure)
+        return ok
 
 
 @dataclass
@@ -66,143 +75,136 @@ class VerifyReport:
         return None
 
 
-@dataclass
-class _Tally:
-    """The record of one suite run: checks counted, failure messages, notes, and
-    for the functional suite whether it ran at proof depth."""
-
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    proof: bool | None = None
-
-    def check(self, ok: bool, failure: str) -> bool:
-        """Count one check; keep ``failure`` only when ``ok`` is false."""
-        self.checks += 1
-        if not ok:
-            self.failures.append(failure)
-        return ok
-
-
-def _suite_recursion(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) -> None:
+def _suite_recursion(pair: ClassicalPair, report: VerifyReport, result: SuiteResult) -> None:
     dphi = pair.phi.derivative()
-    for n in range(max_n + 1):
+    for n in range(report.max_n + 1):
         rows = pair.rows(n, n)
         # chain[nu] = R_1(phi, u_{n-nu})[chain[nu-1]] = rodrigues_rk(pair, nu, n - nu, 1)
         chain = [p := Poly.one()] + [p := rodrigues_r1(pair, k, p) for k in range(n - 1, -1, -1)]
         for nu, row in enumerate(rows):
-            tally.check(row == chain[nu], f"n={n} nu={nu}: recursion row != iterated operator")
-            tally.check(row.degree == nu, f"n={n} nu={nu}: row degree {row.degree} != {nu}")
+            result.check(row == chain[nu], f"n={n} nu={nu}: recursion row != iterated operator")
+            result.check(row.degree == nu, f"n={n} nu={nu}: row degree {row.degree} != {nu}")
             # the splits at 0 and nu would only repeat the chain
-            tally.check(row == rodrigues_rk(pair, nu - nu // 2, n - nu, chain[nu // 2]),
-                        f"n={n} nu={nu}: composition split at {nu // 2} differs")
+            result.check(row == rodrigues_rk(pair, nu - nu // 2, n - nu, chain[nu // 2]),
+                         f"n={n} nu={nu}: composition split at {nu // 2} differs")
         if n >= 1:
             # from Poly arithmetic, not pair._pearson: this checks the integer form
-            tally.check(rows[1] == (n - 1) * dphi + pair.psi,
-                        f"n={n} nu=1: first row != (n-1) phi' + psi")
+            result.check(rows[1] == (n - 1) * dphi + pair.psi,
+                         f"n={n} nu=1: first row != (n-1) phi' + psi")
 
 
-def _suite_ode(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) -> None:
-    for n in range(max_n + 1):
-        tally.check(mu_eigenvalue(pair, n, n) == lambda_n(pair, n), f"n={n}: mu(n, n) != lambda_n")
-        tally.check(mu_eigenvalue(pair, n, 0) == 0, f"n={n}: mu(n, 0) != 0")
+def _suite_ode(pair: ClassicalPair, report: VerifyReport, result: SuiteResult) -> None:
+    for n in range(report.max_n + 1):
+        result.check(mu_eigenvalue(pair, n, n) == lambda_n(pair, n),
+                     f"n={n}: mu(n, n) != lambda_n")
+        result.check(mu_eigenvalue(pair, n, 0) == 0, f"n={n}: mu(n, 0) != 0")
         for nu in range(n + 1):
-            tally.check(ode_residual(pair, n, nu).is_zero,
-                        f"n={n} nu={nu}: differential equation residual nonzero")
-    for n in range(1, max_n + 1):
+            result.check(ode_residual(pair, n, nu).is_zero,
+                         f"n={n} nu={nu}: differential equation residual nonzero")
+    # The ladder C_{n-nu} = c (d/dx)^nu C_n has c = 1 / prod_{j=n-nu+1..n} (-mu(n, j)),
+    # where -mu(n, j) = j ((2n-j-1) a + d) / s; num / scale is that product at nu.
+    s, (_, _, a), (_, d) = pair._pearson
+    for n in range(1, report.max_n + 1):
+        num = scale = 1
         for nu in range(n + 1):
-            tally.check(derivative_proportionality(pair, n, nu) is not None,
-                        f"n={n} nu={nu}: derivative ladder: C_{n - nu}(x; {n}) is not a "
-                        f"scalar multiple of the {nu}-fold derivative")
+            c = derivative_proportionality(pair, n, nu)
+            result.check(c is not None and c.numerator * num == c.denominator * scale,
+                         f"n={n} nu={nu}: derivative ladder: C_{n - nu}(x; {n}) != c (d/dx)^{nu} "
+                         f"C_{n}(x; {n}) with c = 1/prod_(j={n - nu + 1}..{n}) (-mu({n}, j))")
+            num, scale = num * (n - nu) * ((n + nu - 1) * a + d), scale * s  # j = n - nu
 
 
-def _suite_functional(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) -> None:
+def _suite_functional(pair: ClassicalPair, report: VerifyReport, result: SuiteResult) -> None:
+    max_n = report.max_n
     depth = 2 * max_n + 4
-    pearson = tally.check(pearson_residual(pair.phi, pair.psi, pair.u)._vanishes(depth),
-                          "pearson residual nonzero")
+    pearson = result.check(pearson_residual(pair.phi, pair.psi, pair.u)._vanishes(depth),
+                           "pearson residual nonzero")
     if pearson and pair.u.moment(0) == 0:
-        tally.notes.append("functional checks are vacuous: u0 = 0, and the Pearson recurrence "
-                           "is linear in u0, so every moment of u is zero")
+        report.notes.append("functional checks are vacuous: u0 = 0, and the Pearson recurrence "
+                            "is linear in u0, so every moment of u is zero")
     for probe in (Poly.one(), Poly.x(), pair.phi, pair.psi, pair.phi * pair.psi):
-        tally.check(leibniz_residual(probe, pair.u)._vanishes(depth),
-                    f"product rule residual nonzero for p = {probe}")
+        result.check(leibniz_residual(probe, pair.u)._vanishes(depth),
+                     f"product rule residual nonzero for p = {probe}")
     # Each residual of (n, nu) is r u with deg r <= 2n - nu, by Pearson (the
     # self-adjoint one is read one moment past that, the degree of C_nu' phi^(n-nu+1)).
     # On a u quasi-definite through deg r, moments 0 .. deg r of r u all zero force
     # r = 0, so reading them is a proof.  The certificate reads (phi, psi, u0), not
     # the moments, so it counts only once the moments satisfy Pearson.
-    tally.proof = pearson and _quasi_definite(pair._pearson, pair.u0, 2 * max_n + 1)
+    proof = report.functional_proof = (
+        pearson and _quasi_definite(pair._pearson, pair.u0, 2 * max_n + 1))
     for n in range(max_n + 1):
         for nu in range(n + 1):
-            adjoint_depth, rodrigues_depth = ((2 * n - nu + 1, 2 * n - nu) if tally.proof
+            adjoint_depth, rodrigues_depth = ((2 * n - nu + 1, 2 * n - nu) if proof
                                               else (2 * n + 4, 2 * n + 4))
-            tally.check(sturm_liouville_residual(pair, n, nu)._vanishes(adjoint_depth),
-                        f"n={n} nu={nu}: self-adjoint residual nonzero")
+            result.check(sturm_liouville_residual(pair, n, nu)._vanishes(adjoint_depth),
+                         f"n={n} nu={nu}: self-adjoint residual nonzero")
             for mu in sorted({0, nu // 2}):
-                tally.check(rodrigues_formula_residual(pair, n, nu, mu)._vanishes(rodrigues_depth),
-                            f"n={n} nu={nu} mu={mu}: functional Rodrigues residual nonzero")
+                result.check(
+                    rodrigues_formula_residual(pair, n, nu, mu)._vanishes(rodrigues_depth),
+                    f"n={n} nu={nu} mu={mu}: functional Rodrigues residual nonzero")
 
 
-def _suite_genfun(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) -> None:
+def _suite_genfun(pair: ClassicalPair, report: VerifyReport, result: SuiteResult) -> None:
     # Each G(n) is built once: the identities of n read it, and the *_lower
     # identities of n + 1 read it truncated to order - 1.
+    order = report.series_order
     # catalog only: a custom pair's weight ratio is G(0) from these same rows, no closed form
     closed = weight_ratio_series(pair, order) if pair.name in FAMILIES else None
     if closed is None:
-        tally.notes.append("closed-form/weight checks skipped: no catalog weight for this pair")
+        report.notes.append("closed-form/weight checks skipped: no catalog weight for this pair")
     else:
         prefactor = _quadratic_prefactor(pair, order)
     lower = None
-    for n in range(max_n + 1):
+    for n in range(report.max_n + 1):
         truncated = genfun_truncated(pair, n, order)
         if closed is not None:
             # genfun_closed_form(pair, n, order) as prefactor * (the closed form at
             # n - 1), one product with a three-term left factor
             if n:
                 closed = prefactor * closed
-            tally.check(truncated == closed,
-                        f"n={n}: truncated series != closed form at order {order}")
+            result.check(truncated == closed,
+                         f"n={n}: truncated series != closed form at order {order}")
         for which, residual in pde_residual(pair, n, order, full=truncated, lower=lower).items():
-            tally.check(residual.is_zero, f"n={n}: identity {which} residual nonzero")
+            result.check(residual.is_zero, f"n={n}: identity {which} residual nonzero")
         lower = truncated.truncate(order - 1)
 
 
-def _suite_oracle(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) -> None:
+def _suite_oracle(pair: ClassicalPair, report: VerifyReport, result: SuiteResult) -> None:
     try:
-        ops = chebyshev_ops(pair.u, max_n)
+        ops = chebyshev_ops(pair.u, report.max_n)
     except NotQuasiDefinite as exc:
-        tally.notes.append("oracle checks skipped: moment functional is not quasi-definite "
-                           f"(Hankel determinant of order {exc.level} vanishes)")
+        report.notes.append("oracle checks skipped: moment functional is not quasi-definite "
+                            f"(Hankel determinant of order {exc.level} vanishes)")
         return
     # Gram entry (i, j) is upper[i][j - i] / (dens[i] dens[j] mden) for i <= j
     mden, dens, upper = _gram_numerators(pair.u, ops.polys)
-    for i in range(max_n + 1):
-        for j in range(max_n + 1):
+    for i in range(report.max_n + 1):
+        for j in range(report.max_n + 1):
             if i == j:
                 norm = ops.norms[i]
-                tally.check(upper[i][0] * norm.denominator
-                            == norm.numerator * dens[i] * dens[i] * mden,
-                            f"degree {i}: Gram diagonal != squared norm")
+                result.check(upper[i][0] * norm.denominator
+                             == norm.numerator * dens[i] * dens[i] * mden,
+                             f"degree {i}: Gram diagonal != squared norm")
             else:
-                tally.check(not upper[min(i, j)][abs(i - j)],
-                            f"degrees ({i},{j}): Gram entry nonzero")
+                result.check(not upper[min(i, j)][abs(i - j)],
+                             f"degrees ({i},{j}): Gram entry nonzero")
     previous = Fraction(1)
-    for m, delta in enumerate(hankel_minors(pair.u, max_n)):
+    for m, delta in enumerate(hankel_minors(pair.u, report.max_n)):
         if delta == 0:
-            tally.check(False, f"degree {m}: Hankel determinant vanishes")
+            result.check(False, f"degree {m}: Hankel determinant vanishes")
             break
-        tally.check(ops.norms[m] == delta / previous, f"degree {m}: norm != Hankel ratio")
+        result.check(ops.norms[m] == delta / previous, f"degree {m}: norm != Hankel ratio")
         previous = delta
     coeffs = three_term_coefficients(ops)
     # the top entry has no successor inside the computed range
     for m, (a, b) in enumerate(coeffs[:-1]):
         p, q = ops.polys[m], ops.polys[m - 1] if m >= 1 else Poly.zero()
         step = _step((p._den, (0, *p._nums)), (p._den, p._nums), (q._den, q._nums), a, b)
-        tally.check(Poly._of(*step) == ops.polys[m + 1],
-                    f"degree {m}: three-term reconstruction fails")
+        result.check(Poly._of(*step) == ops.polys[m + 1],
+                     f"degree {m}: three-term reconstruction fails")
     degree = cross_validate(pair, ops)
-    tally.check(degree is None, f"cross validation: monic diagonal row {degree} differs "
-                                "from the moment-only polynomial")
+    result.check(degree is None, f"cross validation: monic diagonal row {degree} differs "
+                                 "from the moment-only polynomial")
     # Leading-coefficient probe: the expansion value is asserted; how it
     # relates to the eigenvalue ratio -lambda_j / j is recorded as a note.
     # from Poly coefficients, not pair._pearson: these check the integer form
@@ -212,16 +214,16 @@ def _suite_oracle(pair: ClassicalPair, max_n: int, order: int, tally: _Tally) ->
         for m in range(0, 5):
             if m + 2 * k < 1:
                 continue
-            tally.check(leading_coeff_probe(pair, k, m) == psi1 + (m + 2 * k) * phi2 / 2,
-                        f"k={k} m={m}: step leading coefficient != psi' + (m+2k) phi''/2")
+            result.check(leading_coeff_probe(pair, k, m) == psi1 + (m + 2 * k) * phi2 / 2,
+                         f"k={k} m={m}: step leading coefficient != psi' + (m+2k) phi''/2")
     # -lambda_j / j = psi' + (j - 1) phi''/2, so on the probed grid it differs from
     # the probe value exactly when phi'' != 0, and first at j = m + 2k = 1
     if phi2 == 0:
-        tally.notes.append(
+        report.notes.append(
             "leading-coefficient probe: psi' + (m+2k) phi''/2 agrees with "
             "-lambda_{m+2k}/(m+2k) on the probed grid (phi'' = 0 makes them coincide)")
     else:
-        tally.notes.append(
+        report.notes.append(
             "leading-coefficient probe: value is psi' + (m+2k) phi''/2 "
             "(= -lambda_{m+2k+1}/(m+2k+1)); the ratio -lambda_{m+2k}/(m+2k) "
             f"differs, first at k=0 m=1 ({psi1 + phi2 / 2} vs {psi1})")
@@ -251,13 +253,9 @@ def verify_pair(pair: ClassicalPair, suites: tuple[str, ...] | list[str] | None 
                 f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES)}")
     report = VerifyReport(pair.name, dict(pair.params), max_n, order)
     for name in selected:
-        tally = _Tally()
+        result = SuiteResult(name)
         start = time.perf_counter()
-        _SUITES[name](pair, max_n, order, tally)
-        elapsed = time.perf_counter() - start
-        report.suites.append(
-            SuiteResult(name, not tally.failures, tally.checks, tally.failures, elapsed))
-        report.notes.extend(tally.notes)
-        if tally.proof is not None:
-            report.functional_proof = tally.proof
+        _SUITES[name](pair, report, result)
+        result.seconds = time.perf_counter() - start
+        report.suites.append(result)
     return report

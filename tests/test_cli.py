@@ -587,6 +587,18 @@ class TestVerify:
         assert doc["first_counterexample"] is None
         assert doc["functional_proof"] is None
 
+    def test_json_report_key_order(self, capsys):
+        # a custom pair: every suite runs, and genfun and oracle write notes
+        code, out, _ = run_cli(capsys, "verify", "--phi", "3 - x + 2*x^2", "--psi", "1 + 5*x",
+                               "--max-n", "4", "--order", "4", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["family", "params", "max_n", "series_order", "suites", "notes",
+                             "functional_proof", "passed", "first_counterexample"]
+        assert [list(suite) for suite in doc["suites"]] == [
+            ["suite", "passed", "checks", "failures", "seconds"]] * 5
+        assert doc["notes"] and doc["functional_proof"] is True
+
     @pytest.mark.parametrize("argv, proof", [
         (("--family", "jacobi", "--alpha", "1/3", "--beta", "4/3"), True),
         (("--phi", "3 - x + 2*x^2", "--psi", "1 + 5*x"), True),
@@ -624,7 +636,7 @@ class TestFailureContract:
 
     @pytest.mark.parametrize("fault", [IndexError, ValueError, TypeError])
     def test_internal_fault_exits_three(self, capsys, monkeypatch, fault):
-        def broken(pair, max_n, order, tally):
+        def broken(pair, report, result):
             raise fault("injected")
         monkeypatch.setitem(copoly.verify._SUITES, "ode", broken)
         code, out, err = run_cli(capsys, "verify", "--family", "hermite", "--max-n", "2")
@@ -668,7 +680,7 @@ class TestFailureContract:
             def flush(self):
                 raise BrokenPipeError(32, "Broken pipe")
 
-        def broken(pair, max_n, order, tally):
+        def broken(pair, report, result):
             raise IndexError("injected")
         monkeypatch.setitem(copoly.verify._SUITES, "ode", broken)
         monkeypatch.setattr(sys, "stderr", ClosedPipe())

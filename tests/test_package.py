@@ -267,6 +267,24 @@ def test_two_ways_into_a_pair():
     assert uses == []
 
 
+def test_one_record_per_suite():
+    """A suite run has one record, ``SuiteResult``: the second tally record stays
+    gone, and every suite takes the pair, the report and its own result."""
+    modules = _modules()
+    gone = {"_Tally"}
+    uses = [(name, node.lineno) for name, tree in modules.items() for node in ast.walk(tree)
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone)
+            or (isinstance(node, ast.Name) and node.id in gone)
+            or (isinstance(node, ast.Attribute) and node.attr in gone)
+            or (isinstance(node, ast.alias) and node.name in gone)]
+    signatures = {node.name: [arg.arg for arg in node.args.args]
+                  for node in modules["verify.py"].body
+                  if isinstance(node, ast.FunctionDef) and node.name.startswith("_suite_")}
+    assert uses == []
+    assert signatures == {f"_suite_{name}": ["pair", "report", "result"]
+                          for name in copoly.SUITE_NAMES}
+
+
 def test_output_is_written_from_stored_forms():
     """The term writers and the coefficient strings read ``(_den, _nums)``, never
     ``Poly.coeffs``, and ``cli._print_json`` is the one JSON writer: nothing in

@@ -67,6 +67,11 @@ class TestContainer:
         with pytest.raises(ValueError):
             SeriesYX(1, [Poly.one()]).truncate(3)
 
+    def test_truncate_to_negative_order_rejected(self):
+        # as the constructor does: no order -1 series with no coefficients
+        with pytest.raises(ValueError, match="series order must be >= 0"):
+            SeriesYX(3, [Poly.one(), Poly.x()]).truncate(-1)
+
     def test_zero_one(self):
         assert SeriesYX(2).is_zero
         assert SeriesYX.one(3).coeff(0) == Poly.one()

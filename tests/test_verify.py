@@ -329,10 +329,11 @@ class TestFailureDetection:
         pair = jacobi_family(Fraction(1, 3), Fraction(4, 3))
         pair.rows(3, 8)
         pair._rows[3][2] += Poly.x()
-        tally = copoly.verify._Tally()
-        copoly.verify._suite_genfun(pair, 5, 8, tally)
-        assert tally.checks == 34
-        assert tally.failures == [
+        report = copoly.verify.VerifyReport(pair.name, dict(pair.params), 5, 8)
+        result = copoly.verify.SuiteResult("genfun")
+        copoly.verify._suite_genfun(pair, report, result)
+        assert (result.checks, result.passed, report.notes) == (34, False, [])
+        assert result.failures == [
             "n=3: truncated series != closed form at order 8",
             *(f"n=3: identity {which} residual nonzero"
               for which in ("y_self", "y_lower", "x_self", "x_lower", "master")),
@@ -453,6 +454,38 @@ class TestGoldenReports:
             "n=3 nu=2: composition split at 1 differs",
         ])}, [])
 
+    @staticmethod
+    def _ladder(n, nu):
+        return (f"n={n} nu={nu}: derivative ladder: C_{n - nu}(x; {n}) != c (d/dx)^{nu} "
+                f"C_{n}(x; {n}) with c = 1/prod_(j={n - nu + 1}..{n}) (-mu({n}, j))")
+
+    @pytest.mark.parametrize("n, nu, shift, failing", [
+        (3, 1, Poly.x(), [(3, 2)]),
+        (5, 1, Poly.x(), [(5, 4)]),
+        (4, 0, Poly.one(), [(4, 4)]),
+        (3, 3, None, [(3, 1), (3, 2), (3, 3)]),
+    ], ids=["C1-n3-plus-x", "C1-n5-plus-x", "C0-n4-plus-1", "C3-n3-doubled"])
+    def test_the_ladder_pins_its_constant(self, n, nu, shift, failing):
+        # A memoized row off along its own eigen-solution (a multiple of itself)
+        # leaves the equation's residual zero; only the ladder's constant
+        # c = 1/prod (-mu(n, j)) sees it, once per rung that reads the row.
+        pair = hermite_family()
+        pair.rows(n, n)
+        row = pair._rows[n][nu]
+        pair._rows[n][nu] = 2 * row if shift is None else row + shift
+        report = verify_pair(pair, suites=("ode",), max_n=5, order=4)
+        assert _summary(report) == (
+            {"ode": (53, [self._ladder(m, k) for m, k in failing])}, [])
+
+    @pytest.mark.parametrize("pair", [
+        hermite_family(), laguerre_family(Fraction(1, 2)),
+        jacobi_family(Fraction(1, 3), Fraction(4, 3)), bessel_family(Fraction(1, 3)),
+        ClassicalPair(*_FIVE_PRIME),
+    ], ids=["hermite", "laguerre", "jacobi", "bessel", "five-prime"])
+    def test_the_ladder_constant_holds_through_the_cap(self, pair):
+        report = verify_pair(pair, suites=("ode",), max_n=24, order=4)
+        assert _summary(report) == ({"ode": (699, [])}, [])
+
     def test_a_wrong_recurrence_coefficient_fails_its_degree_only(self, hermite_pair,
                                                                    monkeypatch):
         # a_1 off by 1: P_2 is rebuilt from a_1 alone, and P_3 from a_2 and b_2
@@ -492,8 +525,8 @@ class TestGoldenReports:
          "oracle", 48, ["k=1 m=0: step leading coefficient != psi' + (m+2k) phi''/2"]),
         ("derivative_proportionality",
          lambda orig: lambda pair, n, nu: None if (n, nu) == (2, 1) else orig(pair, n, nu),
-         "ode", 27, ["n=2 nu=1: derivative ladder: C_1(x; 2) is not a scalar multiple "
-                     "of the 1-fold derivative"]),
+         "ode", 27, ["n=2 nu=1: derivative ladder: C_1(x; 2) != c (d/dx)^1 C_2(x; 2) "
+                     "with c = 1/prod_(j=2..2) (-mu(2, j))"]),
         ("ode_residual",
          lambda orig: lambda pair, n, nu: Poly.one() if (n, nu) == (2, 1) else orig(pair, n, nu),
          "ode", 27, ["n=2 nu=1: differential equation residual nonzero"]),
