@@ -46,7 +46,7 @@ from .rodrigues import (
     FAMILIES,
     ClassicalPair,
     FamilySpec,
-    _catalog_spec as _catalog_lookup,
+    _catalog_spec,
     _row_stream,
     lambda_n,
     mu_eigenvalue,
@@ -88,11 +88,6 @@ def _rational(flag: str, text: str) -> Fraction:
     except InvalidParameter:
         raise InvalidParameter(f"{flag} must be an integer or rational text "
                                f"such as '3/2', got {text!r}") from None
-
-
-def _catalog_spec(name: str, alpha: Fraction | None, beta: Fraction | None) -> FamilySpec:
-    """The ``--family name --alpha --beta`` lookup; ``None`` means the flag is absent."""
-    return _catalog_lookup(name, {"alpha": alpha, "beta": beta})
 
 
 def resolve_family(args: argparse.Namespace) -> FamilySpec:
@@ -217,28 +212,6 @@ def _compute_rows(pair: ClassicalPair, n: int, nu: int | None) -> Iterator[tuple
             yield v, row
 
 
-def _compute_document(pair: ClassicalPair, n: int, nu: int | None) -> dict:
-    """The JSON document of ``compute``, whose ``rows`` builds each row as
-    ``_print_json`` writes it and then lets it go."""
-    indices = range(n + 1) if nu is None else (nu,)
-    return {
-        "family": pair.name,
-        "params": _params_doc(pair.params),
-        "n": n,
-        "rows": _TextRows(poly_to_strings(row) for _, row in _compute_rows(pair, n, nu)),
-        "lambda": str(lambda_n(pair, n)),
-        "mu": [[str(mu_eigenvalue(pair, n, v)) for v in indices]],
-    }
-
-
-def build_compute_document(pair: ClassicalPair, n: int, nu: int | None = None) -> dict:
-    """The JSON document of ``compute`` with its rows held in a list: ``json.dump(doc,
-    indent=2)`` writes the bytes ``compute`` streams, and tests call it directly."""
-    doc = _compute_document(pair, n, nu)
-    doc["rows"] = list(doc["rows"].rows)
-    return doc
-
-
 def _rows_pair(spec: FamilySpec, n: int) -> ClassicalPair:
     """The pair of ``compute`` and ``genfun`` at ``n``, admissible for ``k = 0 ..
     max(n + 1, 2n - 2)``: row ``nu + 1`` of ``n`` gains the leading factor
@@ -252,7 +225,16 @@ def cmd_compute(args: argparse.Namespace) -> int:
     nu = None if args.nu is None else _check_size("--nu", args.nu, n)
     pair = _rows_pair(spec, n)
     if args.format == "json":
-        _print_json(_compute_document(pair, n, nu))
+        # rows builds each row as _print_json writes it, and then lets it go
+        _print_json({
+            "family": pair.name,
+            "params": _params_doc(pair.params),
+            "n": n,
+            "rows": _TextRows(poly_to_strings(row) for _, row in _compute_rows(pair, n, nu)),
+            "lambda": str(lambda_n(pair, n)),
+            "mu": [[str(mu_eigenvalue(pair, n, v))
+                    for v in (range(n + 1) if nu is None else (nu,))]],
+        })
     elif args.format == "latex":
         _print_latex_array(
             f"family {pair.name}, n = {n}, lambda = {rational_latex(lambda_n(pair, n))}",

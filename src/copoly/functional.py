@@ -257,8 +257,15 @@ def moments_from_pearson(phi: Poly, psi: Poly, u0: int | str | Fraction,
     the returned functional still extends past ``max_order`` on demand,
     checking lazily from there.
     """
+    return _pearson_moments(_pearson_form(phi, psi), u0, max_order)
+
+
+def _pearson_moments(pearson: tuple[int, tuple[int, int, int], tuple[int, int]],
+                     u0: int | str | Fraction, max_order: int) -> MomentFunctional:
+    """``moments_from_pearson`` of the integer form ``pearson``, as ``_pearson_form``
+    gives it; a ``ClassicalPair`` builds its ``u`` here from its stored form."""
     # the recurrence is homogeneous in (a, b, c, d, e): s is not needed
-    _, (c, b, a), (e, d) = _pearson_form(phi, psi)
+    _, (c, b, a), (e, d) = pearson
     for k in range(max_order):
         if d + k * a == 0:
             raise AdmissibilityViolation(k)

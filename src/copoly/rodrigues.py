@@ -38,9 +38,9 @@ from .functional import (
     MomentFunctional,
     _combination,
     _pearson_form,
+    _pearson_moments,
     functional_derivative,
     functional_poly_mul,
-    moments_from_pearson,
 )
 from .poly import Poly, _convolve, as_rational
 from .series import SeriesYX, series_exp, series_pow_rational
@@ -128,58 +128,59 @@ FAMILIES: dict[str, CatalogFamily] = {
         lambda a: (_X2, Poly([2, a + 2])), _bessel_ratio),
 }
 
-def _catalog_spec(name: str,
-                  params: Mapping[str, int | str | Fraction | None]) -> FamilySpec:
-    """The unchecked description of the catalog family ``name`` at ``params``.
+def _catalog_spec(name: str, alpha: int | str | Fraction | None = None,
+                  beta: int | str | Fraction | None = None) -> FamilySpec:
+    """The unchecked description of the catalog family ``name`` at ``alpha`` and ``beta``.
 
-    A parameter the family takes but ``params`` omits (or gives as ``None``)
-    is 0; a parameter it does not take, and a name outside the catalog, are
-    rejected with ``InvalidParameter``.
+    A parameter the family takes but is not given (``None``) is 0; a parameter
+    it does not take, and a name outside the catalog, are rejected with
+    ``InvalidParameter``.
     """
     family = FAMILIES.get(name)
     if family is None:
         raise InvalidParameter(
             f"unknown family {name!r}; catalog families are {', '.join(FAMILIES)}")
-    for key in sorted(params):
-        if params[key] is not None and key not in family.params:
+    given = {"alpha": alpha, "beta": beta}
+    for key, value in given.items():
+        if value is not None and key not in family.params:
             raise InvalidParameter(f"family {name!r} does not take {key}")
-    values = {key: as_rational(0 if params.get(key) is None else params[key])
-              for key in family.params}
+    values = {key: as_rational(0 if given[key] is None else given[key]) for key in family.params}
     phi, psi = family.pair(*values.values())
     return FamilySpec(phi, psi, name=name, params=values)
 
 
-def catalog_family(name: str, params: Mapping[str, int | str | Fraction | None]) -> ClassicalPair:
-    """The checked pair of catalog family ``name``, ``params`` read as ``_catalog_spec`` does."""
-    return pair_from_family(_catalog_spec(name, params))
+def catalog_family(name: str, alpha: int | str | Fraction | None = None,
+                   beta: int | str | Fraction | None = None) -> ClassicalPair:
+    """The checked pair of catalog family ``name``, read as ``_catalog_spec`` reads it."""
+    return pair_from_family(_catalog_spec(name, alpha, beta))
 
 
 def hermite_family() -> ClassicalPair:
     """phi = 1, psi = -2x (weight exp(-x^2) on the line)."""
-    return catalog_family("hermite", {})
+    return catalog_family("hermite")
 
 
 def laguerre_family(alpha: int | str | Fraction) -> ClassicalPair:
     """phi = x, psi = (alpha+1) - x (weight x^alpha exp(-x) on the half line)."""
-    return catalog_family("laguerre", {"alpha": alpha})
+    return catalog_family("laguerre", alpha)
 
 
 def jacobi_family(alpha: int | str | Fraction, beta: int | str | Fraction) -> ClassicalPair:
     """phi = 1 - x^2, psi = (beta-alpha) - (alpha+beta+2)x (weight (1-x)^a (1+x)^b)."""
-    return catalog_family("jacobi", {"alpha": alpha, "beta": beta})
+    return catalog_family("jacobi", alpha, beta)
 
 
 def bessel_family(alpha: int | str | Fraction) -> ClassicalPair:
     """phi = x^2, psi = (alpha+2)x + 2 (formal weight x^alpha exp(-2/x))."""
-    return catalog_family("bessel", {"alpha": alpha})
+    return catalog_family("bessel", alpha)
 
 
 class ClassicalPair:
     """A ``(phi, psi)`` pair with the Pearson functional ``u`` of ``(phi, psi, u0)``;
-    ``_pearson_form`` checks the pair and gives its integer form ``_pearson``,
-    ``(s, (c, b, a), (e, d))``; ``moments_from_pearson`` checks admissibility for
-    ``k < max_order``.  A catalog ``name`` must come with that family's ``params``
-    and ``(phi, psi)``.
+    ``_pearson_form`` checks the pair and reads it once into its integer form
+    ``_pearson``, ``(s, (c, b, a), (e, d))``, from which ``_pearson_moments`` builds
+    ``u`` and checks admissibility for ``k < max_order``.  A catalog ``name`` must
+    come with that family's ``params`` and ``(phi, psi)``.
 
     Immutable apart from internal memoization: the moment sequence of ``u``
     extends on demand, the shifted functionals ``u_k = phi**k u`` are cached
@@ -193,9 +194,8 @@ class ClassicalPair:
     def __init__(self, phi: Poly, psi: Poly, u0: int | str | Fraction = 1,
                  name: str = "custom", params: Mapping[str, Fraction] | None = None,
                  max_order: int = 0):
-        # a module global, so anything that rebinds it (a profiler, say) sees the call
-        self.u = moments_from_pearson(phi, psi, u0, max_order)
         self._pearson = _pearson_form(phi, psi)
+        self.u = _pearson_moments(self._pearson, u0, max_order)
         self.phi = phi
         self.psi = psi
         self.u0 = as_rational(u0)

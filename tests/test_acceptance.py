@@ -7,6 +7,8 @@ stdout so the run log shows the verdicts even under output capture.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
 import subprocess
@@ -39,7 +41,7 @@ from copoly import (
     rodrigues_rk,
     sturm_liouville_residual,
 )
-from copoly.cli import build_compute_document
+from copoly.cli import main
 
 MAX_N = 12
 
@@ -203,7 +205,12 @@ def test_criterion_9_cli_contract(capfd):
         for _ in range(100):
             pair = rng.choice(builders)()
             n = rng.randrange(0, 8)
-            doc = json.loads(json.dumps(build_compute_document(pair, n)))
+            flags = [f"--{key}={value}" for key, value in pair.params.items()]
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main(["compute", "--family", pair.name, *flags, "--n", str(n),
+                             "--format", "json"])
+            assert code == 0
+            doc = json.loads(out.getvalue())
             rows = [Poly(r) for r in doc["rows"]]
             assert rows == [complementary(pair, n, nu) for nu in range(n + 1)]
             assert as_rational(doc["lambda"]) == lambda_n(pair, n)

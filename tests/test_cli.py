@@ -43,9 +43,9 @@ from copoly.cli import (
     _TextRows,
     _print_json,
     _report_to_dict,
-    build_compute_document,
     main,
 )
+from copoly.render import poly_to_strings
 from copoly.rodrigues import (
     bessel_family,
     hermite_family,
@@ -58,6 +58,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _family_flags(pair: ClassicalPair) -> list[str]:
+    """The ``--family`` flags of a catalog pair; ``--alpha=-1/2`` keeps a negative value
+    from reading as a flag."""
+    return ["--family", pair.name, *(f"--{key}={value}" for key, value in pair.params.items())]
 
 
 class TestFamilies:
@@ -991,12 +997,15 @@ class TestDocumentRoundTrip:
         lambda: bessel_family(Fraction(-1, 2)),
     )
 
-    def test_randomized_tables(self):
+    def test_randomized_tables(self, capsys):
         rng = random.Random(20260823)
         for _ in range(30):
             pair = rng.choice(self.FAMILIES)()
             n = rng.randrange(0, 7)
-            doc = json.loads(json.dumps(build_compute_document(pair, n)))
+            code, out, err = run_cli(capsys, "compute", *_family_flags(pair), "--n", str(n),
+                                     "--format", "json")
+            assert (code, err) == (0, "")
+            doc = json.loads(out)
             rows = [Poly(r) for r in doc["rows"]]
             assert rows == [complementary(pair, n, nu) for nu in range(n + 1)]
             assert as_rational(doc["lambda"]) == lambda_n(pair, n)
@@ -1031,15 +1040,18 @@ _JSON_TREES = st.recursive(
 class TestJsonWriter:
     """``_print_json`` writes exactly the bytes of ``json.dump(doc, indent=2)``."""
 
-    def test_compute_document_with_empty_params(self):
-        doc = build_compute_document(hermite_family(), 4)
-        assert doc["params"] == {}
-        assert _printed_json(doc) == _json_dump(doc)
+    def test_compute_document_with_empty_params(self, capsys):
+        code, out, _ = run_cli(capsys, "compute", "--family", "hermite", "--n", "4",
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["params"] == {}
+        assert out == _json_dump(json.loads(out))
 
-    def test_compute_document_with_fractions(self):
-        pair = jacobi_family(Fraction(1, 3), Fraction(4, 3))
-        doc = build_compute_document(pair, 10)
-        assert _printed_json(doc) == _json_dump(doc)
+    def test_compute_document_with_fractions(self, capsys):
+        code, out, _ = run_cli(capsys, "compute", "--family", "jacobi", "--alpha", "1/3",
+                               "--beta", "4/3", "--n", "10", "--format", "json")
+        assert code == 0
+        assert out == _json_dump(json.loads(out))
 
     def test_genfun_document(self, capsys):
         code, out, _ = run_cli(capsys, "genfun", "--family", "laguerre", "--alpha", "1/2",
@@ -1125,14 +1137,24 @@ class TestComputeStream:
     @pytest.mark.parametrize("flags, make", PAIRS, ids=["hermite", "laguerre", "jacobi",
                                                         "bessel", "custom"])
     def test_streamed_json_is_the_document(self, capsys, flags, make):
+        # the expected document comes from the pair's row memo, which compute never reads
         pair = make()
+        params = {key: str(value) for key, value in sorted(pair.params.items())}
         for n in range(13):
+            rows = [poly_to_strings(row) for row in pair.rows(n, n)]
+            mus = [str(mu_eigenvalue(pair, n, v)) for v in range(n + 1)]
             for nu in (None, *range(n + 1)):
                 extra = () if nu is None else ("--nu", str(nu))
                 code, out, err = run_cli(capsys, "compute", *flags, "--n", str(n), *extra,
                                          "--format", "json")
                 assert (code, err) == (0, "")
-                assert out == _json_dump(build_compute_document(pair, n, nu)), (n, nu)
+                doc = json.loads(out)
+                assert out == _json_dump(doc), (n, nu)
+                picked = slice(None) if nu is None else slice(nu, nu + 1)
+                assert list(doc.items()) == [
+                    ("family", pair.name), ("params", params), ("n", n),
+                    ("rows", rows[picked]), ("lambda", str(lambda_n(pair, n))),
+                    ("mu", [mus[picked]])], (n, nu)
 
     @settings(max_examples=200)
     @given(st.lists(mixed_rationals(), max_size=8))

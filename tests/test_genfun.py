@@ -108,7 +108,7 @@ class TestWeightRatio:
         # the elementary weight ratio and G(0) of the same (phi, psi) as a custom pair
         entry = FAMILIES[name]
         for values in points:
-            catalog = catalog_family(name, dict(zip(entry.params, values)))
+            catalog = catalog_family(name, *values)
             custom = ClassicalPair(*entry.pair(*values))
             assert weight_ratio_series(catalog, 9) == genfun_truncated(custom, 0, 9)
             assert weight_ratio_series(custom, 9) == weight_ratio_series(catalog, 9)

@@ -8,6 +8,8 @@ import re
 from pathlib import Path
 
 import copoly
+import copoly.cli
+import copoly.rodrigues
 
 
 def test_every_exported_name_resolves():
@@ -223,8 +225,11 @@ def test_one_failure_contract():
 
 def test_one_pair_type():
     """The catalog returns checked pairs; the CLI's unchecked request and the
-    sweep's row table are not exported, and only ``cli`` uses the request."""
-    pairs = [copoly.catalog_family("laguerre", {"alpha": 1}), copoly.hermite_family(),
+    sweep's row table are not exported, and only ``cli`` uses the request.  The
+    CLI looks a family up with the catalog's own ``_catalog_spec``, and the
+    request path keeps one copy of each job: no lookup wrapper or alias, and no
+    second builder of ``compute``'s JSON document."""
+    pairs = [copoly.catalog_family("laguerre", 1), copoly.hermite_family(),
              copoly.laguerre_family(1), copoly.jacobi_family(1, 2), copoly.bessel_family(1)]
     unexported = {"FamilySpec", "pair_from_family", "CompTable", "complementary_table"}
     request = {"FamilySpec", "pair_from_family"}
@@ -232,9 +237,16 @@ def test_one_pair_type():
              if (isinstance(node, ast.Name) and node.id in request)
              or (isinstance(node, ast.alias) and node.name in request)
              or (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in request)}
+    gone = {"_catalog_lookup", "build_compute_document", "_compute_document"}
+    copies = [(name, node.lineno) for name, tree in _modules().items() for node in ast.walk(tree)
+              if (isinstance(node, ast.FunctionDef) and node.name in gone)
+              or (isinstance(node, ast.Name) and node.id in gone)
+              or (isinstance(node, ast.alias) and {node.name, node.asname} & gone)]
     assert {type(pair) for pair in pairs} == {copoly.ClassicalPair}
     assert unexported & set(copoly.__all__) == set()
     assert users == {"cli.py", "rodrigues.py"}
+    assert copoly.cli._catalog_spec is copoly.rodrigues._catalog_spec
+    assert (copies, hasattr(copoly.cli, "build_compute_document")) == ([], False)
 
 
 def test_one_number_reader():

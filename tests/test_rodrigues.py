@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import copoly.functional
 import copoly.rodrigues
 import oracles
 from conftest import mixed_rationals, small_polys
@@ -87,9 +88,9 @@ class TestFamilyBuilders:
         ("jacobi", jacobi_family), ("bessel", bessel_family)])
     def test_builders_return_the_pair_of_their_description(self, name, builder):
         values = (Fraction(1, 3), Fraction(4, 3))[:len(FAMILIES[name].params)]
-        spec = _catalog_spec(name, dict(zip(FAMILIES[name].params, values)))
+        spec = _catalog_spec(name, *values)
         expected = ClassicalPair(spec.phi, spec.psi, spec.u0, spec.name, spec.params)
-        for pair in (builder(*values), catalog_family(name, spec.params)):
+        for pair in (builder(*values), catalog_family(name, *values)):
             assert type(pair) is ClassicalPair
             assert _fields(pair) == _fields(expected)
             assert pair.u.moments(20) == expected.u.moments(20)
@@ -154,18 +155,21 @@ class TestCatalogRegistry:
             assert parse_poly_expr(family.psi_text, params) == psi
 
     def test_missing_parameters_default_to_zero(self):
-        assert _fields(catalog_family("jacobi", {"alpha": 1})) == _fields(jacobi_family(1, 0))
-        assert catalog_family("laguerre", {"alpha": None}).params == {"alpha": 0}
+        assert _fields(catalog_family("jacobi", 1)) == _fields(jacobi_family(1, 0))
+        assert _fields(catalog_family("jacobi", beta=1)) == _fields(jacobi_family(0, 1))
+        assert catalog_family("laguerre", None).params == {"alpha": 0}
 
     def test_foreign_parameter_rejected(self):
         with pytest.raises(InvalidParameter, match="does not take beta"):
-            catalog_family("laguerre", {"alpha": 1, "beta": 2})
+            catalog_family("laguerre", 1, 2)
         with pytest.raises(InvalidParameter, match="does not take alpha"):
-            catalog_family("hermite", {"alpha": 0})
+            catalog_family("hermite", 0)
+        with pytest.raises(InvalidParameter, match="does not take alpha"):
+            catalog_family("hermite", 0, 0)  # alpha is refused before beta
 
     def test_unknown_name_rejected(self):
         with pytest.raises(InvalidParameter, match="unknown family 'legendre'"):
-            catalog_family("legendre", {})
+            catalog_family("legendre")
 
     @pytest.mark.parametrize("phi, psi, name", [
         (Poly([0, 1]), Poly([1, -1]), "hermite"),   # laguerre(0), read as hermite's weight
@@ -178,7 +182,7 @@ class TestCatalogRegistry:
     def test_catalog_and_custom_pairs_build(self):
         for name, family in FAMILIES.items():
             for values in itertools.product(REGISTRY_VALUES, repeat=len(family.params)):
-                assert catalog_family(name, dict(zip(family.params, values))).name == name
+                assert catalog_family(name, *values).name == name
         for pair in (hermite_family(), laguerre_family(ALPHA), jacobi_family(JA, JB),
                      bessel_family(ALPHA)):
             assert pair.name in FAMILIES
@@ -361,6 +365,23 @@ class TestPearsonForm:
         for build in (ClassicalPair, lambda phi, psi: moments_from_pearson(phi, psi, 1, 0)):
             with pytest.raises(InvalidParameter, match=message):
                 build(phi, psi)
+
+    @pytest.mark.parametrize("make", [
+        lambda: bessel_family(Fraction(1, 3)),
+        lambda: ClassicalPair(*FIVE_PRIME, Fraction(2, 3), max_order=12),
+    ], ids=["catalog", "custom"])
+    def test_a_pair_reads_itself_once(self, monkeypatch, make):
+        calls = []
+
+        def counted(phi, psi):
+            calls.append((phi, psi))
+            return original(phi, psi)
+
+        original = copoly.functional._pearson_form
+        monkeypatch.setattr(copoly.functional, "_pearson_form", counted)
+        monkeypatch.setattr(copoly.rodrigues, "_pearson_form", counted)
+        pair = make()
+        assert calls == [(pair.phi, pair.psi)]
 
 
 class TestRowKernel:

@@ -37,8 +37,8 @@ _FIVE_PRIME = (Poly([Fraction(127, 113), Fraction(109, 107), Fraction(103, 101)]
 def _hermite_on_legendre_moments(legendre_pair, monkeypatch) -> ClassicalPair:
     """The Hermite pair as built by a faulty moment generator that returns
     the Legendre functional."""
-    monkeypatch.setattr(copoly.rodrigues, "moments_from_pearson",
-                        lambda phi, psi, u0, max_order: legendre_pair.u)
+    monkeypatch.setattr(copoly.rodrigues, "_pearson_moments",
+                        lambda pearson, u0, max_order: legendre_pair.u)
     return ClassicalPair(Poly.one(), Poly([0, -2]), name="broken")
 
 
