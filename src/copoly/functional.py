@@ -168,8 +168,18 @@ def functional_derivative(u: MomentFunctional, times: int = 1) -> MomentFunction
 
 
 def functional_poly_mul(h: Poly, u: MomentFunctional) -> MomentFunctional:
-    """Left multiplication by a polynomial: moments ``v_k = sum h_j u_{k+j}``."""
-    return _combination([(c, u, j) for j, c in enumerate(h._nums)], h._den)
+    """Left multiplication by a polynomial: moments ``v_k = sum h_j u_{k+j}``.
+
+    A block reads ``u``'s prefix once, through ``hi + deg h``, and takes each
+    moment as one integer dot product of ``h``'s numerators with a window of
+    it, over ``den(h) den(u)``; ``h = 0`` reads nothing.
+    """
+    coeffs, scale, width = h._nums, h._den, len(h._nums)
+
+    def block(_: MomentFunctional, lo: int, hi: int) -> tuple[int, list[int]]:
+        den, nums = u._form(hi + width - 1) if width else (1, [])
+        return den * scale, [sum(map(mul, coeffs, nums[k:k + width])) for k in range(lo, hi + 1)]
+    return MomentFunctional(block=block)
 
 
 def functional_div_linear(c: int | str | Fraction, u: MomentFunctional) -> MomentFunctional:
@@ -219,7 +229,8 @@ def _pearson_form(phi: Poly, psi: Poly) -> tuple[int, tuple[int, int, int], tupl
     if phi.degree > 2:
         raise InvalidParameter(f"phi must have degree <= 2, got degree {phi.degree}")
     if psi.degree != 1:
-        raise InvalidParameter(f"psi must have degree exactly 1, got degree {psi.degree}")
+        got = "the zero polynomial" if psi.is_zero else f"degree {psi.degree}"
+        raise InvalidParameter(f"psi must have degree exactly 1, got {got}")
     s, (phi_nums, (e, d)) = _over_lcm([(phi._den, phi._nums), (psi._den, psi._nums)])
     c, b, a = [*phi_nums, 0, 0, 0][:3]
     return s, (c, b, a), (e, d)

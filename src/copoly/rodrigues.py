@@ -31,17 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import perm
+from operator import mul
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .errors import InvalidParameter
-from .functional import (
-    MomentFunctional,
-    _combination,
-    _pearson_form,
-    _pearson_moments,
-    functional_derivative,
-    functional_poly_mul,
-)
+from .functional import MomentFunctional, _pearson_form, _pearson_moments, functional_poly_mul
 from .poly import Poly, _convolve, as_rational
 from .series import SeriesYX, series_exp, series_pow_rational
 
@@ -400,13 +394,26 @@ def sturm_liouville_residual(pair: ClassicalPair, n: int, nu: int) -> MomentFunc
     """The functional ``(C_nu' u_{n-nu+1})' + mu(n, nu) C_nu u_{n-nu}``.
 
     This is the self-adjoint (weighted) form of the row equation, stated at
-    the functional level; every moment is zero.
+    the functional level; every moment is zero.  With ``U = u_{n-nu+1}``,
+    ``W = C_nu u_{n-nu}`` and ``mu(n, nu) = p / q``, moment ``k`` is
+    ``-k sum_i (C_nu')_i U_{k-1+i} + (p / q) W_k``; a block reads ``U``'s and
+    ``W``'s stored forms once and puts each moment over one denominator.
     """
-    lhs = functional_derivative(functional_poly_mul(
-        complementary(pair, n, nu).derivative(), pair.functional_power(n - nu + 1)))
+    row = complementary(pair, n, nu)
+    dnums, dden = [i * v for i, v in enumerate(row._nums)][1:], row._den
+    width = len(dnums)
+    u_next, weighted = pair.functional_power(n - nu + 1), pair.weighted_row(n, nu)
     mu = mu_eigenvalue(pair, n, nu)
-    return _combination([(mu.denominator, lhs, 0), (mu.numerator, pair.weighted_row(n, nu), 0)],
-                        mu.denominator)
+    p, q = mu.numerator, mu.denominator
+
+    def block(_: MomentFunctional, lo: int, hi: int) -> tuple[int, list[int]]:
+        u_den, u_nums = u_next._form(hi + width - 2) if width else (1, [])
+        w_den, w_nums = weighted._form(hi)
+        left, right = q * w_den, p * dden * u_den
+        return dden * u_den * q * w_den, [
+            right * w - (left * k * sum(map(mul, dnums, u_nums[k - 1:k - 1 + width])) if k else 0)
+            for k, w in zip(range(lo, hi + 1), w_nums[lo:])]
+    return MomentFunctional(block=block)
 
 
 def rodrigues_formula_residual(pair: ClassicalPair, n: int, nu: int, mu: int) -> MomentFunctional:
@@ -414,12 +421,24 @@ def rodrigues_formula_residual(pair: ClassicalPair, n: int, nu: int, mu: int) ->
 
     With ``mu = 0`` this is the Rodrigues formula for the rows
     (``C_nu u_{n-nu}`` equals the ``nu``-th derivative of ``u_n``); general
-    ``mu`` interpolates between rows.  Every moment is zero.
+    ``mu`` interpolates between rows.  Every moment is zero.  With
+    ``t = nu - mu``, moment ``k`` is ``w_k - (-1)^t k!/(k-t)! v_{k-t}`` for the
+    weighted rows ``w`` of ``nu`` and ``v`` of ``mu`` (the second term is zero
+    for ``k < t``); a block reads both stored forms once.
     """
     if not 0 <= mu <= nu <= n:
         raise IndexError(f"need 0 <= mu <= nu <= n, got mu={mu}, nu={nu}, n={n}")
-    rhs = functional_derivative(pair.weighted_row(n, mu), nu - mu)
-    return pair.weighted_row(n, nu) - rhs
+    upper, lower = pair.weighted_row(n, nu), pair.weighted_row(n, mu)
+    t = nu - mu
+    sign = -1 if t % 2 else 1
+
+    def block(_: MomentFunctional, lo: int, hi: int) -> tuple[int, list[int]]:
+        w_den, w_nums = upper._form(hi)
+        v_den, v_nums = lower._form(hi - t)
+        return w_den * v_den, [
+            w * v_den - (sign * perm(k, t) * v_nums[k - t] * w_den if k >= t else 0)
+            for k, w in zip(range(lo, hi + 1), w_nums[lo:])]
+    return MomentFunctional(block=block)
 
 
 def derivative_proportionality(pair: ClassicalPair, n: int, nu: int) -> Fraction | None:

@@ -4,7 +4,9 @@ Everything here is deliberately direct: closed-form moment formulas and
 the classical three-term recurrences, sharing no construction code with
 the Rodrigues/Pearson machinery under test.  ``Poly`` is used only as a
 coefficient container; its ring operations are themselves covered by the
-algebra tests.
+algebra tests.  The functional references compose the derived functionals
+``_combination`` and ``functional_derivative`` that the one-block kernels
+under test fuse, and read the pair's memoized functionals as they do.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 from fractions import Fraction
 
 from copoly import NotQuasiDefinite, Poly, functional_apply
+from copoly.functional import _combination, functional_derivative
 
 
 def rising(a: Fraction | int, k: int) -> Fraction:
@@ -197,6 +200,38 @@ def ode_residual(phi: Poly, psi: Poly, n: int, nu: int, row: Poly) -> Poly:
     mu = -nu * ((2 * n - nu - 1) * phi.coefficient(2) + psi.coefficient(1))
     return (phi * row.derivative(2) + ((n - nu) * phi.derivative() + psi) * row.derivative()
             + mu * row)
+
+
+def functional_poly_mul(h: Poly, u):
+    """``v_k = sum h_j u_{k+j}`` as the ``_combination`` of the shifted terms
+    ``h_j u_{k+j}`` over ``den(h)``: the composition that the one-block
+    ``functional.functional_poly_mul`` fuses."""
+    return _combination([(c, u, j) for j, c in enumerate(h._nums)], h._den)
+
+
+def _row_mu(pair, n: int, nu: int) -> Fraction:
+    """``mu(n, nu) = -nu ((2n - nu - 1) phi''/2 + psi')`` read off the coefficients."""
+    return -nu * ((2 * n - nu - 1) * pair.phi.coefficient(2) + pair.psi.coefficient(1))
+
+
+def sturm_liouville_residual(pair, n: int, nu: int):
+    """``(C_nu' u_{n-nu+1})' + mu(n, nu) C_nu u_{n-nu}`` as a chain of derived
+    functionals (derivative of a polynomial multiple, then a ``_combination``)
+    over the pair's memoized rows, shifted functionals and weighted rows: the
+    composition that ``rodrigues.sturm_liouville_residual`` fuses into one block."""
+    row = pair.rows(n, nu)[nu]
+    lhs = functional_derivative(functional_poly_mul(row.derivative(),
+                                                    pair.functional_power(n - nu + 1)))
+    mu = _row_mu(pair, n, nu)
+    return _combination([(mu.denominator, lhs, 0), (mu.numerator, pair.weighted_row(n, nu), 0)],
+                        mu.denominator)
+
+
+def rodrigues_formula_residual(pair, n: int, nu: int, mu: int):
+    """``C_nu u_{n-nu} - (d/dx)^(nu-mu) [C_mu u_{n-mu}]`` as the difference of the
+    weighted row and a ``functional_derivative``: the composition that
+    ``rodrigues.rodrigues_formula_residual`` fuses into one block."""
+    return pair.weighted_row(n, nu) - functional_derivative(pair.weighted_row(n, mu), nu - mu)
 
 
 def derivative_proportionality(diagonal: Poly, target: Poly, nu: int) -> Fraction | None:

@@ -443,6 +443,18 @@ class TestComputeErrors:
         assert (code, out) == (2, "")
         assert err == "error: admissibility fails: psi' + k*phi''/2 = 0 at k = 15\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--family", "jacobi", "--alpha=-1", "--beta=-1", "--max-n", "2"),
+        ("compute", "--n", "2", "--phi", "x", "--psi", "0"),
+        ("compute", "--n", "2", "--phi", "x", "--psi", "x-x"),
+        ("genfun", "--n", "1", "--order", "2", "--phi", "1", "--psi", "0"),
+    ], ids=["jacobi-minus-1-minus-1", "zero", "cancelling", "genfun"])
+    def test_zero_psi_exits_two(self, capsys, argv):
+        # the zero polynomial has degree -inf, which the message must not print
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: psi must have degree exactly 1, got the zero polynomial\n"
+
     def test_rows_keep_their_degree_past_the_checked_range(self, capsys):
         # k - 19 vanishes only past k = 2n - 2 = 18, where no row of n = 10 reaches
         code, out, _ = run_cli(capsys, "compute", "--n", "10", "--phi", "x^2", "--psi", "1 - 19*x",

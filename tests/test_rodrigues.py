@@ -25,6 +25,7 @@ from copoly import (
     complementary,
     derivative_proportionality,
     functional_apply,
+    functional_poly_mul,
     hermite_family,
     jacobi_family,
     laguerre_family,
@@ -360,11 +361,15 @@ class TestPearsonForm:
     @pytest.mark.parametrize("phi, psi, message", [
         (Poly.monomial(3), Poly([0, 1]), "phi must have degree <= 2, got degree 3"),
         (Poly.one(), Poly([3]), "psi must have degree exactly 1, got degree 0"),
-    ], ids=["cubic-phi", "constant-psi"])
+        (Poly.x(), Poly.zero(), "psi must have degree exactly 1, got the zero polynomial"),
+        (Poly.one(), Poly([0, 1]) - Poly.x(), "psi must have degree exactly 1, got the zero "
+                                              "polynomial"),
+    ], ids=["cubic-phi", "constant-psi", "zero-psi", "cancelled-psi"])
     def test_pair_and_moments_refuse_the_same_degrees(self, phi, psi, message):
         for build in (ClassicalPair, lambda phi, psi: moments_from_pearson(phi, psi, 1, 0)):
-            with pytest.raises(InvalidParameter, match=message):
+            with pytest.raises(InvalidParameter, match=message) as refused:
                 build(phi, psi)
+            assert "inf" not in str(refused.value)
 
     @pytest.mark.parametrize("make", [
         lambda: bessel_family(Fraction(1, 3)),
@@ -618,6 +623,102 @@ class TestRodriguesFormulaResidual:
             rodrigues_formula_residual(hermite_pair, 3, 2, 3)
         with pytest.raises(IndexError):
             rodrigues_formula_residual(hermite_pair, 3, 4, 0)
+
+
+def _moments_or_error(u, depth: int):
+    """``u``'s moments through ``depth``, or the type of what reading them raised."""
+    try:
+        return u.moments(depth)
+    except (AdmissibilityViolation, ValueError) as exc:
+        return type(exc)
+
+
+# the pairs the functional residuals are compared on, each built fresh
+_RESIDUAL_PAIRS = {
+    "hermite": hermite_family,
+    "laguerre-1/2": lambda: laguerre_family(Fraction(1, 2)),
+    "jacobi-1/3-4/3": lambda: jacobi_family(Fraction(1, 3), Fraction(4, 3)),
+    "bessel-1/3": lambda: bessel_family(Fraction(1, 3)),
+    "x+1/3": lambda: ClassicalPair(Poly([Fraction(1, 3), 1]), Poly([Fraction(4, 3), -1]),
+                                   Fraction(2, 3)),
+    "five-prime": lambda: ClassicalPair(*FIVE_PRIME),
+}
+
+
+def _residuals_match_reference(pair: ClassicalPair, max_n: int) -> list:
+    """Assert that both functional residuals equal their reference compositions in
+    ``oracles`` at every ``(n, nu, mu)`` with ``n <= max_n``, through moment ``2n + 5``;
+    return every residual's moments."""
+    read = []
+    for n in range(max_n + 1):
+        depth = 2 * n + 5
+        for nu in range(n + 1):
+            got = _moments_or_error(sturm_liouville_residual(pair, n, nu), depth)
+            assert got == _moments_or_error(oracles.sturm_liouville_residual(pair, n, nu), depth)
+            read.append(got)
+            for mu in range(nu + 1):
+                got = _moments_or_error(rodrigues_formula_residual(pair, n, nu, mu), depth)
+                assert got == _moments_or_error(
+                    oracles.rodrigues_formula_residual(pair, n, nu, mu), depth)
+                read.append(got)
+    return read
+
+
+class TestFunctionalBlocks:
+    """The one-block ``functional_poly_mul`` and functional residuals against the
+    compositions of derived functionals in ``oracles`` that they fuse."""
+
+    @settings(max_examples=60)
+    @given(kernel_pairs(), st.lists(mixed_rationals(), max_size=5).map(Poly),
+           st.integers(0, 3), st.integers(0, 12), st.data())
+    def test_poly_mul_matches_reference(self, pair, h, k, depth, data):
+        # h over unrelated primes, with zero coefficients, or zero; read in two
+        # blocks, the second continuing the first's prefix
+        u = pair.functional_power(k)
+        got, expected = functional_poly_mul(h, u), oracles.functional_poly_mul(h, u)
+        cut = data.draw(st.integers(0, depth))
+        assert _moments_or_error(got, cut) == _moments_or_error(expected, cut)
+        assert _moments_or_error(got, depth) == _moments_or_error(expected, depth)
+
+    @pytest.mark.parametrize("h", [
+        Poly.zero(), Poly([0, 0, 3]), Poly([1, 0, 0, Fraction(2, 1048573)]),
+    ], ids=["zero", "monomial", "zero-middle"])
+    def test_poly_mul_with_zero_coefficients(self, h):
+        u = ClassicalPair(*FIVE_PRIME).functional_power(2)
+        assert functional_poly_mul(h, u).moments(12) == oracles.functional_poly_mul(h, u).moments(12)
+
+    def test_zero_poly_mul_reads_nothing(self):
+        finite = copoly.functional.MomentFunctional(initial=[1, 2])
+        assert functional_poly_mul(Poly.zero(), finite).moments(5) == [0] * 6
+
+    @pytest.mark.parametrize("build", _RESIDUAL_PAIRS.values(), ids=_RESIDUAL_PAIRS.keys())
+    def test_residuals_match_reference(self, build):
+        read = _residuals_match_reference(build(), 8)
+        assert all(moments == [0] * len(moments) for moments in read)
+
+    @settings(max_examples=30)
+    @given(kernel_pairs(), st.integers(0, 5))
+    def test_residuals_match_reference_on_any_pair(self, pair, max_n):
+        # over denominators unrelated to each other the residuals need not vanish,
+        # and a vanishing d + k a stops both at the same moment
+        _residuals_match_reference(pair, max_n)
+
+    @pytest.mark.parametrize("build", [
+        hermite_family, lambda: jacobi_family(Fraction(1, 3), Fraction(4, 3)),
+        lambda: ClassicalPair(*FIVE_PRIME),
+    ], ids=["hermite", "jacobi", "five-prime"])
+    @pytest.mark.parametrize("memo", ["weighted", "shifted"])
+    def test_a_perturbed_memo_is_read(self, build, memo):
+        # x^2 u_2 added to C_3(x; 5) u_2, or u_0 added to u_2 before any row is
+        # weighted: both sides read the pair's memos, so they must still agree,
+        # and the residuals that read the perturbed entry no longer vanish
+        pair = build()
+        if memo == "weighted":
+            pair._weighted[(5, 3)] = pair.weighted_row(5, 3) + functional_poly_mul(
+                Poly.monomial(2), pair.functional_power(2))
+        else:
+            pair._shifted[2] = pair.functional_power(2) + pair.u
+        assert any(any(moments) for moments in _residuals_match_reference(pair, 8))
 
 
 class TestDerivativeProportionality:

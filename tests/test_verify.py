@@ -11,6 +11,7 @@ import copoly.genfun
 import copoly.oracle
 import copoly.rodrigues
 import copoly.verify
+import oracles
 from copoly import (
     AdmissibilityViolation,
     ClassicalPair,
@@ -135,8 +136,10 @@ class TestPassingRuns:
     def test_functional_suite_weights_each_row_once(self, monkeypatch):
         # A fresh pair: the session fixtures carry their memos between tests.
         # 2 Pearson + 15 product-rule + 9 shifted functionals u_1..u_9, then per
-        # (n, nu) one C_nu' u_{n-nu+1} and one memoized C_nu u_{n-nu}; building
-        # C_nu u_{n-nu} afresh for every residual took 262
+        # (n, nu) one memoized C_nu u_{n-nu}; the self-adjoint residual reads
+        # C_nu' against u_{n-nu+1} in its own block (building C_nu' u_{n-nu+1}
+        # made it 116), and building C_nu u_{n-nu} afresh for every residual
+        # took 262
         pair = hermite_family()
         calls = []
         original = copoly.functional.functional_poly_mul
@@ -148,7 +151,7 @@ class TestPassingRuns:
         monkeypatch.setattr(copoly.rodrigues, "functional_poly_mul", counted)
         assert verify_pair(pair, suites=("functional",), max_n=8).passed
         rows = sum(n + 1 for n in range(9))
-        assert len(calls) == 2 + 15 + 9 + 2 * rows == 116
+        assert len(calls) == 2 + 15 + 9 + rows == 71
 
     def test_a_wrong_weighted_row_fails_where_it_is_read(self):
         # C_3(x; 5) u_2 memoized as (C_3 + 1) u_2: both residuals that read it
@@ -161,6 +164,26 @@ class TestPassingRuns:
             "n=5 nu=3 mu=0: functional Rodrigues residual nonzero",
             "n=5 nu=3 mu=1: functional Rodrigues residual nonzero",
         ]
+
+    @pytest.mark.parametrize("build", [
+        hermite_family, lambda: ClassicalPair(*_FIVE_PRIME),
+    ], ids=["hermite", "five-prime"])
+    def test_a_wrong_shifted_functional_fails_as_the_compositions_do(self, monkeypatch, build):
+        # u_2 memoized as u_2 + u before any row is weighted: every weighted row
+        # C_nu u_2 and every self-adjoint residual that reads u_2 carries it, and
+        # the one-block residuals must fail exactly where the compositions of
+        # derived functionals they fuse fail
+        def failures():
+            pair = build()
+            pair._shifted[2] = pair.functional_power(2) + pair.u
+            return verify_pair(pair, suites=("functional",), max_n=5, order=4).suites[0].failures
+        got = failures()
+        monkeypatch.setattr(copoly.verify, "sturm_liouville_residual",
+                            oracles.sturm_liouville_residual)
+        monkeypatch.setattr(copoly.verify, "rodrigues_formula_residual",
+                            oracles.rodrigues_formula_residual)
+        assert got == failures()
+        assert "n=3 nu=1: self-adjoint residual nonzero" in got
 
 
 class TestProofDepth:
