@@ -276,6 +276,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"  {suite.suite:<10} {status}  checks={suite.checks}  {suite.seconds:.2f}s")
             for line in suite.failures[:5]:
                 print(f"      counterexample: {line}")
+            if len(suite.failures) > 5:
+                hidden = len(suite.failures) - 5
+                print(f"      ... {hidden} more not shown (--format json lists all)")
         for note in report.notes:
             print(f"note: {note}")
         print(f"overall: {'PASS' if report.passed else 'FAIL'}")

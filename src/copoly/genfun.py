@@ -123,7 +123,7 @@ def pde_residual(pair: ClassicalPair, n: int, order: int, *, full: SeriesYX | No
         "y_self": y_self,
         "x_self": _product_sum([(1, prefactor, dx), (-1, y_bracket, g)]),
         # phi(x + y phi) = phi * prefactor, so master is phi times y_self
-        "master": _product_sum([(1, const_phi, y_self)]),
+        "master": y_self * phi,
     }
     if n >= 1:
         outer = SeriesYX(m, [Poly.one(), dphi])

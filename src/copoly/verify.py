@@ -241,16 +241,23 @@ SUITE_NAMES = tuple(_SUITES)
 
 def verify_pair(pair: ClassicalPair, suites: tuple[str, ...] | list[str] | None = None,
                 max_n: int = 8, order: int = 12) -> VerifyReport:
-    """Run the requested suites over the ``(n, nu)`` grid up to ``max_n``."""
+    """Run the requested suites over the ``(n, nu)`` grid up to ``max_n``.
+
+    Only ``suites=None`` runs every suite, in ``SUITE_NAMES`` order; an empty
+    or repeated selection is refused."""
     if max_n < 0:
         raise InvalidParameter("max_n must be >= 0")
     if order < 2:
         raise InvalidParameter("series order must be >= 2")
-    selected = tuple(suites) if suites else SUITE_NAMES
+    selected = SUITE_NAMES if suites is None else tuple(suites)
+    if not selected:
+        raise InvalidParameter("no suite selected; pass None to run every suite")
     for name in selected:
         if name not in _SUITES:
             raise InvalidParameter(
                 f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES)}")
+    if len(set(selected)) < len(selected):
+        raise InvalidParameter(f"a suite is selected twice: {', '.join(selected)}")
     report = VerifyReport(pair.name, dict(pair.params), max_n, order)
     for name in selected:
         result = SuiteResult(name)

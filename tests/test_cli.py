@@ -573,6 +573,11 @@ class TestVerify:
         assert out.splitlines()[-1] == "overall: PASS"
         assert [int(line.split("checks=")[1].split()[0])
                 for line in out.splitlines() if "checks=" in line] == list(checks)
+        # the JSON report holds nested lists and the leading-coefficient note
+        code, out, _ = run_cli(capsys, "verify", *argv, "--order", "4", "--format", "json")
+        doc = json.loads(out)
+        assert (code, doc["passed"]) == (0, True)
+        assert doc["notes"]
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_admissibility_checked_through_every_moment_read(self, capsys, m):
@@ -632,6 +637,23 @@ class TestVerify:
         code, out, _ = run_cli(capsys, *common)
         assert code == 0
         assert [line for line in out.splitlines() if "proof" in line] == []
+
+    @pytest.mark.parametrize("count, hidden", [(5, []), (7, [
+        "      ... 2 more not shown (--format json lists all)"])], ids=["five", "seven"])
+    def test_text_report_counts_the_counterexamples_it_does_not_show(self, capsys, monkeypatch,
+                                                                     count, hidden):
+        from copoly.verify import SuiteResult, VerifyReport
+
+        failures = [f"n={n}: mu(n, n) != lambda_n" for n in range(count)]
+        fake = VerifyReport(family="hermite", params={}, max_n=count, series_order=4,
+                            suites=[SuiteResult("ode", False, 2 * count, failures, 0.0)])
+        monkeypatch.setattr("copoly.cli.verify_pair", lambda *a, **k: fake)
+        code, out, _ = run_cli(capsys, "verify", "--family", "hermite")
+        assert code == 1
+        assert out.splitlines()[3:] == [
+            *(f"      counterexample: {line}" for line in failures[:5]), *hidden, "overall: FAIL"]
+        code, out, _ = run_cli(capsys, "verify", "--family", "hermite", "--format", "json")
+        assert json.loads(out)["suites"][0]["failures"] == failures
 
     def test_failed_report_exits_one(self, capsys, monkeypatch):
         # Exit 1 signals a verified counterexample, which admissible input
@@ -909,8 +931,48 @@ class TestSubprocessContract:
     def run(self, *argv):
         return subprocess.run(
             [sys.executable, "-m", "copoly", *argv],
-            capture_output=True, text=True, env=src_env(),
+            capture_output=True, text=True, env=src_env(), timeout=120,
         )
+
+    FIVE_PRIME = ("--phi", "127/113+109/107*x+103/101*x^2", "--psi", "97/89+83/79*x")
+
+    # Each request runs every suite at the --max-n and --order caps. A complexity
+    # regression in any suite runs past the timeout; a kernel slip that skipped a check
+    # or hid a failure changes a count. Bessel's moment denominators gain a factor at
+    # almost every step, and the five-prime pair has a prime denominator per coefficient.
+    # A pair with no catalog weight skips the closed form (123 genfun checks, not 148)
+    # with a note. laguerre(-2) is not quasi-definite: its oracle stops at the Hankel
+    # determinant of order 2, and its functional residuals are read past proof depth.
+    @pytest.mark.parametrize("argv, checks, proof, note", [
+        (("--family", "jacobi", "--alpha", "1/3", "--beta", "4/3"),
+         [999, 699, 932, 148, 699], True, None),
+        (("--family", "bessel", "--alpha", "1/3"), [999, 699, 932, 148, 699], True, None),
+        (FIVE_PRIME, [999, 699, 932, 123, 699], True, "no catalog weight for this pair"),
+        (("--phi", "3 - x + 2*x^2", "--psi", "1 + 5*x"), [999, 699, 932, 123, 699], True,
+         "no catalog weight for this pair"),
+        (("--family", "laguerre", "--alpha=-2"), [999, 699, 932, 148, 0], False,
+         "not quasi-definite (Hankel determinant of order 2 vanishes)"),
+    ], ids=["jacobi", "bessel", "five-prime", "custom", "laguerre-minus-2"])
+    def test_verify_at_the_caps_keeps_its_counts(self, argv, checks, proof, note):
+        proc = self.run("verify", *argv, "--max-n", str(MAX_VERIFY_N), "--order", str(MAX_ORDER),
+                        "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert list(doc) == ["family", "params", "max_n", "series_order", "suites", "notes",
+                             "functional_proof", "passed", "first_counterexample"]
+        assert [list(suite) for suite in doc["suites"]] == [
+            ["suite", "passed", "checks", "failures", "seconds"]] * 5
+        assert doc["passed"] is True and all(suite["passed"] for suite in doc["suites"]), doc
+        assert [suite["checks"] for suite in doc["suites"]] == checks
+        assert doc["functional_proof"] is proof
+        if note is not None:
+            assert any(note in line for line in doc["notes"]), doc["notes"]
+
+    def test_custom_pair_genfun_at_the_caps_has_zero_difference(self):
+        # outside the catalog the closed form is Phi^n G(0), with G(0) from the rows
+        proc = self.run("genfun", *self.FIVE_PRIME, "--n", str(MAX_N), "--order", str(MAX_ORDER))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["difference"] == [[]] * (MAX_ORDER + 1)
 
     def test_verify_examples_exit_codes(self):
         first = self.run("verify", "--family", "hermite", "--max-n", "4", "--suite", "all")

@@ -9,7 +9,8 @@ from pathlib import Path
 
 from copoly.cli import main
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _block_after(marker: str, lang: str = "") -> str:
@@ -34,3 +35,15 @@ def test_compute_example_prints_the_shown_rows(capsys):
     shown = _block_after("`compute` prints the rows with their `mu` eigenvalues:")
     assert main(["compute", "--family", "laguerre", "--alpha", "1/2", "--n", "3"]) == 0
     assert capsys.readouterr().out == shown
+
+
+def test_ci_list_names_every_workflow_step():
+    """The "Continuous integration" list names each ``- name:`` step in order, in bold,
+    and each ``- uses:`` step as code."""
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    start = README.index("### Continuous integration\n")
+    section = README[start:README.index("\n## ", start)]
+    listed = re.findall(r"^\* \*\*(.+?)\*\*", section, re.MULTILINE)
+    assert listed == re.findall(r"^ +- name: (.+)$", workflow, re.MULTILINE)
+    actions = re.findall(r"^ +- uses: (\S+)$", workflow, re.MULTILINE)
+    assert actions and all(f"`{action}`" in section for action in actions)

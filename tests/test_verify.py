@@ -15,6 +15,7 @@ import oracles
 from copoly import (
     AdmissibilityViolation,
     ClassicalPair,
+    InvalidParameter,
     MomentFunctional,
     Poly,
     SUITE_NAMES,
@@ -64,6 +65,13 @@ class TestPassingRuns:
     def test_unknown_suite_rejected(self, hermite_pair):
         with pytest.raises(ValueError):
             verify_pair(hermite_pair, suites=("ode", "bogus"))
+
+    @pytest.mark.parametrize("suites", [[], (), ("ode", "ode"), ["recursion", "ode", "recursion"]],
+                             ids=["empty-list", "empty-tuple", "twice", "twice-apart"])
+    def test_empty_or_repeated_selection_rejected(self, hermite_pair, suites):
+        # only None selects every suite
+        with pytest.raises(InvalidParameter):
+            verify_pair(hermite_pair, suites=suites, max_n=1, order=2)
 
     def test_negative_max_n_rejected(self, hermite_pair):
         with pytest.raises(ValueError):
