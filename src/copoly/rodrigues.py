@@ -397,7 +397,9 @@ def sturm_liouville_residual(pair: ClassicalPair, n: int, nu: int) -> MomentFunc
     the functional level; every moment is zero.  With ``U = u_{n-nu+1}``,
     ``W = C_nu u_{n-nu}`` and ``mu(n, nu) = p / q``, moment ``k`` is
     ``-k sum_i (C_nu')_i U_{k-1+i} + (p / q) W_k``; a block reads ``U``'s and
-    ``W``'s stored forms once and puts each moment over one denominator.
+    ``W``'s stored forms once and puts each moment over one denominator.  At
+    ``mu = 0`` (row ``nu = 0``) the ``W`` term drops and ``W`` is not read, so a
+    moment that ``u_{n-nu}`` cannot reach does not stop the residual.
     """
     row = complementary(pair, n, nu)
     dnums, dden = [i * v for i, v in enumerate(row._nums)][1:], row._den
@@ -408,7 +410,7 @@ def sturm_liouville_residual(pair: ClassicalPair, n: int, nu: int) -> MomentFunc
 
     def block(_: MomentFunctional, lo: int, hi: int) -> tuple[int, list[int]]:
         u_den, u_nums = u_next._form(hi + width - 2) if width else (1, [])
-        w_den, w_nums = weighted._form(hi)
+        w_den, w_nums = weighted._form(hi) if p else (1, [0] * (hi + 1))
         left, right = q * w_den, p * dden * u_den
         return dden * u_den * q * w_den, [
             right * w - (left * k * sum(map(mul, dnums, u_nums[k - 1:k - 1 + width])) if k else 0)

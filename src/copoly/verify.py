@@ -145,8 +145,7 @@ def _suite_functional(pair: ClassicalPair, report: VerifyReport, result: SuiteRe
 
 
 def _suite_genfun(pair: ClassicalPair, report: VerifyReport, result: SuiteResult) -> None:
-    # Each G(n) is built once: the identities of n read it, and the *_lower
-    # identities of n + 1 read it truncated to order - 1.
+    # G(n) is built only for the closed-form check; the identities read the rows
     order = report.series_order
     # catalog only: a custom pair's weight ratio is G(0) from these same rows, no closed form
     closed = weight_ratio_series(pair, order) if pair.name in FAMILIES else None
@@ -154,19 +153,16 @@ def _suite_genfun(pair: ClassicalPair, report: VerifyReport, result: SuiteResult
         report.notes.append("closed-form/weight checks skipped: no catalog weight for this pair")
     else:
         prefactor = _quadratic_prefactor(pair, order)
-    lower = None
     for n in range(report.max_n + 1):
-        truncated = genfun_truncated(pair, n, order)
         if closed is not None:
             # genfun_closed_form(pair, n, order) as prefactor * (the closed form at
             # n - 1), one product with a three-term left factor
             if n:
                 closed = prefactor * closed
-            result.check(truncated == closed,
+            result.check(genfun_truncated(pair, n, order) == closed,
                          f"n={n}: truncated series != closed form at order {order}")
-        for which, residual in pde_residual(pair, n, order, full=truncated, lower=lower).items():
+        for which, residual in pde_residual(pair, n, order).items():
             result.check(residual.is_zero, f"n={n}: identity {which} residual nonzero")
-        lower = truncated.truncate(order - 1)
 
 
 def _suite_oracle(pair: ClassicalPair, report: VerifyReport, result: SuiteResult) -> None:

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from copoly import (
+    ClassicalPair,
     MomentFunctional,
     Poly,
     bessel_family,
@@ -95,6 +96,18 @@ def mixed_rationals() -> st.SearchStrategy[Fraction]:
         st.just(Fraction(0)),
         st.builds(Fraction, st.integers(-30, 30), st.sampled_from(PRIME_DENOMINATORS)),
     )
+
+
+# every coefficient over its own prime denominator
+FIVE_PRIME = (Poly([Fraction(127, 113), Fraction(109, 107), Fraction(103, 101)]),
+              Poly([Fraction(97, 89), Fraction(83, 79)]))
+
+
+def kernel_pairs() -> st.SearchStrategy[ClassicalPair]:
+    """Pairs with ``deg phi <= 2`` and ``deg psi = 1`` over mixed denominators."""
+    phi = st.lists(mixed_rationals(), min_size=1, max_size=3).map(Poly)
+    psi = st.tuples(mixed_rationals(), mixed_rationals().filter(bool)).map(Poly)
+    return st.builds(ClassicalPair, phi, psi)
 
 
 def small_polys(max_degree: int = 5) -> st.SearchStrategy[Poly]:

@@ -15,8 +15,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from copoly import NotQuasiDefinite, Poly, functional_apply
+from copoly import NotQuasiDefinite, Poly, SeriesYX, functional_apply
 from copoly.functional import _combination, functional_derivative
+from copoly.genfun import PDE_IDENTITIES, _quadratic_prefactor, genfun_truncated
+from copoly.series import _product_sum
 
 
 def rising(a: Fraction | int, k: int) -> Fraction:
@@ -301,6 +303,43 @@ def series_rows_dx(a) -> list[list[Fraction]]:
 
 def series_rows_dy(a) -> list[list[Fraction]]:
     return [[k * c for c in row] for k, row in enumerate(a[1:], 1)]
+
+
+def pde_residual(pair, n: int, order: int) -> dict[str, SeriesYX]:
+    """The generating-series residuals as sums of series products: ``G(n)`` and
+    ``G(n - 1)`` built from the pair's memoized rows, differentiated, and each
+    identity one ``_product_sum``, the form whose ``y^k`` coefficients the row
+    stencils of ``genfun.pde_residual`` expand."""
+    full = genfun_truncated(pair, n, order)
+    lower = genfun_truncated(pair, n - 1, order - 1) if n >= 1 else None
+    m = order - 1
+    phi, psi = pair.phi, pair.psi
+    dphi = phi.derivative()
+    half_phi2 = phi.coefficient(2)
+    c1 = psi + (n - 1) * dphi
+    c1d = c1.derivative()
+
+    g = full.truncate(m)
+    dy = full.differentiate_y()
+    dx = full.differentiate_x().truncate(m)
+    prefactor = _quadratic_prefactor(pair, m)
+    # C_1(x + y phi), exactly: deg C_1 <= 1 leaves no higher Taylor terms
+    shifted = SeriesYX(m, [c1, phi * c1d])
+    # y ((1 + y phi') C_1' - y phi'' C_1 / 2), the x-identity's bracket times y
+    y_bracket = SeriesYX(m, [Poly.zero(), c1d, dphi * c1d - c1 * half_phi2][: m + 1])
+    y_self = _product_sum([(1, prefactor, dy), (-1, shifted, g)])
+    residuals = {
+        "y_self": y_self,
+        "x_self": _product_sum([(1, prefactor, dx), (-1, y_bracket, g)]),
+        "master": y_self * phi,
+    }
+    if n >= 1:
+        outer = SeriesYX(m, [Poly.one(), dphi])
+        residuals["y_lower"] = _product_sum([(1, SeriesYX.one(m), dy), (-1, shifted, lower)])
+        residuals["x_lower"] = _product_sum([(1, SeriesYX(m, [phi]), dx),
+                                             (-1, outer * shifted, lower),
+                                             (1, SeriesYX(m, [c1]), g)])
+    return {which: residuals[which] for which in PDE_IDENTITIES if which in residuals}
 
 
 def _power_sum(s, weights) -> list[Poly]:

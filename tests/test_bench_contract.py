@@ -65,7 +65,7 @@ def test_tracer_sees_the_poly_kernel(monkeypatch, capsys):
     assert tracer.metrics["poly.mul_calls"] > 0
     assert tracer.metrics["poly.self_s"] > 0
     assert tracer.metrics["genfun.pde_s"] > 0
-    # one series per n: pde_residual reads the suite's G(n) and the G(n - 1) before it
+    # one series per n, for the closed-form check: pde_residual reads the rows, not G(n)
     assert tracer.metrics["genfun.truncated_builds"] == 3
     # each pair builds every row once: n <= 2, rows 0..4 for the series
     assert tracer.metrics["rodrigues.rows_built"] <= 21

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import copoly.genfun
+import copoly.series
+import oracles
+from conftest import FIVE_PRIME, kernel_pairs
 from copoly import (
     FAMILIES,
     ClassicalPair,
     PDE_IDENTITIES,
     Poly,
     SeriesYX,
+    bessel_family,
     catalog_family,
     genfun_closed_form,
     genfun_phi_factor,
@@ -21,8 +27,10 @@ from copoly import (
     jacobi_family,
     laguerre_family,
     pde_residual,
+    verify_pair,
     weight_ratio_series,
 )
+from copoly.genfun import _pack, _unpack
 
 ALPHA = Fraction(1, 2)
 JA, JB = Fraction(1, 3), 2
@@ -170,15 +178,13 @@ class TestPdeResiduals:
         assert tuple(pde_residual(laguerre_pair, 0, order=4)) == ("y_self", "x_self", "master")
         assert tuple(pde_residual(laguerre_pair, 1, order=4)) == PDE_IDENTITIES
 
-    def test_series_passed_in_are_read_as_built(self, jacobi_pair):
-        # the genfun suite passes G(n) and the truncated G(n - 1) it built already;
-        # a G(n - 1) perturbed by y breaks exactly the *_lower identities
-        full = genfun_truncated(jacobi_pair, 3, 6)
-        lower = genfun_truncated(jacobi_pair, 2, 6).truncate(5)
-        assert pde_residual(jacobi_pair, 3, 6, full=full, lower=lower) == pde_residual(
-            jacobi_pair, 3, 6)
-        wrong = lower + SeriesYX(5, [0, 1])
-        residuals = pde_residual(jacobi_pair, 3, 6, full=full, lower=wrong)
+    def test_a_perturbed_lower_row_breaks_the_lower_identities(self):
+        # C_1(x; 2) + 1 in the memo is G(2) + y: exactly the *_lower identities read it
+        pair = jacobi_family(JA, JB)
+        pair.rows(2, 5)
+        pair._rows[2][1] += Poly.one()
+        residuals = pde_residual(pair, 3, 6)
+        assert residuals == oracles.pde_residual(pair, 3, 6)
         assert [which for which, res in residuals.items() if not res.is_zero] == [
             "y_lower", "x_lower"]
 
@@ -186,19 +192,115 @@ class TestPdeResiduals:
         res = pde_residual(jacobi_pair, 4, order=6)["x_lower"]
         assert res.is_zero
 
-    @pytest.mark.parametrize("pair", [
-        hermite_family(),
-        jacobi_family(Fraction(1, 3), Fraction(4, 3)),
-        ClassicalPair(Poly([1, 1]), Poly([0, 1])),
+    @pytest.mark.parametrize("make", [
+        hermite_family,
+        lambda: jacobi_family(Fraction(1, 3), Fraction(4, 3)),
+        lambda: ClassicalPair(Poly([1, 1]), Poly([0, 1])),
     ], ids=["hermite", "jacobi", "custom"])
-    def test_every_identity_sees_a_perturbed_series(self, pair, monkeypatch):
-        # G(3) off by x y**2, G(2) left alone: no identity may stay zero
-        original = copoly.genfun.genfun_truncated
-
-        def perturbed(pair, n, order):
-            series = original(pair, n, order)
-            return series + SeriesYX(order, [0, 0, Poly.x()]) if n == 3 else series
-        monkeypatch.setattr(copoly.genfun, "genfun_truncated", perturbed)
+    def test_every_identity_sees_a_perturbed_series(self, make):
+        # C_2(x; 3) + 2x in the memo is G(3) + x y**2, G(2) left alone: no identity
+        # may stay zero
+        pair = make()
+        expected = genfun_truncated(make(), 3, 4) + SeriesYX(4, [0, 0, Poly.x()])
+        pair.rows(3, 4)
+        pair._rows[3][2] += 2 * Poly.x()
+        assert genfun_truncated(pair, 3, 4) == expected
         residuals = pde_residual(pair, 3, 4)
         assert tuple(residuals) == PDE_IDENTITIES
         assert not any(res.is_zero for res in residuals.values())
+
+
+# the pairs the row stencils are compared on, each built fresh
+_STENCIL_PAIRS = {
+    "jacobi-1/3-4/3": lambda: jacobi_family(Fraction(1, 3), Fraction(4, 3)),
+    "bessel-1/3": lambda: bessel_family(Fraction(1, 3)),
+    "hermite": hermite_family,
+    "laguerre-4/3": lambda: laguerre_family(Fraction(4, 3)),
+    "x+1/3": lambda: ClassicalPair(Poly([Fraction(1, 3), 1]), Poly([Fraction(4, 3), -1]),
+                                   Fraction(2, 3)),
+    "five-prime": lambda: ClassicalPair(*FIVE_PRIME),
+}
+
+
+def _alternating(pair: ClassicalPair, n: int, order: int) -> Poly:
+    """``top (1 - x + x^2 - ...)`` through ``x**order`` over the lcm of the rows that
+    ``pde_residual(pair, n, order)`` reads, ``top`` their largest numerator over it."""
+    rows = [*pair.rows(n, order), *(pair.rows(n - 1, order - 1) if n else [])]
+    den = math.lcm(*(row._den for row in rows))
+    top = max(abs(v) * (den // row._den) for row in rows for v in row._nums)
+    return Poly._of(den, [(-1) ** i * top for i in range(order + 1)])
+
+
+class TestRowStencils:
+    """``pde_residual``'s packed row stencils against the ``_product_sum`` form in
+    ``oracles``; both read the pair's memoized rows."""
+
+    @pytest.mark.parametrize("make", _STENCIL_PAIRS.values(), ids=_STENCIL_PAIRS.keys())
+    def test_matches_reference(self, make):
+        pair = make()
+        for n in range(9):
+            for order in range(2, 13):
+                residuals = pde_residual(pair, n, order)
+                assert residuals == oracles.pde_residual(pair, n, order), (n, order)
+                assert all(res.is_zero for res in residuals.values())
+
+    @settings(max_examples=40)
+    @given(kernel_pairs(), st.integers(0, 8), st.integers(2, 12))
+    def test_matches_reference_on_any_pair(self, pair, n, order):
+        # the identities follow from the row recursion alone, so they vanish for any pair
+        residuals = pde_residual(pair, n, order)
+        assert residuals == oracles.pde_residual(pair, n, order)
+        assert all(res.is_zero for res in residuals.values())
+
+    @pytest.mark.parametrize("make", [
+        hermite_family, _STENCIL_PAIRS["jacobi-1/3-4/3"], _STENCIL_PAIRS["five-prime"],
+    ], ids=["hermite", "jacobi", "five-prime"])
+    @pytest.mark.parametrize("lower", [False, True], ids=["row-of-n", "row-of-n-1"])
+    def test_a_perturbed_row_matches_reference(self, make, lower):
+        # by an integer, by a fraction, and by alternating signs as large as the
+        # largest numerator the rows hold, which a too narrow packing would mangle
+        perturbations = (lambda pair, n, order: Poly.monomial(2, 3),
+                         lambda pair, n, order: Poly([0, Fraction(1, 7)]),
+                         _alternating)
+        for n, order in ((1, 2), (3, 6), (6, 9)):
+            top = order - 1 if lower else order
+            for k in sorted({1, top // 2, top}):
+                for perturb in perturbations:
+                    pair = make()
+                    delta = perturb(pair, n, order)
+                    pair.rows(n - lower, top)
+                    pair._rows[n - lower][k] += delta
+                    residuals = pde_residual(pair, n, order)
+                    assert residuals == oracles.pde_residual(pair, n, order), (n, order, k)
+                    assert not all(res.is_zero for res in residuals.values())
+
+    def test_the_suite_builds_no_series_product(self, monkeypatch):
+        # on a custom pair the genfun suite builds no series at all
+        def refuse(terms):
+            raise AssertionError("the genfun suite multiplied two series")
+        monkeypatch.setattr(copoly.series, "_product_sum", refuse)
+        report = verify_pair(ClassicalPair(*FIVE_PRIME), suites=("genfun",), max_n=4, order=6)
+        assert report.passed and report.suites[0].checks == 3 + 4 * 5
+
+
+class TestPacking:
+    """``_pack`` and ``_unpack``: a row of numerators at ``x = 2**shift`` and back."""
+
+    @pytest.mark.parametrize("shift", [2, 3, 8, 64, 65])
+    def test_round_trip(self, shift):
+        top = (1 << (shift - 1)) - 1
+        for nums in ([], [top], [-top], [0, 0, top], [top, 0, -top, 0, 1],
+                     [-1, top, -top, 0, 0, -top]):
+            packed = _pack(nums, shift)
+            assert _unpack(packed, shift) == nums
+            assert (packed != 0) == bool(nums)
+
+    @given(st.integers(2, 80), st.data())
+    def test_round_trip_of_any_row(self, shift, data):
+        top = (1 << (shift - 1)) - 1
+        nums = data.draw(st.lists(st.integers(-top, top), max_size=12))
+        while nums and not nums[-1]:
+            nums.pop()
+        packed = _pack(nums, shift)
+        assert _unpack(packed, shift) == nums
+        assert (packed != 0) == bool(nums)

@@ -100,9 +100,9 @@ def test_functional_calculus_computes_on_stored_forms():
 
 
 def test_series_kernels_compute_on_stored_forms():
-    """``SeriesYX`` holds one integer form, and its kernels and
-    ``genfun_truncated`` read it: none of them reads ``.coeffs`` or calls
-    ``coeff``, which build ``Poly``s."""
+    """``SeriesYX`` holds one integer form, and its kernels, ``genfun_truncated``
+    and the row stencils of ``pde_residual`` read integer forms: none of them
+    reads ``.coeffs`` or calls ``coeff``, which build ``Poly``s."""
     modules = _modules()
     cls = next(node for node in ast.walk(modules["series.py"])
                if isinstance(node, ast.ClassDef) and node.name == "SeriesYX")
@@ -111,7 +111,7 @@ def test_series_kernels_compute_on_stored_forms():
     kernels = {"series.py": {"_product_sum", "_first_order", "_of", "truncate", "_combine",
                              "__neg__", "_scale", "differentiate_x", "differentiate_y",
                              "is_zero", "__eq__", "__hash__"},
-               "genfun.py": {"genfun_truncated"}}
+               "genfun.py": {"genfun_truncated", "pde_residual", "_residual"}}
     found = {(name, function.name) for name, names in kernels.items()
              for function in ast.walk(modules[name])
              if isinstance(function, ast.FunctionDef) and function.name in names}

@@ -7,13 +7,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import copoly.functional
 import copoly.rodrigues
 import oracles
-from conftest import mixed_rationals, small_polys
+from conftest import FIVE_PRIME, kernel_pairs, mixed_rationals, small_polys
 from copoly import (
     AdmissibilityViolation,
     ClassicalPair,
@@ -45,9 +45,6 @@ from copoly.rodrigues import FamilySpec, _catalog_spec, complementary_table, pai
 
 ALPHA = Fraction(1, 2)          # laguerre fixture parameter
 JA, JB = Fraction(1, 3), 2      # jacobi fixture parameters
-# every coefficient over its own prime denominator
-FIVE_PRIME = (Poly([Fraction(127, 113), Fraction(109, 107), Fraction(103, 101)]),
-              Poly([Fraction(97, 89), Fraction(83, 79)]))
 
 
 def _fields(pair: ClassicalPair) -> tuple:
@@ -339,13 +336,6 @@ class TestCompTable:
         for count in (-1, -2):
             with pytest.raises(IndexError, match="count must be >= 0"):
                 pair.rows(3, count)
-
-
-def kernel_pairs():
-    """Pairs with ``deg phi <= 2`` and ``deg psi = 1`` over mixed denominators."""
-    phi = st.lists(mixed_rationals(), min_size=1, max_size=3).map(Poly)
-    psi = st.tuples(mixed_rationals(), mixed_rationals().filter(bool)).map(Poly)
-    return st.builds(ClassicalPair, phi, psi)
 
 
 class TestPearsonForm:
@@ -698,9 +688,11 @@ class TestFunctionalBlocks:
 
     @settings(max_examples=30)
     @given(kernel_pairs(), st.integers(0, 5))
+    @example(ClassicalPair(Poly([0, 0, 3]), Poly([0, -9])), 0)
     def test_residuals_match_reference_on_any_pair(self, pair, max_n):
         # over denominators unrelated to each other the residuals need not vanish,
-        # and a vanishing d + k a stops both at the same moment
+        # and a vanishing d + k a stops both at the same moment; at nu = 0 neither
+        # reads C_0 u_n, so d + 3a = 0 leaves that residual zero
         _residuals_match_reference(pair, max_n)
 
     @pytest.mark.parametrize("build", [

@@ -12,6 +12,7 @@ import copoly.oracle
 import copoly.rodrigues
 import copoly.verify
 import oracles
+from conftest import FIVE_PRIME
 from copoly import (
     AdmissibilityViolation,
     ClassicalPair,
@@ -30,10 +31,6 @@ from copoly import (
     verify_pair,
 )
 from copoly.functional import _quasi_definite
-
-# every coefficient over its own prime denominator
-_FIVE_PRIME = (Poly([Fraction(127, 113), Fraction(109, 107), Fraction(103, 101)]),
-               Poly([Fraction(97, 89), Fraction(83, 79)]))
 
 
 def _hermite_on_legendre_moments(legendre_pair, monkeypatch) -> ClassicalPair:
@@ -174,7 +171,7 @@ class TestPassingRuns:
         ]
 
     @pytest.mark.parametrize("build", [
-        hermite_family, lambda: ClassicalPair(*_FIVE_PRIME),
+        hermite_family, lambda: ClassicalPair(*FIVE_PRIME),
     ], ids=["hermite", "five-prime"])
     def test_a_wrong_shifted_functional_fails_as_the_compositions_do(self, monkeypatch, build):
         # u_2 memoized as u_2 + u before any row is weighted: every weighted row
@@ -210,7 +207,7 @@ class TestProofDepth:
         (bessel_family(Fraction(1, 3)), None),
         (ClassicalPair(Poly([2, 1]), Poly([1, -1]), Fraction(1, 2)), None),
         (ClassicalPair(Poly([3, -1, 2]), Poly([1, 5])), None),
-        (ClassicalPair(*_FIVE_PRIME), None),
+        (ClassicalPair(*FIVE_PRIME), None),
         (laguerre_family(-1), 1),
         (laguerre_family(-2), 2),
         (laguerre_family(-3), 3),
@@ -276,7 +273,7 @@ class TestProofDepth:
     @pytest.mark.parametrize("build", [
         hermite_family,
         lambda: jacobi_family(Fraction(1, 3), Fraction(4, 3)),
-        lambda: ClassicalPair(*_FIVE_PRIME),
+        lambda: ClassicalPair(*FIVE_PRIME),
     ], ids=["hermite", "jacobi", "five-prime"])
     @pytest.mark.parametrize("n, nu", [(5, 3), (4, 4), (6, 4)])
     def test_a_wrong_weighted_row_fails_at_proof_depth(self, build, n, nu):
@@ -511,7 +508,7 @@ class TestGoldenReports:
     @pytest.mark.parametrize("pair", [
         hermite_family(), laguerre_family(Fraction(1, 2)),
         jacobi_family(Fraction(1, 3), Fraction(4, 3)), bessel_family(Fraction(1, 3)),
-        ClassicalPair(*_FIVE_PRIME),
+        ClassicalPair(*FIVE_PRIME),
     ], ids=["hermite", "laguerre", "jacobi", "bessel", "five-prime"])
     def test_the_ladder_constant_holds_through_the_cap(self, pair):
         report = verify_pair(pair, suites=("ode",), max_n=24, order=4)
@@ -562,8 +559,8 @@ class TestGoldenReports:
          lambda orig: lambda pair, n, nu: Poly.one() if (n, nu) == (2, 1) else orig(pair, n, nu),
          "ode", 27, ["n=2 nu=1: differential equation residual nonzero"]),
         ("pde_residual",
-         lambda orig: lambda pair, n, order, **series: {
-             **orig(pair, n, order, **series), **({"x_lower": Poly.one()} if n == 1 else {})},
+         lambda orig: lambda pair, n, order: {
+             **orig(pair, n, order), **({"x_lower": Poly.one()} if n == 1 else {})},
          "genfun", 22, ["n=1: identity x_lower residual nonzero"]),
         ("weight_ratio_series",
          lambda orig: lambda pair, order: orig(pair, order) + SeriesYX(order, [0] * order + [1]),
