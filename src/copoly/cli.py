@@ -47,7 +47,7 @@ from .rodrigues import (
     ClassicalPair,
     FamilySpec,
     _catalog_spec,
-    _row_stream,
+    _comp_rows,
     lambda_n,
     mu_eigenvalue,
     pair_from_family,
@@ -206,8 +206,11 @@ def _print_latex_array(comment: str, rows: Iterable[tuple[str, str, str]]) -> No
 
 def _compute_rows(pair: ClassicalPair, n: int, nu: int | None) -> Iterator[tuple[int, Poly]]:
     """``(nu, row)`` for every row of the table at ``n``, or for row ``nu`` alone, each
-    as it is built; no row past the last one yielded is built, and none is kept."""
-    for v, row in enumerate(_row_stream(pair, n, n if nu is None else nu)):
+    as it is built, one ``_comp_rows`` step from the row before; no row past the
+    last one yielded is built, none is kept, and ``pair.rows``'s memo is not filled."""
+    row = None
+    for v in range(n + 1 if nu is None else nu + 1):
+        (row,) = _comp_rows(pair, n, v, v, row)
         if nu is None or v == nu:
             yield v, row
 

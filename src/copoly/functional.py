@@ -92,21 +92,21 @@ class MomentFunctional:
     def __add__(self, other) -> MomentFunctional:
         if not isinstance(other, MomentFunctional):
             return NotImplemented
-        return _combination([(1, self, 0), (1, other, 0)])
+        return _combination([(1, self), (1, other)])
 
     def __sub__(self, other) -> MomentFunctional:
         if not isinstance(other, MomentFunctional):
             return NotImplemented
-        return _combination([(1, self, 0), (-1, other, 0)])
+        return _combination([(1, self), (-1, other)])
 
     def __neg__(self) -> MomentFunctional:
-        return _combination([(-1, self, 0)])
+        return _combination([(-1, self)])
 
     def __rmul__(self, scalar) -> MomentFunctional:
         if isinstance(scalar, float) or not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         c = as_rational(scalar)
-        return _combination([(c.numerator, self, 0)], c.denominator)
+        return _combination([(c.numerator, self)], c.denominator)
 
     __mul__ = __rmul__
 
@@ -116,26 +116,22 @@ class MomentFunctional:
         return f"MomentFunctional([{shown}{tail}])"
 
 
-def _combination(terms: Sequence[tuple[int, MomentFunctional, int]],
+def _combination(terms: Sequence[tuple[int, MomentFunctional]],
                  scale: int = 1) -> MomentFunctional:
-    """Moments ``v_k = sum w u_{k+s} / scale`` over the ``(w, u, s)`` in ``terms``,
-    with integer weights ``w``, shifts ``s >= 0`` and ``scale > 0``.
+    """Moments ``v_k = sum w u_k / scale`` over the ``(w, u)`` in ``terms``, with
+    integer weights ``w`` and ``scale > 0``.
 
     A block ``lo .. hi`` puts the parents' stored numerators over the lcm
     of their denominators and adds ``w`` times each term's slice into one
     integer vector; it returns ``(den, numerators)`` and builds no ``Fraction``.
     """
-    # the largest shift first, so the first read of a parent extends it far enough
-    terms = sorted([(w, u, s) for w, u, s in terms if w], key=lambda term: -term[2])
+    terms = [(w, u) for w, u in terms if w]
 
     def block(_: MomentFunctional, lo: int, hi: int) -> tuple[int, list[int]]:
-        forms = []
-        for _, u, s in terms:
-            den, nums = u._form(hi + s)
-            forms.append((den, nums[lo + s:hi + s + 1]))
-        den, slices = _over_lcm(forms)
+        forms = [u._form(hi) for _, u in terms]
+        den, slices = _over_lcm([(den, nums[lo:hi + 1]) for den, nums in forms])
         out = [0] * (hi - lo + 1)
-        for (w, _, _), part in zip(terms, slices):
+        for (w, _), part in zip(terms, slices):
             out = list(map(add, out, map(w.__mul__, part)))
         return den * scale, out
     return MomentFunctional(block=block)

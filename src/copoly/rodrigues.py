@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import perm
 from operator import mul
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import InvalidParameter
 from .functional import MomentFunctional, _pearson_form, _pearson_moments, functional_poly_mul
@@ -302,21 +302,6 @@ def _comp_rows(pair: ClassicalPair, n: int, count: int,
             for j, (below, here, above) in enumerate(zip(r, r[1:], r[2:]))])
         out.append(row)
     return out
-
-
-# Rows per ``_comp_rows`` call in ``_row_stream``: a call pays about 8 us to set up.
-_ROW_BLOCK = 8
-
-
-def _row_stream(pair: ClassicalPair, n: int, count: int) -> Iterator[Poly]:
-    """Rows ``C_0 .. C_count`` of ``n``, built ``_ROW_BLOCK`` at a time as they are asked
-    for; only the current block is held, and ``pair.rows``'s memo is not filled."""
-    last = None
-    for start in range(0, count + 1, _ROW_BLOCK):
-        block = _comp_rows(pair, n, min(start + _ROW_BLOCK - 1, count), start, last)
-        last = block[-1]
-        yield from block
-        del block  # the next block is built from ``last`` alone
 
 
 def complementary(pair: ClassicalPair, n: int, nu: int) -> Poly:

@@ -6,11 +6,11 @@ numerator tuple per power of ``y`` (ascending powers of ``x``, no trailing
 zero) over one denominator ``_den > 0``, with the gcd of ``_den`` and all
 numerators 1.  The form is canonical, so equality and hashing compare the
 integers, and ``coeffs`` and ``coeff`` build ``Poly``s only when they are
-read.  The sums of products, ``exp`` and ``pow`` compute on the numerators
-and reduce their result once.  All arithmetic truncates back to the carried
-order.  Combining two series of different orders raises ``ValueError``
-instead of silently coercing; a truncation order is part of the meaning of
-the value, not a display choice.
+read.  Products, ``exp`` and ``pow`` compute on the numerators and reduce
+their result once.  All arithmetic truncates back to the carried order.
+Combining two series of different orders raises ``ValueError`` instead of
+silently coercing; a truncation order is part of the meaning of the value,
+not a display choice.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class SeriesYX:
         returns through here."""
         for row in rows:
             if row and not any(row):
-                row.clear()  # at once: a vanishing residual is all zeros
+                row.clear()  # at once: a difference of equal series is all zeros
             while row and not row[-1]:
                 row.pop()
         s = object.__new__(cls)
@@ -129,7 +129,7 @@ class SeriesYX:
 
     def __mul__(self, other) -> SeriesYX:
         if isinstance(other, SeriesYX):
-            return _product_sum([(1, self, other)])
+            return _cauchy(self, other)
         if isinstance(other, Poly):
             return self._scale(other)
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
@@ -182,36 +182,21 @@ class SeriesYX:
         return " + ".join(parts) if parts else "0"
 
 
-def _product_sum(terms: Sequence[tuple[int | Fraction, SeriesYX, SeriesYX]]) -> SeriesYX:
-    """``sum c * a * b`` over the ``(c, a, b)`` in ``terms``, every series of one order.
-
-    One bivariate convolution on the stored numerators: ``c * a * b`` is
-    ``c / (a._den * b._den)`` times the product of the numerators, so each
-    term needs one integer weight over the lcm of the terms' denominators,
-    and the result is reduced once.  The left factor's zero coefficients are
-    skipped, so a sparse factor belongs on the left.
-    """
-    first = terms[0][1]
-    for _, a, b in terms:
-        first._check_order(a)
-        first._check_order(b)
-    order = first._order
-    cs = [as_rational(c) for c, _, _ in terms]
-    den, scales = _scales([c.denominator * a._den * b._den for c, (_, a, b) in zip(cs, terms)])
-    weights = [c.numerator * scale for c, scale in zip(cs, scales)]
-    # per term: the nonzero powers of a with their numerators times the weight, and b's rows
-    pairs = [([(i, row if w == 1 else [w * v for v in row]) for i, row in enumerate(a._nums)
-               if row], b._nums) for w, (_, a, b) in zip(weights, terms) if w]
+def _cauchy(a: SeriesYX, b: SeriesYX) -> SeriesYX:
+    """``a * b``: one bivariate convolution of the stored numerators over
+    ``a._den * b._den``, reduced once.  The left factor's zero coefficients are
+    skipped, so a sparse factor belongs on the left."""
+    a._check_order(b)
+    left = [(i, row) for i, row in enumerate(a._nums) if row]
     out = []
-    for k in range(order + 1):
+    for k in range(a._order + 1):
         acc: list[int] = []
-        for left, right in pairs:
-            for i, row in left:
-                if i > k:
-                    break
-                _convolve(acc, row, right[k - i])
+        for i, row in left:
+            if i > k:
+                break
+            _convolve(acc, row, b._nums[k - i])
         out.append(acc)
-    return SeriesYX._of(order, den, out)
+    return SeriesYX._of(a._order, a._den * b._den, out)
 
 
 def poly_shift_substitute(p: Poly, q: Poly, order: int) -> SeriesYX:

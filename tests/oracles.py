@@ -5,20 +5,21 @@ the classical three-term recurrences, sharing no construction code with
 the Rodrigues/Pearson machinery under test.  ``Poly`` is used only as a
 coefficient container; its ring operations are themselves covered by the
 algebra tests.  The functional references compose the derived functionals
-``_combination`` and ``functional_derivative`` that the one-block kernels
-under test fuse, and read the pair's memoized functionals as they do.
+that the one-block kernels under test fuse, read ``u``'s moments as
+``Fraction``s, and read the pair's memoized functionals as the kernels do.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
-from copoly import NotQuasiDefinite, Poly, SeriesYX, functional_apply
+from copoly import MomentFunctional, NotQuasiDefinite, Poly, SeriesYX, functional_apply
 from copoly.functional import _combination, functional_derivative
 from copoly.genfun import PDE_IDENTITIES, _quadratic_prefactor, genfun_truncated
-from copoly.series import _product_sum
+from copoly.poly import _integer_form
 
 
 def rising(a: Fraction | int, k: int) -> Fraction:
@@ -204,11 +205,17 @@ def ode_residual(phi: Poly, psi: Poly, n: int, nu: int, row: Poly) -> Poly:
             + mu * row)
 
 
-def functional_poly_mul(h: Poly, u):
-    """``v_k = sum h_j u_{k+j}`` as the ``_combination`` of the shifted terms
-    ``h_j u_{k+j}`` over ``den(h)``: the composition that the one-block
-    ``functional.functional_poly_mul`` fuses."""
-    return _combination([(c, u, j) for j, c in enumerate(h._nums)], h._den)
+def functional_poly_mul(h: Poly, u) -> MomentFunctional:
+    """``v_k = sum h_j u_{k+j}``, one ``Fraction`` sum per moment over ``u``'s
+    moments, read as far as ``functional.functional_poly_mul`` reads them:
+    through ``hi + deg h`` for a block ``lo .. hi``, and not at all for ``h = 0``."""
+    coeffs = h.coeffs
+
+    def block(_, lo: int, hi: int) -> tuple[int, list[int]]:
+        moments = u.moments(hi + len(coeffs) - 1) if coeffs else []
+        return _integer_form([sum(map(operator.mul, coeffs, moments[k:]), Fraction(0))
+                              for k in range(lo, hi + 1)])
+    return MomentFunctional(block=block)
 
 
 def _row_mu(pair, n: int, nu: int) -> Fraction:
@@ -218,14 +225,14 @@ def _row_mu(pair, n: int, nu: int) -> Fraction:
 
 def sturm_liouville_residual(pair, n: int, nu: int):
     """``(C_nu' u_{n-nu+1})' + mu(n, nu) C_nu u_{n-nu}`` as a chain of derived
-    functionals (derivative of a polynomial multiple, then a ``_combination``)
+    functionals (derivative of a polynomial multiple, then a weighted sum)
     over the pair's memoized rows, shifted functionals and weighted rows: the
     composition that ``rodrigues.sturm_liouville_residual`` fuses into one block."""
     row = pair.rows(n, nu)[nu]
     lhs = functional_derivative(functional_poly_mul(row.derivative(),
                                                     pair.functional_power(n - nu + 1)))
     mu = _row_mu(pair, n, nu)
-    return _combination([(mu.denominator, lhs, 0), (mu.numerator, pair.weighted_row(n, nu), 0)],
+    return _combination([(mu.denominator, lhs), (mu.numerator, pair.weighted_row(n, nu))],
                         mu.denominator)
 
 
@@ -308,8 +315,8 @@ def series_rows_dy(a) -> list[list[Fraction]]:
 def pde_residual(pair, n: int, order: int) -> dict[str, SeriesYX]:
     """The generating-series residuals as sums of series products: ``G(n)`` and
     ``G(n - 1)`` built from the pair's memoized rows, differentiated, and each
-    identity one ``_product_sum``, the form whose ``y^k`` coefficients the row
-    stencils of ``genfun.pde_residual`` expand."""
+    identity combined by ``SeriesYX``'s ``*``, ``-`` and ``+``, the form whose
+    ``y^k`` coefficients the row stencils of ``genfun.pde_residual`` expand."""
     full = genfun_truncated(pair, n, order)
     lower = genfun_truncated(pair, n - 1, order - 1) if n >= 1 else None
     m = order - 1
@@ -327,18 +334,16 @@ def pde_residual(pair, n: int, order: int) -> dict[str, SeriesYX]:
     shifted = SeriesYX(m, [c1, phi * c1d])
     # y ((1 + y phi') C_1' - y phi'' C_1 / 2), the x-identity's bracket times y
     y_bracket = SeriesYX(m, [Poly.zero(), c1d, dphi * c1d - c1 * half_phi2][: m + 1])
-    y_self = _product_sum([(1, prefactor, dy), (-1, shifted, g)])
+    y_self = prefactor * dy - shifted * g
     residuals = {
         "y_self": y_self,
-        "x_self": _product_sum([(1, prefactor, dx), (-1, y_bracket, g)]),
+        "x_self": prefactor * dx - y_bracket * g,
         "master": y_self * phi,
     }
     if n >= 1:
         outer = SeriesYX(m, [Poly.one(), dphi])
-        residuals["y_lower"] = _product_sum([(1, SeriesYX.one(m), dy), (-1, shifted, lower)])
-        residuals["x_lower"] = _product_sum([(1, SeriesYX(m, [phi]), dx),
-                                             (-1, outer * shifted, lower),
-                                             (1, SeriesYX(m, [c1]), g)])
+        residuals["y_lower"] = dy - shifted * lower
+        residuals["x_lower"] = dx * phi - outer * shifted * lower + g * c1
     return {which: residuals[which] for which in PDE_IDENTITIES if which in residuals}
 
 

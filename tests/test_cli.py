@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import mixed_rationals, src_env
+from conftest import kernel_pairs, mixed_rationals, src_env
 from copoly import (
     FAMILIES,
     ClassicalPair,
@@ -167,18 +167,18 @@ class TestComputeJson:
         assert doc["rows"] == [["1"], ["0", "-2"]]
 
     def test_single_row_builds_no_later_row(self, capsys, monkeypatch):
-        original = copoly.rodrigues._comp_rows
+        original = copoly.cli._comp_rows
         built = []
 
         def counted(*args):
             rows = original(*args)
             built.append(len(rows))
             return rows
-        monkeypatch.setattr(copoly.rodrigues, "_comp_rows", counted)
+        monkeypatch.setattr(copoly.cli, "_comp_rows", counted)
         code, out, _ = run_cli(capsys, "compute", "--family", "jacobi", "--alpha", "1/3",
                                "--beta", "4/3", "--n", "40", "--nu", "3", "--format", "json")
         assert code == 0 and len(json.loads(out)["rows"]) == 1
-        assert sum(built) == 4
+        assert built == [1] * 4
 
 
 class TestComputeRowsLowering:
@@ -1229,6 +1229,29 @@ class TestComputeStream:
                     ("family", pair.name), ("params", params), ("n", n),
                     ("rows", rows[picked]), ("lambda", str(lambda_n(pair, n))),
                     ("mu", [mus[picked]])], (n, nu)
+
+    @settings(max_examples=40)
+    @given(kernel_pairs(), st.integers(0, 20), st.data())
+    def test_rows_match_a_fresh_memo(self, pair, n, data):
+        # each row one _comp_rows step from the row before; the stream fills no memo
+        expected = ClassicalPair(pair.phi, pair.psi).rows(n, n)
+        assert list(copoly.cli._compute_rows(pair, n, None)) == list(enumerate(expected))
+        nu = data.draw(st.integers(0, n))
+        assert list(copoly.cli._compute_rows(pair, n, nu)) == [(nu, expected[nu])]
+        assert pair._rows == {}
+
+    def test_one_kernel_call_per_row(self, monkeypatch):
+        # the table at n: n + 1 calls of one row each (TestComputeJson counts --nu)
+        original, built = copoly.cli._comp_rows, []
+
+        def counted(*args):
+            rows = original(*args)
+            built.append(len(rows))
+            return rows
+        monkeypatch.setattr(copoly.cli, "_comp_rows", counted)
+        pair = jacobi_family(Fraction(1, 3), Fraction(4, 3))
+        assert len(list(copoly.cli._compute_rows(pair, 17, None))) == 18
+        assert built == [1] * 18
 
     @settings(max_examples=200)
     @given(st.lists(mixed_rationals(), max_size=8))

@@ -454,7 +454,8 @@ class TestStoredForm:
             raise AssertionError("a functional built from a block converted its prefix")
         monkeypatch.setattr(copoly.functional, "_integer_form", refuse)
         derivative = functional_derivative(u)
-        combination = copoly.functional._combination([(1, u, 0), (-2, u, 1)])
+        shifted = functional_poly_mul(Poly.x(), u)  # x u has the moments u_{k+1}
+        combination = copoly.functional._combination([(1, u), (-2, shifted)])
         assert (derivative._den, derivative._nums) == (1, [])
         assert derivative.moments(3) == [0, -1, -1, -1]
         assert combination.moments(2) == [0, Fraction(-1, 6), Fraction(-1, 6)]

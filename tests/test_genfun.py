@@ -232,7 +232,7 @@ def _alternating(pair: ClassicalPair, n: int, order: int) -> Poly:
 
 
 class TestRowStencils:
-    """``pde_residual``'s packed row stencils against the ``_product_sum`` form in
+    """``pde_residual``'s packed row stencils against the sums of series products in
     ``oracles``; both read the pair's memoized rows."""
 
     @pytest.mark.parametrize("make", _STENCIL_PAIRS.values(), ids=_STENCIL_PAIRS.keys())
@@ -276,9 +276,9 @@ class TestRowStencils:
 
     def test_the_suite_builds_no_series_product(self, monkeypatch):
         # on a custom pair the genfun suite builds no series at all
-        def refuse(terms):
+        def refuse(a, b):
             raise AssertionError("the genfun suite multiplied two series")
-        monkeypatch.setattr(copoly.series, "_product_sum", refuse)
+        monkeypatch.setattr(copoly.series, "_cauchy", refuse)
         report = verify_pair(ClassicalPair(*FIVE_PRIME), suites=("genfun",), max_n=4, order=6)
         assert report.passed and report.suites[0].checks == 3 + 4 * 5
 

@@ -108,7 +108,7 @@ def test_series_kernels_compute_on_stored_forms():
                if isinstance(node, ast.ClassDef) and node.name == "SeriesYX")
     slots = next(ast.literal_eval(node.value) for node in cls.body
                  if isinstance(node, ast.Assign) and node.targets[0].id == "__slots__")
-    kernels = {"series.py": {"_product_sum", "_first_order", "_of", "truncate", "_combine",
+    kernels = {"series.py": {"_cauchy", "_first_order", "_of", "truncate", "_combine",
                              "__neg__", "_scale", "differentiate_x", "differentiate_y",
                              "is_zero", "__eq__", "__hash__"},
                "genfun.py": {"genfun_truncated", "pde_residual", "_residual"}}

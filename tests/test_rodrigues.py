@@ -404,14 +404,6 @@ class TestRowKernel:
         count = data.draw(st.integers(-1, size - 1))
         assert copoly.rodrigues._comp_rows(pair, n, count, size, last) == []
 
-    @settings(max_examples=40)
-    @given(kernel_pairs(), st.integers(0, 20), st.integers(0, 20))
-    def test_row_stream_matches_reference(self, pair, n, count):
-        # blocks of _ROW_BLOCK rows, each continued from the last row of the one before
-        expected = oracles.comp_rows(pair.phi, pair.psi, n, count)
-        assert list(copoly.rodrigues._row_stream(pair, n, count)) == expected
-        assert pair._rows == {}
-
     @settings(max_examples=60)
     @given(kernel_pairs(), st.integers(0, 30), st.integers(0, 8), st.data())
     def test_stencil_matches_operator_step(self, pair, n, past, data):
@@ -680,6 +672,7 @@ class TestFunctionalBlocks:
     def test_zero_poly_mul_reads_nothing(self):
         finite = copoly.functional.MomentFunctional(initial=[1, 2])
         assert functional_poly_mul(Poly.zero(), finite).moments(5) == [0] * 6
+        assert oracles.functional_poly_mul(Poly.zero(), finite).moments(5) == [0] * 6
 
     @pytest.mark.parametrize("build", _RESIDUAL_PAIRS.values(), ids=_RESIDUAL_PAIRS.keys())
     def test_residuals_match_reference(self, build):

@@ -18,7 +18,6 @@ from copoly import (
     series_exp,
     series_pow_rational,
 )
-from copoly.series import _product_sum
 
 
 def series(order, *polys):
@@ -124,42 +123,20 @@ class TestArithmetic:
 
     @given(st.integers(0, 5).flatmap(series_pairs))
     @example((SeriesYX(3), series(3, [1, "1/1048573"], [0], [2, 0, "-5/1048571"])))
+    @example((series(3, [1], [1], [1]), SeriesYX(3)))
     @example((series(0, ["3/1048549", 0, 1]), series(0, [0, "7/1048517"])))
+    # a sparse left factor over unrelated primes, and a dense pair
+    @example((series(3, [], [0, "1/1048571"], [], ["2/1048559"]),
+              series(3, [1, "1/1048573"], [2], [3, 4], ["5/7"])))
+    @example((series(2, ["1/3", 2], ["-5/7", 0, 1], [4, "1/11"]),
+              series(2, [1, 1], ["2/9"], [0, 3])))
     @example((SeriesYX(0), SeriesYX(0)))
     def test_product_matches_reference(self, operands):
         a, b = operands
         assert (a * b).coeffs == tuple(oracles.cauchy_product(a.coeffs, b.coeffs))
-        with pytest.raises(ValueError):
-            a * SeriesYX(a.order + 1)
-
-
-def product_terms(order: int):
-    """One to three ``(c, a, b)`` terms of order-``order`` series over mixed denominators."""
-    return st.lists(st.tuples(mixed_rationals(), series_pairs(order)), min_size=1, max_size=3)
-
-
-class TestProductSum:
-    """``_product_sum`` is the one series convolution; ``*`` is its one-term case."""
-
-    @given(st.integers(0, 5).flatmap(product_terms))
-    @example([(Fraction(1, 1048573), (series(2, [1, "1/1048571"]), series(2, [0], ["2/1048559"]))),
-              (Fraction(-3), (SeriesYX(2), series(2, [1], [1], [1]))),
-              (Fraction(0), (series(2, [5]), series(2, [7])))])
-    @example([(Fraction(1), (SeriesYX(0), SeriesYX(0)))])
-    def test_matches_sum_of_reference_products(self, terms):
-        expected = [Poly.zero()] * (terms[0][1][0].order + 1)
-        for c, (a, b) in terms:
-            product = oracles.cauchy_product(a.coeffs, b.coeffs)
-            expected = [e + c * p for e, p in zip(expected, product)]
-        fused = _product_sum([(c, a, b) for c, (a, b) in terms])
-        assert fused.coeffs == tuple(expected)
-
-    def test_different_orders_rejected(self):
-        s2, s3 = SeriesYX.one(2), SeriesYX.one(3)
-        for terms in ([(1, s2, s3)], [(1, s3, s2)], [(1, s2, s2), (1, s2, s3)],
-                      [(1, s2, s2), (1, s3, s3)]):
+        for x, y in ((a, SeriesYX(a.order + 1)), (SeriesYX(a.order + 1), a)):
             with pytest.raises(ValueError, match="orders differ"):
-                _product_sum(terms)
+                x * y
 
 
 def _assert_stored(s):
@@ -216,7 +193,7 @@ class TestStoredForm:
             (a - a, zero),
             (-a, oracles.series_rows_sum(zero, ra, -1)),
             (a * b, oracles.series_rows_product(ra, rb)),
-            (_product_sum([(c, a, b), (1, b, a)]),
+            (c * (a * b) + b * a,
              oracles.series_rows_sum(oracles.series_rows_product(rb, ra),
                                      oracles.series_rows_product(ra, rb), c)),
             (a.differentiate_x(), oracles.series_rows_dx(ra)),
