@@ -158,16 +158,23 @@ def pde_residual(pair: ClassicalPair, n: int, order: int) -> dict[str, SeriesYX]
 
     Each row is packed once into the integer ``sum_j r_j 2**(B j)`` (Kronecker
     substitution ``x = 2**B``), so each stencil is one big-integer expression
-    per ``k``.  Every stencil coefficient of ``x^j`` is a sum of products of a
-    coefficient of a multiplier (``s^2``, ``s K``, ``M_k Phi``, ...) and one
-    row or derivative numerator, so it is at most ``N W`` in absolute value,
-    where ``N`` is the largest scaled numerator of any ``R_k``, ``D_k`` or
-    ``L_k`` and ``W`` is the largest, over the identities, of the sum of the
-    absolute values of the identity's multiplier coefficients, each taken at
-    its worst ``k <= m`` (a factor linear in ``k`` is largest at ``k = 0`` or
-    ``k = m``).  ``B = bitlength(N W) + 1`` keeps every coefficient below
-    ``2**(B - 1)``, so a packed residual is 0 exactly when its coefficient row
-    is 0, and a nonzero one unpacks to its balanced base-``2**B`` digits.
+    per ``k``.  Let ``|p|`` be the sum of the absolute values of ``p``'s
+    coefficients, so ``|p q| <= |p| |q|``.  A stencil coefficient of ``x^j`` is
+    at most ``N W_k``, with ``N`` the largest scaled numerator of any ``R_k``,
+    ``D_k`` or ``L_k`` and ``W_k`` the sum of ``|p|`` over the identity's
+    multipliers ``p`` (``s^2``, ``s K``, ``M_k Phi``, ...).  With
+    ``t = s + |a| + |b| + |c| + |K0| + |K1|``, for every identity and ``k <= m``,
+
+        W_k <= 3 (k + 1)^2 t^3 < W = 4 (m + 1)^2 t^3,
+
+    since ``1 <= s <= t``, ``|a|, |K1|, |Phi|, |K| <= t``, ``|b + 2a x| <= 2t``,
+    ``|M_k| <= k^2 t``, ``|(b K1 - a K0) + a K1 x| <= t^2``, ``|P| <= 3t^2`` and
+    ``|Q| <= 2t^3`` bound ``W_k`` by ``(k^2 + 2k + 2) t^2`` (``y_self``),
+    ``(k + 2) t^2`` (``y_lower``), ``(2k^2 + k + 1) t^2`` (``x_self``) and
+    ``(2k^2 + k + 3) t^3`` (``x_lower``), each at most ``3 (k + 1)^2 t^3``.  So
+    ``B = bitlength(N W) + 1`` keeps every coefficient below ``2**(B - 1)``: a
+    packed residual is 0 exactly when its row is 0, and a nonzero one unpacks
+    to its balanced base-``2**B`` digits.
     """
     if order < 2:
         raise ValueError("order must be >= 2 to leave room for d/dy")
@@ -183,25 +190,16 @@ def pde_residual(pair: ClassicalPair, n: int, order: int) -> dict[str, SeriesYX]
     biggest = max(scale * max(map(abs, nums), default=0)
                   for scale, nums in (*full, *derivs, *lows))
     k0, k1 = e + (n - 1) * b, d + 2 * (n - 1) * a
-    # the l1 norms of Phi, of b + 2a x and of K
-    w, v, kw = abs(a) + abs(b) + abs(c), abs(b) + 2 * abs(a), abs(k0) + abs(k1)
-    s2 = s * s
-    weight = max(
-        # y_self; M_k = -k (K1 + (1 - k) a)
-        s2 + s * (max(abs(k0), abs(k0 - m * b)) + max(abs(k1), abs(k1 - 2 * m * a)))
-        + m * max(abs(k1 + a), abs(k1 + a - m * a)) * w,
-        s2 + s * kw + m * abs(k1) * w,  # y_lower
-        s2 + m * s * (v + abs(k1)) + m * (m - 1) * (abs(a) * w + abs(b * k1 - a * k0)
-                                                    + abs(a * k1)),  # x_self
-        s2 * (w + 2 * kw) + m * s * (v * kw + abs(k1) * w) + m * (m - 1) * abs(k1) * v * w)
-    shift = (biggest * weight).bit_length() + 1
+    t = s + abs(a) + abs(b) + abs(c) + abs(k0) + abs(k1)
+    shift = (biggest * 4 * (m + 1) ** 2 * t ** 3).bit_length() + 1
     x = 1 << shift
     R, D, L = ([_pack(nums, shift) * scale for scale, nums in forms]
                for forms in (full, derivs, lows))
     phi, dphi, K = c + (b + a * x) * x, b + 2 * a * x, k0 + k1 * x
-    a_phi, k1_phi, k1_s = a * phi, k1 * phi, k1 * s
+    a_phi, k1_phi, k1_s, s2 = a * phi, k1 * phi, k1 * s, s * s
     x_self_r2 = b * k1 - a * k0 + a * k1 * x
-    y_self, x_self = [], []
+    P, Q = dphi * K + k1_phi, k1_phi * dphi
+    y_self, y_lower, x_self, x_lower = [], [], [], []
     for k in range(m + 1):
         r1, d1 = (R[k - 1], D[k - 1]) if k else (0, 0)
         r2, d2 = (R[k - 2], D[k - 2]) if k > 1 else (0, 0)
@@ -209,19 +207,16 @@ def pde_residual(pair: ClassicalPair, n: int, order: int) -> dict[str, SeriesYX]
                       - k * (k1 + (1 - k) * a) * phi * r1)
         x_self.append(s2 * D[k] + k * (s * dphi * d1 - k1_s * r1)
                       + k * (k - 1) * (a_phi * d2 - x_self_r2 * r2))
-    residuals = {"y_self": _residual(m, s2 * den, y_self, shift)}
-    if n >= 1:
-        P, Q = dphi * K + k1_phi, k1_phi * dphi
-        y_lower, x_lower = [], []
-        for k in range(m + 1):
+        if L:
             l1 = L[k - 1] if k else 0
             l2 = L[k - 2] if k > 1 else 0
             y_lower.append(s2 * R[k + 1] - s * K * L[k] - k * k1_phi * l1)
             x_lower.append(s2 * (phi * D[k] + K * (R[k] - L[k])) - k * s * P * l1
                            - k * (k - 1) * Q * l2)
-        residuals["y_lower"] = _residual(m, s2 * den, y_lower, shift)
-        residuals["x_lower"] = _residual(m, s2 * s * den, x_lower, shift)
-    residuals["x_self"] = _residual(m, s2 * den, x_self, shift)
+    # the four packed stencils in PDE_IDENTITIES order; the *_lower ones are empty for n = 0
+    residuals = {which: _residual(m, scale * den, stencil, shift) for which, scale, stencil
+                 in zip(PDE_IDENTITIES, (s2, s2, s2, s2 * s), (y_self, y_lower, x_self, x_lower))
+                 if stencil}
     # phi(x + y phi) = phi (1 + y phi' + y^2 phi'' phi/2), so master is phi times y_self
     residuals["master"] = residuals["y_self"] * pair.phi
-    return {which: residuals[which] for which in PDE_IDENTITIES if which in residuals}
+    return residuals

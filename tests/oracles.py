@@ -347,6 +347,29 @@ def pde_residual(pair, n: int, order: int) -> dict[str, SeriesYX]:
     return {which: residuals[which] for which in PDE_IDENTITIES if which in residuals}
 
 
+def pde_weights(pearson, n: int, m: int) -> dict[str, int]:
+    """Per identity of ``genfun.pde_residual`` through ``y**m``, a worst-case sum of
+    ``|p|`` (the absolute values of ``p``'s coefficients) over its stencil's
+    multipliers ``p``, each ``|p|`` at its worst ``k <= m`` (a factor linear in ``k``
+    is largest at ``k = 0`` or ``k = m``): the sums, one per identity, that bounded
+    the packing digit before the one bound in ``pde_residual``'s docstring."""
+    s, (c, b, a), (e, d) = pearson
+    k0, k1 = e + (n - 1) * b, d + 2 * (n - 1) * a
+    # |Phi|, |b + 2a x| and |K|
+    w, v, kw = abs(a) + abs(b) + abs(c), abs(b) + 2 * abs(a), abs(k0) + abs(k1)
+    s2 = s * s
+    return {
+        # M_k = -k (K1 + (1 - k) a)
+        "y_self": s2 + s * (max(abs(k0), abs(k0 - m * b)) + max(abs(k1), abs(k1 - 2 * m * a)))
+        + m * max(abs(k1 + a), abs(k1 + a - m * a)) * w,
+        "y_lower": s2 + s * kw + m * abs(k1) * w,
+        "x_self": s2 + m * s * (v + abs(k1))
+        + m * (m - 1) * (abs(a) * w + abs(b * k1 - a * k0) + abs(a * k1)),
+        "x_lower": s2 * (w + 2 * kw) + m * s * (v * kw + abs(k1) * w)
+        + m * (m - 1) * abs(k1) * v * w,
+    }
+
+
 def _power_sum(s, weights) -> list[Poly]:
     """``sum_k weights[k] * s**k``, every power of ``s`` built by ``cauchy_product``."""
     out = [Poly.zero()] * len(s)

@@ -241,7 +241,9 @@ class TestRowStencils:
         for n in range(9):
             for order in range(2, 13):
                 residuals = pde_residual(pair, n, order)
-                assert residuals == oracles.pde_residual(pair, n, order), (n, order)
+                expected = oracles.pde_residual(pair, n, order)
+                assert residuals == expected, (n, order)
+                assert list(residuals) == list(expected)  # in PDE_IDENTITIES order
                 assert all(res.is_zero for res in residuals.values())
 
     @settings(max_examples=40)
@@ -273,6 +275,34 @@ class TestRowStencils:
                     residuals = pde_residual(pair, n, order)
                     assert residuals == oracles.pde_residual(pair, n, order), (n, order, k)
                     assert not all(res.is_zero for res in residuals.values())
+
+    @pytest.mark.parametrize("make", [
+        hermite_family, _STENCIL_PAIRS["jacobi-1/3-4/3"], _STENCIL_PAIRS["five-prime"],
+    ], ids=["hermite", "jacobi", "five-prime"])
+    def test_alternating_rows_throughout_match_reference(self, make):
+        # every row of n and of n - 1 at once alternates in sign at N, the largest
+        # numerator the rows hold, so every packed numerator is as large as the
+        # packing bound N W allows for
+        for n, order in ((1, 2), (3, 6), (6, 9), (8, 12)):
+            pair = make()
+            row = _alternating(pair, n, order)
+            pair._rows[n], pair._rows[n - 1] = [row] * (order + 1), [row] * order
+            residuals = pde_residual(pair, n, order)
+            assert residuals == oracles.pde_residual(pair, n, order), (n, order)
+            assert not all(res.is_zero for res in residuals.values())
+
+    @given(st.sampled_from([3, 30, 10**6, 10**40]).flatmap(lambda r: st.tuples(
+               st.integers(1, r), st.tuples(*[st.integers(-r, r)] * 3),
+               st.tuples(*[st.integers(-r, r)] * 2))),
+           st.integers(0, 24), st.integers(1, 16))
+    def test_the_bound_covers_the_worst_case_sums(self, pearson, n, m):
+        # pde_residual's docstring: every identity's W_k <= 3 (m + 1)^2 t^3 < W,
+        # so the one bound covers the sums that each took its worst k <= m
+        s, (c, b, a), (e, d) = pearson
+        k0, k1 = e + (n - 1) * b, d + 2 * (n - 1) * a
+        t = s + abs(a) + abs(b) + abs(c) + abs(k0) + abs(k1)
+        for which, weight in oracles.pde_weights(pearson, n, m).items():
+            assert weight <= 3 * (m + 1) ** 2 * t ** 3, which
 
     def test_the_suite_builds_no_series_product(self, monkeypatch):
         # on a custom pair the genfun suite builds no series at all

@@ -51,12 +51,20 @@ def test_only_poly_uses_lcm_and_gcd():
     assert offenders == []
 
 
+# the fields that spell a name, per node kind that can hold a removed name
+_SPELLINGS = {ast.FunctionDef: ("name",), ast.ClassDef: ("name",), ast.Name: ("id",),
+              ast.Attribute: ("attr",), ast.alias: ("name", "asname"), ast.Constant: ("value",)}
+
+
+def _uses(names: set[str]) -> list[tuple[str, int]]:
+    """``(module, line)`` of every place the package defines, names, reads as an
+    attribute, imports (under either name) or quotes one of ``names``."""
+    return [(name, node.lineno) for name, tree in _modules().items() for node in ast.walk(tree)
+            if {getattr(node, field) for field in _SPELLINGS.get(type(node), ())} & names]
+
+
 def test_numerators_helper_is_gone():
-    names = [(name, node.lineno) for name, tree in _modules().items() for node in ast.walk(tree)
-             if (isinstance(node, ast.FunctionDef) and node.name == "_numerators")
-             or (isinstance(node, ast.Name) and node.id == "_numerators")
-             or (isinstance(node, ast.alias) and node.name == "_numerators")]
-    assert names == []
+    assert _uses({"_numerators"}) == []
 
 
 def test_one_integer_convolution_loop():
@@ -177,12 +185,7 @@ def test_one_way_into_a_pair():
     init = next(node for node in cls.body
                 if isinstance(node, ast.FunctionDef) and node.name == "__init__")
     params = [arg.arg for arg in init.args.args + init.args.kwonlyargs]
-    gone = {"custom_family", "CATALOG", "check_pearson_degrees", "_eigen_coefficients"}
-    uses = [(name, node.lineno) for name, tree in modules.items() for node in ast.walk(tree)
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone)
-            or (isinstance(node, ast.Name) and node.id in gone)
-            or (isinstance(node, ast.alias) and node.name in gone)
-            or (isinstance(node, ast.Constant) and node.value in gone)]
+    uses = _uses({"custom_family", "CATALOG", "check_pearson_degrees", "_eigen_coefficients"})
 
     def is_pair_part(node: ast.AST) -> bool:
         return getattr(node, "id", getattr(node, "attr", None)) in ("phi", "psi")
@@ -207,12 +210,7 @@ def test_one_failure_contract():
     141, exactly ``CopolyError`` and other ``OSError``s to exit 2 and everything
     else to exit 3."""
     modules = _modules()
-    gone = {"MismatchError", "NotProportional", "check_call"}
-    uses = [(name, node.lineno) for name, tree in modules.items() for node in ast.walk(tree)
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone)
-            or (isinstance(node, ast.Name) and node.id in gone)
-            or (isinstance(node, ast.Attribute) and node.attr in gone)
-            or (isinstance(node, ast.alias) and node.name in gone)]
+    uses = _uses({"MismatchError", "NotProportional", "check_call"})
     raised = [ast.unparse(node.exc.func) for node in ast.walk(modules["cli.py"])
               if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)]
     main = next(node for node in modules["cli.py"].body
@@ -232,16 +230,8 @@ def test_one_pair_type():
     pairs = [copoly.catalog_family("laguerre", 1), copoly.hermite_family(),
              copoly.laguerre_family(1), copoly.jacobi_family(1, 2), copoly.bessel_family(1)]
     unexported = {"FamilySpec", "pair_from_family", "CompTable", "complementary_table"}
-    request = {"FamilySpec", "pair_from_family"}
-    users = {name for name, tree in _modules().items() for node in ast.walk(tree)
-             if (isinstance(node, ast.Name) and node.id in request)
-             or (isinstance(node, ast.alias) and node.name in request)
-             or (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in request)}
-    gone = {"_catalog_lookup", "build_compute_document", "_compute_document"}
-    copies = [(name, node.lineno) for name, tree in _modules().items() for node in ast.walk(tree)
-              if (isinstance(node, ast.FunctionDef) and node.name in gone)
-              or (isinstance(node, ast.Name) and node.id in gone)
-              or (isinstance(node, ast.alias) and {node.name, node.asname} & gone)]
+    users = {name for name, _ in _uses({"FamilySpec", "pair_from_family"})}
+    copies = _uses({"_catalog_lookup", "build_compute_document", "_compute_document"})
     assert {type(pair) for pair in pairs} == {copoly.ClassicalPair}
     assert unexported & set(copoly.__all__) == set()
     assert users == {"cli.py", "rodrigues.py"}
@@ -270,27 +260,15 @@ def test_one_number_reader():
 def test_two_ways_into_a_pair():
     """The JSON family file and its second catalog-shape check stay gone: a pair
     comes from ``--family`` or from ``--phi``/``--psi``."""
-    gone = {"load_family_file", "_JsonInteger", "family_file"}
-    uses = [(name, node.lineno) for name, tree in _modules().items() for node in ast.walk(tree)
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone)
-            or (isinstance(node, ast.Name) and node.id in gone)
-            or (isinstance(node, ast.Attribute) and node.attr in gone)
-            or (isinstance(node, ast.alias) and node.name in gone)]
-    assert uses == []
+    assert _uses({"load_family_file", "_JsonInteger", "family_file"}) == []
 
 
 def test_one_record_per_suite():
     """A suite run has one record, ``SuiteResult``: the second tally record stays
     gone, and every suite takes the pair, the report and its own result."""
-    modules = _modules()
-    gone = {"_Tally"}
-    uses = [(name, node.lineno) for name, tree in modules.items() for node in ast.walk(tree)
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone)
-            or (isinstance(node, ast.Name) and node.id in gone)
-            or (isinstance(node, ast.Attribute) and node.attr in gone)
-            or (isinstance(node, ast.alias) and node.name in gone)]
+    uses = _uses({"_Tally"})
     signatures = {node.name: [arg.arg for arg in node.args.args]
-                  for node in modules["verify.py"].body
+                  for node in _modules()["verify.py"].body
                   if isinstance(node, ast.FunctionDef) and node.name.startswith("_suite_")}
     assert uses == []
     assert signatures == {f"_suite_{name}": ["pair", "report", "result"]
