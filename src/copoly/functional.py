@@ -61,15 +61,18 @@ class MomentFunctional:
     def _form(self, up_to: int) -> tuple[int, list[int]]:
         """``(den, nums)`` with ``nums[k] / den == u_k`` through at least ``up_to``;
         callers must not change ``nums``.  The block fills the whole missing
-        range at once; its result is reduced and merged in over the lcm of the
-        two denominators, the one place the stored form changes."""
+        range at once; its result is reduced and, unless it is the first fill,
+        merged in over the lcm of the two denominators, the one place the stored
+        form changes."""
         if up_to >= len(self._nums):
             if self._block is None:
                 raise ValueError(f"moments known only up to index {len(self._nums) - 1}; "
                                  "no generating block")
             added = _reduced(*self._block(self, len(self._nums), up_to))
-            den, (old, new) = _over_lcm([(self._den, self._nums), added])
-            self._den, self._nums = den, [*old, *new]
+            if self._nums:
+                den, (old, new) = _over_lcm([(self._den, self._nums), added])
+                added = den, [*old, *new]
+            self._den, self._nums = added
         return self._den, self._nums
 
     def _vanishes(self, up_to: int) -> bool:

@@ -36,7 +36,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from .errors import InvalidParameter
 from .functional import MomentFunctional, _pearson_form, _pearson_moments, functional_poly_mul
-from .poly import Poly, _convolve, as_rational
+from .poly import Poly, _convolve, _scales, as_rational
 from .series import SeriesYX, series_exp, series_pow_rational
 
 
@@ -178,12 +178,10 @@ class ClassicalPair:
 
     Immutable apart from internal memoization: the moment sequence of ``u``
     extends on demand, the shifted functionals ``u_k = phi**k u`` are cached
-    per index, the complementary rows per ``n``, and the weighted rows
-    ``C_nu u_{n-nu}`` per ``(n, nu)``.
+    per index, and the complementary rows per ``n``.
     """
 
-    __slots__ = ("phi", "psi", "u0", "u", "name", "params", "_pearson", "_shifted", "_rows",
-                 "_weighted")
+    __slots__ = ("phi", "psi", "u0", "u", "name", "params", "_pearson", "_shifted", "_rows")
 
     def __init__(self, phi: Poly, psi: Poly, u0: int | str | Fraction = 1,
                  name: str = "custom", params: Mapping[str, Fraction] | None = None,
@@ -204,7 +202,6 @@ class ClassicalPair:
                                        f"is not the catalog family {name!r}")
         self._shifted: dict[int, MomentFunctional] = {0: self.u}
         self._rows: dict[int, list[Poly]] = {}
-        self._weighted: dict[tuple[int, int], MomentFunctional] = {}
 
     def functional_power(self, k: int) -> MomentFunctional:
         """The shifted functional ``u_k = phi**k u``."""
@@ -225,14 +222,6 @@ class ClassicalPair:
         if len(rows) <= count:
             rows.extend(_comp_rows(self, n, count, len(rows), rows[-1] if rows else None))
         return rows[: count + 1]
-
-    def weighted_row(self, n: int, nu: int) -> MomentFunctional:
-        """The functional ``C_nu(x; n) u_{n-nu}``, built once per ``(n, nu)``."""
-        key = (n, nu)
-        if key not in self._weighted:
-            self._weighted[key] = functional_poly_mul(
-                complementary(self, n, nu), self.functional_power(n - nu))
-        return self._weighted[key]
 
     def __repr__(self) -> str:
         return f"ClassicalPair({self.name!r}, phi={self.phi!r}, psi={self.psi!r})"
@@ -375,31 +364,87 @@ def ode_residual(pair: ClassicalPair, n: int, nu: int) -> Poly:
         for j, (here, one, two) in enumerate(zip(r, r[1:], r[2:]))])
 
 
+def _weighted_nums(pair: ClassicalPair, n: int, nu: int, hi: int) -> tuple[int, list[int]]:
+    """Moments ``0 .. hi`` of the weighted row ``W = C_nu(x; n) u_{n-nu}`` as
+    ``(den, nums)``, with ``nums[k] / den == W_k``.
+
+    ``W_k = sum_i (C_nu)_i (u_{n-nu})_{k+i}`` is one window dot product of the
+    row's numerators with ``u_{n-nu}``'s stored numerators, over
+    ``den(C_nu) den(u_{n-nu})``: no gcd, no merge and no ``MomentFunctional``.
+    It reads ``u_{n-nu}`` through ``hi + deg C_nu``; a zero row reads nothing.
+    The functional suite builds each ``W`` once per ``(n, nu)`` here, and the
+    residuals below take their moments from it.
+    """
+    row = pair.rows(n, nu)[nu]
+    coeffs, width = row._nums, len(row._nums)
+    den, nums = pair.functional_power(n - nu)._form(hi + width - 1) if width else (1, [])
+    return row._den * den, [sum(map(mul, coeffs, nums[k:k + width])) for k in range(hi + 1)]
+
+
+def _adjoint_nums(pair: ClassicalPair, n: int, nu: int,
+                  weighted: tuple[int, list[int]] | None, hi: int) -> tuple[int, list[int]]:
+    """Moments ``0 .. hi`` of the self-adjoint residual of ``(n, nu)`` as ``(den, nums)``,
+    from the weighted row ``weighted`` as ``_weighted_nums`` gives it through at
+    least ``hi``.
+
+    With ``U = u_{n-nu+1}``, ``(w_den, W)`` the weighted row and
+    ``mu(n, nu) = p / s`` (``s`` from ``pair._pearson``), moment ``k`` over
+    ``D = lcm(s w_den, den(C_nu) den(U))`` is
+    ``p W_k D / (s w_den) - k (sum_i (C_nu')_i U_{k-1+i}) D / (den(C_nu) den(U))``,
+    on the numerators of ``C_nu'`` and ``U``.  At ``p = 0`` (row ``nu = 0``) the
+    ``W`` term drops and ``weighted`` is not read; it may then be ``None``.
+    """
+    row = pair.rows(n, nu)[nu]
+    dnums = [i * v for i, v in enumerate(row._nums)][1:]
+    width = len(dnums)
+    s, (_, _, a), (_, d) = pair._pearson
+    p = -nu * ((2 * n - nu - 1) * a + d)
+    u_den, u_nums = pair.functional_power(n - nu + 1)._form(hi + width - 2) if width else (1, [])
+    w_den, w_nums = weighted if p else (1, [0] * (hi + 1))
+    den, (w_scale, u_scale) = _scales((s * w_den, row._den * u_den))
+    w_scale *= p
+    return den, [
+        w_scale * w_nums[k] - (u_scale * k * sum(map(mul, dnums, u_nums[k - 1:k - 1 + width]))
+                               if k else 0)
+        for k in range(hi + 1)]
+
+
+def _rodrigues_nums(upper: tuple[int, list[int]], lower: tuple[int, list[int]], t: int,
+                    hi: int) -> tuple[int, list[int]]:
+    """Moments ``0 .. hi`` of ``W - (d/dx)^t V`` as ``(den, nums)``, for weighted rows
+    ``upper = W`` through ``hi`` and ``lower = V`` through ``hi - t`` as
+    ``_weighted_nums`` gives them.
+
+    Moment ``k`` over ``D = lcm(den(W), den(V))`` is
+    ``W_k D / den(W) - (-1)^t k!/(k-t)! V_{k-t} D / den(V)``, the second term
+    zero for ``k < t``; each side keeps the denominator it was built over.
+    """
+    (w_den, w_nums), (v_den, v_nums) = upper, lower
+    den, (w_scale, v_scale) = _scales((w_den, v_den))
+    if t % 2:
+        v_scale = -v_scale
+    return den, [
+        w_scale * w_nums[k] - (v_scale * perm(k, t) * v_nums[k - t] if k >= t else 0)
+        for k in range(hi + 1)]
+
+
 def sturm_liouville_residual(pair: ClassicalPair, n: int, nu: int) -> MomentFunctional:
     """The functional ``(C_nu' u_{n-nu+1})' + mu(n, nu) C_nu u_{n-nu}``.
 
     This is the self-adjoint (weighted) form of the row equation, stated at
-    the functional level; every moment is zero.  With ``U = u_{n-nu+1}``,
-    ``W = C_nu u_{n-nu}`` and ``mu(n, nu) = p / q``, moment ``k`` is
-    ``-k sum_i (C_nu')_i U_{k-1+i} + (p / q) W_k``; a block reads ``U``'s and
-    ``W``'s stored forms once and puts each moment over one denominator.  At
-    ``mu = 0`` (row ``nu = 0``) the ``W`` term drops and ``W`` is not read, so a
-    moment that ``u_{n-nu}`` cannot reach does not stop the residual.
+    the functional level; every moment is zero.  A block ``lo .. hi`` builds
+    the weighted row ``C_nu u_{n-nu}`` through ``hi`` with ``_weighted_nums``
+    and takes the moments from ``_adjoint_nums``, the kernels that the
+    functional suite of ``verify`` runs.  At ``mu = 0`` (row ``nu = 0``) the
+    weighted row is not built, so a moment that ``u_{n-nu}`` cannot reach
+    does not stop the residual.
     """
-    row = complementary(pair, n, nu)
-    dnums, dden = [i * v for i, v in enumerate(row._nums)][1:], row._den
-    width = len(dnums)
-    u_next, weighted = pair.functional_power(n - nu + 1), pair.weighted_row(n, nu)
-    mu = mu_eigenvalue(pair, n, nu)
-    p, q = mu.numerator, mu.denominator
+    weigh = mu_eigenvalue(pair, n, nu) != 0
 
     def block(_: MomentFunctional, lo: int, hi: int) -> tuple[int, list[int]]:
-        u_den, u_nums = u_next._form(hi + width - 2) if width else (1, [])
-        w_den, w_nums = weighted._form(hi) if p else (1, [0] * (hi + 1))
-        left, right = q * w_den, p * dden * u_den
-        return dden * u_den * q * w_den, [
-            right * w - (left * k * sum(map(mul, dnums, u_nums[k - 1:k - 1 + width])) if k else 0)
-            for k, w in zip(range(lo, hi + 1), w_nums[lo:])]
+        weighted = _weighted_nums(pair, n, nu, hi) if weigh else None
+        den, nums = _adjoint_nums(pair, n, nu, weighted, hi)
+        return den, nums[lo:]
     return MomentFunctional(block=block)
 
 
@@ -408,23 +453,20 @@ def rodrigues_formula_residual(pair: ClassicalPair, n: int, nu: int, mu: int) ->
 
     With ``mu = 0`` this is the Rodrigues formula for the rows
     (``C_nu u_{n-nu}`` equals the ``nu``-th derivative of ``u_n``); general
-    ``mu`` interpolates between rows.  Every moment is zero.  With
-    ``t = nu - mu``, moment ``k`` is ``w_k - (-1)^t k!/(k-t)! v_{k-t}`` for the
-    weighted rows ``w`` of ``nu`` and ``v`` of ``mu`` (the second term is zero
-    for ``k < t``); a block reads both stored forms once.
+    ``mu`` interpolates between rows.  Every moment is zero.  A block
+    ``lo .. hi`` builds the weighted rows of ``nu`` through ``hi`` and of
+    ``mu`` through ``hi - (nu - mu)`` with ``_weighted_nums`` and takes the
+    moments from ``_rodrigues_nums``, the kernels that the functional suite
+    of ``verify`` runs.
     """
     if not 0 <= mu <= nu <= n:
         raise IndexError(f"need 0 <= mu <= nu <= n, got mu={mu}, nu={nu}, n={n}")
-    upper, lower = pair.weighted_row(n, nu), pair.weighted_row(n, mu)
     t = nu - mu
-    sign = -1 if t % 2 else 1
 
     def block(_: MomentFunctional, lo: int, hi: int) -> tuple[int, list[int]]:
-        w_den, w_nums = upper._form(hi)
-        v_den, v_nums = lower._form(hi - t)
-        return w_den * v_den, [
-            w * v_den - (sign * perm(k, t) * v_nums[k - t] * w_den if k >= t else 0)
-            for k, w in zip(range(lo, hi + 1), w_nums[lo:])]
+        den, nums = _rodrigues_nums(_weighted_nums(pair, n, nu, hi),
+                                    _weighted_nums(pair, n, mu, hi - t), t, hi)
+        return den, nums[lo:]
     return MomentFunctional(block=block)
 
 

@@ -22,15 +22,16 @@ from .poly import Poly
 from .rodrigues import (
     FAMILIES,
     ClassicalPair,
+    _adjoint_nums,
+    _rodrigues_nums,
+    _weighted_nums,
     derivative_proportionality,
     lambda_n,
     leading_coeff_probe,
     mu_eigenvalue,
     ode_residual,
-    rodrigues_formula_residual,
     rodrigues_r1,
     rodrigues_rk,
-    sturm_liouville_residual,
 )
 
 
@@ -132,15 +133,31 @@ def _suite_functional(pair: ClassicalPair, report: VerifyReport, result: SuiteRe
     # the moments, so it counts only once the moments satisfy Pearson.
     proof = report.functional_proof = (
         pearson and _quasi_definite(pair._pearson, pair.u0, 2 * max_n + 1))
+
+    def depths(n: int, nu: int) -> tuple[int, int]:
+        return (2 * n - nu + 1, 2 * n - nu) if proof else (2 * n + 4, 2 * n + 4)
+
+    def weigh(n: int) -> list[tuple[int, list[int]]]:
+        # Every C_nu u_{n-nu} of n as an integer vector, through the deepest moment
+        # its checks read.  The self-adjoint check reads it only where mu(n, nu) != 0:
+        # at proof depth the certificate has d_k != 0 for k < 4 max_n + 2, so that is
+        # every nu >= 1, and otherwise both depths are equal.
+        return [_weighted_nums(pair, n, nu, depths(n, nu)[0 if nu else 1])
+                for nu in range(n + 1)]
+
+    # The rows of max_n read each u_j through the deepest moment any n reads from
+    # it, so each u_j is extended once, here, and every other n reads stored moments.
+    last = weigh(max_n)
     for n in range(max_n + 1):
+        weighted = last if n == max_n else weigh(n)
         for nu in range(n + 1):
-            adjoint_depth, rodrigues_depth = ((2 * n - nu + 1, 2 * n - nu) if proof
-                                              else (2 * n + 4, 2 * n + 4))
-            result.check(sturm_liouville_residual(pair, n, nu)._vanishes(adjoint_depth),
+            adjoint_depth, rodrigues_depth = depths(n, nu)
+            result.check(not any(_adjoint_nums(pair, n, nu, weighted[nu], adjoint_depth)[1]),
                          f"n={n} nu={nu}: self-adjoint residual nonzero")
             for mu in sorted({0, nu // 2}):
                 result.check(
-                    rodrigues_formula_residual(pair, n, nu, mu)._vanishes(rodrigues_depth),
+                    not any(_rodrigues_nums(weighted[nu], weighted[mu], nu - mu,
+                                            rodrigues_depth)[1]),
                     f"n={n} nu={nu} mu={mu}: functional Rodrigues residual nonzero")
 
 

@@ -223,24 +223,31 @@ def _row_mu(pair, n: int, nu: int) -> Fraction:
     return -nu * ((2 * n - nu - 1) * pair.phi.coefficient(2) + pair.psi.coefficient(1))
 
 
+def weighted_row(pair, n: int, nu: int) -> MomentFunctional:
+    """The functional ``C_nu(x; n) u_{n-nu}``, the reference polynomial multiple of
+    the pair's memoized shifted functional by its memoized row: what
+    ``rodrigues._weighted_nums`` builds as an integer vector."""
+    return functional_poly_mul(pair.rows(n, nu)[nu], pair.functional_power(n - nu))
+
+
 def sturm_liouville_residual(pair, n: int, nu: int):
     """``(C_nu' u_{n-nu+1})' + mu(n, nu) C_nu u_{n-nu}`` as a chain of derived
     functionals (derivative of a polynomial multiple, then a weighted sum)
-    over the pair's memoized rows, shifted functionals and weighted rows: the
-    composition that ``rodrigues.sturm_liouville_residual`` fuses into one block."""
+    over the pair's memoized rows and shifted functionals: the composition
+    that ``rodrigues._adjoint_nums`` computes in integers."""
     row = pair.rows(n, nu)[nu]
     lhs = functional_derivative(functional_poly_mul(row.derivative(),
                                                     pair.functional_power(n - nu + 1)))
     mu = _row_mu(pair, n, nu)
-    return _combination([(mu.denominator, lhs), (mu.numerator, pair.weighted_row(n, nu))],
+    return _combination([(mu.denominator, lhs), (mu.numerator, weighted_row(pair, n, nu))],
                         mu.denominator)
 
 
 def rodrigues_formula_residual(pair, n: int, nu: int, mu: int):
     """``C_nu u_{n-nu} - (d/dx)^(nu-mu) [C_mu u_{n-mu}]`` as the difference of the
     weighted row and a ``functional_derivative``: the composition that
-    ``rodrigues.rodrigues_formula_residual`` fuses into one block."""
-    return pair.weighted_row(n, nu) - functional_derivative(pair.weighted_row(n, mu), nu - mu)
+    ``rodrigues._rodrigues_nums`` computes in integers."""
+    return weighted_row(pair, n, nu) - functional_derivative(weighted_row(pair, n, mu), nu - mu)
 
 
 def derivative_proportionality(diagonal: Poly, target: Poly, nu: int) -> Fraction | None:

@@ -694,13 +694,14 @@ class TestFunctionalBlocks:
     ], ids=["hermite", "jacobi", "five-prime"])
     @pytest.mark.parametrize("memo", ["weighted", "shifted"])
     def test_a_perturbed_memo_is_read(self, build, memo):
-        # x^2 u_2 added to C_3(x; 5) u_2, or u_0 added to u_2 before any row is
-        # weighted: both sides read the pair's memos, so they must still agree,
-        # and the residuals that read the perturbed entry no longer vanish
+        # x^2 added to the row C_3(x; 5) that the weighted row C_3 u_2 is built
+        # from, or u_0 added to u_2 before any row is weighted: both sides read the
+        # pair's memos, so they must still agree, and the residuals that read the
+        # perturbed entry no longer vanish
         pair = build()
         if memo == "weighted":
-            pair._weighted[(5, 3)] = pair.weighted_row(5, 3) + functional_poly_mul(
-                Poly.monomial(2), pair.functional_power(2))
+            pair.rows(5, 5)
+            pair._rows[5][3] += Poly.monomial(2)
         else:
             pair._shifted[2] = pair.functional_power(2) + pair.u
         assert any(any(moments) for moments in _residuals_match_reference(pair, 8))

@@ -17,12 +17,10 @@ from copoly import (
     AdmissibilityViolation,
     ClassicalPair,
     InvalidParameter,
-    MomentFunctional,
     Poly,
     SUITE_NAMES,
     SeriesYX,
     bessel_family,
-    functional_poly_mul,
     hankel_minors,
     hermite_family,
     jacobi_family,
@@ -31,6 +29,22 @@ from copoly import (
     verify_pair,
 )
 from copoly.functional import _quasi_definite
+
+
+_weighted_nums = copoly.rodrigues._weighted_nums
+
+
+def _perturb_weighted_row(monkeypatch, at: tuple[int, int], j: int) -> None:
+    """Wrap the weighted-row kernel, in ``rodrigues`` and where ``verify`` holds it, so
+    that ``C_nu u_{n-nu}`` at ``(n, nu) == at`` gains the moments of ``x^j u_{n-nu}``."""
+    def perturbed(pair, n, nu, hi):
+        den, nums = _weighted_nums(pair, n, nu, hi)
+        if (n, nu) != at:
+            return den, nums
+        u_den, u_nums = pair.functional_power(n - nu)._form(hi + j)
+        return den * u_den, [w * u_den + den * v for w, v in zip(nums, u_nums[j:])]
+    monkeypatch.setattr(copoly.rodrigues, "_weighted_nums", perturbed)
+    monkeypatch.setattr(copoly.verify, "_weighted_nums", perturbed)
 
 
 def _hermite_on_legendre_moments(legendre_pair, monkeypatch) -> ClassicalPair:
@@ -140,30 +154,65 @@ class TestPassingRuns:
 
     def test_functional_suite_weights_each_row_once(self, monkeypatch):
         # A fresh pair: the session fixtures carry their memos between tests.
-        # 2 Pearson + 15 product-rule + 9 shifted functionals u_1..u_9, then per
-        # (n, nu) one memoized C_nu u_{n-nu}; the self-adjoint residual reads
-        # C_nu' against u_{n-nu+1} in its own block (building C_nu' u_{n-nu+1}
-        # made it 116), and building C_nu u_{n-nu} afresh for every residual
-        # took 262
+        # One integer vector C_nu u_{n-nu} per (n, nu), shared by the self-adjoint
+        # check and both Rodrigues checks; polynomial multiples only for 2 Pearson,
+        # 15 product-rule and the 8 shifted functionals u_1..u_8 (u_9 served only
+        # the self-adjoint residual at nu = 0, which reads none of it; a memoized
+        # functional per (n, nu) made it 71, and one per residual 262)
         pair = hermite_family()
-        calls = []
+        calls, weighted = [], []
         original = copoly.functional.functional_poly_mul
 
         def counted(h, u):
             calls.append(h)
             return original(h, u)
+
+        def weigh(pair, n, nu, hi):
+            weighted.append((n, nu))
+            return _weighted_nums(pair, n, nu, hi)
         monkeypatch.setattr(copoly.functional, "functional_poly_mul", counted)
         monkeypatch.setattr(copoly.rodrigues, "functional_poly_mul", counted)
+        monkeypatch.setattr(copoly.verify, "_weighted_nums", weigh)
         assert verify_pair(pair, suites=("functional",), max_n=8).passed
-        rows = sum(n + 1 for n in range(9))
-        assert len(calls) == 2 + 15 + 9 + rows == 71
+        assert len(calls) == 2 + 15 + 8 == 25
+        assert sorted(weighted) == [(n, nu) for n in range(9) for nu in range(n + 1)]
+        # with u_1 .. u_max_n built beforehand, the suite builds the same
+        # functionals, those of the Pearson and product-rule checks, on any grid
+        built = []
+        original_init = copoly.functional.MomentFunctional.__init__
 
-    def test_a_wrong_weighted_row_fails_where_it_is_read(self):
-        # C_3(x; 5) u_2 memoized as (C_3 + 1) u_2: both residuals that read it
+        def init(self, *args, **kwargs):
+            built.append(self)
+            original_init(self, *args, **kwargs)
+        monkeypatch.setattr(copoly.functional.MomentFunctional, "__init__", init)
+        for max_n in (1, 4, 8):
+            pair = hermite_family()
+            for j in range(max_n + 1):
+                pair.functional_power(j)
+            built.clear()
+            assert verify_pair(pair, suites=("functional",), max_n=max_n).passed
+            assert len(built) == 4 + 5 * 7 == 39
+
+    @pytest.mark.parametrize("proof", [True, False], ids=["proof-depth", "fixed-depth"])
+    def test_functional_suite_fills_each_shifted_functional_once(self, proof):
+        # u_1 .. u_max_n are read once, through the deepest moment any check needs
+        # from them: the rows of max_n go first.  Growing them with n would fill
+        # u_1 eight times at max_n = 8.
+        pair = jacobi_family(Fraction(1, 3), Fraction(4, 3)) if proof else laguerre_family(-2)
+        max_n, fills = 8, []
+        for j in range(1, max_n + 1):
+            u_j = pair.functional_power(j)
+            u_j._block = lambda u, lo, hi, block=u_j._block, j=j: (
+                fills.append(j) or block(u, lo, hi))
+        report = verify_pair(pair, suites=("functional",), max_n=max_n)
+        assert report.passed and report.functional_proof is proof
+        assert sorted(fills) == list(range(1, max_n + 1))
+
+    def test_a_wrong_weighted_row_fails_where_it_is_read(self, monkeypatch):
+        # C_3(x; 5) u_2 built as (C_3 + 1) u_2: both residuals that read it
         # must fail there, and nothing else may
-        pair = hermite_family()
-        pair._weighted[(5, 3)] = pair.weighted_row(5, 3) + pair.functional_power(2)
-        report = verify_pair(pair, suites=("functional",), max_n=5, order=4)
+        _perturb_weighted_row(monkeypatch, (5, 3), 0)
+        report = verify_pair(hermite_family(), suites=("functional",), max_n=5, order=4)
         assert report.suites[0].failures == [
             "n=5 nu=3: self-adjoint residual nonzero",
             "n=5 nu=3 mu=0: functional Rodrigues residual nonzero",
@@ -173,22 +222,27 @@ class TestPassingRuns:
     @pytest.mark.parametrize("build", [
         hermite_family, lambda: ClassicalPair(*FIVE_PRIME),
     ], ids=["hermite", "five-prime"])
-    def test_a_wrong_shifted_functional_fails_as_the_compositions_do(self, monkeypatch, build):
+    def test_a_wrong_shifted_functional_fails_as_the_compositions_do(self, build):
         # u_2 memoized as u_2 + u before any row is weighted: every weighted row
         # C_nu u_2 and every self-adjoint residual that reads u_2 carries it, and
-        # the one-block residuals must fail exactly where the compositions of
-        # derived functionals they fuse fail
-        def failures():
-            pair = build()
-            pair._shifted[2] = pair.functional_power(2) + pair.u
-            return verify_pair(pair, suites=("functional",), max_n=5, order=4).suites[0].failures
-        got = failures()
-        monkeypatch.setattr(copoly.verify, "sturm_liouville_residual",
-                            oracles.sturm_liouville_residual)
-        monkeypatch.setattr(copoly.verify, "rodrigues_formula_residual",
-                            oracles.rodrigues_formula_residual)
-        assert got == failures()
-        assert "n=3 nu=1: self-adjoint residual nonzero" in got
+        # the integer checks must fail exactly where the compositions of derived
+        # functionals in oracles fail, read to the same depths
+        pair = build()
+        pair._shifted[2] = pair.functional_power(2) + pair.u
+        report = verify_pair(pair, suites=("functional",), max_n=5, order=4)
+        assert report.functional_proof is True
+        expected = []
+        for n in range(6):
+            for nu in range(n + 1):
+                if any(oracles.sturm_liouville_residual(pair, n, nu).moments(2 * n - nu + 1)):
+                    expected.append(f"n={n} nu={nu}: self-adjoint residual nonzero")
+                for mu in sorted({0, nu // 2}):
+                    residual = oracles.rodrigues_formula_residual(pair, n, nu, mu)
+                    if any(residual.moments(2 * n - nu)):
+                        expected.append(
+                            f"n={n} nu={nu} mu={mu}: functional Rodrigues residual nonzero")
+        assert report.suites[0].failures == expected
+        assert "n=3 nu=1: self-adjoint residual nonzero" in expected
 
 
 class TestProofDepth:
@@ -252,13 +306,26 @@ class TestProofDepth:
         (laguerre_family(-2), False),
     ], ids=["quasi-definite", "laguerre-minus-2"])
     def test_depths_read(self, monkeypatch, pair, proof):
+        # the Pearson and product-rule functionals through _vanishes, the residuals
+        # through the integer kernels, in the order the suite checks them
         read = []
         original = copoly.functional.MomentFunctional._vanishes
+        adjoint, rodrigues = copoly.rodrigues._adjoint_nums, copoly.rodrigues._rodrigues_nums
 
         def counted(u, up_to):
             read.append(up_to)
             return original(u, up_to)
+
+        def adjoint_read(pair, n, nu, weighted, hi):
+            read.append(hi)
+            return adjoint(pair, n, nu, weighted, hi)
+
+        def rodrigues_read(upper, lower, t, hi):
+            read.append(hi)
+            return rodrigues(upper, lower, t, hi)
         monkeypatch.setattr(copoly.functional.MomentFunctional, "_vanishes", counted)
+        monkeypatch.setattr(copoly.verify, "_adjoint_nums", adjoint_read)
+        monkeypatch.setattr(copoly.verify, "_rodrigues_nums", rodrigues_read)
         max_n = 4
         report = verify_pair(pair, suites=("functional",), max_n=max_n, order=4)
         assert report.passed and report.functional_proof is proof
@@ -270,21 +337,32 @@ class TestProofDepth:
                 expected += [adjoint] + [rodrigues] * len({0, nu // 2})
         assert read == expected
 
+    def test_moments_are_read_only_as_deep_as_the_checks(self):
+        # bessel(alpha) has d + k a = alpha + 2 + k, so u_{k+1} is undefined at
+        # k = -alpha - 2.  bessel(-20) is certified through 2 max_n + 1 (d_k != 0 for
+        # k < 18), and at proof depth the suite reads u through 4 max_n = 16;
+        # bessel(-19) is not, and at depth 2n + 4 the suite reads u through
+        # 4 max_n + 4 = 20, past k = 17.  Reading every u_j through 4 max_n + 4
+        # would refuse bessel(-20) too.
+        report = verify_pair(bessel_family(-20), max_n=4, order=4)
+        assert [s.checks for s in report.suites] == [49, 39, 42, 28, 59]
+        assert report.passed and report.functional_proof is True
+        with pytest.raises(AdmissibilityViolation, match="at k = 17$"):
+            verify_pair(bessel_family(-19), max_n=4, order=4)
+
     @pytest.mark.parametrize("build", [
         hermite_family,
         lambda: jacobi_family(Fraction(1, 3), Fraction(4, 3)),
         lambda: ClassicalPair(*FIVE_PRIME),
     ], ids=["hermite", "jacobi", "five-prime"])
     @pytest.mark.parametrize("n, nu", [(5, 3), (4, 4), (6, 4)])
-    def test_a_wrong_weighted_row_fails_at_proof_depth(self, build, n, nu):
-        # C_nu u_{n-nu} memoized with x^j u_{n-nu} added, j <= nu: each residual that
+    def test_a_wrong_weighted_row_fails_at_proof_depth(self, monkeypatch, build, n, nu):
+        # C_nu u_{n-nu} built with x^j u_{n-nu} added, j <= nu: each residual that
         # reads it gains r u with r of degree j + 2(n - nu) <= 2n - nu, inside the
         # depth read, and 2 nu > n keeps every other (n, nu') off this row
         for j in range(nu + 1):
-            pair = build()
-            pair._weighted[(n, nu)] = pair.weighted_row(n, nu) + functional_poly_mul(
-                Poly.monomial(j), pair.functional_power(n - nu))
-            report = verify_pair(pair, suites=("functional",), max_n=n, order=4)
+            _perturb_weighted_row(monkeypatch, (n, nu), j)
+            report = verify_pair(build(), suites=("functional",), max_n=n, order=4)
             assert report.functional_proof is True
             assert report.suites[0].failures == [
                 f"n={n} nu={nu}: self-adjoint residual nonzero",
