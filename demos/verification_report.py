@@ -36,7 +36,7 @@ show(verify_pair(pair, max_n=6))
 # there is no catalog weight to compare against.
 phi = Poly([2, 1])
 psi = Poly([1, -1])
-custom = ClassicalPair(phi, psi, Fraction(1, 2), max_order=40)
+custom = ClassicalPair(phi, psi, Fraction(1, 2))
 show(verify_pair(custom, max_n=5))
 
 # Restricting to a subset of suites is just a tuple argument away.

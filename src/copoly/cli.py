@@ -216,9 +216,10 @@ def _compute_rows(pair: ClassicalPair, n: int, nu: int | None) -> Iterator[tuple
 
 
 def _rows_pair(spec: FamilySpec, n: int) -> ClassicalPair:
-    """The pair of ``compute`` and ``genfun`` at ``n``, admissible for ``k = 0 ..
-    max(n + 1, 2n - 2)``: row ``nu + 1`` of ``n`` gains the leading factor
-    ``psi' + k phi''/2`` with ``k = 2n - nu - 2``, so every row keeps its degree."""
+    """The pair of ``compute`` and ``genfun`` at ``n``, and of ``verify`` at ``max_n``,
+    admissible for ``k = 0 .. max(n + 1, 2n - 2)``: row ``nu + 1`` of ``n`` gains the
+    leading factor ``psi' + k phi''/2`` with ``k = 2n - nu - 2``, so every row keeps
+    its degree.  A moment that verify reads past that is checked when it is read."""
     return pair_from_family(spec, max_order=max(n + 2, 2 * n - 1))
 
 
@@ -266,8 +267,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if order < 2:
         raise InvalidParameter("--order must be >= 2")
     suites = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    # the suites read u up to index 4m + 4, and the Leibniz probe phi*psi up to 2m + 6
-    pair = pair_from_family(spec, max_order=max(2 * max_n + 6, 4 * max_n + 4))
+    pair = _rows_pair(spec, max_n)
     report = verify_pair(pair, suites, max_n, order)
     if args.format == "json":
         _print_json(_report_to_dict(report))

@@ -32,7 +32,8 @@ class NotQuasiDefinite(CopolyError):
 
     def __init__(self, level: int):
         self.level = level
-        super().__init__(f"Hankel determinant of order {level} vanishes")
+        super().__init__("moment functional is not quasi-definite "
+                         f"(Hankel determinant of order {level} vanishes)")
 
 
 class ExprSyntaxError(InvalidParameter):

@@ -258,6 +258,17 @@ def _quasi_definite(pearson: tuple[int, tuple[int, int, int], tuple[int, int]],
                for e_m, d_2m in ((m * b + e, 2 * m * a + d) for m in range(depth)))
 
 
+def _check_admissible(pearson: tuple[int, tuple[int, int, int], tuple[int, int]],
+                      depth: int) -> None:
+    """Raise ``AdmissibilityViolation`` at the first ``k < depth`` with
+    ``psi' + k phi''/2 = 0`` (``d + k a = 0`` in the integer form ``pearson``, as
+    ``_pearson_form`` gives it); an integer loop that reads no moment."""
+    _, (_, _, a), (_, d) = pearson
+    for k in range(depth):
+        if d + k * a == 0:
+            raise AdmissibilityViolation(k)
+
+
 def moments_from_pearson(phi: Poly, psi: Poly, u0: int | str | Fraction,
                          max_order: int) -> MomentFunctional:
     """Moment functional of the Pearson equation ``(phi u)' = psi u``.
@@ -267,18 +278,18 @@ def moments_from_pearson(phi: Poly, psi: Poly, u0: int | str | Fraction,
     the returned functional still extends past ``max_order`` on demand,
     checking lazily from there.
     """
-    return _pearson_moments(_pearson_form(phi, psi), u0, max_order)
+    pearson = _pearson_form(phi, psi)
+    _check_admissible(pearson, max_order)
+    return _pearson_moments(pearson, u0)
 
 
 def _pearson_moments(pearson: tuple[int, tuple[int, int, int], tuple[int, int]],
-                     u0: int | str | Fraction, max_order: int) -> MomentFunctional:
-    """``moments_from_pearson`` of the integer form ``pearson``, as ``_pearson_form``
-    gives it; a ``ClassicalPair`` builds its ``u`` here from its stored form."""
+                     u0: int | str | Fraction) -> MomentFunctional:
+    """The Pearson functional of the integer form ``pearson``, as ``_pearson_form``
+    gives it, checking admissibility at each moment it computes; a
+    ``ClassicalPair`` builds its ``u`` here from its stored form."""
     # the recurrence is homogeneous in (a, b, c, d, e): s is not needed
     _, (c, b, a), (e, d) = pearson
-    for k in range(max_order):
-        if d + k * a == 0:
-            raise AdmissibilityViolation(k)
 
     def block(u: MomentFunctional, lo: int, hi: int) -> tuple[int, list[int]]:
         # u_{k+1} = -((e + kb) u_k + kc u_{k-1}) / (d + ka): cur and prev stay over

@@ -35,7 +35,13 @@ from operator import mul
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import InvalidParameter
-from .functional import MomentFunctional, _pearson_form, _pearson_moments, functional_poly_mul
+from .functional import (
+    MomentFunctional,
+    _check_admissible,
+    _pearson_form,
+    _pearson_moments,
+    functional_poly_mul,
+)
 from .poly import Poly, _convolve, _scales, as_rational
 from .series import SeriesYX, series_exp, series_pow_rational
 
@@ -173,8 +179,8 @@ class ClassicalPair:
     """A ``(phi, psi)`` pair with the Pearson functional ``u`` of ``(phi, psi, u0)``;
     ``_pearson_form`` checks the pair and reads it once into its integer form
     ``_pearson``, ``(s, (c, b, a), (e, d))``, from which ``_pearson_moments`` builds
-    ``u`` and checks admissibility for ``k < max_order``.  A catalog ``name`` must
-    come with that family's ``params`` and ``(phi, psi)``.
+    ``u``, which checks admissibility at each moment it computes.  A catalog
+    ``name`` must come with that family's ``params`` and ``(phi, psi)``.
 
     Immutable apart from internal memoization: the moment sequence of ``u``
     extends on demand, the shifted functionals ``u_k = phi**k u`` are cached
@@ -184,10 +190,9 @@ class ClassicalPair:
     __slots__ = ("phi", "psi", "u0", "u", "name", "params", "_pearson", "_shifted", "_rows")
 
     def __init__(self, phi: Poly, psi: Poly, u0: int | str | Fraction = 1,
-                 name: str = "custom", params: Mapping[str, Fraction] | None = None,
-                 max_order: int = 0):
+                 name: str = "custom", params: Mapping[str, Fraction] | None = None):
         self._pearson = _pearson_form(phi, psi)
-        self.u = _pearson_moments(self._pearson, u0, max_order)
+        self.u = _pearson_moments(self._pearson, u0)
         self.phi = phi
         self.psi = psi
         self.u0 = as_rational(u0)
@@ -229,8 +234,11 @@ class ClassicalPair:
 
 def pair_from_family(spec: FamilySpec, max_order: int = 0) -> ClassicalPair:
     """The ``ClassicalPair`` that ``spec`` (or a pair) describes in ``(phi, psi, u0, name,
-    params)``; the CLI builds here after its caps.  Kept here for the benchmark, not exported."""
-    return ClassicalPair(spec.phi, spec.psi, spec.u0, spec.name, spec.params, max_order)
+    params)``, admissible for ``k < max_order``; the CLI builds here after its caps.
+    Kept here for the benchmark, not exported."""
+    pair = ClassicalPair(spec.phi, spec.psi, spec.u0, spec.name, spec.params)
+    _check_admissible(pair._pearson, max_order)
+    return pair
 
 
 def psi_k(pair: ClassicalPair, k: int) -> Poly:

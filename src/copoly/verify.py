@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InvalidParameter, NotQuasiDefinite
+from .errors import AdmissibilityViolation, InvalidParameter, NotQuasiDefinite
 from .functional import _quasi_definite, hankel_minors, leibniz_residual, pearson_residual
 from .genfun import _quadratic_prefactor, genfun_truncated, pde_residual, weight_ratio_series
 from .oracle import _gram_numerators, _step, chebyshev_ops, cross_validate, three_term_coefficients
@@ -183,12 +183,7 @@ def _suite_genfun(pair: ClassicalPair, report: VerifyReport, result: SuiteResult
 
 
 def _suite_oracle(pair: ClassicalPair, report: VerifyReport, result: SuiteResult) -> None:
-    try:
-        ops = chebyshev_ops(pair.u, report.max_n)
-    except NotQuasiDefinite as exc:
-        report.notes.append("oracle checks skipped: moment functional is not quasi-definite "
-                            f"(Hankel determinant of order {exc.level} vanishes)")
-        return
+    ops = chebyshev_ops(pair.u, report.max_n)
     # Gram entry (i, j) is upper[i][j - i] / (dens[i] dens[j] mden) for i <= j
     mden, dens, upper = _gram_numerators(pair.u, ops.polys)
     for i in range(report.max_n + 1):
@@ -257,7 +252,9 @@ def verify_pair(pair: ClassicalPair, suites: tuple[str, ...] | list[str] | None 
     """Run the requested suites over the ``(n, nu)`` grid up to ``max_n``.
 
     Only ``suites=None`` runs every suite, in ``SUITE_NAMES`` order; an empty
-    or repeated selection is refused."""
+    or repeated selection is refused.  A suite that reads an undefined moment
+    (``AdmissibilityViolation``) or a functional that is not quasi-definite
+    stops there with a note, keeping the checks it made."""
     if max_n < 0:
         raise InvalidParameter("max_n must be >= 0")
     if order < 2:
@@ -275,7 +272,10 @@ def verify_pair(pair: ClassicalPair, suites: tuple[str, ...] | list[str] | None 
     for name in selected:
         result = SuiteResult(name)
         start = time.perf_counter()
-        _SUITES[name](pair, report, result)
+        try:
+            _SUITES[name](pair, report, result)
+        except (AdmissibilityViolation, NotQuasiDefinite) as exc:
+            report.notes.append(f"{name} checks skipped: {exc}")
         result.seconds = time.perf_counter() - start
         report.suites.append(result)
     return report

@@ -549,8 +549,9 @@ class TestVerify:
         code, _, err = run_cli(
             capsys, "verify", "--family", "bessel", "--alpha", "-5", "--max-n", "8"
         )
+        # row nu + 1 of n = 8 needs k = 14 - nu: the row rule refuses at once
         assert code == 2
-        assert "k = 3" in err
+        assert err == "error: admissibility fails: psi' + k*phi''/2 = 0 at k = 3\n"
 
     def test_not_quasi_definite_reports_the_other_suites(self, capsys):
         code, out, _ = run_cli(
@@ -581,15 +582,49 @@ class TestVerify:
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_admissibility_checked_through_every_moment_read(self, capsys, m):
-        # psi' + k phi''/2 = k - K vanishes at k = K; the suites read u up to index 4m + 4
-        pair = ("--phi", "x^2", "--max-n", str(m), "--order", "4")
-        code, out, err = run_cli(capsys, "verify", *pair, f"--psi=1 - {4 * m + 3}*x",
-                                 "--suite", "recursion")
+        # psi' + k phi''/2 = k - K vanishes at k = K.  The rows of max_n = m keep their
+        # degree for k < max(m + 2, 2m - 1), which verify checks first; past that, a
+        # moment is checked where a suite reads it, and the functional suite reads u
+        # through k = 4m + 1
+        pair = ("verify", "--phi", "x^2", "--max-n", str(m), "--order", "4")
+        rows = max(m + 2, 2 * m - 1)
+        code, out, err = run_cli(capsys, *pair, f"--psi=1 - {rows - 1}*x")
         assert (code, out) == (2, "")
-        assert err == f"error: admissibility fails: psi' + k*phi''/2 = 0 at k = {4 * m + 3}\n"
-        code, out, _ = run_cli(capsys, "verify", *pair, f"--psi=1 - {4 * m + 4}*x")
-        assert code == 0
-        assert out.splitlines()[-1] == "overall: PASS"
+        assert err == f"error: admissibility fails: psi' + k*phi''/2 = 0 at k = {rows - 1}\n"
+        for k, skipped in [(rows, ["functional", "oracle"]), (4 * m + 1, ["functional"]),
+                           (4 * m + 2, [])]:
+            for suite in ("recursion", "all"):
+                code, out, _ = run_cli(capsys, *pair, f"--psi=1 - {k}*x", "--suite", suite)
+                assert code == 0
+                assert out.splitlines()[-1] == "overall: PASS"
+                assert [line for line in out.splitlines() if "checks skipped: admiss" in line] == [
+                    f"note: {name} checks skipped: admissibility fails: "
+                    f"psi' + k*phi''/2 = 0 at k = {k}"
+                    for name in (skipped if suite == "all" else [])]
+
+    @pytest.mark.parametrize("flags, suites, checks", [
+        (("--family", "bessel", "--alpha=-21"), None, [49, 39, 42, 28, 59]),
+        (("--family", "jacobi", "--alpha=-6", "--beta=-6"), ("recursion",), [49]),
+        (("--family", "jacobi", "--alpha=-6", "--beta=-6"), None, [49, 39, 0, 28, 59]),
+    ], ids=["bessel-minus-21", "jacobi-minus-6-recursion", "jacobi-minus-6-all"])
+    def test_library_and_cli_agree_on_admissibility(self, capsys, flags, suites, checks):
+        # each pair is admissible for its rows, so the CLI builds it and both answer
+        # the same report: a suite whose moments are undefined is skipped with a note
+        code, out, _ = run_cli(capsys, "verify", *flags, "--max-n", "4", "--order", "4",
+                               *(("--suite", suites[0]) if suites else ()), "--format", "json")
+        doc = json.loads(out)
+        params = [as_rational(flag.split("=")[1]) for flag in flags[2:]]
+        report = copoly.verify.verify_pair(copoly.rodrigues.catalog_family(flags[1], *params),
+                                           suites, max_n=4, order=4)
+        assert (code, [s["checks"] for s in doc["suites"]], doc["notes"],
+                doc["functional_proof"]) == (
+            0 if report.passed else 1, [s.checks for s in report.suites], report.notes,
+            report.functional_proof)
+        assert (code, [s.checks for s in report.suites]) == (0, checks)
+        undefined = ["functional checks skipped: admissibility fails: "
+                     "psi' + k*phi''/2 = 0 at k = 10"] if checks[2:3] == [0] else []
+        assert [note for note in report.notes if "skipped" in note] == undefined
+        assert report.functional_proof is (None if undefined or suites else True)
 
     def test_laguerre_genfun_suite(self, capsys):
         code, out, _ = run_cli(

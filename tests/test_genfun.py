@@ -141,20 +141,20 @@ class TestClosedForm:
 
     def test_custom_pair_unsupported(self):
         # supported: a custom pair's closed form is Phi^n G(0)
-        pair = ClassicalPair(Poly([1, 1]), Poly([0, 1]), max_order=12)
+        pair = ClassicalPair(Poly([1, 1]), Poly([0, 1]))
         for n in range(6):
             assert genfun_closed_form(pair, n, 4) == genfun_truncated(pair, n, 4)
 
     def test_custom_pair_sees_a_perturbed_row(self):
         # a wrong G(0) row breaks Phi^n G(0) at n >= 1; at n = 0 both sides read it
-        pair = ClassicalPair(Poly([3, -1, 2]), Poly([1, 5]), max_order=12)
+        pair = ClassicalPair(Poly([3, -1, 2]), Poly([1, 5]))
         pair.rows(0, 6)
         pair._rows[0][2] += Poly.x()
         assert genfun_closed_form(pair, 0, 6) == genfun_truncated(pair, 0, 6)
         assert all(genfun_closed_form(pair, n, 6) != genfun_truncated(pair, n, 6)
                    for n in range(1, 5))
         # a wrong row of n = 3 shows at n = 3 only
-        pair = ClassicalPair(Poly([3, -1, 2]), Poly([1, 5]), max_order=12)
+        pair = ClassicalPair(Poly([3, -1, 2]), Poly([1, 5]))
         for n in range(5):
             pair.rows(n, 6)
         pair._rows[3][2] += Poly.x()

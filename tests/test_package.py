@@ -200,7 +200,7 @@ def test_one_way_into_a_pair():
                    and any(isinstance(sub, (ast.Name, ast.Attribute)) and is_pair_part(sub)
                            for sub in ast.walk(node)))}
     assert (params, uses, readers) == (
-        ["self", "phi", "psi", "u0", "name", "params", "max_order"], [],
+        ["self", "phi", "psi", "u0", "name", "params"], [],
         {("functional.py", "_pearson_form")})
 
 

@@ -100,7 +100,7 @@ class TestFamilyBuilders:
 
     def test_cubic_phi_rejected(self):
         with pytest.raises(InvalidParameter):
-            ClassicalPair(Poly.monomial(3), Poly([0, 1]), max_order=8)
+            ClassicalPair(Poly.monomial(3), Poly([0, 1]))
 
     def test_inadmissible_bessel_rejected(self):
         pair = bessel_family(-5)  # checked as its moments are read
@@ -108,7 +108,7 @@ class TestFamilyBuilders:
             pair.u.moments(20)
         assert exc.value.k == 3
         with pytest.raises(AdmissibilityViolation) as exc:
-            ClassicalPair(pair.phi, pair.psi, max_order=20)
+            moments_from_pearson(pair.phi, pair.psi, 1, max_order=20)
         assert exc.value.k == 3
 
     @pytest.mark.parametrize("pair", [
@@ -122,8 +122,8 @@ class TestFamilyBuilders:
     def test_pair_holds_its_own_pearson_functional(self, pair):
         expected = moments_from_pearson(pair.phi, pair.psi, pair.u0, 0).moments(30)
         assert pair.u.moments(30) == expected
-        eager = ClassicalPair(pair.phi, pair.psi, pair.u0, max_order=12)
-        assert eager.u.moments(30) == expected
+        eager = moments_from_pearson(pair.phi, pair.psi, pair.u0, max_order=12)
+        assert eager.moments(30) == expected
 
     def test_pair_carries_moments(self, laguerre_pair):
         assert laguerre_pair.u.moment(1) == Fraction(3, 2)
@@ -363,7 +363,7 @@ class TestPearsonForm:
 
     @pytest.mark.parametrize("make", [
         lambda: bessel_family(Fraction(1, 3)),
-        lambda: ClassicalPair(*FIVE_PRIME, Fraction(2, 3), max_order=12),
+        lambda: ClassicalPair(*FIVE_PRIME, Fraction(2, 3)),
     ], ids=["catalog", "custom"])
     def test_a_pair_reads_itself_once(self, monkeypatch, make):
         calls = []

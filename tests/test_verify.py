@@ -51,7 +51,7 @@ def _hermite_on_legendre_moments(legendre_pair, monkeypatch) -> ClassicalPair:
     """The Hermite pair as built by a faulty moment generator that returns
     the Legendre functional."""
     monkeypatch.setattr(copoly.rodrigues, "_pearson_moments",
-                        lambda pearson, u0, max_order: legendre_pair.u)
+                        lambda pearson, u0: legendre_pair.u)
     return ClassicalPair(Poly.one(), Poly([0, -2]), name="broken")
 
 
@@ -342,13 +342,18 @@ class TestProofDepth:
         # k = -alpha - 2.  bessel(-20) is certified through 2 max_n + 1 (d_k != 0 for
         # k < 18), and at proof depth the suite reads u through 4 max_n = 16;
         # bessel(-19) is not, and at depth 2n + 4 the suite reads u through
-        # 4 max_n + 4 = 20, past k = 17.  Reading every u_j through 4 max_n + 4
-        # would refuse bessel(-20) too.
+        # 4 max_n + 4 = 20, past k = 17, so its functional suite stops there with a
+        # note and the other suites run in full.  Reading every u_j through
+        # 4 max_n + 4 would stop bessel(-20) too.
         report = verify_pair(bessel_family(-20), max_n=4, order=4)
         assert [s.checks for s in report.suites] == [49, 39, 42, 28, 59]
         assert report.passed and report.functional_proof is True
-        with pytest.raises(AdmissibilityViolation, match="at k = 17$"):
-            verify_pair(bessel_family(-19), max_n=4, order=4)
+        assert not [note for note in report.notes if "skipped" in note]
+        report = verify_pair(bessel_family(-19), max_n=4, order=4)
+        assert [s.checks for s in report.suites] == [49, 39, 6, 28, 59]
+        assert report.passed and report.functional_proof is False
+        assert report.notes[0] == ("functional checks skipped: admissibility fails: "
+                                   "psi' + k*phi''/2 = 0 at k = 17")
 
     @pytest.mark.parametrize("build", [
         hermite_family,
@@ -394,7 +399,7 @@ class TestNotes:
     def test_probe_note_matches_a_scan_of_the_grid(self, phi, psi):
         # the note is computed from psi' and phi''; a scan of the probed grid
         # against -lambda_j / j must find the same first divergence
-        pair = ClassicalPair(phi, psi, max_order=40)
+        pair = ClassicalPair(phi, psi)
         dpsi, ddphi = psi.coefficient(1), 2 * phi.coefficient(2)
         first = next(((k, m, dpsi + Fraction(m + 2 * k, 2) * ddphi,
                        -lambda_n(pair, m + 2 * k) / (m + 2 * k))
@@ -406,7 +411,7 @@ class TestNotes:
         assert verify_pair(pair, suites=("oracle",), max_n=1, order=4).notes[-1] == expected
 
     def test_custom_pair_skips_closed_form(self):
-        pair = ClassicalPair(Poly([2, 1]), Poly([1, -1]), max_order=40)
+        pair = ClassicalPair(Poly([2, 1]), Poly([1, -1]))
         report = verify_pair(pair, suites=("genfun",), max_n=3, order=6)
         assert report.passed
         assert any("skipped" in note for note in report.notes)
@@ -448,7 +453,7 @@ class TestFailureDetection:
         ]
 
     def test_custom_suite_runs_on_consistent_custom_pair(self):
-        pair = ClassicalPair(Poly([2, 1]), Poly([1, -1]), Fraction(1, 2), max_order=40)
+        pair = ClassicalPair(Poly([2, 1]), Poly([1, -1]), Fraction(1, 2))
         report = verify_pair(pair, max_n=3, order=6)
         assert report.passed
 
